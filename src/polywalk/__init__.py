@@ -3,7 +3,8 @@
 Layers, bottom up: `poly` (exact sparse multivariate polynomials), `reals`
 (rationals plus named irrational constants), `walks` (polynomial walks and
 their algebra), `fleeing` (hyperplane-fleeing walk construction),
-`generators` (the concrete walk families), `lab` (set models, searches,
+`generators` (the concrete walk families), `kernel` (orbit points, torus
+phases and residues by exact differences), `lab` (set models, searches,
 experiments), `ergodic` (torus systems and polynomial-orbit averages),
 `cli` (command-line front end).
 """

@@ -463,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=False):
         p.add_argument("--out", help="also write the report to this path")
         p.add_argument("--csv", help="write CSV output to this path")
-        p.add_argument("--jobs", type=int, help="worker count for searches")
+        p.add_argument("--jobs", type=int,
+                       help="accepted for compatibility; searches run sequentially "
+                            "and stop at the first hit")
         p.add_argument("--seed", type=int, help="seed for randomized pieces")
         p.add_argument("--precision", type=int, help="decimal digits for torus arithmetic")
         p.add_argument("--N-max", dest="N_max", type=int, help="search range bound")
@@ -551,10 +553,27 @@ _GRAMMAR = """expression grammar:
   number := nonneg-int ("/" nonneg-int)?"""
 
 
+# Flags whose value is a comma-separated list; a value with a leading minus
+# ("--v -3,0") would otherwise be read by argparse as an option.
+_VECTOR_FLAGS = {"--v", "--targets", "--matrix", "--theta", "--p", "--poly"}
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in _VECTOR_FLAGS and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_vector_values(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

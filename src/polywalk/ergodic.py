@@ -23,8 +23,10 @@ from math import gcd
 from typing import Sequence
 
 from .fleeing import kernel_basis
+from .kernel import phases, residues
+from .lab import weyl_sum
 from .poly import PolyVector
-from .reals import KahanSum, Real, RootOfUnityMean, dot_frac
+from .reals import KahanSum, Real, RootOfUnityMean
 
 _QMC_ALPHAS = (
     0.41421356237309515,   # frac(sqrt 2)
@@ -82,17 +84,6 @@ class TorusSystem:
                 if m:
                     acc = acc + self.rows[j][i].scale(m)
             out.append(acc)
-        return tuple(out)
-
-    def orbit_fracs(self, polys: PolyVector, n: int) -> tuple[float, ...]:
-        """frac(x0 + A p(n)) as floats, for numeric averages."""
-        var = polys.vars[0] if polys.vars else "n"
-        values = list(polys.eval_int({var: n}))
-        out = []
-        for j, row in enumerate(self.rows):
-            shift = dot_frac(list(row), values, self.precision)
-            base = self.base_point[j].frac(self.precision)
-            out.append(float((shift + base) % 1))
         return tuple(out)
 
 
@@ -199,20 +190,6 @@ class CharacterInfo:
     rational: bool
     period: int | None
 
-    def residue(self, values: Sequence[int]) -> Fraction:
-        """<A^T m, v> mod 1 for a rational character (exact, denominator
-        divides the period)."""
-        if not self.rational:
-            raise ValueError("residues only make sense for rational characters")
-        total = sum(
-            (entry.as_fraction() * v for entry, v in zip(self.row, values)),
-            start=Fraction(0),
-        )
-        out = total % 1
-        if self.period % out.denominator != 0:
-            raise AssertionError(f"residue {out} incompatible with period {self.period}")
-        return out
-
 
 def classify_characters(sys: TorusSystem, f: TrigPoly) -> list[CharacterInfo]:
     """Induced character data for every frequency of the observable."""
@@ -245,24 +222,22 @@ def q_p_multipliers(
 
     Irrational characters get None (their multiplier is exactly zero);
     rational ones get the exact root-of-unity mean of chi(p(n)) over one
-    period, which exposes exact-one / exact-zero answers via the counts."""
+    period of n -> chi(p(n)), which exposes exact-one / exact-zero answers
+    via the counts."""
     for entry in polys:
         cert = entry.integer_valued()
         if not cert:
             raise ValueError(f"orbit entry {entry} is not integer-valued")
-    var = polys.vars[0] if polys.vars else "n"
     out = []
     for info in classify_characters(sys, f):
         if not info.rational:
             out.append((info, None))
             continue
-        k = info.period
+        k, stream = residues(polys, info.row)
         counts = [0] * k
-        for n in range(1, k + 1):
-            values = polys.eval_int({var: n})
-            residue = info.residue(values)
-            counts[int(residue * k)] += 1
-        out.append((info, RootOfUnityMean(k, tuple(counts), k)))
+        for residue in stream:
+            counts[residue] += 1
+        out.append((info, RootOfUnityMean(k, tuple(counts), sum(counts))))
     return out
 
 
@@ -317,12 +292,12 @@ def _choose_k_box(sys: TorusSystem) -> int:
         return k
     # Is there a non-zero integer frequency m with A^T m rational?  That
     # happens iff the irrational coefficient matrix has non-trivial kernel.
-    names = sorted({name for entry in entries for name in entry.irr})
+    names = sorted({name for entry in entries for name in entry.basis()[1]})
     rows = []
     for name in names:
         for i in range(sys.dim):
             rows.append([
-                sys.rows[j][i].irr.get(name, Fraction(0))
+                sys.rows[j][i].basis()[1].get(name, Fraction(0))
                 for j in range(sys.torus_dim)
             ])
     if not kernel_basis(rows, sys.torus_dim):
@@ -354,28 +329,17 @@ def empirical_average(
     point) and the prediction is estimated over a low-discrepancy grid."""
     if n_count < 1:
         raise ValueError("N must be >= 1")
-    if isinstance(f, BoxIndicator):
-        acc = KahanSum()
-        for n in range(1, n_count + 1):
-            point = sys.orbit_fracs(polys, n)
-            acc.add(1.0 if f.contains_float(point) else 0.0)
-        return EmpiricalAverage(complex(acc.total / n_count, 0.0), None, None)
-
-    var = polys.vars[0] if polys.vars else "n"
-    infos = classify_characters(sys, f)
-    multipliers: dict[tuple[int, ...], complex] = {}
-    sums = {info.freq: (KahanSum(), KahanSum()) for info in infos}
-    rows = {info.freq: list(info.row) for info in infos}
-    for n in range(1, n_count + 1):
-        values = list(polys.eval_int({var: n}))
-        for freq, (re, im) in sums.items():
-            phase = 2.0 * math.pi * float(dot_frac(rows[freq], values, sys.precision))
-            re.add(math.cos(phase))
-            im.add(math.sin(phase))
-    for freq, (re, im) in sums.items():
-        multipliers[freq] = complex(re.total / n_count, im.total / n_count)
-
     base = [float(x.frac(sys.precision)) for x in sys.base_point]
+    if isinstance(f, BoxIndicator):
+        hits = 0
+        for shift in phases(polys, sys.rows, n_count, sys.precision):
+            hits += f.contains_float([(x + b) % 1.0 for x, b in zip(shift, base)])
+        return EmpiricalAverage(complex(hits / n_count, 0.0), None, None)
+
+    multipliers = {
+        info.freq: weyl_sum(polys, info.row, n_count, sys.precision)
+        for info in classify_characters(sys, f)
+    }
     empirical_fn = TrigPoly.of(
         (freq, coeff * multipliers[freq]) for freq, coeff in f.components
     )
@@ -425,17 +389,10 @@ def correlation_average(
     d_torus = sys.torus_dim
 
     # orbit torus offsets, computed once
-    offsets: list[list[tuple[float, ...]]] = []
-    for polys, n_count in zip(orbits, n_counts):
-        var = polys.vars[0] if polys.vars else "n"
-        rows = [list(row) for row in sys.rows]
-        off = []
-        for n in range(1, n_count + 1):
-            values = list(polys.eval_int({var: n}))
-            off.append(tuple(
-                float(dot_frac(row, values, sys.precision)) for row in rows
-            ))
-        offsets.append(off)
+    offsets = [
+        list(phases(polys, sys.rows, n_count, sys.precision))
+        for polys, n_count in zip(orbits, n_counts)
+    ]
 
     centers = [float(c.frac(30)) for c in box.centers]
     radii = [float(r) for r in box.radii]

@@ -1,0 +1,236 @@
+"""Orbit and phase streams for integer-valued polynomial orbits.
+
+Every per-n loop of the package walks an integer-valued polynomial vector
+p(n) = (p_1(n), ..., p_m(n)) of degree at most D over consecutive n, and
+the torus loops also read the phase frac(<row, p(n)>) of rows of exact
+reals.  Evaluating each p(n) from scratch is one Fraction polynomial
+evaluation per point.  The streams here work like the difference engine
+(Knuth, TAOCP vol. 2, 4.6.4).  The first D + 1 points come from
+`PolyVector.eval_int`.  The backward differences at the last of them
+follow by exact subtraction, and every later point costs D additions per
+coordinate, since nabla^(D+1) p = 0 and
+
+    nabla^i p(n + 1) = nabla^i p(n) + nabla^(i+1) p(n + 1).
+
+Points are stepped in blocks: over a block, the order-i differences are
+the running sums (`itertools.accumulate`) of the order-(i+1) ones, started
+from the table entry, so the additions run in C and not in a per-point
+Python loop.  Blocks start small and double, so a search that stops early
+computes few points it does not use.
+
+Three streams share this table:
+
+* `orbit_points` yields the exact integer points p(n).
+* `phases` carries each row's phase <row, p(n)> in fixed point, as one
+  integer per difference order modulo M = q * 10^W, where q is the lcm of
+  the denominators of the row's rational parts.  The rational part is
+  exact.  Each irrational part is read once, at the start, through
+  `constant_digits`.  Phases come out as floats a / M, an exact int/int
+  division that cannot overflow.
+* `residues` is the rational case W = 0: exact residues mod q.
+
+Error bound.  Write s(n) = <row, p(n)>, a real polynomial in n of degree
+at most D; the streams start at n = 1.  `_FixedRow` turns an integer
+vector v into an integer fix(v) with |fix(v) - M <row, v>| < 1 (see its
+docstring).
+
+* The first D + 1 phases are fix(p(n)) mod M, so their error is below
+  1/M.
+* From m0 = 1 + D on, the stream starts from T_i = fix(nabla^i p(m0)),
+  whose errors e_i = T_i - M nabla^i s(m0) satisfy |e_i| < 1, because
+  nabla^i s(m0) = <row, nabla^i p(m0)>.  Integer additions are exact.
+  One step replaces the order-k entry by the sum of the entries of orders
+  k..D.  By induction on j, after j steps the order-k entry is
+  sum_{i >= k} C(j - 1 + i - k, i - k) T_i, with C(-1, 0) = 1 and
+  C(r - 1, r) = 0 for r >= 1; the step from j to j + 1 is the
+  hockey-stick identity sum_{r=0}^{t} C(j - 1 + r, r) = C(j + t, t).
+  The same recursion run on the exact table gives M s(m0 + j).  So the
+  computed value at n = m0 + j is off by
+      |sum_{i=0}^{D} C(j - 1 + i, i) e_i| < sum_{i=0}^{D} C(j - 1 + i, i)
+                                          = C(j + D, D) = C(n - 1, D),
+  and reducing the table mod M between blocks does not change a value
+  mod M, nor a distance on the circle.
+
+Hence the phase of the point n is within max(1, C(n - 1, D)) / M of
+frac(<row, p(n)>) on the circle, and so within
+max(1, C(n - 1, D)) * 10^-W <= sum_{k <= D} C(n - 1, k) * 10^-W.  The
+bound grows with n, so `_width` takes the smallest W that keeps it at
+most 10^-precision at the last of `count` points: `precision` keeps the
+meaning it has for `dot_frac`.  Rows with only rational entries have no
+error and use W = 0.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import accumulate, repeat
+from math import comb, lcm
+from operator import mod, truediv
+from typing import Iterator, Sequence
+
+from .poly import PolyVector
+from .reals import Real, constant_digits
+
+# Points per block: the first block has 16, each next one twice as many,
+# up to this many.  The bound caps the memory a stream holds.
+_MAX_BLOCK = 256
+
+
+def _backward_table(head: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The differences [nabla^D, ..., nabla^1, nabla^0] of D + 1 consecutive
+    points, taken at the last one."""
+    table = [head[-1]]
+    rows = head
+    while len(rows) > 1:
+        rows = [tuple(b - a for a, b in zip(r0, r1)) for r0, r1 in zip(rows, rows[1:])]
+        table.append(rows[-1])
+    table.reverse()
+    return table
+
+
+def _blocks(columns: list[list[int]], count: int, moduli=None) -> Iterator[list[list[int]]]:
+    """The next `count` order-0 values of every difference column, in
+    blocks, one list per column.  Each column is a table
+    [nabla^D, ..., nabla^0] and is advanced in place; with `moduli` the
+    tables are reduced mod their modulus after every block."""
+    size = 8
+    while count > 0:
+        size = min(2 * size, _MAX_BLOCK, count)
+        count -= size
+        block = []
+        for j, column in enumerate(columns):
+            run = repeat(column[0], size)
+            ends = [column[0]]
+            for start in column[1:]:
+                sums = accumulate(run, initial=start)
+                next(sums)
+                run = list(sums)
+                ends.append(run[-1])
+            columns[j] = ends if moduli is None else [e % moduli[j] for e in ends]
+            block.append(run)
+        yield block
+
+
+def orbit_points(polys: PolyVector, count: int) -> Iterator[tuple[int, ...]]:
+    """The exact integer points p(1), ..., p(count).
+
+    The first D + 1 points are evaluated (and raise the `eval_int`
+    ValueError if p is not integer-valued: a polynomial of degree D that
+    is integral at D + 1 consecutive integers is integral everywhere).
+    Later points cost D big-integer additions per coordinate."""
+    var = polys.vars[0] if polys.vars else "n"
+    head = []
+    for n in range(1, 1 + min(count, polys.max_degree() + 1)):
+        head.append(polys.eval_int({var: n}))
+        yield head[-1]
+    if count > len(head):
+        columns = [list(column) for column in zip(*_backward_table(head))]
+        for block in _blocks(columns, count - len(head)):
+            yield from zip(*block)
+
+
+class _FixedRow:
+    """One torus row in fixed point modulo M = q * 10^W.
+
+    fix(v) is an integer with |fix(v) - M <row, v>| < 1.  The rational part
+    sum (q r_c) v_c 10^W is an exact integer.  For each basis constant c
+    the coefficient K = sum q a_c v_c is exact, and with
+    d = constant_digits(c, W + g), 0 <= c 10^(W+g) - d < 1, the term
+    K d / 10^g is within |K| / 10^g <= 1/100 of K c 10^W once
+    |K| <= 10^(g-2).  At most four basis constants add under 1/25, and
+    rounding the sum to an integer adds at most 1/2."""
+
+    def __init__(self, row: Sequence[Real], width: int):
+        coords = [entry.basis() for entry in row]
+        self.q = lcm(*(rational.denominator for rational, _ in coords))
+        names = sorted({name for _, irr in coords for name in irr})
+        self.width = width if names else 0
+        self.modulus = self.q * 10 ** self.width
+        self.weights = [int(rational * self.q) for rational, _ in coords]
+        self.irrational = {
+            name: [irr.get(name, 0) * self.q for _, irr in coords] for name in names
+        }
+
+    def __call__(self, v: Sequence[int]) -> int:
+        total = sum(w * x for w, x in zip(self.weights, v)) * 10 ** self.width
+        if not self.irrational:
+            return total
+        coeffs = {
+            name: sum((a * x for a, x in zip(column, v)), Fraction(0))
+            for name, column in self.irrational.items()
+        }
+        # 10^(g-2) > |K|: 31/100 > log10(2) bounds the decimal digits
+        widest = max(k.numerator.bit_length() for k in coeffs.values())
+        work = self.width + 31 * widest // 100 + 3
+        # quantize the digit precision so the digit cache stays warm
+        work += (-work) % 32
+        scaled = sum(k * constant_digits(name, work) for name, k in coeffs.items())
+        scale = scaled.denominator * 10 ** (work - self.width)
+        return total + (2 * scaled.numerator + scale) // (2 * scale)
+
+
+def _width(count: int, degree: int, precision: int) -> int:
+    """Smallest W >= 0 with max(1, C(count - 1, degree)) * 10^-W <= 10^-precision."""
+    bound = comb(count - 1, degree) if count > 0 else 1
+    digits = 0
+    while 10 ** digits < bound:
+        digits += 1
+    return max(0, precision + digits)
+
+
+def _fixed_phases(
+    polys: PolyVector, rows: Sequence[Sequence[Real]], count: int, precision: int
+) -> tuple[tuple[int, ...], Iterator[list]]:
+    """The moduli M_j, and blocks of the phases as integers mod M_j: one
+    sequence per row in every block."""
+    for row in rows:
+        if len(row) != len(polys):
+            raise ValueError(f"{len(polys)} polynomials but {len(row)} frequencies")
+    degree = polys.max_degree()
+    width = _width(count, degree, precision)
+    fixed = [_FixedRow(row, width) for row in rows]
+    moduli = tuple(f.modulus for f in fixed)
+    head = list(orbit_points(polys, min(count, degree + 1)))
+
+    def stream():
+        yield [[f(point) % m for point in head] for f, m in zip(fixed, moduli)]
+        if count > len(head):
+            table = _backward_table(head)
+            columns = [[f(diff) % m for diff in table] for f, m in zip(fixed, moduli)]
+            for block in _blocks(columns, count - len(head), moduli):
+                yield [map(mod, run, repeat(m)) for run, m in zip(block, moduli)]
+
+    return moduli, stream()
+
+
+def phases(
+    polys: PolyVector,
+    rows: Sequence[Sequence[Real | Fraction | int | str]],
+    count: int,
+    precision: int,
+) -> Iterator[tuple[float, ...]]:
+    """frac(<row_j, p(n)>) for every row, as floats, for n = 1, ..., count.
+    Before the final rounding to a float each phase is
+    within 10^-precision of the true one on the circle (module docstring)."""
+    rows = [[Real.of(x) for x in row] for row in rows]
+    moduli, blocks = _fixed_phases(polys, rows, count, precision)
+    for block in blocks:
+        yield from zip(*(map(truediv, run, repeat(m)) for run, m in zip(block, moduli)))
+
+
+def residues(
+    polys: PolyVector, row: Sequence[Real | Fraction | int | str]
+) -> tuple[int, Iterator[int]]:
+    """q and the exact residues q <row, p(n)> mod q over one full period
+    n = 1, ..., L, for a row of rationals with lcm denominator q.
+    L = q d, where d is the lcm of the coefficient denominators of p: d p
+    has integer coefficients, so p(n + q d) = p(n) mod q.  For integer
+    coefficients L = q; an integer-valued p such as n (n + 1) / 2 can need
+    more (its period mod 2 is 4)."""
+    row = [Real.of(x) for x in row]
+    if not all(x.is_rational() for x in row):
+        raise ValueError("residues need a row of rationals")
+    q = lcm(*(x.as_fraction().denominator for x in row))
+    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    (modulus,), blocks = _fixed_phases(polys, [row], q * d, 0)
+    return modulus, (residue for (run,) in blocks for residue in run)

@@ -17,11 +17,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .fleeing import construct_fleeing_walk
 from .generators import bogolubov_walk, xy_minus_P_walks
+from .kernel import orbit_points, phases, residues
 from .poly import MPoly, PolyVector
 from .reals import (
     DEFAULT_PRECISION,
@@ -45,7 +45,11 @@ class IndeterminateError(RuntimeError):
 
 
 class WindowSet:
-    """Finite subset of [0, side)^d with cached difference-set membership."""
+    """Finite subset of [0, side)^d with cached difference-set membership.
+
+    Difference queries scan the points until answering them has cost about
+    as much as building the index of all pairs would (one scan per point),
+    and use the index from then on."""
 
     def __init__(self, dim: int, side: int, points: Iterable[Sequence[int]]):
         self.dim = dim
@@ -55,6 +59,7 @@ class WindowSet:
             if len(p) != dim or any(not (0 <= x < side) for x in p):
                 raise ValueError(f"point {p} outside the window [0,{side})^{dim}")
         self._diff_index: frozenset | None = None
+        self._scans = 0
 
     @classmethod
     def random(cls, dim: int, side: int, density: float, seed: int) -> WindowSet:
@@ -81,9 +86,11 @@ class WindowSet:
         w = tuple(int(x) for x in w)
         if len(w) != self.dim:
             raise ValueError(f"difference {w} has wrong dimension")
+        if any(abs(x) >= self.side for x in w):
+            return False
         if self._diff_index is not None:
             return w in self._diff_index
-        if self._use_index():
+        if self._scans >= len(self.points) and self._use_index():
             self._diff_index = frozenset(
                 tuple(a - b for a, b in zip(p1, p2))
                 for p1 in self.points
@@ -91,6 +98,7 @@ class WindowSet:
             )
             return w in self._diff_index
         # per-query scan with early exit
+        self._scans += 1
         for b in self.points:
             if tuple(a + c for a, c in zip(b, w)) in self.points:
                 return True
@@ -238,44 +246,23 @@ def twisted_search(
 ) -> SearchResult:
     """Smallest n in [1, n_max] whose orbit point lands in B - B.
 
-    The scan goes through the symbolic orbit polynomials (the search path),
-    while experiment validation re-applies the walk directly, keeping the
-    two routes independent.  With jobs > 1 the range is partitioned into
-    chunks merged in order, so the result does not depend on scheduling.
-    Indeterminate is reported only when every candidate was indeterminate.
+    The scan steps the symbolic orbit polynomials by exact differences (the
+    search path), while experiment validation re-applies the walk
+    directly, keeping the two routes independent.  The scan is sequential
+    and stops at the first hit.  `jobs` is accepted and ignored: worker
+    threads only serialize on the interpreter lock, so the result and the
+    work do not depend on it.  Indeterminate is reported only when every
+    candidate was indeterminate.
     """
-    orbit = walk.orbit_poly(v)
-
-    def scan(start: int, stop: int) -> tuple[int | None, tuple | None, int]:
-        indeterminate = 0
-        for n in range(start, stop):
-            point = orbit.eval_int({"n": n})
-            try:
-                if oracle.contains_difference(point):
-                    return n, point, indeterminate
-            except IndeterminateError:
-                indeterminate += 1
-        return None, None, indeterminate
-
-    if jobs <= 1 or n_max < 256:
-        n, point, indet = scan(1, n_max + 1)
-        if n is not None:
-            return SearchResult(Status.FOUND, n, point, indet)
-        status = Status.INDETERMINATE if indet == n_max else Status.EXHAUSTED
-        return SearchResult(status, None, None, indet)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunk = 256
-    ranges = [(s, min(s + chunk, n_max + 1)) for s in range(1, n_max + 1, chunk)]
-    total_indet = 0
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for n, point, indet in pool.map(lambda r: scan(*r), ranges):
-            total_indet += indet
-            if n is not None:
-                return SearchResult(Status.FOUND, n, point, total_indet)
-    status = Status.INDETERMINATE if total_indet == n_max else Status.EXHAUSTED
-    return SearchResult(status, None, None, total_indet)
+    indeterminate = 0
+    for n, point in enumerate(orbit_points(walk.orbit_poly(v), n_max), start=1):
+        try:
+            if oracle.contains_difference(point):
+                return SearchResult(Status.FOUND, n, point, indeterminate)
+        except IndeterminateError:
+            indeterminate += 1
+    status = Status.INDETERMINATE if indeterminate == n_max else Status.EXHAUSTED
+    return SearchResult(status, None, None, indeterminate)
 
 
 # -- experiments ---------------------------------------------------------------
@@ -464,18 +451,14 @@ def weyl_sum(
 ) -> complex:
     """(1/N) sum_{n=1}^{N} e(<p(n), theta>), double precision, Kahan summed.
 
-    The phase fraction is computed through exact integer digit arithmetic,
-    so large orbit values do not lose the fractional part."""
+    Phases come from the fixed-point kernel stream, within 10^-precision
+    of the true phase before rounding to a float, so large orbit values do
+    not lose the fractional part."""
     if n_count < 1:
         raise ValueError("N must be >= 1")
-    thetas = [Real.of(t) for t in thetas]
-    if len(thetas) != len(polys):
-        raise ValueError(f"{len(polys)} polynomials but {len(thetas)} frequencies")
     re, im = KahanSum(), KahanSum()
-    var = polys.vars[0] if polys.vars else "n"
-    for n in range(1, n_count + 1):
-        values = polys.eval_int({var: n})
-        phase = 2.0 * math.pi * float(dot_frac(thetas, list(values), precision))
+    for (x,) in phases(polys, [thetas], n_count, precision):
+        phase = 2.0 * math.pi * x
         re.add(math.cos(phase))
         im.add(math.sin(phase))
     return complex(re.total / n_count, im.total / n_count)
@@ -487,19 +470,12 @@ def weyl_sum_rational(
     n_count: int,
 ) -> RootOfUnityMean:
     """Exact root-of-unity evaluation of the Weyl average for rational
-    frequencies: phases lie in (1/q) Z / Z and repeat with period q."""
-    thetas = [Fraction(t) for t in thetas]
-    q = 1
-    for t in thetas:
-        q = q * t.denominator // gcd(q, t.denominator)
-    var = polys.vars[0] if polys.vars else "n"
-    period_residues = []
-    for n in range(1, q + 1):
-        values = polys.eval_int({var: n})
-        num = sum(t.numerator * (q // t.denominator) * v for t, v in zip(thetas, values))
-        period_residues.append(num % q)
+    frequencies: phases lie in (1/q) Z / Z and repeat with a period that
+    `residues` works out from q and the coefficient denominators."""
+    q, stream = residues(polys, [Fraction(t) for t in thetas])
+    period_residues = list(stream)
     counts = [0] * q
-    cycles, remainder = divmod(n_count, q)
+    cycles, remainder = divmod(n_count, len(period_residues))
     for j in period_residues:
         counts[j] += cycles
     for j in period_residues[:remainder]:

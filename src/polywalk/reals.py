@@ -1,10 +1,12 @@
 """Exact real numbers of the form q0 + sum(q_i * c_i) with named constants.
 
 The named constants (sqrt2, sqrt3, sqrt5, golden, pifrac) are the irrational
-frequencies used by Bohr sets and torus systems.  Rationality of a
-combination is decided symbolically: the value is rational exactly when
-every irrational coefficient is zero (the supported constants are linearly
-independent from 1 over the rationals, pairwise and jointly).
+frequencies used by Bohr sets and torus systems.  They are not independent:
+golden = 1/2 + sqrt5/2.  So every Real also carries its coordinates in the
+basis 1, sqrt2, sqrt3, sqrt5, pifrac, which is linearly independent over the
+rationals (pifrac = pi - 3 is transcendental).  Rationality and equality are
+decided symbolically on those coordinates: the value is rational exactly
+when every irrational basis coordinate is zero.
 
 Numeric evaluation goes through integer digit engines: digits(name, p)
 returns floor-ish c * 10^p with error below one unit in the last place, so
@@ -82,9 +84,12 @@ def constant_digits(name: str, prec: int) -> int:
 
 
 class Real:
-    """Immutable exact combination: rational + sum of rational * named constant."""
+    """Immutable exact combination: rational + sum of rational * named constant.
 
-    __slots__ = ("rational", "irr")
+    `rational` and `irr` hold the combination as written; `basis()` holds it
+    over the independent basis, with golden rewritten as 1/2 + sqrt5/2."""
+
+    __slots__ = ("rational", "irr", "_basis")
 
     def __init__(self, rational=0, irr: Mapping[str, Fraction] | None = None):
         object.__setattr__(self, "rational", Fraction(rational))
@@ -96,6 +101,16 @@ class Real:
             if coeff != 0:
                 clean[name] = coeff
         object.__setattr__(self, "irr", clean)
+        rational = self.rational
+        basis: dict[str, Fraction] = {}
+        for name, coeff in clean.items():
+            if name == "golden":
+                rational += coeff / 2
+                name, coeff = "sqrt5", coeff / 2
+            basis[name] = basis.get(name, Fraction(0)) + coeff
+        object.__setattr__(
+            self, "_basis", (rational, {n: c for n, c in basis.items() if c != 0})
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Real is immutable")
@@ -114,13 +129,18 @@ class Real:
             return parse_real(value)
         raise TypeError(f"cannot interpret {value!r} as an exact real")
 
+    def basis(self) -> tuple[Fraction, dict[str, Fraction]]:
+        """(rational part, irrational coordinates) over 1, sqrt2, sqrt3,
+        sqrt5, pifrac; only non-zero coordinates are listed."""
+        return self._basis
+
     def is_rational(self) -> bool:
-        return not self.irr
+        return not self._basis[1]
 
     def as_fraction(self) -> Fraction:
-        if self.irr:
+        if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.rational
+        return self._basis[0]
 
     def __add__(self, other) -> Real:
         other = Real.of(other)
@@ -151,23 +171,24 @@ class Real:
             return self.scale(other)
         other = Real.of(other)
         if other.is_rational():
-            return self.scale(other.rational)
+            return self.scale(other.as_fraction())
         if self.is_rational():
-            return other.scale(self.rational)
+            return other.scale(self.as_fraction())
         raise TypeError("product of two irrational combinations is not supported")
 
     __rmul__ = __mul__
 
     def approx(self, prec: int = DEFAULT_PRECISION) -> Fraction:
         """Fraction within 10^-prec of the true value."""
-        if not self.irr:
-            return self.rational
+        rational, irr = self._basis
+        if not irr:
+            return rational
         work = prec + 10 + max(
-            len(str(abs(c.numerator))) for c in self.irr.values()
+            len(str(abs(c.numerator))) for c in irr.values()
         )
         scale = 10 ** work
-        total = self.rational * scale
-        for name, coeff in self.irr.items():
+        total = rational * scale
+        for name, coeff in irr.items():
             total += coeff * constant_digits(name, work)
         # floor to an integer numerator over 10^work
         return Fraction(total.numerator // total.denominator, scale)
@@ -184,11 +205,11 @@ class Real:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Real, int, Fraction)):
             return NotImplemented
-        other = Real.of(other)
-        return self.rational == other.rational and self.irr == other.irr
+        return self._basis == Real.of(other)._basis
 
     def __hash__(self) -> int:
-        return hash((self.rational, tuple(sorted(self.irr.items()))))
+        rational, irr = self._basis
+        return hash((rational, tuple(sorted(irr.items()))))
 
     def __repr__(self) -> str:
         parts = []
@@ -210,8 +231,9 @@ def dot_frac(thetas: list[Real], values: list[int], prec: int = DEFAULT_PRECISIO
     rational = Fraction(0)
     irr: dict[str, Fraction] = {}
     for theta, v in zip(thetas, values):
-        rational += theta.rational * v
-        for name, c in theta.irr.items():
+        theta_rational, theta_irr = theta.basis()
+        rational += theta_rational * v
+        for name, c in theta_irr.items():
             irr[name] = irr.get(name, Fraction(0)) + c * v
     if not irr:
         return rational % 1

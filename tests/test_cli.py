@@ -66,6 +66,22 @@ def test_construct_walk_certificate(capsys):
     assert "exponents 3 9" in out
 
 
+def test_vector_with_leading_minus(capsys):
+    for flag_value in (["--v", "-3,0"], ["--v=-3,0"]):
+        code, out, _ = run(capsys, "construct-walk", "--gen", "bogolubov:y^2",
+                           *flag_value)
+        assert code == 0
+        assert "orbit n^6 - 3; n^3" in out
+    code, out, _ = run(capsys, "walk-apply", "--walk-from", "bogolubov:y^2",
+                       "--n", "2", "--v", "-3,1")
+    assert code == 0
+    assert out.strip() == "5 3"   # x - y^2 = -4 is preserved
+    code, out, _ = run(capsys, "weyl", "--p", "n", "--theta", "-1/3",
+                       "--N", "30", "--exact")
+    assert code == 0
+    assert "exactly_zero = true" in out
+
+
 def test_construct_walk_exhausted(capsys):
     code, out, _ = run(capsys, "construct-walk", "--gen", "identity:2",
                        "--v", "1,1", "--N-max", "3")

@@ -77,6 +77,26 @@ def test_multiplier_battery_exact_identity():
         assert mean.is_exactly_one
 
 
+def test_golden_is_half_plus_half_sqrt5():
+    # 2*golden - sqrt5 = 1: the character of frequency (2, -1) is trivial
+    assert Real.named("golden", 2) - Real.named("sqrt5") == 1
+    sys2 = TorusSystem([[Real.named("golden")], [Real.named("sqrt5")]])
+    f = TrigPoly.of([((2, -1), 1.0)])
+    closed = q_p_closed_form(sys2, f, _pv("n"))
+    assert closed.components == (((2, -1), 1 + 0j),)
+    assert closed.value_at([0.0, 0.0]) == 1
+
+
+def test_multiplier_period_of_binomial_orbit():
+    # n(n+1)/2 is odd, odd, even, even: the mean of (-1)^p(n) is exactly 0,
+    # while one period of length q = 2 would read -1
+    sys1 = TorusSystem([[F(1, 2)]])
+    f = TrigPoly.of([((1,), 1.0)])
+    (_, mean), = q_p_multipliers(sys1, f, _pv("1/2*n^2 + 1/2*n"))
+    assert mean.is_exactly_zero
+    assert mean.counts == (2, 2)
+
+
 def test_multiplier_constant_nonzero_residue():
     # p(n) = 3n + 1 has constant residue 1/3: multiplier is the exact root e(1/3)
     sys1 = TorusSystem([[F(1, 3)]])

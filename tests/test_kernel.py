@@ -1,0 +1,178 @@
+"""Orbit/phase kernel against the Fraction route it replaced.
+
+The reference oracle is the per-point route: `PolyVector.eval_int` for the
+orbit point, then `dot_frac` for the phase and exact Fractions for the
+residues."""
+
+import math
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polywalk import kernel
+from polywalk.kernel import orbit_points, phases, residues
+from polywalk.lab import weyl_sum
+from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
+from polywalk.reals import KahanSum, Real, circle_distance, dot_frac
+
+F = Fraction
+UNIVERSE = ("n",)
+FLOAT_ROUNDING = F(1, 2 ** 52)
+
+
+def _reference_points(polys, count):
+    return [polys.eval_int({"n": n}) for n in range(1, count + 1)]
+
+
+def _reference_phase(row, point):
+    return dot_frac(list(row), list(point), 80)
+
+
+def _reference_weyl(polys, thetas, n_count, precision=40):
+    re, im = KahanSum(), KahanSum()
+    for n in range(1, n_count + 1):
+        values = polys.eval_int({"n": n})
+        phase = 2.0 * math.pi * float(dot_frac(thetas, list(values), precision))
+        re.add(math.cos(phase))
+        im.add(math.sin(phase))
+    return complex(re.total / n_count, im.total / n_count)
+
+
+@st.composite
+def integer_valued_poly(draw, max_degree=5):
+    """sum c_k C(n, k): every integer-valued polynomial has this form, and
+    for k >= 2 the power-basis coefficients are not integers."""
+    degree = draw(st.integers(0, max_degree))
+    coeffs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                           min_size=degree + 1, max_size=degree + 1))
+    poly = MPoly.zero(UNIVERSE)
+    for k, c in enumerate(coeffs):
+        poly = poly + binomial_poly(UNIVERSE, "n", k) * c
+    return poly
+
+
+polys_strategy = st.lists(integer_valued_poly(), min_size=1, max_size=3).map(PolyVector)
+rational = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+named = st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "golden", "pifrac"])
+irrational = st.builds(lambda c, name: Real.named(name, c),
+                       rational.filter(lambda c: c != 0), named)
+mixed = st.builds(lambda a, b: Real(a) + b, rational, irrational)
+entry = st.one_of(rational.map(Real), irrational, mixed)
+
+
+@st.composite
+def polys_and_rows(draw, entries=entry):
+    polys = draw(polys_strategy)
+    n_rows = draw(st.integers(1, 3))
+    rows = [[draw(entries) for _ in polys] for _ in range(n_rows)]
+    return polys, rows
+
+
+def test_triangular_numbers_are_stepped_exactly():
+    tri = PolyVector([poly_parse("1/2*n^2 + 1/2*n", ["n"])])
+    assert list(orbit_points(tri, 6)) == [(1,), (3,), (6,), (10,), (15,), (21,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_strategy, st.integers(0, 80))
+def test_orbit_points_equal_eval_int(polys, count):
+    assert list(orbit_points(polys, count)) == _reference_points(polys, count)
+
+
+def test_orbit_points_reject_non_integer_values():
+    half = PolyVector([poly_parse("1/2*n", ["n"])])
+    with pytest.raises(ValueError, match="non-integer value"):
+        list(orbit_points(half, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_and_rows(), st.integers(0, 6), st.integers(1, 60))
+def test_fixed_phases_within_documented_bound(data, precision, count):
+    # the docstring bound: max(1, C(n - 1, D)) / M on the circle
+    polys, rows = data
+    degree = polys.max_degree()
+    moduli, blocks = kernel._fixed_phases(
+        polys, [[Real.of(x) for x in row] for row in rows], count, precision)
+    got = [tuple(point) for block in blocks for point in zip(*block)]
+    points = _reference_points(polys, count)
+    assert len(got) == count
+    for n, point, accs in zip(range(1, count + 1), points, got):
+        for row, acc, m in zip(rows, accs, moduli):
+            error = circle_distance(F(acc, m), _reference_phase(row, point))
+            if all(x.is_rational() for x in row):
+                assert error == 0
+            else:
+                assert error < F(max(1, comb(n - 1, degree)), m)
+                assert error < F(1, 10 ** precision)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_and_rows(), st.integers(0, 12), st.integers(1, 60))
+def test_float_phases_within_precision(data, precision, count):
+    polys, rows = data
+    points = _reference_points(polys, count)
+    got = list(phases(polys, rows, count, precision))
+    assert len(got) == count
+    for point, fracs in zip(points, got):
+        for row, x in zip(rows, fracs):
+            assert 0 <= x <= 1
+            error = circle_distance(F(x), _reference_phase(row, point))
+            assert error <= F(1, 10 ** precision) + FLOAT_ROUNDING
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(integer_valued_poly(max_degree=3), min_size=1, max_size=3).map(PolyVector),
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=3,
+                max_size=3))
+def test_residues_exact_over_a_full_period(polys, thetas):
+    row = [Real(t) for t in thetas[:len(polys)]]
+    q, stream = residues(polys, row)
+    got = list(stream)
+    period = len(got)
+    assert period % q == 0
+
+    def exact(n):
+        value = sum((x.as_fraction() * v for x, v in zip(row, polys.eval_int({"n": n}))),
+                    F(0))
+        assert (value * q).denominator == 1
+        return int(value * q) % q
+
+    for i, residue in enumerate(got):
+        assert residue == exact(1 + i) == exact(1 + i + period)
+
+
+def test_residues_period_covers_binomial_coefficients():
+    # n(n+1)/2 mod 2 runs 1, 1, 0, 0: period 4, not q = 2
+    tri = PolyVector([poly_parse("1/2*n^2 + 1/2*n", ["n"])])
+    q, stream = residues(tri, [F(1, 2)])
+    assert q == 2
+    assert list(stream) == [1, 1, 0, 0]
+
+
+def test_residues_reject_irrational_rows():
+    with pytest.raises(ValueError, match="rationals"):
+        residues(PolyVector([poly_parse("n", ["n"])]), [Real.named("sqrt2")])
+
+
+def test_phases_at_high_precision_on_large_values():
+    # W above 308 digits: the float conversion must not overflow
+    cube = PolyVector([poly_parse("n^3", ["n"])])
+    got = list(phases(cube, [[Real.named("sqrt3")]], 200, 400))
+    for n, (x,) in enumerate(got, start=1):
+        error = circle_distance(F(x), _reference_phase([Real.named("sqrt3")], (n ** 3,)))
+        assert error <= FLOAT_ROUNDING
+
+
+@pytest.mark.parametrize("exprs, thetas, n_count", [
+    (["n^2"], ["sqrt2"], 3000),
+    (["n^2", "n^3"], ["sqrt2", "sqrt3"], 2000),
+    (["1/2*n^2 + 1/2*n"], ["1/3 + golden"], 2000),
+    (["7*n^5 - 3*n", "n"], ["1/7*pifrac + 2/9", "1/4"], 1500),
+])
+def test_weyl_sum_matches_fraction_route(exprs, thetas, n_count):
+    polys = PolyVector([poly_parse(e, ["n"]) for e in exprs])
+    rows = [Real.of(t) for t in thetas]
+    assert abs(weyl_sum(polys, rows, n_count) - _reference_weyl(polys, rows, n_count)) < 1e-12

@@ -68,6 +68,18 @@ def test_window_index_and_scan_paths_agree():
         assert scanning.contains_difference(w) == expected
 
 
+def test_window_scans_before_building_the_index():
+    w = WindowSet(1, 10, [(0,), (3,), (7,)])
+    # differences of points in [0, side) lie strictly inside (-side, side)
+    assert not w.contains_difference((10,))
+    assert not w.contains_difference((-12,))
+    for _ in range(3):
+        assert w.contains_difference((4,))   # 7 - 3
+    assert w._diff_index is None
+    assert w.contains_difference((-7,))
+    assert w._diff_index is not None
+
+
 def test_window_diffset_matches_brute_force_random():
     rng = random.Random(1234)
     for _ in range(12):
@@ -220,6 +232,14 @@ def test_weyl_periodic_cross_check():
         numeric = weyl_sum(polys, [theta], n_count)
         exact = weyl_sum_rational(polys, [theta], n_count).value()
         assert abs(numeric - exact) < 1e-9
+
+
+def test_weyl_sum_rational_binomial_orbit():
+    # n(n+1)/2 mod 2 has period 4, not q = 2
+    polys = PolyVector([poly_parse("1/2*n^2 + 1/2*n", ["n"])])
+    for n_count in (4, 7, 1000, 1001):
+        exact = weyl_sum_rational(polys, [F(1, 2)], n_count).value()
+        assert abs(weyl_sum(polys, [F(1, 2)], n_count) - exact) < 1e-12
 
 
 def test_weyl_sum_multidimensional():
