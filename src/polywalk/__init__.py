@@ -23,9 +23,6 @@ from .walks import (
     Walk,
     identity_walk,
     preserves,
-    walk_apply,
-    walk_compose,
-    walk_reparam,
     walk_scaling_certificate,
 )
 from .fleeing import (
@@ -54,8 +51,6 @@ from .lab import (
     Status,
     WindowSet,
     bogolubov_experiment,
-    bohr_membership,
-    diffset_membership,
     magyar_experiment,
     twisted_search,
     weyl_sum,

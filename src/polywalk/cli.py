@@ -40,7 +40,7 @@ from .fleeing import (
     is_fleeing,
 )
 from .generators import (
-    NotUnipotent,
+    IntMatrix,
     adjoint_action_matrix,
     bogolubov_walk,
     mat,
@@ -76,20 +76,20 @@ def parse_walk_spec(spec: str) -> Walk:
     if kind == "bogolubov":
         return bogolubov_walk(poly_parse_auto(rest))
     if kind in ("unipotent", "adjoint"):
-        numbers = [int(x) for x in rest.replace(",", " ").split()]
-        n = isqrt(len(numbers))
-        if n * n != len(numbers):
-            raise UsageError(f"{len(numbers)} entries do not form a square matrix")
-        rows = mat([numbers[i * n:(i + 1) * n] for i in range(n)])
+        rows = parse_square_matrix(rest)
         if kind == "adjoint":
             return unipotent_walk(adjoint_action_matrix(rows))
         return unipotent_walk(rows)
     if kind == "signature":
         params, _, index = rest.rpartition(":")
-        p, q = (int(x) for x in params.split(","))
-        family = signature_form_walks(p, q)
-        walks = family.walks
-        i = int(index)
+        try:
+            p, q = (int(x) for x in params.split(","))
+            i = int(index)
+        except ValueError:
+            raise UsageError(
+                f"signature walk spec must be signature:<p>,<q>:<i>, got {spec!r}"
+            )
+        walks = signature_form_walks(p, q).walks
         if not (1 <= i <= len(walks)):
             raise UsageError(f"signature family ({p},{q}) has {len(walks)} walks")
         return walks[i - 1]
@@ -105,6 +105,14 @@ def parse_int_vector(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise UsageError(f"bad integer vector {text!r}")
+
+
+def parse_square_matrix(text: str) -> IntMatrix:
+    numbers = parse_int_vector(text)
+    n = isqrt(len(numbers))
+    if n * n != len(numbers):
+        raise UsageError(f"{len(numbers)} entries do not form a square matrix")
+    return mat([numbers[i * n:(i + 1) * n] for i in range(n)])
 
 
 def _emit(text: str, out_path: str | None):
@@ -277,12 +285,7 @@ def cmd_gen(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     if args.family == "adjoint":
-        numbers = parse_int_vector(args.matrix)
-        n = isqrt(len(numbers))
-        if n * n != len(numbers):
-            raise UsageError("matrix entries do not form a square")
-        g = mat([list(numbers[i * n:(i + 1) * n]) for i in range(n)])
-        ad = adjoint_action_matrix(g)
+        ad = adjoint_action_matrix(parse_square_matrix(args.matrix))
         flat = ",".join(str(x) for row in ad for x in row)
         lines = [f"matrix {flat}", unipotent_walk(ad).to_text().rstrip("\n")]
         _emit("\n".join(lines) + "\n", args.out)
@@ -307,12 +310,11 @@ def _run_experiment(args, runner) -> int:
     k = cfg.get_int("k", 1)
     targets = cfg.get_int_list("targets")
     n_max = cfg.get_int("N_max", 100000)
-    jobs = cfg.get_int("jobs", 1)
     oracle = build_oracle(cfg, seed)
     if args.validate_only:
         print("ok")
         return 0
-    report = runner(p, oracle, k, targets, n_max, seed=seed, jobs=jobs)
+    report = runner(p, oracle, k, targets, n_max, seed=seed)
     _emit(report.to_text(), args.out)
     _write_csv(report, args.csv)
     return report.exit_status()
@@ -369,25 +371,25 @@ def cmd_ergodic_avg(args) -> int:
                                sample_grid=cfg.get_int("grid", 128))
     lines = [f"N = {n_count}",
              f"estimate = {result.value.real:.12g} + {result.value.imag:.12g}i"]
+    row = ["ergodic-avg", str(n_count), f"{result.value.real:.12g}",
+           f"{result.value.imag:.12g}"]
     if result.prediction is not None:
         base = [float(x.frac(system.precision)) for x in system.base_point]
         predicted = result.prediction.value_at(base)
         lines.append(f"predicted = {predicted.real:.12g} + {predicted.imag:.12g}i")
         lines.append(f"abs_error = {abs(result.value - predicted):.12g}")
         lines.append(f"l2_to_prediction = {result.l2_to_prediction:.12g}")
-        csv = ("experiment,N,estimate_re,estimate_im,predicted_re,predicted_im,"
-               "abs_error,std_error\n"
-               f"ergodic-avg,{n_count},{result.value.real:.12g},{result.value.imag:.12g},"
-               f"{predicted.real:.12g},{predicted.imag:.12g},"
-               f"{abs(result.value - predicted):.12g},\n")
+        row += [f"{predicted.real:.12g}", f"{predicted.imag:.12g}",
+                f"{abs(result.value - predicted):.12g}"]
     else:
-        csv = ("experiment,N,estimate_re,estimate_im,predicted_re,predicted_im,"
-               "abs_error,std_error\n"
-               f"ergodic-avg,{n_count},{result.value.real:.12g},"
-               f"{result.value.imag:.12g},,,,\n")
+        row += ["", "", ""]
     _emit("\n".join(lines), args.out)
     if args.csv:
-        Path(args.csv).write_text(csv, encoding="utf-8")
+        Path(args.csv).write_text(
+            "experiment,N,estimate_re,estimate_im,predicted_re,predicted_im,"
+            "abs_error,std_error\n" + ",".join(row) + ",\n",
+            encoding="utf-8",
+        )
     return 0
 
 
@@ -581,10 +583,7 @@ def main(argv=None) -> int:
     except PolySyntaxError as exc:
         print(f"error: {exc}\n{_GRAMMAR}", file=sys.stderr)
         return 1
-    except (UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NotUnipotent, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .fleeing import kernel_basis
+from .generators import kernel_basis
 from .kernel import phases, residues
 from .lab import weyl_sum
 from .poly import PolyVector

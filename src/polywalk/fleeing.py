@@ -12,11 +12,11 @@ computation, never by numeric rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
+from .generators import kernel_basis
 from .poly import MPoly, PolyVector
 from .walks import TIME, Walk
 
@@ -60,54 +60,6 @@ class AffineFunctional:
             if a:
                 total = total + p * a
         return total
-
-
-def kernel_basis(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0} by exact Gauss elimination; each vector is
-    scaled to a primitive integer vector with positive first non-zero entry."""
-    matrix = [row[:] for row in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c] != 0), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = matrix[r][c]
-        matrix[r] = [x / inv for x in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    free_cols = [c for c in range(width) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for row_i, pc in enumerate(pivot_cols):
-            vec[pc] = -matrix[row_i][fc]
-        basis.append(_primitive(vec))
-    return basis
-
-
-def _primitive(vec: list[Fraction]) -> list[Fraction]:
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [x.numerator * (denom_lcm // x.denominator) for x in vec]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g:
-        ints = [n // g for n in ints]
-    lead = next((n for n in ints if n), 0)
-    if lead < 0:
-        ints = [-n for n in ints]
-    return [Fraction(n) for n in ints]
 
 
 def affine_annihilator(polys: PolyVector) -> list[AffineFunctional]:
@@ -180,11 +132,10 @@ class FleeingCertificate:
     """Self-certifying output of the fleeing-walk construction."""
 
     depth: int
-    annihilator_basis: tuple[AffineFunctional, ...]
     exponents: tuple[int, ...]
     final_walk: Walk
     orbit_poly: PolyVector
-    annihilator_dims: tuple[int, ...] = field(default=())
+    annihilator_dims: tuple[int, ...] = ()
     base: int = 0
 
     def to_text(self) -> str:
@@ -258,7 +209,6 @@ def construct_fleeing_walk(
                 )
             return FleeingCertificate(
                 depth=depth,
-                annihilator_basis=(),
                 exponents=exponents,
                 final_walk=final,
                 orbit_poly=substituted,

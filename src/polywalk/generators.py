@@ -11,6 +11,7 @@ walks are trustworthy values.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .poly import MPoly, binomial_poly
@@ -45,10 +46,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def mat_apply(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(
         tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
@@ -59,59 +56,78 @@ def mat_is_zero(a: IntMatrix) -> bool:
     return all(all(x == 0 for x in row) for row in a)
 
 
-def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    result = mat_identity(len(a))
-    for _ in range(k):
-        result = mat_mul(result, a)
-    return result
+def _bareiss(rows: Sequence[Sequence[int]], width: int):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
+
+    Each step replaces every other row by (p * row - row[c] * pivot_row)
+    // previous_pivot, which is exact: entries stay minors of the input.
+    When it ends every pivot equals the last pivot d, and the reduced rows
+    are d times the reduced row echelon form.  Returns the rows, their
+    pivot columns in order, the sign of the row swaps, and d (1 if no
+    pivot was found)."""
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
+    return m, pivots, sign, prev
 
 
 def mat_det(a: IntMatrix) -> int:
-    # Fraction-based elimination; exact for integer input.
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    assert det.denominator == 1
-    return det.numerator
+    _, pivots, sign, last = _bareiss(a, len(a))
+    return sign * last if len(pivots) == len(a) else 0
 
 
 def mat_inverse_sl(a: IntMatrix) -> IntMatrix:
     """Inverse of a determinant-one integer matrix (integral by Cramer)."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    out = []
-    for row in m:
-        tail = row[n:]
-        if any(x.denominator != 1 for x in tail):
-            raise ValueError("inverse is not integral (determinant is not +-1)")
-        out.append(tuple(x.numerator for x in tail))
-    return tuple(out)
+    augmented = [tuple(row) + unit for row, unit in zip(a, mat_identity(n))]
+    rows, pivots, _, last = _bareiss(augmented, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    if last not in (1, -1):
+        raise ValueError("inverse is not integral (determinant is not +-1)")
+    return tuple(tuple(x // last for x in row[n:]) for row in rows)
+
+
+def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[list[Fraction]]:
+    """Basis of {x : M x = 0} for rational M, one vector per free column;
+    each vector is a primitive integer vector with positive first non-zero
+    entry."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    reduced, pivots, _, last = _bareiss(scaled, width)
+    basis = []
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        vec = [0] * width
+        vec[fc] = last
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
+        g = gcd(*vec)
+        if next(x for x in vec if x) < 0:
+            g = -g
+        basis.append([Fraction(x // g) for x in vec])
+    return basis
 
 
 def nilpotency_index(a: IntMatrix) -> int | None:

@@ -207,14 +207,6 @@ class BohrSet:
 SetModel = WindowSet | BohrSet
 
 
-def bohr_membership(bohr: BohrSet, v: Sequence[int]) -> bool:
-    return bohr.contains(v)
-
-
-def diffset_membership(model: SetModel, w: Sequence[int]) -> bool:
-    return model.contains_difference(w)
-
-
 # -- orbit search -------------------------------------------------------------
 
 class Status(Enum):
@@ -242,17 +234,14 @@ def twisted_search(
     v: Sequence[int],
     oracle: SetModel,
     n_max: int,
-    jobs: int = 1,
 ) -> SearchResult:
     """Smallest n in [1, n_max] whose orbit point lands in B - B.
 
     The scan steps the symbolic orbit polynomials by exact differences (the
     search path), while experiment validation re-applies the walk
-    directly, keeping the two routes independent.  The scan is sequential
-    and stops at the first hit.  `jobs` is accepted and ignored: worker
-    threads only serialize on the interpreter lock, so the result and the
-    work do not depend on it.  Indeterminate is reported only when every
-    candidate was indeterminate.
+    directly, keeping the two routes independent.  The scan stops at the
+    first hit.  Indeterminate is reported only when every candidate was
+    indeterminate.
     """
     indeterminate = 0
     for n, point in enumerate(orbit_points(walk.orbit_poly(v), n_max), start=1):
@@ -335,13 +324,13 @@ def _single_var_name(p: MPoly) -> str:
     return support[0]
 
 
-def _run_targets(kind, oracle, k, targets, n_max, seed, jobs, make_instance, config):
+def _run_targets(kind, oracle, k, targets, n_max, seed, make_instance, config):
     records = []
     for target in targets:
         start = time.perf_counter()
         v, walk, form = make_instance(target)
         scaled = walk.time_scale(k)
-        result = twisted_search(scaled, v, oracle, n_max, jobs=jobs)
+        result = twisted_search(scaled, v, oracle, n_max)
         millis = (time.perf_counter() - start) * 1000.0
         if result.found():
             # independent re-validation: direct walk application, a fresh
@@ -370,7 +359,6 @@ def magyar_experiment(
     targets: Sequence[int],
     n_max: int,
     seed: int = 0,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Search for differences realizing each target value of x*y - P(z).
 
@@ -400,7 +388,7 @@ def magyar_experiment(
         "targets": " ".join(str(t) for t in targets),
         "N_max": str(n_max), "oracle": oracle.describe(),
     }
-    return _run_targets("magyar", oracle, k, targets, n_max, seed, jobs,
+    return _run_targets("magyar", oracle, k, targets, n_max, seed,
                         make_instance, config)
 
 
@@ -411,7 +399,6 @@ def bogolubov_experiment(
     targets: Sequence[int],
     n_max: int,
     seed: int = 0,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Search for differences realizing each target value of x - P(y).
 
@@ -437,7 +424,7 @@ def bogolubov_experiment(
         "targets": " ".join(str(t) for t in targets),
         "N_max": str(n_max), "oracle": oracle.describe(),
     }
-    return _run_targets("bogolubov", oracle, k, targets, n_max, seed, jobs,
+    return _run_targets("bogolubov", oracle, k, targets, n_max, seed,
                         make_instance, config)
 
 

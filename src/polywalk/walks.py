@@ -217,19 +217,6 @@ def identity_walk(dim: int, coords: Sequence[str] | None = None) -> Walk:
                 integrality="integer-coefficients")
 
 
-def walk_apply(walk: Walk, n: int, v: Sequence[int]) -> tuple[int, ...]:
-    return walk.apply(n, v)
-
-
-def walk_compose(first: Walk, second: Walk) -> Walk:
-    """first(n) o second(n): second acts first."""
-    return first.compose(second)
-
-
-def walk_reparam(walk: Walk, power: int) -> Walk:
-    return walk.reparam(power)
-
-
 class ScalingCertificate:
     """Symbolic evidence that S(k*n) maps k*Z^d into k*Z^d for every k.
 

@@ -133,6 +133,27 @@ def test_parse_walk_spec_kinds():
         parse_walk_spec("mystery:1")
 
 
+def test_signature_spec_without_index_is_usage_error(capsys):
+    code, _, err = run(capsys, "construct-walk", "--gen", "signature:2,3",
+                       "--v", "1,0,0,0,0")
+    assert code == 1
+    assert "signature:<p>,<q>:<i>" in err
+    assert "invalid literal" not in err
+
+
+def test_square_matrix_parse_shared_by_spec_and_gen(capsys):
+    code, _, spec_err = run(capsys, "walk-apply", "--walk-from", "unipotent:1,1,0",
+                            "--n", "1", "--v", "1,1")
+    assert code == 1
+    code, _, gen_err = run(capsys, "gen", "--family", "adjoint", "--matrix", "1,1,0")
+    assert code == 1
+    assert spec_err == gen_err == "error: 3 entries do not form a square matrix\n"
+    code, _, err = run(capsys, "walk-apply", "--walk-from", "adjoint:1,x,0,1",
+                       "--n", "1", "--v", "1,1,1")
+    assert code == 1
+    assert "bad integer vector" in err
+
+
 MAGYAR_CONFIG = """
 
 # desk-scale difference search
@@ -225,6 +246,23 @@ def test_ergodic_avg_cli(tmp_path, capsys):
     assert code == 0
     assert "abs_error = 0" in out
     assert csv_path.read_text().startswith("experiment,N,")
+
+
+def test_ergodic_avg_csv_with_and_without_prediction(tmp_path, capsys):
+    header = ("experiment,N,estimate_re,estimate_im,predicted_re,predicted_im,"
+              "abs_error,std_error\n")
+    trig = tmp_path / "trig.cfg"
+    trig.write_text("row_1 = 1/3\nobservable = trig\ncomp_1 = 1 : 1.0 : 0.0\n"
+                    "p = 3*n\nN = 300\n", encoding="utf-8")
+    box = tmp_path / "box.cfg"
+    box.write_text("row_1 = sqrt2\nobservable = box\ncenter_1 = 0\n"
+                   "radius_1 = 1/10\np = n^2\nN = 500\n", encoding="utf-8")
+    csv_path = tmp_path / "avg.csv"
+    assert run(capsys, "ergodic-avg", "--config", str(trig), "--csv", str(csv_path))[0] == 0
+    assert csv_path.read_text() == header + "ergodic-avg,300,1,0,1,0,0,\n"
+    code, out, _ = run(capsys, "ergodic-avg", "--config", str(box), "--csv", str(csv_path))
+    assert code == 0 and "predicted" not in out
+    assert csv_path.read_text() == header + "ergodic-avg,500,0.232,0,,,,\n"
 
 
 def test_correlate_cli(tmp_path, capsys):

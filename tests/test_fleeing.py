@@ -97,7 +97,6 @@ def test_construct_bogolubov_certificate():
     assert cert.depth == 1
     assert cert.base == 3  # largest power in (t1^2, t1) is 2
     assert cert.exponents == (3,)
-    assert cert.annihilator_basis == ()
     assert cert.orbit_poly == _pv("n^6", "n^3", vars=("n",))
     assert is_fleeing(cert.orbit_poly)
 

@@ -21,7 +21,7 @@ from polywalk.generators import (
     xy_minus_P_walks,
 )
 from polywalk.poly import MPoly, poly_parse
-from polywalk.walks import identity_walk, preserves, walk_apply, walk_scaling_certificate
+from polywalk.walks import identity_walk, preserves, walk_scaling_certificate
 
 F = Fraction
 
@@ -79,7 +79,7 @@ def test_unipotent_semigroup_law():
     for _ in range(40):
         a, b = rng.randint(0, 8), rng.randint(0, 8)
         v = tuple(rng.randint(-6, 6) for _ in range(3))
-        assert walk_apply(s, a, walk_apply(s, b, v)) == walk_apply(s, a + b, v)
+        assert s.apply(a, s.apply(b, v)) == s.apply(a + b, v)
 
 
 def test_adjoint_identity():

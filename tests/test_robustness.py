@@ -1,17 +1,21 @@
 """Cross-checks on the less-travelled paths: non-triangular unipotents,
-higher-rank adjoints, kernel properties, serializer error handling, and
+higher-rank adjoints, kernel properties, the fraction-free elimination
+against the Fraction routines it replaced, serializer error handling, and
 precision plumbing."""
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywalk.fleeing import affine_annihilator, kernel_basis
 from polywalk.generators import (
     adjoint_action_matrix,
     mat,
+    mat_det,
     mat_identity,
     mat_inverse_sl,
     mat_mul,
@@ -100,6 +104,214 @@ def test_kernel_basis_properties_random():
         if basis:
             stacked = [[vec[i] for vec in basis] for i in range(width)]
             assert kernel_basis(stacked, len(basis)) == []
+
+
+# -- fraction-free elimination against the Fraction Gauss-Jordan route --------
+#
+# The three functions below are the Fraction eliminations that `mat_det`,
+# `mat_inverse_sl` and `kernel_basis` used before they shared one
+# fraction-free routine; they stay here as the reference oracle.
+
+def _reference_det(a):
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = m[c][c]
+        m[c] = [x / inv for x in m[c]]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def _reference_inverse_sl(a):
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = m[c][c]
+        m[c] = [x / inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    out = []
+    for row in m:
+        tail = row[n:]
+        if any(x.denominator != 1 for x in tail):
+            raise ValueError("inverse is not integral (determinant is not +-1)")
+        out.append(tuple(x.numerator for x in tail))
+    return tuple(out)
+
+
+def _reference_kernel_basis(rows, width):
+    matrix = [row[:] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(width):
+        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c] != 0), None)
+        if pivot is None:
+            continue
+        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
+        inv = matrix[r][c]
+        matrix[r] = [x / inv for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][c] != 0:
+                f = matrix[i][c]
+                matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(matrix):
+            break
+    basis = []
+    for fc in (c for c in range(width) if c not in pivot_cols):
+        vec = [Fraction(0)] * width
+        vec[fc] = Fraction(1)
+        for row_i, pc in enumerate(pivot_cols):
+            vec[pc] = -matrix[row_i][fc]
+        basis.append(_reference_primitive(vec))
+    return basis
+
+
+def _reference_primitive(vec):
+    denom_lcm = 1
+    for x in vec:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    ints = [x.numerator * (denom_lcm // x.denominator) for x in vec]
+    g = 0
+    for n in ints:
+        g = gcd(g, abs(n))
+    if g:
+        ints = [n // g for n in ints]
+    lead = next((n for n in ints if n), 0)
+    if lead < 0:
+        ints = [-n for n in ints]
+    return [Fraction(n) for n in ints]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_sparse_rational = st.one_of(st.just(F(0)), _rational)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Rows of rationals with zero rows, zero columns and dependent rows mixed in."""
+    width = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(_sparse_rational, min_size=width, max_size=width),
+                         max_size=7))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(_rational)
+        rows.insert(draw(st.integers(0, len(rows))), [x + c * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * width)
+    for col in draw(st.sets(st.integers(0, max(width - 1, 0)), max_size=2)):
+        for row in rows:
+            if col < width:
+                row[col] = F(0)
+    return rows, width
+
+
+@st.composite
+def _integer_matrices(draw, max_size=5):
+    n = draw(st.integers(0, max_size))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return mat(rows)
+
+
+@st.composite
+def _unimodular_matrices(draw):
+    """Products of elementary matrices: row additions, swaps and negations."""
+    n = draw(st.integers(1, 5))
+    rows = [list(row) for row in mat_identity(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != j:
+            c = draw(st.integers(-4, 4))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-x for x in rows[i]]
+    return mat(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices())
+def test_kernel_basis_matches_fraction_route(case):
+    rows, width = case
+    expected = _reference_kernel_basis([row[:] for row in rows], width)
+    assert kernel_basis([row[:] for row in rows], width) == expected
+    for vec in expected:
+        for row in rows:
+            assert sum(r * x for r, x in zip(row, vec)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices())
+def test_mat_det_matches_fraction_route(a):
+    assert mat_det(a) == _reference_det(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unimodular_matrices())
+def test_mat_inverse_sl_matches_fraction_route(a):
+    inverse = mat_inverse_sl(a)
+    assert inverse == _reference_inverse_sl(a)
+    assert mat_mul(a, inverse) == mat_identity(len(a))
+    assert mat_det(a) in (1, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices())
+def test_mat_inverse_sl_same_outcome_on_any_integer_matrix(a):
+    assert _outcome(mat_inverse_sl, a) == _outcome(_reference_inverse_sl, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unimodular_matrices(), st.data())
+def test_mat_inverse_sl_rejects_singular_and_non_unimodular(a, data):
+    n = len(a)
+    i = data.draw(st.integers(0, n - 1))
+    # a non-unimodular matrix: one row scaled by k, so the determinant is +-k
+    k = data.draw(st.integers(2, 5))
+    scaled = mat([[k * x for x in row] if r == i else row for r, row in enumerate(a)])
+    message = "inverse is not integral (determinant is not +-1)"
+    with pytest.raises(ValueError, match=r"inverse is not integral"):
+        mat_inverse_sl(scaled)
+    assert _outcome(_reference_inverse_sl, scaled) == f"ValueError: {message}"
+    # a singular one: that row replaced by a multiple of another row (or zero)
+    j = data.draw(st.integers(0, n - 1))
+    c = data.draw(st.integers(-3, 3))
+    source = [c * x for x in a[j]] if j != i else [0] * n
+    singular = mat([source if r == i else row for r, row in enumerate(a)])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        mat_inverse_sl(singular)
+    assert _outcome(_reference_inverse_sl, singular) == "ValueError: matrix is singular"
+    assert mat_det(singular) == _reference_det(singular) == 0
 
 
 def test_affine_annihilator_dimension_formula():

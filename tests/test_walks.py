@@ -11,9 +11,6 @@ from polywalk.walks import (
     Walk,
     identity_walk,
     preserves,
-    walk_apply,
-    walk_compose,
-    walk_reparam,
     walk_scaling_certificate,
 )
 
@@ -36,8 +33,8 @@ def _zoo(rng: random.Random):
     ]
     u = unipotent_walk([[1, rng.randint(-3, 3)], [0, 1]], ("x", "y"))
     walks.append(u)
-    walks.append(walk_compose(walks[1], u))
-    walks.append(walk_reparam(walks[2], 2))
+    walks.append(walks[1].compose(u))
+    walks.append(walks[2].reparam(2))
     return walks
 
 
@@ -71,14 +68,14 @@ def test_apply_dimension_mismatch():
 def test_compose_identity_law():
     s = bogolubov_walk(poly_parse("y^2", ["y"]))
     e = identity_walk(2, ("x", "y"))
-    assert walk_compose(s, e) == s
-    assert walk_compose(e, s) == s
+    assert s.compose(e) == s
+    assert e.compose(s) == s
 
 
 def test_compose_unipotent_doubles_the_step():
     gamma = [[1, 1], [0, 1]]
     s = unipotent_walk(gamma, ("x", "y"))
-    doubled = walk_compose(s, s)
+    doubled = s.compose(s)
     universe = ("t", "x", "y")
     expected = Walk(
         [poly_parse("x + 2*t*y", universe), poly_parse("y", universe)],
@@ -91,24 +88,24 @@ def test_compose_unipotent_doubles_the_step():
 
 def test_compose_shears_identity_at_zero():
     s1, s2 = xy_minus_P_walks(poly_parse("z^2", ["z"]))
-    both = walk_compose(s1, s2)
+    both = s1.compose(s2)
     assert both.apply(0, (4, -7, 2)) == (4, -7, 2)
 
 
 def test_reparam_trivial_and_square():
     s = unipotent_walk([[1, 1], [0, 1]], ("x", "y"))
-    assert walk_reparam(s, 1) == s
-    squared = walk_reparam(s, 2)
+    assert s.reparam(1) == s
+    squared = s.reparam(2)
     universe = ("t", "x", "y")
     assert squared == Walk(
         [poly_parse("x + t^2*y", universe), poly_parse("y", universe)], ("x", "y")
     )
     with pytest.raises(ValueError):
-        walk_reparam(s, 0)
+        s.reparam(0)
 
 
 def test_reparam_bogolubov_cubed():
-    s = walk_reparam(bogolubov_walk(poly_parse("y^2", ["y"])), 3)
+    s = bogolubov_walk(poly_parse("y^2", ["y"])).reparam(3)
     universe = ("t", "x", "y")
     assert s.entries[0] == poly_parse("x + 2*y*t^3 + t^6", universe)
 
@@ -178,7 +175,7 @@ def test_composition_consistency_random():
         r = rng.choice(walks)
         n = rng.randint(0, 12)
         v = (rng.randint(-8, 8), rng.randint(-8, 8))
-        assert walk_apply(walk_compose(s, r), n, v) == walk_apply(s, n, walk_apply(r, n, v))
+        assert s.compose(r).apply(n, v) == s.apply(n, r.apply(n, v))
 
 
 def test_reparam_consistency_random():
@@ -189,7 +186,7 @@ def test_reparam_consistency_random():
         power = rng.randint(1, 3)
         n = rng.randint(0, 6)
         v = (rng.randint(-5, 5), rng.randint(-5, 5))
-        assert walk_apply(walk_reparam(s, power), n, v) == walk_apply(s, n ** power, v)
+        assert s.reparam(power).apply(n, v) == s.apply(n ** power, v)
 
 
 def test_scaling_divisibility_random():
