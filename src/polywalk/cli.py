@@ -198,11 +198,11 @@ def parse_poly_vector(text: str, var: str = "n") -> PolyVector:
 
 
 def _load_config(args, allowed: set[str], prefixes=()) -> Config:
+    # --jobs is accepted and ignored, so it never reaches the config
     cfg = Config.from_path(args.config) if args.config else Config({})
-    for flag, key in (("N_max", "N_max"), ("seed", "seed"), ("jobs", "jobs"),
-                      ("precision", "precision")):
-        if getattr(args, flag, None) is not None:
-            cfg.override(key, getattr(args, flag))
+    for key in ("N_max", "seed", "precision"):
+        if getattr(args, key, None) is not None:
+            cfg.override(key, getattr(args, key))
     cfg.require_known(allowed, prefixes)
     return cfg
 

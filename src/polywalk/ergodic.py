@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -147,10 +147,25 @@ class TrigPoly:
 
 @dataclass(frozen=True)
 class BoxIndicator:
-    """Indicator of a product of arcs; measure is the product of lengths."""
+    """Indicator of a product of arcs; measure is the product of lengths.
+
+    `contains_float` reads the centers as floats and each radius r as the
+    least float at or above r, both worked out once: for a float distance
+    x, x >= r exactly when x >= that float."""
 
     centers: tuple[Real, ...]
     radii: tuple[Fraction, ...]
+    float_centers: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    radius_ceilings: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "float_centers", tuple(float(c.frac(30)) for c in self.centers))
+        ceilings = []
+        for r in self.radii:
+            x = float(r)
+            ceilings.append(x if x >= r else math.nextafter(x, math.inf))
+        object.__setattr__(self, "radius_ceilings", tuple(ceilings))
 
     @classmethod
     def of(cls, centers, radii) -> BoxIndicator:
@@ -171,8 +186,8 @@ class BoxIndicator:
         return out
 
     def contains_float(self, point: Sequence[float]) -> bool:
-        for x, center, radius in zip(point, self.centers, self.radii):
-            delta = (x - float(center.frac(30))) % 1.0
+        for x, center, radius in zip(point, self.float_centers, self.radius_ceilings):
+            delta = (x - center) % 1.0
             if min(delta, 1.0 - delta) >= radius:
                 return False
         return True
@@ -394,7 +409,7 @@ def correlation_average(
         for polys, n_count in zip(orbits, n_counts)
     ]
 
-    centers = [float(c.frac(30)) for c in box.centers]
+    centers = box.float_centers
     radii = [float(r) for r in box.radii]
 
     sorted_fracs = None

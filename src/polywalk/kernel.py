@@ -18,15 +18,17 @@ from the table entry, so the additions run in C and not in a per-point
 Python loop.  Blocks start small and double, so a search that stops early
 computes few points it does not use.
 
-Three streams share this table:
+Four streams share this table:
 
 * `orbit_points` yields the exact integer points p(n).
-* `phases` carries each row's phase <row, p(n)> in fixed point, as one
-  integer per difference order modulo M = q * 10^W, where q is the lcm of
-  the denominators of the row's rational parts.  The rational part is
+* `fixed_phases` carries each row's phase <row, p(n)> in fixed point, as
+  one integer per difference order modulo M = q * 10^W, where q is the lcm
+  of the denominators of the row's rational parts.  The rational part is
   exact.  Each irrational part is read once, at the start, through
-  `constant_digits`.  Phases come out as floats a / M, an exact int/int
-  division that cannot overflow.
+  `constant_digits`.  It yields the integers a with a / M the phase; the
+  Bohr-set scan compares them with integer thresholds.
+* `phases` turns them into floats a / M, an exact int/int division that
+  cannot overflow.
 * `residues` is the rational case W = 0: exact residues mod q.
 
 Error bound.  Write s(n) = <row, p(n)>, a real polynomial in n of degree
@@ -178,11 +180,13 @@ def _width(count: int, degree: int, precision: int) -> int:
     return max(0, precision + digits)
 
 
-def _fixed_phases(
+def fixed_phases(
     polys: PolyVector, rows: Sequence[Sequence[Real]], count: int, precision: int
 ) -> tuple[tuple[int, ...], Iterator[list]]:
-    """The moduli M_j, and blocks of the phases as integers mod M_j: one
-    sequence per row in every block."""
+    """The moduli M_j, and blocks of the phases as integers a mod M_j: one
+    sequence per row in every block.  a / M_j is within 10^-precision of
+    frac(<row_j, p(n)>) on the circle for n = 1, ..., count (module
+    docstring), and equal to it for a row of rationals (M_j = q_j)."""
     for row in rows:
         if len(row) != len(polys):
             raise ValueError(f"{len(polys)} polynomials but {len(row)} frequencies")
@@ -213,7 +217,7 @@ def phases(
     Before the final rounding to a float each phase is
     within 10^-precision of the true one on the circle (module docstring)."""
     rows = [[Real.of(x) for x in row] for row in rows]
-    moduli, blocks = _fixed_phases(polys, rows, count, precision)
+    moduli, blocks = fixed_phases(polys, rows, count, precision)
     for block in blocks:
         yield from zip(*(map(truediv, run, repeat(m)) for run, m in zip(block, moduli)))
 
@@ -232,5 +236,5 @@ def residues(
         raise ValueError("residues need a row of rationals")
     q = lcm(*(x.as_fraction().denominator for x in row))
     d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    (modulus,), blocks = _fixed_phases(polys, [row], q * d, 0)
+    (modulus,), blocks = fixed_phases(polys, [row], q * d, 0)
     return modulus, (residue for (run,) in blocks for residue in run)

@@ -6,7 +6,9 @@ a box [0, side)^d with an exact difference-set index.  A BohrSet is the
 preimage of a box on a torus under v -> A v mod 1; its membership and
 difference queries are decided at high decimal precision with a guard band,
 and a query too close to an arc boundary raises IndeterminateError rather
-than guessing.
+than guessing.  Both models answer difference queries along a whole
+polynomial orbit through `difference_verdicts`, which the orbit search
+reads; the Bohr set decides those from the kernel's fixed-point phases.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fleeing import construct_fleeing_walk
 from .generators import bogolubov_walk, xy_minus_P_walks
-from .kernel import orbit_points, phases, residues
+from .kernel import fixed_phases, orbit_points, phases, residues
 from .poly import MPoly, PolyVector
 from .reals import (
     DEFAULT_PRECISION,
@@ -38,6 +40,10 @@ from .walks import Walk
 # neither do point sets whose pair count would exceed the pair bound.
 INDEX_POINT_LIMIT = 10 ** 6
 INDEX_PAIR_LIMIT = 4 * 10 ** 6
+
+# Decimal digits of the Bohr scan's phases at the least: 10^-19 is a tenth
+# of the guard band, whatever precision the set was given.
+_SCAN_DIGITS = len(str(GUARD_BAND.denominator))
 
 
 class IndeterminateError(RuntimeError):
@@ -104,6 +110,10 @@ class WindowSet:
                 return True
         return False
 
+    def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool]:
+        """contains_difference at the orbit points p(1), ..., p(count)."""
+        return map(self.contains_difference, orbit_points(polys, count))
+
     def describe(self) -> str:
         return f"window dim={self.dim} side={self.side} points={len(self.points)}"
 
@@ -124,6 +134,28 @@ class BohrSet:
     is given by arc centers and radii.  Aperiodicity (dense image of the
     torus map) is declared by the configuration, not verified; the
     difference oracle relies on it.
+
+    A difference w is in B - B when the circle distance of frac(<row_j, w>)
+    to 0 is below 2 r_j on every coordinate j.  With G = GUARD_BAND, a
+    computed distance above 2 r_j + G is outside (False), one below
+    2 r_j - G on every coordinate is inside (True), and anything else is
+    in the guard band: indeterminate, never guessed.
+
+    `contains_difference(w)` computes the distance from `dot_frac` at
+    `precision` digits.  `difference_verdicts(p, N)` gives the same three
+    verdicts (None for indeterminate) along an orbit, n = 1, ..., N, from
+    the kernel's `fixed_phases` at P = max(precision, 19) digits.  Each
+    row's phase is an integer a mod M, and a / M is within 10^-P of
+    frac(<row_j, p(n)>) on the circle.  Circle distance is 1-Lipschitz, so
+    d = min(a, M - a) gives d / M within 10^-P <= G / 10 of the true
+    distance, and the scan compares d with the integer thresholds
+    floor((2 r_j + G) M) and ceil((2 r_j - G) M).  A False verdict thus
+    means a true distance above 2 r_j + G - 10^-P > 2 r_j, and a True one a
+    true distance below 2 r_j - G + 10^-P < 2 r_j: both are certified, as
+    the `dot_frac` ones are.  The two routes can differ only where the true
+    distance lies within 10^-P of 2 r_j +- G, and there one of them says
+    indeterminate.  A row of rationals has W = 0 and M = q, so d / M is the
+    exact distance, and an exact tie at 2 r_j is indeterminate on both.
     """
 
     def __init__(
@@ -196,6 +228,39 @@ class BohrSet:
             )
         return True
 
+    def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool | None]:
+        """Difference membership of p(1), ..., p(count): True, False, or None
+        where `contains_difference` would raise IndeterminateError.  The
+        phases come from the kernel, not from `dot_frac`; the class
+        docstring proves the verdicts certified."""
+        if len(polys) != self.dim:
+            raise ValueError(
+                f"orbit of {len(polys)} coordinates has wrong dimension "
+                f"for a set of dim={self.dim}"
+            )
+        moduli, blocks = fixed_phases(
+            polys, self.freq, count, max(self.precision, _SCAN_DIGITS))
+        # d > outside: beyond 2r + G; d >= edge: not below 2r - G
+        bounds = [
+            (m, math.floor((2 * r + GUARD_BAND) * m), math.ceil((2 * r - GUARD_BAND) * m))
+            for r, m in zip(self.radii, moduli)
+        ]
+
+        def verdicts():
+            for block in blocks:
+                for phase in zip(*block):
+                    verdict = True
+                    for a, (m, outside, edge) in zip(phase, bounds):
+                        d = min(a, m - a)
+                        if d > outside:
+                            verdict = False
+                            break
+                        if d >= edge:
+                            verdict = None
+                    yield verdict
+
+        return verdicts()
+
     def describe(self) -> str:
         rows = "; ".join(
             "(" + ", ".join(repr(x) for x in row) + ")" for row in self.freq
@@ -220,6 +285,12 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Outcome of `twisted_search`.  `n` and `point` are set when FOUND.
+    `indeterminate` counts the candidates before `n` (or in the whole range)
+    whose verdict fell in the guard band.  FOUND with `indeterminate > 0` is
+    the first certified hit, which may not be the smallest n: one of the
+    indeterminate candidates before it may lie in B - B."""
+
     status: Status
     n: int | None
     point: tuple[int, ...] | None
@@ -235,20 +306,23 @@ def twisted_search(
     oracle: SetModel,
     n_max: int,
 ) -> SearchResult:
-    """Smallest n in [1, n_max] whose orbit point lands in B - B.
+    """First n in [1, n_max] whose orbit point is certified to land in B - B.
 
-    The scan steps the symbolic orbit polynomials by exact differences (the
-    search path), while experiment validation re-applies the walk
-    directly, keeping the two routes independent.  The scan stops at the
-    first hit.  Indeterminate is reported only when every candidate was
-    indeterminate.
+    The scan reads the oracle's `difference_verdicts` along the symbolic
+    orbit polynomials (the search path), and evaluates the point once, at
+    the hit.  Experiment validation re-applies the walk directly and asks
+    the per-query oracle, keeping the two routes independent.  The scan
+    stops at the first hit.  When candidates before it were indeterminate
+    (`indeterminate > 0`), the hit is the first certified one and may not
+    be the smallest n.  Indeterminate is reported only when every
+    candidate was indeterminate.
     """
+    polys = walk.orbit_poly(v)
     indeterminate = 0
-    for n, point in enumerate(orbit_points(walk.orbit_poly(v), n_max), start=1):
-        try:
-            if oracle.contains_difference(point):
-                return SearchResult(Status.FOUND, n, point, indeterminate)
-        except IndeterminateError:
+    for n, verdict in enumerate(oracle.difference_verdicts(polys, n_max), start=1):
+        if verdict:
+            return SearchResult(Status.FOUND, n, polys.eval_int({"n": n}), indeterminate)
+        if verdict is None:
             indeterminate += 1
     status = Status.INDETERMINATE if indeterminate == n_max else Status.EXHAUSTED
     return SearchResult(status, None, None, indeterminate)

@@ -1,5 +1,10 @@
 """Command-line surface: subcommands, config files, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from polywalk.cli import main, parse_walk_spec
@@ -278,6 +283,49 @@ def test_correlate_cli(tmp_path, capsys):
     assert "k = 1" in out
     estimate = float(next(l for l in out.splitlines() if l.startswith("estimate")).split("=")[1])
     assert estimate > 0.027 - 0.02
+
+
+def test_ergodic_avg_box_output_pinned(tmp_path, capsys):
+    # 569 hits of 4000 on a 2-d box with irrational rows, center and base point
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(
+        "row_1 = sqrt2, 1/3\nrow_2 = golden, sqrt3\nx0 = 1/7, sqrt5\n"
+        "observable = box\ncenter_1 = 1/3*sqrt2\ncenter_2 = 2/5\n"
+        "radius_1 = 1/10\nradius_2 = 1/3\np = n^2, n^3 + n\nN = 4000\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "ergodic-avg", "--config", str(cfg))
+    assert code == 0
+    assert out == "N = 4000\nestimate = 0.14225 + 0i\n"
+
+
+def test_jobs_accepted_and_ignored_by_average_subcommands(tmp_path, capsys):
+    avg = tmp_path / "avg.cfg"
+    avg.write_text("row_1 = 1/3\nobservable = trig\ncomp_1 = 1 : 1.0 : 0.0\n"
+                   "p = 3*n\nN = 300\n", encoding="utf-8")
+    corr = tmp_path / "corr.cfg"
+    corr.write_text("row_1 = sqrt2\ncenter_1 = 0\nradius_1 = 3/20\n"
+                    "orbit_1 = n^2\nN_1 = 200\nsamples = 64\nreplicates = 2\n",
+                    encoding="utf-8")
+    for argv in (["ergodic-avg", "--config", str(avg)],
+                 ["correlate", "--config", str(corr)]):
+        code, plain, err = run(capsys, *argv)
+        assert code == 0, err
+        code, with_jobs, err = run(capsys, *argv, "--jobs", "2")
+        assert code == 0, err
+        assert with_jobs == plain
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "polywalk", "check-fleeing", "--poly", "n, n^2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "fleeing: true"
 
 
 def test_out_file_written(tmp_path, capsys):

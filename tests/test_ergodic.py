@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywalk.ergodic import (
     BoxIndicator,
@@ -175,6 +177,44 @@ def test_empirical_average_box_indicator():
     # equidistribution: visit frequency approaches the measure 1/2
     assert result.value.real == pytest.approx(0.5, abs=0.02)
     assert result.prediction is None
+
+
+def _reference_contains_float(box, point):
+    # the per-call route: float center each time, exact float/Fraction compare
+    for x, center, radius in zip(point, box.centers, box.radii):
+        delta = (x - float(center.frac(30))) % 1.0
+        if min(delta, 1.0 - delta) >= radius:
+            return False
+    return True
+
+
+_center = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=30).map(Real),
+    st.builds(lambda c, name: Real.named(name, c),
+              st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+              st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "golden", "pifrac"])),
+)
+_radius = st.fractions(min_value=F(1, 10 ** 6), max_value=F(1, 2), max_denominator=10 ** 6
+                       ).filter(lambda r: r < F(1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_center, _radius), min_size=1, max_size=3),
+       st.data())
+def test_box_contains_float_matches_per_call_route(arcs, data):
+    box = BoxIndicator.of([c for c, _ in arcs], [r for _, r in arcs])
+    # points at, one ulp inside and one ulp outside each arc end, and anywhere
+    for _ in range(6):
+        point = []
+        for (center, radius) in arcs:
+            c, r = float(center.frac(30)), float(radius)
+            near = (c + data.draw(st.sampled_from([r, -r]))) % 1.0
+            step = data.draw(st.sampled_from([0, 1, -1, 2, -2]))
+            for _ in range(abs(step)):
+                near = math.nextafter(near, math.inf if step > 0 else -math.inf)
+            point.append(data.draw(st.one_of(st.just(near),
+                                              st.floats(0, 1, exclude_max=True))))
+        assert box.contains_float(point) == _reference_contains_float(box, point)
 
 
 def test_choose_k_lcm_of_periods():

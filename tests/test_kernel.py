@@ -94,7 +94,7 @@ def test_fixed_phases_within_documented_bound(data, precision, count):
     # the docstring bound: max(1, C(n - 1, D)) / M on the circle
     polys, rows = data
     degree = polys.max_degree()
-    moduli, blocks = kernel._fixed_phases(
+    moduli, blocks = kernel.fixed_phases(
         polys, [[Real.of(x) for x in row] for row in rows], count, precision)
     got = [tuple(point) for block in blocks for point in zip(*block)]
     points = _reference_points(polys, count)

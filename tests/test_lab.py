@@ -5,8 +5,11 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polywalk.generators import bogolubov_walk
+from polywalk.generators import bogolubov_walk, xy_minus_P_walks
+from polywalk.kernel import orbit_points
 from polywalk.lab import (
     BohrSet,
     IndeterminateError,
@@ -18,7 +21,7 @@ from polywalk.lab import (
     weyl_sum,
     weyl_sum_rational,
 )
-from polywalk.poly import PolyVector, poly_parse
+from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
 from polywalk.reals import Real
 
 F = Fraction
@@ -177,6 +180,171 @@ def test_twisted_search_indeterminate_propagation():
     all_boundary = BohrSet(1, [[F(1, 2)]], [F(1, 4)])
     with pytest.raises(IndeterminateError):
         all_boundary.contains_difference((1,))
+
+
+# -- the Bohr scan against the per-query oracle ----------------------------------
+
+def _reference_verdicts(oracle, polys, count):
+    # per point: eval_int, then the exact dot_frac route
+    out = []
+    for n in range(1, count + 1):
+        try:
+            out.append(oracle.contains_difference(polys.eval_int({"n": n})))
+        except IndeterminateError:
+            out.append(None)
+    return out
+
+
+def _reference_twisted_search(walk, v, oracle, n_max):
+    # the per-point loop the scan replaced
+    indeterminate = 0
+    for n, point in enumerate(orbit_points(walk.orbit_poly(v), n_max), start=1):
+        try:
+            if oracle.contains_difference(point):
+                return Status.FOUND, n, point, indeterminate
+        except IndeterminateError:
+            indeterminate += 1
+    status = Status.INDETERMINATE if indeterminate == n_max else Status.EXHAUSTED
+    return status, None, None, indeterminate
+
+
+@st.composite
+def _integer_valued_poly(draw, max_degree=4):
+    # sum c_k C(n, k), the general integer-valued polynomial
+    poly = MPoly.zero(("n",))
+    for k in range(draw(st.integers(0, max_degree)) + 1):
+        poly = poly + binomial_poly(("n",), "n", k) * draw(st.integers(-10 ** 5, 10 ** 5))
+    return poly
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+_irrational = st.builds(
+    lambda c, name: Real.named(name, c),
+    _rational.filter(lambda c: c != 0),
+    st.sampled_from(["sqrt2", "sqrt3", "sqrt5", "golden", "pifrac"]),
+)
+_entry = st.one_of(_rational.map(Real), _irrational,
+                   st.builds(lambda a, b: Real(a) + b, _rational, _irrational))
+_radius = st.one_of(
+    st.fractions(min_value=F(1, 24), max_value=F(11, 24), max_denominator=24),
+    st.integers(1, 7).map(lambda k: F(k, 16)),   # ties with eighths
+    st.integers(50, 5000).map(lambda k: F(1, k)),
+)
+_precision = st.integers(0, 80)
+
+
+@st.composite
+def _bohr_set(draw, dim):
+    # rows of rationals (exact, with ties), irrational rows and mixed ones
+    row = st.one_of(st.lists(_rational.map(Real), min_size=dim, max_size=dim),
+                    st.lists(_entry, min_size=dim, max_size=dim))
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    torus_dim = len(rows)
+    radii = [draw(_radius) for _ in range(torus_dim)]
+    return BohrSet(dim, rows, radii, precision=draw(_precision))
+
+
+@st.composite
+def _orbit_and_bohr(draw):
+    polys = PolyVector(draw(st.lists(_integer_valued_poly(), min_size=1, max_size=3)))
+    return polys, draw(_bohr_set(len(polys)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_orbit_and_bohr(), st.integers(0, 60))
+def test_bohr_scan_matches_per_point_oracle(data, count):
+    polys, oracle = data
+    got = list(oracle.difference_verdicts(polys, count))
+    assert got == _reference_verdicts(oracle, polys, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_integer_valued_poly(max_degree=3), min_size=2, max_size=2),
+       st.lists(_radius, min_size=1, max_size=1), _precision)
+def test_bohr_scan_on_rational_rows_is_exact(pair, radii, precision):
+    # W = 0: the scan sees the exact distance, ties included
+    polys = PolyVector(pair)
+    oracle = BohrSet(2, [[F(1, 4), F(1, 6)]], radii, precision=precision)
+    assert list(oracle.difference_verdicts(polys, 48)) == \
+        _reference_verdicts(oracle, polys, 48)
+
+
+def test_bohr_scan_exact_ties_are_indeterminate():
+    # frac(n/4) lies at distance exactly 1/4 = 2r from 0 for odd n
+    orbit = PolyVector([poly_parse("n", ["n"])])
+    rational = BohrSet(1, [[F(1, 4)]], [F(1, 8)])
+    expected = [None, False, None, True] * 3
+    assert list(rational.difference_verdicts(orbit, 12)) == expected
+    assert _reference_verdicts(rational, orbit, 12) == expected
+    # the same tie on a row that also has an irrational entry (W > 0)
+    plane = PolyVector([poly_parse("n", ["n"]), poly_parse("0", ["n"])])
+    mixed = BohrSet(2, [[F(1, 4), Real.named("golden")]], [F(1, 8)])
+    assert list(mixed.difference_verdicts(plane, 12)) == expected
+    assert _reference_verdicts(mixed, plane, 12) == expected
+
+
+def test_bohr_scan_guard_band_on_both_sides():
+    # distances 1/4 +- delta against 2r = 1/4 with G = 10^-18
+    orbit = PolyVector([poly_parse("n", ["n"])])
+    cases = [
+        (F(1, 4) + F(1, 10 ** 20), None), (F(1, 4) - F(1, 10 ** 20), None),
+        (Real(F(1, 4)) + Real.named("sqrt2", F(1, 10 ** 25)), None),
+        (F(1, 4) + F(1, 10 ** 17), False), (F(1, 4) - F(1, 10 ** 17), True),
+        (Real(F(1, 4)) - Real.named("pifrac", F(1, 10 ** 16)), True),
+    ]
+    for theta, verdict in cases:
+        oracle = BohrSet(1, [[theta]], [F(1, 8)])
+        assert next(oracle.difference_verdicts(orbit, 1)) is verdict
+        assert _reference_verdicts(oracle, orbit, 1) == [verdict]
+
+
+@st.composite
+def _walk_start_oracle(draw):
+    p = draw(st.sampled_from(["y^2", "y^3", "2*y^2 + y", "y^4 - 3*y"]))
+    if draw(st.booleans()):
+        walk = bogolubov_walk(poly_parse(p, ["y"]))
+    else:
+        walk = xy_minus_P_walks(poly_parse(p.replace("y", "z"), ["z"]))[draw(st.integers(0, 1))]
+    v = tuple(draw(st.integers(-20, 20)) for _ in range(walk.dim))
+    return walk, v, draw(_bohr_set(walk.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_start_oracle(), st.integers(1, 60))
+def test_twisted_search_matches_per_point_loop(data, n_max):
+    walk, v, oracle = data
+    result = twisted_search(walk, v, oracle, n_max)
+    expected = _reference_twisted_search(walk, v, oracle, n_max)
+    assert (result.status, result.n, result.point, result.indeterminate) == expected
+
+
+def test_twisted_search_window_matches_per_point_loop():
+    rng = random.Random(5)
+    walk = bogolubov_walk(poly_parse("y^2", ["y"]))
+    for _ in range(20):
+        window = WindowSet(2, 30, [(rng.randrange(30), rng.randrange(30)) for _ in range(25)])
+        v = (rng.randrange(-10, 10), rng.randrange(-3, 3))
+        result = twisted_search(walk, v, window, 40)
+        expected = _reference_twisted_search(walk, v, window, 40)
+        assert (result.status, result.n, result.point, result.indeterminate) == expected
+
+
+def test_twisted_search_found_after_indeterminate_candidates():
+    # n = 1 is a tie (indeterminate), n = 2 the first certified hit
+    walk = bogolubov_walk(poly_parse("y^2", ["y"]))
+    oracle = BohrSet(2, [[F(1, 4), F(0)]], [F(1, 8)])
+    result = twisted_search(walk, (0, 0), oracle, 10)   # orbit (n^2, n)
+    assert (result.status, result.n, result.point, result.indeterminate) == \
+        (Status.FOUND, 2, (4, 2), 1)
+
+
+def test_bohr_scan_dimension_mismatch():
+    oracle = _bohr3()
+    walk = bogolubov_walk(poly_parse("y^2", ["y"]))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        twisted_search(walk, (1, 0), oracle, 10)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        oracle.difference_verdicts(walk.orbit_poly((1, 0)), 10)
 
 
 def test_weyl_sum_zero_frequency():
