@@ -198,11 +198,13 @@ def parse_poly_vector(text: str, var: str = "n") -> PolyVector:
 
 
 def _load_config(args, allowed: set[str], prefixes=()) -> Config:
-    # --jobs is accepted and ignored, so it never reaches the config
+    # A common flag reaches the config only where the subcommand allows its
+    # key, so --N-max is accepted and ignored without a search range, and
+    # --jobs is ignored everywhere.
     cfg = Config.from_path(args.config) if args.config else Config({})
     for key in ("N_max", "seed", "precision"):
-        if getattr(args, key, None) is not None:
-            cfg.override(key, getattr(args, key))
+        if key in allowed:
+            cfg.override(key, getattr(args, key, None))
     cfg.require_known(allowed, prefixes)
     return cfg
 

@@ -8,10 +8,7 @@ running with defaults.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
-
-from .reals import Real, parse_real
 
 
 class ConfigError(ValueError):
@@ -88,29 +85,12 @@ class Config:
         except ValueError:
             raise ConfigError(f"key '{key}' is not a number: {self.values[key]!r}")
 
-    def get_fraction(self, key: str, default: Fraction | None = None) -> Fraction:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing config key '{key}'")
-            return default
-        try:
-            return Fraction(self.values[key])
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"key '{key}' is not a fraction: {self.values[key]!r}")
-
     def get_int_list(self, key: str) -> list[int]:
         raw = self.get_str(key)
         try:
             return [int(x) for x in raw.replace(",", " ").split()]
         except ValueError:
             raise ConfigError(f"key '{key}' is not an integer list: {raw!r}")
-
-    def get_real_list(self, key: str) -> list[Real]:
-        raw = self.get_str(key)
-        try:
-            return [parse_real(x) for x in raw.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}': {exc}")
 
     def indexed(self, prefix: str) -> list[str]:
         """Values of prefix1, prefix2, ... in index order."""

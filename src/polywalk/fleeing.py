@@ -220,14 +220,18 @@ def construct_fleeing_walk(
 
 
 def _collapse(orbit: PolyVector, exponents: tuple[int, ...]) -> PolyVector:
-    n_var = MPoly.var(("n",), "n")
-    bindings = {
-        time_var(k): n_var ** e for k, e in enumerate(exponents, start=1)
-    }
-    collapsed = orbit.substitute({k: b for k, b in bindings.items() if k in orbit.vars})
-    if collapsed.vars != ("n",):
-        collapsed = PolyVector([p.extend(("n",)) for p in collapsed])
-    return collapsed
+    """Substitute t_k -> n^(e_k): a monomial map, t^a -> n^<a, e>, so each
+    entry's coefficients are summed by their new exponent."""
+    by_name = {time_var(k): e for k, e in enumerate(exponents, start=1)}
+    weights = [by_name[name] for name in orbit.vars]
+    entries = []
+    for p in orbit:
+        terms: dict[tuple[int], Fraction] = {}
+        for exps, coeff in p.terms.items():
+            key = (sum(a * e for a, e in zip(exps, weights)),)
+            terms[key] = terms.get(key, Fraction(0)) + coeff
+        entries.append(MPoly(("n",), terms))
+    return PolyVector(entries)
 
 
 def _build_final_walk(gens: Sequence[Walk], exponents: tuple[int, ...]) -> Walk:

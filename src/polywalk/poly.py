@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from typing import Iterable, Mapping
 
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -315,46 +315,35 @@ class MPoly:
 
     # -- integer-valuedness ------------------------------------------------
 
-    def mahler_coefficients(self) -> dict[tuple[int, ...], Fraction]:
-        """Coordinates in the product binomial basis C(v1,a1)*...*C(vk,ak).
-
-        Computed by iterated finite differences at the origin:
-        c_a = sum_{b <= a} (-1)^{|a-b|} prod C(a_i, b_i) * p(b).
-        """
-        degs = [self.degree_in(v) for v in self.vars]
-        values = {b: self.eval(dict(zip(self.vars, b))) for b in _grid(degs)}
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for a in _grid(degs):
-            total = Fraction(0)
-            for b in _grid(a):
-                sign = -1 if sum(x - y for x, y in zip(a, b)) % 2 else 1
-                weight = prod(_binom_int(x, y) for x, y in zip(a, b))
-                total += sign * weight * values[b]
-            if total != 0:
-                coeffs[a] = total
-        return coeffs
-
     def integer_valued(self) -> IntegralityCertificate:
         """Decide whether the polynomial is integer at every integer point.
 
-        An integer-coefficient polynomial is trivially integral; otherwise
-        the Mahler expansion certifies integrality (all coordinates integer)
-        or yields a non-integral coordinate, in which case a concrete
-        integer witness point exists inside the degree grid.
+        A polynomial with integer coefficients is integral.  Otherwise it is
+        integer-valued exactly when it is an integer at every point b of its
+        degree grid 0 <= b_i <= deg_i (deg_i the degree in the i-th
+        variable), and the witness is the first grid point, in lexicographic
+        order, with a non-integer value.
+
+        Proof.  The products C(v, a) = prod C(v_i, a_i) over the grid points
+        a span every polynomial of these partial degrees (Polya's binomial
+        basis), and iterated forward differences at the origin give the
+        Mahler coordinates of p in that basis:
+
+            c_a = sum_{b <= a} (-1)^{|a-b|} prod C(a_i, b_i) p(b).
+
+        Each c_a is an integer combination of grid values, so integers on the
+        grid make every c_a an integer; each C(v, a) is an integer at every
+        integer point, hence so is p = sum c_a C(v, a).  Conversely an
+        integer-valued p is an integer on the grid.
         """
         if self.has_integer_coefficients():
-            return IntegralityCertificate(True, "integer-coefficients", {}, None)
-        coeffs = self.mahler_coefficients()
-        bad = {a: c for a, c in coeffs.items() if c.denominator != 1}
-        if not bad:
-            return IntegralityCertificate(True, "mahler", coeffs, None)
+            return IntegralityCertificate(True, None)
         degs = [self.degree_in(v) for v in self.vars]
-        witness = None
-        for point in _grid(degs):
-            if self.eval(dict(zip(self.vars, point))).denominator != 1:
-                witness = dict(zip(self.vars, point))
-                break
-        return IntegralityCertificate(False, "mahler", coeffs, witness)
+        for b in _grid(degs):
+            point = dict(zip(self.vars, b))
+            if self.eval(point).denominator != 1:
+                return IntegralityCertificate(False, point)
+        return IntegralityCertificate(True, None)
 
     # -- printing ----------------------------------------------------------
 
@@ -399,19 +388,13 @@ class MPoly:
 
 
 class IntegralityCertificate:
-    """Outcome of the integer-valuedness check.
+    """Outcome of the integer-valuedness check.  When the check fails,
+    `witness` is an integer point with a non-integer value."""
 
-    `basis` records how integrality was certified: 'integer-coefficients'
-    (trivial) or 'mahler' (binomial-basis expansion).  When the check fails,
-    `witness` is an integer point with a non-integer value.
-    """
+    __slots__ = ("integral", "witness")
 
-    __slots__ = ("integral", "basis", "mahler", "witness")
-
-    def __init__(self, integral: bool, basis: str, mahler, witness):
+    def __init__(self, integral: bool, witness):
         self.integral = integral
-        self.basis = basis
-        self.mahler = mahler
         self.witness = witness
 
     def __bool__(self) -> bool:
@@ -419,13 +402,7 @@ class IntegralityCertificate:
 
     def __repr__(self) -> str:
         status = "integral" if self.integral else f"non-integral (witness {self.witness})"
-        return f"IntegralityCertificate({status}, via {self.basis})"
-
-
-def _binom_int(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
+        return f"IntegralityCertificate({status})"
 
 
 def _grid(limits: Iterable[int]):

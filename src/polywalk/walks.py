@@ -25,9 +25,14 @@ def default_coords(dim: int) -> tuple[str, ...]:
 
 
 class Walk:
-    """A map n -> (Z^d -> Z^d) with polynomial entries and identity at n=0."""
+    """A map n -> (Z^d -> Z^d) with polynomial entries and identity at n=0.
 
-    __slots__ = ("dim", "coords", "entries", "integrality")
+    `check=False` skips both construction checks.  `compose`, `reparam` and
+    `time_scale` pass it: composing integer-valued walks, or substituting
+    t^power or k*t for t, keeps both properties.
+    """
+
+    __slots__ = ("dim", "coords", "entries")
 
     def __init__(
         self,
@@ -35,7 +40,6 @@ class Walk:
         coords: Sequence[str] | None = None,
         *,
         check: bool = True,
-        integrality: str = "unchecked",
     ):
         entries = tuple(entries)
         dim = len(entries)
@@ -57,8 +61,7 @@ class Walk:
         object.__setattr__(self, "entries", PolyVector(entries))
         if check:
             self._check_identity_at_zero()
-            integrality = self._certify_integrality()
-        object.__setattr__(self, "integrality", integrality)
+            self._certify_integrality()
 
     def __setattr__(self, name, value):
         raise AttributeError("Walk is immutable")
@@ -73,9 +76,7 @@ class Walk:
                     f"entry for '{name}' is {at0} at t=0, not the identity"
                 )
 
-    def _certify_integrality(self) -> str:
-        if all(p.has_integer_coefficients() for p in self.entries):
-            return "integer-coefficients"
+    def _certify_integrality(self):
         for name, entry in zip(self.coords, self.entries):
             cert = entry.integer_valued()
             if not cert:
@@ -83,7 +84,6 @@ class Walk:
                     f"entry for '{name}' is not integer-valued "
                     f"(witness {cert.witness})"
                 )
-        return "mahler"
 
     # -- core operations ------------------------------------------------
 
@@ -107,12 +107,7 @@ class Walk:
         bindings = {TIME: MPoly.var(universe, TIME)}
         bindings.update(zip(self.coords, other.entries))
         composed = [p.substitute(bindings) for p in self.entries]
-        return Walk(
-            composed,
-            self.coords,
-            check=False,
-            integrality=_join_integrality(self.integrality, other.integrality),
-        )
+        return Walk(composed, self.coords, check=False)
 
     def reparam(self, power: int) -> Walk:
         """The walk n -> self(n^power), power >= 1."""
@@ -123,12 +118,8 @@ class Walk:
         universe = (TIME,) + self.coords
         t = MPoly.var(universe, TIME)
         bindings = {TIME: t ** power}
-        return Walk(
-            [p.substitute(bindings) for p in self.entries],
-            self.coords,
-            check=False,
-            integrality=self.integrality,
-        )
+        return Walk([p.substitute(bindings) for p in self.entries], self.coords,
+                    check=False)
 
     def time_scale(self, k: int) -> Walk:
         """The walk n -> self(k*n), k >= 1 (keeps orbits of k*Z^d inside k*Z^d)."""
@@ -138,12 +129,8 @@ class Walk:
             return self
         universe = (TIME,) + self.coords
         bindings = {TIME: MPoly.var(universe, TIME) * k}
-        return Walk(
-            [p.substitute(bindings) for p in self.entries],
-            self.coords,
-            check=False,
-            integrality=self.integrality,
-        )
+        return Walk([p.substitute(bindings) for p in self.entries], self.coords,
+                    check=False)
 
     def orbit_poly(self, v: Sequence[int], var: str = "n") -> PolyVector:
         """Symbolic orbit n -> self(n) v as univariate polynomials."""
@@ -203,18 +190,10 @@ class Walk:
         return f"Walk[{body}]"
 
 
-def _join_integrality(a: str, b: str) -> str:
-    # Composition of integer-valued maps is integer-valued, no re-check needed.
-    if a == "integer-coefficients" and b == "integer-coefficients":
-        return "integer-coefficients"
-    return "closure"
-
-
 def identity_walk(dim: int, coords: Sequence[str] | None = None) -> Walk:
     coords = tuple(coords) if coords is not None else default_coords(dim)
     universe = (TIME,) + coords
-    return Walk([MPoly.var(universe, c) for c in coords], coords, check=False,
-                integrality="integer-coefficients")
+    return Walk([MPoly.var(universe, c) for c in coords], coords, check=False)
 
 
 class ScalingCertificate:

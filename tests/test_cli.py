@@ -311,9 +311,10 @@ def test_jobs_accepted_and_ignored_by_average_subcommands(tmp_path, capsys):
                  ["correlate", "--config", str(corr)]):
         code, plain, err = run(capsys, *argv)
         assert code == 0, err
-        code, with_jobs, err = run(capsys, *argv, "--jobs", "2")
-        assert code == 0, err
-        assert with_jobs == plain
+        for flag in (["--jobs", "2"], ["--N-max", "5"]):
+            code, with_flag, err = run(capsys, *argv, *flag)
+            assert code == 0, err
+            assert with_flag == plain
 
 
 def test_python_dash_m_runs_the_cli():

@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywalk.fleeing import (
     BaseExhausted,
     DepthExhausted,
+    _collapse,
     affine_annihilator,
     construct_fleeing_walk,
     is_fleeing,
     orbit_polynomials,
+    time_var,
 )
 from polywalk.generators import (
     adjoint_action_matrix,
@@ -194,3 +198,40 @@ def test_random_unipotent_orbits_are_certified():
             continue
         cert = construct_fleeing_walk(gens, v)
         assert is_fleeing(cert.orbit_poly)
+
+
+def _collapse_by_substitution(orbit, exponents):
+    """Reference: t_k -> n^(e_k) through exact polynomial substitution."""
+    n_var = MPoly.var(("n",), "n")
+    bindings = {
+        time_var(k): n_var ** e for k, e in enumerate(exponents, start=1)
+    }
+    collapsed = orbit.substitute({k: b for k, b in bindings.items() if k in orbit.vars})
+    if collapsed.vars != ("n",):
+        collapsed = PolyVector([p.extend(("n",)) for p in collapsed])
+    return collapsed
+
+
+@st.composite
+def _orbit_and_exponents(draw):
+    depth = draw(st.integers(1, 3))
+    universe = tuple(time_var(k) for k in range(1, depth + 1))
+    exps = st.tuples(*[st.integers(0, 3)] * depth)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    entries = draw(st.lists(st.dictionaries(exps, coeffs, max_size=5),
+                            min_size=1, max_size=3))
+    # small exponents make distinct monomials collide, which must sum
+    exponents = tuple(draw(st.lists(st.integers(1, 9), min_size=depth,
+                                    max_size=depth)))
+    return PolyVector([MPoly(universe, t) for t in entries]), exponents
+
+
+@settings(max_examples=150, deadline=None)
+@given(_orbit_and_exponents())
+def test_collapse_matches_substitution(case):
+    orbit, exponents = case
+    collapsed = _collapse(orbit, exponents)
+    reference = _collapse_by_substitution(orbit, exponents)
+    assert collapsed == reference
+    assert [str(p) for p in collapsed] == [str(p) for p in reference]
+    assert collapsed.vars == reference.vars == ("n",)

@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywalk.poly import (
     MPoly,
@@ -112,10 +116,32 @@ def test_eval_rejects_unbound():
         poly_parse("x*y", ["x", "y"]).eval({"x": 1})
 
 
+def _grid_points(p: MPoly):
+    return product(*(range(p.degree_in(v) + 1) for v in p.vars))
+
+
+def mahler_coefficients(p: MPoly) -> dict[tuple[int, ...], Fraction]:
+    """Reference oracle: coordinates in the binomial basis prod C(v_i, a_i),
+    by the double sum c_a = sum_{b <= a} (-1)^{|a-b|} prod C(a_i, b_i) p(b)."""
+    values = {b: p.eval(dict(zip(p.vars, b))) for b in _grid_points(p)}
+    coeffs = {}
+    for a in values:
+        total = Fraction(0)
+        for b in product(*(range(x + 1) for x in a)):
+            sign = -1 if (sum(a) - sum(b)) % 2 else 1
+            weight = 1
+            for x, y in zip(a, b):
+                weight *= comb(x, y)
+            total += sign * weight * values[b]
+        if total:
+            coeffs[a] = total
+    return coeffs
+
+
 def test_integer_valued_binomial():
     c_n_2 = MPoly(("n",), {(2,): F(1, 2), (1,): F(-1, 2)})
     cert = c_n_2.integer_valued()
-    assert cert.integral and cert.basis == "mahler"
+    assert cert.integral
 
 
 def test_integer_valued_counterexample():
@@ -129,13 +155,46 @@ def test_integer_valued_cubic():
     p = MPoly(("n",), {(3,): F(1, 6), (2,): F(1, 2), (1,): F(1, 3)})
     cert = p.integer_valued()
     assert cert.integral
-    assert cert.mahler == {(1,): F(1), (2,): F(2), (3,): F(1)}
+    assert mahler_coefficients(p) == {(1,): F(1), (2,): F(2), (3,): F(1)}
 
 
 def test_mahler_matches_binomial_basis():
     # C(n, 3) must have a single Mahler coordinate
     c3 = binomial_poly(("n",), "n", 3)
-    assert c3.mahler_coefficients() == {(3,): F(1)}
+    assert mahler_coefficients(c3) == {(3,): F(1)}
+
+
+def test_integer_valued_witness_at_far_corner():
+    # the first non-integral grid point is the grid's last one, so a grid
+    # cut one short in any variable misses it
+    half = MPoly.const(("n",), F(1, 2))
+    assert (binomial_poly(("n",), "n", 2) * half).integer_valued().witness == {"n": 2}
+    ab = ("a", "b")
+    p = binomial_poly(ab, "a", 2) * binomial_poly(ab, "b", 3) * F(1, 2)
+    assert p.integer_valued().witness == {"a": 2, "b": 3}
+
+
+@st.composite
+def _binomial_basis_poly(draw):
+    vars_n = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    p = MPoly.zero(vars_n)
+    for _ in range(draw(st.integers(1, 4))):
+        term = MPoly.const(vars_n, F(draw(st.integers(-4, 4)),
+                                     draw(st.sampled_from([1, 2, 3]))))
+        for v in vars_n:
+            term = term * binomial_poly(vars_n, v, draw(st.integers(0, 3)))
+        p = p + term
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_binomial_basis_poly())
+def test_integer_valued_matches_mahler_oracle(p):
+    cert = p.integer_valued()
+    assert bool(cert) == all(c.denominator == 1 for c in mahler_coefficients(p).values())
+    first_bad = next((dict(zip(p.vars, b)) for b in _grid_points(p)
+                      if p.eval(dict(zip(p.vars, b))).denominator != 1), None)
+    assert cert.witness == first_bad
 
 
 def _random_poly(rng: random.Random, vars, degree=3, terms=4, rational=False) -> MPoly:

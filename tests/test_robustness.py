@@ -57,7 +57,6 @@ def test_unipotent_walk_nilpotency_three():
     )
     assert nilpotency_index(nil) == 3
     walk = unipotent_walk(gamma)
-    assert walk.integrality == "mahler"
     assert walk.apply(0, (5, 6, 7)) == (5, 6, 7)
 
 
