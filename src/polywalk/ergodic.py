@@ -19,7 +19,6 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .generators import kernel_basis
@@ -214,10 +213,7 @@ def classify_characters(sys: TorusSystem, f: TrigPoly) -> list[CharacterInfo]:
         rational = all(entry.is_rational() for entry in row)
         period = None
         if rational:
-            period = 1
-            for entry in row:
-                den = entry.as_fraction().denominator
-                period = period * den // gcd(period, den)
+            period = math.lcm(*(entry.as_fraction().denominator for entry in row))
         out.append(CharacterInfo(freq, row, rational, period))
     return out
 
@@ -293,18 +289,14 @@ def choose_k(sys: TorusSystem, f: Observable, eps: float) -> int:
     while excluded and 2.0 * math.sqrt(sum(w * w for w in excluded)) >= eps:
         weight, freq, period = rational[len(rational) - len(excluded)]
         excluded.pop(0)
-        k = k * period // gcd(k, period)
+        k = math.lcm(k, period)
     return k
 
 
 def _choose_k_box(sys: TorusSystem) -> int:
     entries = [entry for row in sys.rows for entry in row]
     if all(entry.is_rational() for entry in entries):
-        k = 1
-        for entry in entries:
-            den = entry.as_fraction().denominator
-            k = k * den // gcd(k, den)
-        return k
+        return math.lcm(*(entry.as_fraction().denominator for entry in entries))
     # Is there a non-zero integer frequency m with A^T m rational?  That
     # happens iff the irrational coefficient matrix has non-trivial kernel.
     names = sorted({name for entry in entries for name in entry.basis()[1]})

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import count
+from typing import Iterator, Sequence
 
 from .generators import kernel_basis
 from .poly import MPoly, PolyVector
@@ -102,8 +103,9 @@ def time_var(k: int) -> str:
     return f"t{k}"
 
 
-def orbit_polynomials(gens: Sequence[Walk], v: Sequence[int], depth: int) -> PolyVector:
-    """Entries of s_depth(t_depth) ... s_1(t_1) v, generators cycling in list order."""
+def _orbit_stream(gens: Sequence[Walk], v: Sequence[int]) -> Iterator[PolyVector]:
+    """The orbits at depths 1, 2, ...: depth n is depth n-1 pushed through
+    the next generator in the fresh time variable t_n."""
     if not gens:
         raise ValueError("need at least one generator walk")
     dim = gens[0].dim
@@ -112,19 +114,27 @@ def orbit_polynomials(gens: Sequence[Walk], v: Sequence[int], depth: int) -> Pol
             raise ValueError("generator walks must share dimension and coordinates")
     if len(v) != dim:
         raise ValueError(f"vector has length {len(v)}, walks have dimension {dim}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
 
-    universe = tuple(time_var(k) for k in range(1, depth + 1))
+    universe: tuple[str, ...] = ()
     current = PolyVector([MPoly.const(universe, value) for value in v])
-    for k in range(1, depth + 1):
+    for k in count(1):
+        universe += (time_var(k),)
         walk = gens[(k - 1) % len(gens)]
         bindings = {TIME: MPoly.var(universe, time_var(k))}
-        bindings.update(zip(walk.coords, current))
+        bindings.update(zip(walk.coords, (p.extend(universe) for p in current)))
         current = walk.entries.substitute(bindings)
-        if current.vars != universe:
-            current = PolyVector([p.extend(universe) for p in current])
-    return current
+        yield current
+
+
+def orbit_polynomials(gens: Sequence[Walk], v: Sequence[int], depth: int) -> PolyVector:
+    """Entries of s_depth(t_depth) ... s_1(t_1) v, generators cycling in list order."""
+    stream = _orbit_stream(gens, v)
+    orbit = next(stream)  # checks gens and v before depth
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    for _ in range(depth - 1):
+        orbit = next(stream)
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -173,10 +183,8 @@ def construct_fleeing_walk(
         depth_cap = 8 * len(gens) * dim
 
     dims: list[int] = []
-    orbit = None
     depth = None
-    for n in range(1, depth_cap + 1):
-        orbit = orbit_polynomials(gens, v, n)
+    for n, orbit in zip(range(1, depth_cap + 1), _orbit_stream(gens, v)):
         basis = affine_annihilator(orbit)
         if dims and len(basis) > dims[-1]:
             raise AssertionError(

@@ -10,7 +10,9 @@ walks are trustworthy values.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -366,27 +368,27 @@ def signature_form(p: int, q: int) -> MPoly:
     return form
 
 
+@dataclass(frozen=True)
 class SignatureGenerators:
     """Generator matrices and walks for x_1^2+..+x_p^2 - y_1^2-..-y_q^2."""
 
-    __slots__ = ("p", "q", "blocks", "matrices", "walks", "form")
-
-    def __init__(self, p, q, blocks, matrices, walks, form):
-        self.p = p
-        self.q = q
-        self.blocks = blocks
-        self.matrices = matrices
-        self.walks = walks
-        self.form = form
+    p: int
+    q: int
+    blocks: tuple[tuple[int, int, int], ...]
+    matrices: tuple[IntMatrix, ...]
+    walks: tuple[Walk, ...]
+    form: MPoly
 
 
+@cache
 def signature_form_walks(p: int, q: int) -> SignatureGenerators:
     """Unipotent generators acting on overlapping 3-dimensional blocks
     (one plus-coordinate, two minus-coordinates), each preserving the form.
 
     The block chain (a, 1, 2) for every a plus (1, b, b+1) for every b makes
     consecutive blocks overlap, which is what lets the blockwise actions
-    combine into one irreducibly-acting family."""
+    combine into one irreducibly-acting family.  Each family is built once
+    per process and shared, so its value is frozen."""
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     if q < 2:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping
 
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -68,13 +68,13 @@ class MPoly:
             exps = tuple(exps)
             if len(exps) != len(vars):
                 raise ValueError(f"exponent tuple {exps} does not match variables {vars}")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             coeff = _as_fraction(coeff)
-            if coeff != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
+            if coeff:
+                clean[exps] = coeff
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_hash", None)
 
@@ -149,12 +149,6 @@ class MPoly:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Fraction(0))
-
-    def coefficient(self, monomial: Mapping[str, int]) -> Fraction:
-        exps = [0] * len(self.vars)
-        for name, e in monomial.items():
-            exps[self.vars.index(name)] = e
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def coefficients_in(self, name: str) -> dict[int, MPoly]:
         """View the polynomial as univariate in `name`: degree -> coefficient
@@ -269,30 +263,21 @@ class MPoly:
                         target.append(w)
         target_t = tuple(target)
 
-        embedded = {v: bindings[v].extend(target_t) for v in bindings}
-        power_cache: dict[tuple[str, int], MPoly] = {}
-
-        def powered(name: str, e: int) -> MPoly:
-            key = (name, e)
-            if key not in power_cache:
-                power_cache[key] = embedded[name] ** e
-            return power_cache[key]
-
-        total = MPoly.zero(target_t)
+        factors = [bindings[v].extend(target_t) if v in bindings else MPoly.var(target_t, v)
+                   for v in self.vars]
+        powers: dict[tuple[int, int], MPoly] = {}
+        one = {(0,) * len(target_t): 1}
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
-            term = MPoly.const(target_t, coeff)
-            passthrough = [0] * len(target_t)
-            for v, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                if v in embedded:
-                    term = term * powered(v, e)
-                else:
-                    passthrough[target.index(v)] = e
-            if any(passthrough):
-                term = term * MPoly(target_t, {tuple(passthrough): Fraction(1)})
-            total = total + term
-        return total if total.vars == target_t else total.extend(target_t)
+            product = None
+            for i, e in enumerate(exps):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = factors[i] ** e
+                    product = powers[i, e] if product is None else product * powers[i, e]
+            for key, c in (one if product is None else product.terms).items():
+                out[key] = out.get(key, 0) + coeff * c
+        return MPoly(target_t, out)
 
     def eval(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at a rational point; every occurring variable must be bound."""
@@ -338,11 +323,20 @@ class MPoly:
         """
         if self.has_integer_coefficients():
             return IntegralityCertificate(True, None)
+        # Scaled by the lcm L of the denominators the coefficients are
+        # integers, and p(b) is an integer exactly when L divides L*p(b).
+        L = lcm(*(c.denominator for c in self.terms.values()))
+        scaled = [(c.numerator * (L // c.denominator), exps) for exps, c in self.terms.items()]
         degs = [self.degree_in(v) for v in self.vars]
         for b in _grid(degs):
-            point = dict(zip(self.vars, b))
-            if self.eval(point).denominator != 1:
-                return IntegralityCertificate(False, point)
+            total = 0
+            for c, exps in scaled:
+                for x, e in zip(b, exps):
+                    if e:
+                        c *= x ** e
+                total += c
+            if total % L:
+                return IntegralityCertificate(False, dict(zip(self.vars, b)))
         return IntegralityCertificate(True, None)
 
     # -- printing ----------------------------------------------------------

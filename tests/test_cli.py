@@ -1,12 +1,15 @@
 """Command-line surface: subcommands, config files, exit codes, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
+from polywalk import generators
 from polywalk.cli import main, parse_walk_spec
 from polywalk.walks import Walk
 
@@ -85,6 +88,44 @@ def test_vector_with_leading_minus(capsys):
                        "--N", "30", "--exact")
     assert code == 0
     assert "exactly_zero = true" in out
+
+
+# sha256 of the whole construct-walk stdout, taken before composition was
+# summed in one pass and the orbit carried across depths
+CONSTRUCT_GOLDEN = [
+    (["xyP:z^5:1", "xyP:z^5:2"], "1,0,0",
+     "5c9e419c656fcbc7b402615b573a478023ef3f487a4d59f4f187ea0c723b0b92"),
+    (["bogolubov:y^3"], "3,0",
+     "61239b71a2c74ff8d4043498436b9d5564008f1488b9a089e07acff6ad537e2f"),
+    (["adjoint:1,1,0,0,1,1,0,0,1", "adjoint:1,0,0,1,1,0,0,1,1"], "1,0,0,0,0,0,0,0",
+     "713885602d53bc7e10fa5641220af84c48d148976f7962eafcb20454dc0ae226"),
+    ([f"signature:2,3:{i}" for i in range(1, 7)], "1,0,0,0,0",
+     "5241795450de84372ebf777566cce81ee80fcb7b80d8dbd86a9b0b3baa6ff715"),
+]
+
+
+@pytest.mark.parametrize("gens,v,digest", CONSTRUCT_GOLDEN,
+                         ids=["xyP-z^5", "bogolubov-y^3", "sl3-adjoint", "signature-2,3"])
+def test_construct_walk_stdout_golden(capsys, gens, v, digest):
+    argv = ["construct-walk"] + [a for g in gens for a in ("--gen", g)] + [f"--v={v}"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_signature_family_built_once_per_process(monkeypatch):
+    generators.signature_form_walks.cache_clear()
+    built = []
+    unipotent_walk = generators.unipotent_walk
+    monkeypatch.setattr(generators, "unipotent_walk",
+                        lambda *args: built.append(args) or unipotent_walk(*args))
+    first = parse_walk_spec("signature:1,3:1")
+    second = parse_walk_spec("signature:1,3:4")
+    family = generators.signature_form_walks(1, 3)
+    assert len(built) == len(family.walks) == 4
+    assert (first, second) == (family.walks[0], family.walks[3])
+    with pytest.raises(FrozenInstanceError):
+        family.walks = ()
 
 
 def test_construct_walk_exhausted(capsys):

@@ -20,11 +20,12 @@ from polywalk.fleeing import (
 from polywalk.generators import (
     adjoint_action_matrix,
     bogolubov_walk,
+    signature_form_walks,
     unipotent_walk,
     xy_minus_P_walks,
 )
 from polywalk.poly import MPoly, PolyVector, poly_parse
-from polywalk.walks import identity_walk, walk_scaling_certificate
+from polywalk.walks import TIME, identity_walk, walk_scaling_certificate
 
 F = Fraction
 
@@ -93,6 +94,56 @@ def test_orbit_cycles_through_generators():
     assert orbit3.vars == ("t1", "t2", "t3")
     # depth 3 must reuse the first generator: t3 enters through S1's shear
     assert any("t3" in p.support() for p in orbit3)
+
+
+def _orbit_from_scratch(gens, v, depth):
+    """Reference: every generator applied again from depth 1, over the
+    full universe t1..t_depth."""
+    universe = tuple(time_var(k) for k in range(1, depth + 1))
+    current = PolyVector([MPoly.const(universe, value) for value in v])
+    for k in range(1, depth + 1):
+        walk = gens[(k - 1) % len(gens)]
+        bindings = {TIME: MPoly.var(universe, time_var(k))}
+        bindings.update(zip(walk.coords, current))
+        current = walk.entries.substitute(bindings)
+        if current.vars != universe:
+            current = PolyVector([p.extend(universe) for p in current])
+    return current
+
+
+@pytest.mark.parametrize("family,v", [
+    ("xyP", (1, 0, 0)),
+    ("xyP", (2, -1, 3)),
+    ("bogolubov", (3, -1)),
+    ("sl2", (1, -2, 3)),
+    ("signature", (1, 0, 0)),
+])
+def test_orbit_polynomials_match_from_scratch(family, v):
+    gens = {
+        "xyP": lambda: xy_minus_P_walks(poly_parse("z^2", ["z"])),
+        "bogolubov": lambda: [bogolubov_walk(poly_parse("y^2", ["y"]))],
+        "sl2": lambda: [unipotent_walk(adjoint_action_matrix(m))
+                        for m in ([[1, 1], [0, 1]], [[1, 0], [1, 1]])],
+        "signature": lambda: signature_form_walks(1, 2).walks,
+    }[family]()
+    for depth in range(1, 5):
+        got = orbit_polynomials(gens, v, depth)
+        expected = _orbit_from_scratch(gens, v, depth)
+        assert got == expected
+        assert got.vars == expected.vars
+        assert [str(p) for p in got] == [str(p) for p in expected]
+
+
+def test_orbit_polynomials_error_order():
+    s = bogolubov_walk(poly_parse("y^2", ["y"]))
+    with pytest.raises(ValueError, match="at least one generator"):
+        orbit_polynomials([], (1, 0), 0)
+    with pytest.raises(ValueError, match="share dimension"):
+        orbit_polynomials([s, identity_walk(3)], (1, 0), 0)
+    with pytest.raises(ValueError, match="vector has length 3"):
+        orbit_polynomials([s], (1, 0, 0), 0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        orbit_polynomials([s], (1, 0), 0)
 
 
 def test_construct_bogolubov_certificate():

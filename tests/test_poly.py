@@ -103,6 +103,122 @@ def test_substitute_unbound_passthrough():
     assert out == poly_parse("w^2*y", ["w", "y"])
 
 
+def substitute_reference(p: MPoly, bindings) -> MPoly:
+    """Reference oracle: composition by adding up one polynomial per term,
+    each a product of the cached binding powers and a passthrough monomial."""
+    for name in bindings:
+        if name not in p.vars:
+            raise ValueError(f"binding for '{name}' which is not in universe {p.vars}")
+    retained = [v for v in p.vars if v not in bindings]
+    target: list[str] = list(retained)
+    for v in p.vars:
+        if v in bindings:
+            introduced = set(bindings[v].support())
+            for w in bindings[v].vars:
+                if w in retained and w in introduced:
+                    raise ValueError(
+                        f"binding for '{v}' introduces '{w}' which collides "
+                        f"with a retained variable"
+                    )
+                if w not in target:
+                    target.append(w)
+    target_t = tuple(target)
+
+    embedded = {v: bindings[v].extend(target_t) for v in bindings}
+    power_cache: dict[tuple[str, int], MPoly] = {}
+
+    def powered(name: str, e: int) -> MPoly:
+        key = (name, e)
+        if key not in power_cache:
+            power_cache[key] = embedded[name] ** e
+        return power_cache[key]
+
+    total = MPoly.zero(target_t)
+    for exps, coeff in p.terms.items():
+        term = MPoly.const(target_t, coeff)
+        passthrough = [0] * len(target_t)
+        for v, e in zip(p.vars, exps):
+            if e == 0:
+                continue
+            if v in embedded:
+                term = term * powered(v, e)
+            else:
+                passthrough[target.index(v)] = e
+        if any(passthrough):
+            term = term * MPoly(target_t, {tuple(passthrough): Fraction(1)})
+        total = total + term
+    return total if total.vars == target_t else total.extend(target_t)
+
+
+_OUTER = ("x", "y", "z")
+_INNER = ("u", "v", "y", "z")
+
+
+@st.composite
+def _poly_over(draw, names):
+    vars_n = tuple(draw(st.permutations(names))[: draw(st.integers(1, 3))])
+    den = draw(st.sampled_from([1, 2, 3]))
+    terms = draw(st.dictionaries(
+        st.tuples(*(st.integers(0, 3) for _ in vars_n)),
+        st.integers(-5, 5).map(lambda num: F(num, den)),
+        max_size=5,
+    ))
+    return MPoly(vars_n, terms)
+
+
+@st.composite
+def _substitution_case(draw):
+    p = draw(_poly_over(_OUTER))
+    bound = draw(st.lists(st.sampled_from(p.vars), unique=True))
+    bindings = {name: draw(_poly_over(_INNER)) for name in bound}
+    return p, bindings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_substitution_case())
+def test_substitute_matches_reference(case):
+    # bindings may cover some variables or none, introduce new ones (u, v),
+    # reuse retained names (y, z) and carry unused universe variables
+    p, bindings = case
+    try:
+        expected = substitute_reference(p, bindings)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            p.substitute(bindings)
+        assert str(got.value) == str(err)
+        return
+    out = p.substitute(bindings)
+    assert out == expected
+    assert out.vars == expected.vars
+    assert str(out) == str(expected)
+
+
+def test_constructor_rejects_duplicate_variables():
+    with pytest.raises(ValueError, match=r"duplicate variable names in \('x', 'x'\)"):
+        MPoly(("x", "x"), {})
+
+
+def test_constructor_rejects_exponent_length():
+    with pytest.raises(ValueError, match=r"exponent tuple \(1,\) does not match variables"):
+        MPoly(("x", "y"), {(1,): F(1)})
+
+
+def test_constructor_rejects_negative_exponent():
+    with pytest.raises(ValueError, match=r"negative exponent in \(2, -1\)"):
+        MPoly(("x", "y"), {(2, -1): F(1)})
+
+
+def test_constructor_rejects_non_numeric_coefficient():
+    with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+        MPoly(("x",), {(1,): 0.5})
+
+
+def test_constructor_drops_zero_coefficients():
+    p = MPoly(("x",), {(2,): F(0), (1,): 3, (0,): F(-1, 2)})
+    assert p.terms == {(1,): F(3), (0,): F(-1, 2)}
+    assert all(isinstance(c, Fraction) for c in p.terms.values())
+
+
 def test_eval_examples():
     p = poly_parse("2*z*n + x*n^2", ["n", "x", "z"])
     assert p.eval({"n": 1, "x": 1, "z": 0}) == 1
