@@ -23,6 +23,7 @@ import sys
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import Config, ConfigError
 from .ergodic import (
@@ -36,6 +37,7 @@ from .ergodic import (
 from .fleeing import (
     BaseExhausted,
     DepthExhausted,
+    check_start,
     construct_fleeing_walk,
     is_fleeing,
 )
@@ -113,18 +115,6 @@ def parse_square_matrix(text: str) -> IntMatrix:
     if n * n != len(numbers):
         raise UsageError(f"{len(numbers)} entries do not form a square matrix")
     return mat([numbers[i * n:(i + 1) * n] for i in range(n)])
-
-
-def _emit(text: str, out_path: str | None):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    if out_path:
-        Path(out_path).write_text(text if text.endswith("\n") else text + "\n",
-                                  encoding="utf-8")
-
-
-def _write_csv(report, csv_path: str | None):
-    if csv_path:
-        Path(csv_path).write_text(report.to_csv(), encoding="utf-8")
 
 
 # -- oracle / system construction from config ---------------------------------
@@ -210,96 +200,89 @@ def _load_config(args, allowed: set[str], prefixes=()) -> Config:
 
 
 # -- subcommand handlers --------------------------------------------------------
+#
+# Each handler parses and checks its inputs without computing anything, then
+# returns the run: a zero-argument callable giving an Outcome.  `main` does
+# the rest once: --validate-only, stdout, --out and --csv.
 
-def cmd_check_fleeing(args) -> int:
+class Outcome(NamedTuple):
+    """A run's report, its exit code and, where the subcommand has one, its CSV."""
+
+    text: str
+    code: int = 0
+    csv: str | None = None
+
+
+def cmd_check_fleeing(args):
     polys = parse_poly_vector(args.poly, args.var)
-    if args.validate_only:
-        print("ok")
-        return 0
-    answer = is_fleeing(polys)
-    print(f"fleeing: {'true' if answer else 'false'}")
-    return 0
+    return lambda: Outcome(f"fleeing: {'true' if is_fleeing(polys) else 'false'}")
 
 
-def cmd_preserves(args) -> int:
+def cmd_preserves(args):
     walk = parse_walk_spec(args.walk_from)
     form = poly_parse(args.form, walk.coords)
-    if args.validate_only:
-        print("ok")
-        return 0
-    answer = preserves(form, walk)
-    print(f"preserved: {'true' if answer else 'false'}")
-    return 0
+    return lambda: Outcome(f"preserved: {'true' if preserves(form, walk) else 'false'}")
 
 
-def cmd_walk_apply(args) -> int:
+def cmd_walk_apply(args):
     walk = parse_walk_spec(args.walk_from)
     v = parse_int_vector(args.v)
     if args.n < 0:
         raise UsageError("n must be non-negative")
-    if args.validate_only:
-        print("ok")
-        return 0
-    image = walk.apply(args.n, v)
-    print(" ".join(str(x) for x in image))
-    return 0
+    walk.check_vector(v)
+    return lambda: Outcome(" ".join(str(x) for x in walk.apply(args.n, v)))
 
 
-def cmd_construct_walk(args) -> int:
+def cmd_construct_walk(args):
     gens = [parse_walk_spec(spec) for spec in args.gen]
     v = parse_int_vector(args.v)
-    if args.validate_only:
-        print("ok")
-        return 0
-    try:
-        cert = construct_fleeing_walk(gens, v, args.N_max, args.R_max)
-    except (DepthExhausted, BaseExhausted) as exc:
-        print(f"construction failed: {exc}")
-        return 2
-    _emit(cert.to_text(), args.out)
-    return 0
+    check_start(gens, v)
+
+    def run():
+        try:
+            cert = construct_fleeing_walk(gens, v, args.N_max, args.R_max)
+        except (DepthExhausted, BaseExhausted) as exc:
+            return Outcome(f"construction failed: {exc}", 2)
+        return Outcome(cert.to_text())
+    return run
 
 
-def cmd_gen(args) -> int:
-    if args.family in ("xyP", "bogolubov") and not args.P:
-        raise UsageError(f"--P is required for the {args.family} family")
-    if args.family == "signature" and (args.p is None or args.q is None):
-        raise UsageError("--p and --q are required for the signature family")
-    if args.family == "adjoint" and not args.matrix:
-        raise UsageError("--matrix is required for the adjoint family")
-    if args.validate_only:
-        print("ok")
-        return 0
-    if args.family == "xyP":
-        s1, s2 = xy_minus_P_walks(poly_parse_auto(args.P))
-        _emit(s1.to_text() + "\n" + s2.to_text(), args.out)
-        return 0
-    if args.family == "bogolubov":
-        _emit(bogolubov_walk(poly_parse_auto(args.P)).to_text(), args.out)
-        return 0
+def cmd_gen(args):
+    # the walks are built here, as a walk spec builds them, since building
+    # is what checks P, the matrix or (p, q); the run only prints them
+    if args.family in ("xyP", "bogolubov"):
+        if not args.P:
+            raise UsageError(f"--P is required for the {args.family} family")
+        p = poly_parse_auto(args.P)
+        walks = xy_minus_P_walks(p) if args.family == "xyP" else [bogolubov_walk(p)]
+        return lambda: Outcome("\n".join(w.to_text() for w in walks))
     if args.family == "signature":
+        if args.p is None or args.q is None:
+            raise UsageError("--p and --q are required for the signature family")
         family = signature_form_walks(args.p, args.q)
-        lines = [f"form {family.form}"]
-        for m, walk in zip(family.matrices, family.walks):
-            flat = ",".join(str(x) for row in m for x in row)
-            lines.append(f"matrix {flat}")
-            lines.append(walk.to_text().rstrip("\n"))
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    if args.family == "adjoint":
+        header = [f"form {family.form}"]
+        pairs = list(zip(family.matrices, family.walks))
+    else:
+        if not args.matrix:
+            raise UsageError("--matrix is required for the adjoint family")
         ad = adjoint_action_matrix(parse_square_matrix(args.matrix))
-        flat = ",".join(str(x) for row in ad for x in row)
-        lines = [f"matrix {flat}", unipotent_walk(ad).to_text().rstrip("\n")]
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    raise UsageError(f"unknown family {args.family!r}")
+        header = []
+        pairs = [(ad, unipotent_walk(ad))]
+
+    def run():
+        lines = list(header)
+        for m, walk in pairs:
+            lines.append("matrix " + ",".join(str(x) for row in m for x in row))
+            lines.append(walk.to_text().rstrip("\n"))
+        return Outcome("\n".join(lines))
+    return run
 
 
 _EXPERIMENT_KEYS = _ORACLE_KEYS | {"experiment", "P", "k", "targets", "N_max",
                                    "seed", "jobs"}
 
 
-def _run_experiment(args, runner) -> int:
+def _experiment(args, runner):
     cfg = _load_config(args, _EXPERIMENT_KEYS, _ORACLE_PREFIXES)
     if args.P is not None:
         cfg.override("P", args.P)
@@ -313,93 +296,85 @@ def _run_experiment(args, runner) -> int:
     targets = cfg.get_int_list("targets")
     n_max = cfg.get_int("N_max", 100000)
     oracle = build_oracle(cfg, seed)
-    if args.validate_only:
-        print("ok")
-        return 0
-    report = runner(p, oracle, k, targets, n_max, seed=seed)
-    _emit(report.to_text(), args.out)
-    _write_csv(report, args.csv)
-    return report.exit_status()
+
+    def run():
+        report = runner(p, oracle, k, targets, n_max, seed=seed)
+        return Outcome(report.to_text(), report.exit_status(), report.to_csv())
+    return run
 
 
-def cmd_magyar(args) -> int:
-    return _run_experiment(args, magyar_experiment)
+def cmd_magyar(args):
+    return _experiment(args, magyar_experiment)
 
 
-def cmd_bogolubov(args) -> int:
-    return _run_experiment(args, bogolubov_experiment)
+def cmd_bogolubov(args):
+    return _experiment(args, bogolubov_experiment)
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args):
     polys = parse_poly_vector(args.p)
     thetas = [parse_real(x) for x in args.theta.split(",")]
     if len(thetas) != len(polys):
         raise UsageError(f"{len(polys)} polynomials but {len(thetas)} frequencies")
     if args.N < 1:
         raise UsageError("N must be >= 1")
-    if args.validate_only:
-        print("ok")
-        return 0
-    if args.exact:
-        if not all(t.is_rational() for t in thetas):
-            raise UsageError("--exact requires rational frequencies")
-        mean = weyl_sum_rational(polys, [t.as_fraction() for t in thetas], args.N)
-        value = mean.value()
-        print(f"value = {value.real:.12g} + {value.imag:.12g}i")
-        print(f"modulus = {abs(value):.12g}")
-        print(f"exactly_zero = {'true' if mean.is_exactly_zero else 'false'}")
-        return 0
-    value = weyl_sum(polys, thetas, args.N, precision=args.precision or 40)
-    print(f"value = {value.real:.12g} + {value.imag:.12g}i")
-    print(f"modulus = {abs(value):.12g}")
-    return 0
+    if args.exact and not all(t.is_rational() for t in thetas):
+        raise UsageError("--exact requires rational frequencies")
+
+    def run():
+        lines = []
+        if args.exact:
+            mean = weyl_sum_rational(polys, [t.as_fraction() for t in thetas], args.N)
+            value = mean.value()
+            lines.append(f"exactly_zero = {'true' if mean.is_exactly_zero else 'false'}")
+        else:
+            value = weyl_sum(polys, thetas, args.N, precision=args.precision or 40)
+        return Outcome("\n".join([f"value = {value.real:.12g} + {value.imag:.12g}i",
+                                  f"modulus = {abs(value):.12g}"] + lines))
+    return run
 
 
 _ERGODIC_KEYS = {"x0", "observable", "p", "N", "precision", "seed", "grid"}
 _ERGODIC_PREFIXES = ("row_", "comp_", "center_", "radius_")
 
 
-def cmd_ergodic_avg(args) -> int:
+def cmd_ergodic_avg(args):
     cfg = _load_config(args, _ERGODIC_KEYS, _ERGODIC_PREFIXES)
     system = build_system(cfg)
     kind = cfg.get_str("observable", "trig")
     observable = build_trig(cfg) if kind == "trig" else build_box(cfg)
     polys = parse_poly_vector(cfg.get_str("p"))
     n_count = cfg.get_int("N")
-    if args.validate_only:
-        print("ok")
-        return 0
-    result = empirical_average(system, observable, polys, n_count,
-                               sample_grid=cfg.get_int("grid", 128))
-    lines = [f"N = {n_count}",
-             f"estimate = {result.value.real:.12g} + {result.value.imag:.12g}i"]
-    row = ["ergodic-avg", str(n_count), f"{result.value.real:.12g}",
-           f"{result.value.imag:.12g}"]
-    if result.prediction is not None:
-        base = [float(x.frac(system.precision)) for x in system.base_point]
-        predicted = result.prediction.value_at(base)
-        lines.append(f"predicted = {predicted.real:.12g} + {predicted.imag:.12g}i")
-        lines.append(f"abs_error = {abs(result.value - predicted):.12g}")
-        lines.append(f"l2_to_prediction = {result.l2_to_prediction:.12g}")
-        row += [f"{predicted.real:.12g}", f"{predicted.imag:.12g}",
-                f"{abs(result.value - predicted):.12g}"]
-    else:
-        row += ["", "", ""]
-    _emit("\n".join(lines), args.out)
-    if args.csv:
-        Path(args.csv).write_text(
-            "experiment,N,estimate_re,estimate_im,predicted_re,predicted_im,"
-            "abs_error,std_error\n" + ",".join(row) + ",\n",
-            encoding="utf-8",
-        )
-    return 0
+    grid = cfg.get_int("grid", 128)
+
+    def run():
+        result = empirical_average(system, observable, polys, n_count, sample_grid=grid)
+        estimate = result.value
+        lines = [f"N = {n_count}",
+                 f"estimate = {estimate.real:.12g} + {estimate.imag:.12g}i"]
+        row = ["ergodic-avg", str(n_count), f"{estimate.real:.12g}",
+               f"{estimate.imag:.12g}"]
+        if result.prediction is not None:
+            base = [float(x.frac(system.precision)) for x in system.base_point]
+            predicted = result.prediction.value_at(base)
+            error = abs(estimate - predicted)
+            lines += [f"predicted = {predicted.real:.12g} + {predicted.imag:.12g}i",
+                      f"abs_error = {error:.12g}",
+                      f"l2_to_prediction = {result.l2_to_prediction:.12g}"]
+            row += [f"{predicted.real:.12g}", f"{predicted.imag:.12g}", f"{error:.12g}"]
+        else:
+            row += ["", "", ""]
+        return Outcome("\n".join(lines), 0,
+                       "experiment,N,estimate_re,estimate_im,predicted_re,predicted_im,"
+                       "abs_error,std_error\n" + ",".join(row) + ",\n")
+    return run
 
 
 _CORRELATE_KEYS = {"samples", "replicates", "seed", "eps", "k", "precision"}
 _CORRELATE_PREFIXES = ("row_", "center_", "radius_", "orbit_", "N_")
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args):
     cfg = _load_config(args, _CORRELATE_KEYS, _CORRELATE_PREFIXES)
     system = build_system(cfg)
     box = build_box(cfg)
@@ -416,42 +391,36 @@ def cmd_correlate(args) -> int:
         k = choose_k(system, box, cfg.get_float("eps"))
     else:
         k = 1
-    if args.validate_only:
-        print("ok")
-        return 0
-    if k != 1:
-        scaled = []
-        for orbit in orbits:
-            var = orbit.vars[0] if orbit.vars else "n"
-            n_poly = MPoly.var((var,), var) * k
-            scaled.append(orbit.substitute({var: n_poly}))
-        orbits = scaled
-    est = correlation_average(system, box, orbits, n_counts,
-                              samples=samples, replicates=replicates, seed=seed)
-    # convergence diagnostic: the same estimate at halved orbit lengths
-    halved = correlation_average(system, box, orbits,
-                                 [max(1, n // 2) for n in n_counts],
-                                 samples=samples, replicates=replicates, seed=seed)
-    m = len(orbits)
-    bound = float(box.measure) ** (m + 1)
-    lines = [
-        f"k = {k}",
-        f"measure = {float(box.measure):.12g}",
-        f"estimate = {est.value:.12g}",
-        f"std_error = {est.std_error:.12g}",
-        f"half_N_estimate = {halved.value:.12g}",
-        f"power_bound = {bound:.12g}",
-        f"seed = {seed}",
-    ]
-    _emit("\n".join(lines), args.out)
-    if args.csv:
-        Path(args.csv).write_text(
-            "experiment,N,estimate,predicted,abs_error,std_error\n"
-            f"correlate,{' '.join(str(n) for n in n_counts)},{est.value:.12g},"
-            f"{bound:.12g},{abs(est.value - bound):.12g},{est.std_error:.12g}\n",
-            encoding="utf-8",
-        )
-    return 0
+
+    def run():
+        scaled = orbits
+        if k != 1:
+            scaled = []
+            for orbit in orbits:
+                var = orbit.vars[0] if orbit.vars else "n"
+                scaled.append(orbit.substitute({var: MPoly.var((var,), var) * k}))
+
+        def estimate(counts):
+            return correlation_average(system, box, scaled, counts, samples=samples,
+                                       replicates=replicates, seed=seed)
+        est = estimate(n_counts)
+        # convergence diagnostic: the same estimate at halved orbit lengths
+        halved = estimate([max(1, n // 2) for n in n_counts])
+        bound = float(box.measure) ** (len(orbits) + 1)
+        lines = [
+            f"k = {k}",
+            f"measure = {float(box.measure):.12g}",
+            f"estimate = {est.value:.12g}",
+            f"std_error = {est.std_error:.12g}",
+            f"half_N_estimate = {halved.value:.12g}",
+            f"power_bound = {bound:.12g}",
+            f"seed = {seed}",
+        ]
+        return Outcome("\n".join(lines), 0,
+                       "experiment,N,estimate,predicted,abs_error,std_error\n"
+                       f"correlate,{' '.join(str(n) for n in n_counts)},{est.value:.12g},"
+                       f"{bound:.12g},{abs(est.value - bound):.12g},{est.std_error:.12g}\n")
+    return run
 
 
 # -- parser wiring ----------------------------------------------------------------
@@ -581,7 +550,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        run = args.func(args)
+        if args.validate_only:
+            print("ok")
+            return 0
+        text, code, csv = run()
+        if not text.endswith("\n"):
+            text += "\n"
+        sys.stdout.write(text)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        if args.csv and csv is not None:
+            Path(args.csv).write_text(csv, encoding="utf-8")
+        return code
     except PolySyntaxError as exc:
         print(f"error: {exc}\n{_GRAMMAR}", file=sys.stderr)
         return 1

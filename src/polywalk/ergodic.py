@@ -363,6 +363,23 @@ def empirical_average(
     return EmpiricalAverage(value, l2, prediction)
 
 
+def _shifted_box_hits(box: BoxIndicator, x: Sequence[float], offsets) -> int:
+    """How many offsets put x + off in the box, by the rule of
+    `BoxIndicator.contains_float`: the same float sums, compared with
+    `radius_ceilings`."""
+    centers, ceilings = box.float_centers, box.radius_ceilings
+    dims = range(len(centers))
+    count = 0
+    for off in offsets:
+        for j in dims:
+            delta = (x[j] + off[j] - centers[j]) % 1.0
+            if min(delta, 1.0 - delta) >= ceilings[j]:
+                break
+        else:
+            count += 1
+    return count
+
+
 @dataclass(frozen=True)
 class CorrelationEstimate:
     value: float
@@ -393,6 +410,12 @@ def correlation_average(
         raise ValueError("need one sample count per orbit")
     if not orbits:
         raise ValueError("need at least one orbit")
+    if min(n_counts) < 1:
+        raise ValueError("every N_i must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     d_torus = sys.torus_dim
 
     # orbit torus offsets, computed once
@@ -412,19 +435,6 @@ def correlation_average(
             for orbit_offsets in offsets
         ]
 
-    def box_hits_shifted(x: Sequence[float], orbit_index: int) -> int:
-        count = 0
-        for off in offsets[orbit_index]:
-            inside = True
-            for j in range(d_torus):
-                delta = (x[j] + off[j] - centers[j]) % 1.0
-                if min(delta, 1.0 - delta) >= radii[j]:
-                    inside = False
-                    break
-            if inside:
-                count += 1
-        return count
-
     def visit_frequency(x: Sequence[float], i: int) -> float:
         n_i = n_counts[i]
         if sorted_fracs is not None:
@@ -437,7 +447,7 @@ def correlation_average(
             else:
                 count = bisect_left(data, hi) + (len(data) - bisect_right(data, lo))
             return count / n_i
-        return box_hits_shifted(x, i) / n_i
+        return _shifted_box_hits(box, x, offsets[i]) / n_i
 
     rng = random.Random(seed)
     replicate_values = []

@@ -103,9 +103,9 @@ def time_var(k: int) -> str:
     return f"t{k}"
 
 
-def _orbit_stream(gens: Sequence[Walk], v: Sequence[int]) -> Iterator[PolyVector]:
-    """The orbits at depths 1, 2, ...: depth n is depth n-1 pushed through
-    the next generator in the fresh time variable t_n."""
+def check_start(gens: Sequence[Walk], v: Sequence[int]) -> None:
+    """Raise ValueError unless there is a generator, all generators share
+    one dimension and coordinates, and v has that dimension."""
     if not gens:
         raise ValueError("need at least one generator walk")
     dim = gens[0].dim
@@ -115,6 +115,11 @@ def _orbit_stream(gens: Sequence[Walk], v: Sequence[int]) -> Iterator[PolyVector
     if len(v) != dim:
         raise ValueError(f"vector has length {len(v)}, walks have dimension {dim}")
 
+
+def _orbit_stream(gens: Sequence[Walk], v: Sequence[int]) -> Iterator[PolyVector]:
+    """The orbits at depths 1, 2, ...: depth n is depth n-1 pushed through
+    the next generator in the fresh time variable t_n."""
+    check_start(gens, v)
     universe: tuple[str, ...] = ()
     current = PolyVector([MPoly.const(universe, value) for value in v])
     for k in count(1):
@@ -176,11 +181,9 @@ def construct_fleeing_walk(
     and makes the certificate self-checking rather than trusting the
     exponent growth rule).
     """
-    if not gens:
-        raise ValueError("need at least one generator walk")
-    dim = gens[0].dim
+    check_start(gens, v)
     if depth_cap is None:
-        depth_cap = 8 * len(gens) * dim
+        depth_cap = 8 * len(gens) * gens[0].dim
 
     dims: list[int] = []
     depth = None

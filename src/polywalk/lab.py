@@ -317,6 +317,8 @@ def twisted_search(
     be the smallest n.  Indeterminate is reported only when every
     candidate was indeterminate.
     """
+    if n_max < 1:
+        raise ValueError(f"N_max must be >= 1, got {n_max}")
     polys = walk.orbit_poly(v)
     indeterminate = 0
     for n, verdict in enumerate(oracle.difference_verdicts(polys, n_max), start=1):

@@ -87,12 +87,16 @@ class Walk:
 
     # -- core operations ------------------------------------------------
 
+    def check_vector(self, v: Sequence[int]) -> None:
+        """Raise ValueError unless v has the walk's dimension."""
+        if len(v) != self.dim:
+            raise ValueError(f"vector has length {len(v)}, walk dimension is {self.dim}")
+
     def apply(self, n: int, v: Sequence[int]) -> tuple[int, ...]:
         """Exact image of the integer vector v at time n >= 0."""
         if n < 0:
             raise ValueError(f"time must be non-negative, got {n}")
-        if len(v) != self.dim:
-            raise ValueError(f"vector has length {len(v)}, walk dimension is {self.dim}")
+        self.check_vector(v)
         point = {TIME: n}
         point.update(zip(self.coords, v))
         return self.entries.eval_int(point)
@@ -134,8 +138,7 @@ class Walk:
 
     def orbit_poly(self, v: Sequence[int], var: str = "n") -> PolyVector:
         """Symbolic orbit n -> self(n) v as univariate polynomials."""
-        if len(v) != self.dim:
-            raise ValueError(f"vector has length {len(v)}, walk dimension is {self.dim}")
+        self.check_vector(v)
         universe = (var,)
         bindings = {TIME: MPoly.var(universe, var)}
         for name, value in zip(self.coords, v):

@@ -381,3 +381,149 @@ def test_out_file_written(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["walk-apply", "--n", "1"]) == 1
     capsys.readouterr()
+
+
+# -- one pipeline: --out, --csv and --validate-only are handled in main --------
+
+def _configs(tmp_path):
+    files = {
+        "magyar": MAGYAR_CONFIG.replace("targets = 1, -1, 2", "targets = 1"),
+        "bohr": "model = bohr\ndim = 2\nfreq_1 = sqrt2, sqrt3\nradius_1 = 1/5\n"
+                "P = y^2\nk = 1\ntargets = 3\nN_max = 1000\n",
+        "window": "model = window\ndim = 2\nside = 30\ndensity = 1.0\nseed = 3\n"
+                  "P = y^2\nk = 1\ntargets = 4, -5\nN_max = 50\n",
+        "points": "model = window\ndim = 2\nside = 30\npoints = 0,0; 4,2; 9,3\n"
+                  "P = y^2\nk = 1\ntargets = 4, -5\nN_max = 50\n",
+        "trig": "row_1 = 1/2, 0\nrow_2 = 0, sqrt3\nx0 = 1/8, 3/8\np = n, n^2\nN = 300\n"
+                "observable = trig\ncomp_1 = 1 0 : 0.5 : 0\ncomp_2 = 1 1 : -0.25 : 0\n",
+        "box": "row_1 = sqrt2\nx0 = 0\np = n^2\nN = 300\nobservable = box\n"
+               "center_1 = 3/10\nradius_1 = 1/5\n",
+        "correlate": "row_1 = sqrt2, sqrt3\nrow_2 = sqrt5, sqrt2\ncenter_1 = 1/10\n"
+                     "center_2 = 7/10\nradius_1 = 3/10\nradius_2 = 3/10\n"
+                     "orbit_1 = n^6, n^3\norbit_2 = n^6, n^3\nN_1 = 100\nN_2 = 100\n"
+                     "samples = 32\nreplicates = 2\nseed = 7\nk = 1\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text, encoding="utf-8")
+    return paths
+
+
+# one small run of every subcommand; {name} is a config from _configs
+EVERY_SUBCOMMAND = {
+    "check-fleeing": ["check-fleeing", "--poly", "n, n^2"],
+    "preserves": ["preserves", "--form", "x*y - z^2", "--walk-from", "xyP:z^2:1"],
+    "walk-apply": ["walk-apply", "--walk-from", "bogolubov:y^2", "--n", "3", "--v", "3,3"],
+    "construct-walk": ["construct-walk", "--gen", "bogolubov:y^2", "--v", "-3,0"],
+    "construct-walk-failed": ["construct-walk", "--gen", "identity:2", "--v", "1,1",
+                              "--N-max", "3"],
+    "gen": ["gen", "--family", "adjoint", "--matrix", "1,1,0,1"],
+    "magyar": ["magyar", "--config", "{magyar}"],
+    "bogolubov": ["bogolubov", "--config", "{window}"],
+    "weyl": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "500"],
+    "weyl-exact": ["weyl", "--p", "n", "--theta", "1/3", "--N", "300", "--exact"],
+    "ergodic-avg": ["ergodic-avg", "--config", "{trig}"],
+    "correlate": ["correlate", "--config", "{correlate}"],
+}
+WRITES_CSV = {"magyar", "bogolubov", "ergodic-avg", "correlate"}
+
+
+def _argv(tmp_path, template):
+    paths = _configs(tmp_path)
+    return [arg.format(**paths) for arg in template]
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_SUBCOMMAND))
+def test_out_file_equals_stdout(tmp_path, capsys, name):
+    out_path, csv_path = tmp_path / "report.txt", tmp_path / "report.csv"
+    argv = _argv(tmp_path, EVERY_SUBCOMMAND[name])
+    code, out, err = run(capsys, *argv, "--out", str(out_path), "--csv", str(csv_path))
+    assert code == (2 if name == "construct-walk-failed" else 0), err
+    assert out and out_path.read_text(encoding="utf-8") == out
+    assert ("construction failed" in out) == (name == "construct-walk-failed")
+    # --csv is written by the four experiment subcommands and ignored elsewhere
+    assert csv_path.exists() == (name in WRITES_CSV)
+
+
+# inputs that a run rejects; --validate-only must reject them with the same line
+VALIDATE_GAPS = {
+    "walk-apply-v-length": ["walk-apply", "--walk-from", "bogolubov:y^2", "--n", "3",
+                            "--v", "3,3,3"],
+    "construct-walk-v-length": ["construct-walk", "--gen", "xyP:z^2:1",
+                                "--gen", "xyP:z^2:2", "--v", "1,0"],
+    "construct-walk-mixed-dims": ["construct-walk", "--gen", "xyP:z^2:1",
+                                  "--gen", "bogolubov:y^2", "--v", "1,0,0"],
+    "weyl-exact-irrational": ["weyl", "--p", "n", "--theta", "sqrt2", "--N", "300",
+                              "--exact"],
+    "gen-P-syntax": ["gen", "--family", "xyP", "--P", "z^"],
+    "gen-P-degree": ["gen", "--family", "bogolubov", "--P", "y"],
+    "gen-matrix-not-square": ["gen", "--family", "adjoint", "--matrix", "1,1,0"],
+    "gen-matrix-entry": ["gen", "--family", "adjoint", "--matrix", "1,x,0,1"],
+    "gen-matrix-determinant": ["gen", "--family", "adjoint", "--matrix", "2,0,0,1"],
+    "gen-signature-p": ["gen", "--family", "signature", "--p", "0", "--q", "3"],
+    "gen-signature-q": ["gen", "--family", "signature", "--p", "1", "--q", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_GAPS))
+def test_validate_only_rejects_what_the_run_rejects(capsys, name):
+    argv = VALIDATE_GAPS[name]
+    code, out, run_err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert run_err.startswith("error: ")
+    code, out, err = run(capsys, *argv, "--validate-only")
+    assert (code, out, err) == (1, "", run_err)
+
+
+# the shapes of the benchmark's operations
+BENCHMARK_SHAPED = {
+    "construct-signature": ["construct-walk"]
+    + [a for i in range(1, 7) for a in ("--gen", f"signature:2,3:{i}")] + ["--v=1,0,0,0,0"],
+    "construct-sl3": ["construct-walk", "--gen", "adjoint:1,1,0,0,1,1,0,0,1",
+                      "--gen", "adjoint:1,0,0,1,1,0,0,1,1", "--v=1,0,0,0,0,0,0,0"],
+    "magyar-bohr": ["magyar", "--config", "{magyar}"],
+    "bogolubov-bohr-jobs2": ["bogolubov", "--config", "{bohr}", "--jobs", "2"],
+    "bogolubov-window": ["bogolubov", "--config", "{points}"],
+    "weyl": ["weyl", "--p", "n^2, n^3", "--theta", "sqrt2, sqrt3", "--N", "30000"],
+    "weyl-exact": ["weyl", "--p", "n", "--theta", "1/3", "--N", "30001", "--exact"],
+    "ergodic-trig": ["ergodic-avg", "--config", "{trig}"],
+    "ergodic-box": ["ergodic-avg", "--config", "{box}"],
+    "correlate": ["correlate", "--config", "{correlate}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SHAPED))
+def test_validate_only_prints_ok_and_computes_nothing(tmp_path, capsys, monkeypatch, name):
+    import polywalk.cli as cli
+
+    def computed(*args, **kwargs):
+        raise AssertionError("--validate-only ran a computation")
+
+    for fn in ("construct_fleeing_walk", "magyar_experiment", "bogolubov_experiment",
+               "weyl_sum", "weyl_sum_rational", "empirical_average",
+               "correlation_average"):
+        monkeypatch.setattr(cli, fn, computed)
+    out_path = tmp_path / "report.txt"
+    code, out, err = run(capsys, *_argv(tmp_path, BENCHMARK_SHAPED[name]),
+                         "--validate-only", "--out", str(out_path))
+    assert (code, out, err) == (0, "ok\n", "")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("key", ["N_1", "samples", "replicates"])
+def test_correlate_rejects_zero_counts(tmp_path, capsys, key):
+    cfg = _configs(tmp_path)["correlate"]
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text("\n".join(f"{key} = 0" if line.startswith(f"{key} =") else line
+                             for line in text.splitlines()) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "correlate", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("n_max", ["0", "-4"])
+def test_magyar_rejects_empty_search_range(tmp_path, capsys, n_max):
+    cfg = _configs(tmp_path)["magyar"]
+    code, out, err = run(capsys, "magyar", "--config", str(cfg), "--N-max", n_max)
+    assert (code, out, err) == (1, "", f"error: N_max must be >= 1, got {n_max}\n")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from polywalk.ergodic import (
     BoxIndicator,
+    _shifted_box_hits,
     TorusSystem,
     TrigPoly,
     choose_k,
@@ -215,6 +216,49 @@ def test_box_contains_float_matches_per_call_route(arcs, data):
             point.append(data.draw(st.one_of(st.just(near),
                                               st.floats(0, 1, exclude_max=True))))
         assert box.contains_float(point) == _reference_contains_float(box, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_center, _radius), min_size=2, max_size=3), st.data())
+def test_shifted_box_scan_matches_contains_float(arcs, data):
+    box = BoxIndicator.of([c for c, _ in arcs], [r for _, r in arcs])
+    x = [data.draw(st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True)))
+         for _ in arcs]
+    # offsets that put x + off at, a few ulps inside or outside each arc end,
+    # or anywhere
+    offsets = []
+    for _ in range(8):
+        off = []
+        for j, (_, radius) in enumerate(arcs):
+            end = box.float_centers[j] + data.draw(st.sampled_from([1, -1])) * float(radius)
+            end -= x[j]
+            step = data.draw(st.sampled_from([0, 1, -1, 2, -2]))
+            for _ in range(abs(step)):
+                end = math.nextafter(end, math.inf if step > 0 else -math.inf)
+            off.append(data.draw(st.one_of(st.just(end), st.floats(-2, 2))))
+        offsets.append(off)
+    expected = sum(box.contains_float([a + b for a, b in zip(x, off)]) for off in offsets)
+    assert _shifted_box_hits(box, x, offsets) == expected
+
+
+def test_shifted_box_scan_reads_radius_ceilings():
+    # float(3/10) < 3/10, so a distance of exactly float(3/10) is inside
+    box = BoxIndicator.of([0, 0], [F(3, 10), F(3, 10)])
+    assert _shifted_box_hits(box, [0.0, 0.0], [(float(F(3, 10)), 0.0)]) == 1
+
+
+@pytest.mark.parametrize("counts,kwargs,message", [
+    ([0], {}, "every N_i must be >= 1"),
+    ([40, -1], {}, "every N_i must be >= 1"),
+    ([40], {"samples": 0}, "samples must be >= 1"),
+    ([40], {"replicates": 0}, "replicates must be >= 1"),
+])
+def test_correlation_rejects_empty_counts(counts, kwargs, message):
+    sys1 = TorusSystem([[Real.named("sqrt2")]])
+    box = BoxIndicator.of([0], [F(3, 20)])
+    orbit = PolyVector([poly_parse("n^2", ("n",))])
+    with pytest.raises(ValueError, match=message):
+        correlation_average(sys1, box, [orbit] * len(counts), counts, **kwargs)
 
 
 def test_choose_k_lcm_of_periods():

@@ -161,6 +161,15 @@ def test_twisted_search_exhausted_on_empty_oracle():
     assert result.status is Status.EXHAUSTED
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_twisted_search_rejects_empty_range(n_max):
+    # an empty range is an input error, not an exhausted or indeterminate search
+    walk = bogolubov_walk(poly_parse("y^2", ["y"]))
+    window = WindowSet(2, 20, [(a, b) for a in range(0, 20, 2) for b in range(20)])
+    with pytest.raises(ValueError, match=f"N_max must be >= 1, got {n_max}"):
+        twisted_search(walk, (0, 0), window, n_max)
+
+
 def test_twisted_search_monotone_in_range():
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     window = WindowSet(2, 20, [(a, b) for a in range(0, 20, 2) for b in range(20)])
