@@ -30,6 +30,7 @@ from .ergodic import (
     BoxIndicator,
     TorusSystem,
     TrigPoly,
+    check_correlation,
     choose_k,
     correlation_average,
     empirical_average,
@@ -54,6 +55,10 @@ from .lab import (
     BohrSet,
     WindowSet,
     bogolubov_experiment,
+    check_bogolubov,
+    check_magyar,
+    check_n_max,
+    check_sample_count,
     magyar_experiment,
     weyl_sum,
     weyl_sum_rational,
@@ -282,7 +287,7 @@ _EXPERIMENT_KEYS = _ORACLE_KEYS | {"experiment", "P", "k", "targets", "N_max",
                                    "seed", "jobs"}
 
 
-def _experiment(args, runner):
+def _experiment(args, runner, check):
     cfg = _load_config(args, _EXPERIMENT_KEYS, _ORACLE_PREFIXES)
     if args.P is not None:
         cfg.override("P", args.P)
@@ -296,6 +301,8 @@ def _experiment(args, runner):
     targets = cfg.get_int_list("targets")
     n_max = cfg.get_int("N_max", 100000)
     oracle = build_oracle(cfg, seed)
+    check(p, k, targets)
+    check_n_max(n_max)
 
     def run():
         report = runner(p, oracle, k, targets, n_max, seed=seed)
@@ -304,11 +311,11 @@ def _experiment(args, runner):
 
 
 def cmd_magyar(args):
-    return _experiment(args, magyar_experiment)
+    return _experiment(args, magyar_experiment, check_magyar)
 
 
 def cmd_bogolubov(args):
-    return _experiment(args, bogolubov_experiment)
+    return _experiment(args, bogolubov_experiment, check_bogolubov)
 
 
 def cmd_weyl(args):
@@ -316,8 +323,7 @@ def cmd_weyl(args):
     thetas = [parse_real(x) for x in args.theta.split(",")]
     if len(thetas) != len(polys):
         raise UsageError(f"{len(polys)} polynomials but {len(thetas)} frequencies")
-    if args.N < 1:
-        raise UsageError("N must be >= 1")
+    check_sample_count(args.N)
     if args.exact and not all(t.is_rational() for t in thetas):
         raise UsageError("--exact requires rational frequencies")
 
@@ -346,6 +352,7 @@ def cmd_ergodic_avg(args):
     polys = parse_poly_vector(cfg.get_str("p"))
     n_count = cfg.get_int("N")
     grid = cfg.get_int("grid", 128)
+    check_sample_count(n_count)
 
     def run():
         result = empirical_average(system, observable, polys, n_count, sample_grid=grid)
@@ -391,6 +398,7 @@ def cmd_correlate(args):
         k = choose_k(system, box, cfg.get_float("eps"))
     else:
         k = 1
+    check_correlation(system, box, orbits, n_counts, samples, replicates)
 
     def run():
         scaled = orbits

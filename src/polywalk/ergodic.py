@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .generators import kernel_basis
 from .kernel import phases, residues
-from .lab import weyl_sum
+from .lab import check_sample_count, weyl_sum
 from .poly import PolyVector
 from .reals import KahanSum, Real, RootOfUnityMean
 
@@ -334,8 +335,7 @@ def empirical_average(
     For a TrigPoly the closed-form prediction is also evaluated and the L2
     distance between the empirical average (as a function of the base
     point) and the prediction is estimated over a low-discrepancy grid."""
-    if n_count < 1:
-        raise ValueError("N must be >= 1")
+    check_sample_count(n_count)
     base = [float(x.frac(sys.precision)) for x in sys.base_point]
     if isinstance(f, BoxIndicator):
         hits = 0
@@ -363,21 +363,117 @@ def empirical_average(
     return EmpiricalAverage(value, l2, prediction)
 
 
-def _shifted_box_hits(box: BoxIndicator, x: Sequence[float], offsets) -> int:
-    """How many offsets put x + off in the box, by the rule of
-    `BoxIndicator.contains_float`: the same float sums, compared with
-    `radius_ceilings`."""
-    centers, ceilings = box.float_centers, box.radius_ceilings
-    dims = range(len(centers))
-    count = 0
-    for off in offsets:
-        for j in dims:
-            delta = (x[j] + off[j] - centers[j]) % 1.0
-            if min(delta, 1.0 - delta) >= ceilings[j]:
-                break
-        else:
-            count += 1
-    return count
+EPS = 2.0 ** -30
+_OFFSET_BOUND = 2.0 ** 10
+
+
+def _frac(v: float) -> float:
+    # v % 1.0 is 1.0 when v is a tiny negative number; the second % makes it 0.0
+    return v % 1.0 % 1.0
+
+
+class _StripIndex:
+    """How many offsets `off` of one orbit put x + off in a box, for any x:
+    the count of those that `BoxIndicator.contains_float` accepts at the
+    float sums x_j + off_j, bit for bit.  The layout, the query and the
+    proof that the counts are exact are in `correlation_average`."""
+
+    def __init__(self, box: BoxIndicator, offsets: Sequence[Sequence[float]]):
+        self.centers, self.ceilings = box.float_centers, box.radius_ceilings
+        d = len(self.centers)
+        for off in offsets:
+            if not all(abs(off[j]) <= _OFFSET_BOUND for j in range(d)):
+                raise ValueError(f"offset {off} outside [-{_OFFSET_BOUND}, {_OFFSET_BOUND}]")
+        self.key = key = min(1, d - 1)
+        self.arc_starts = tuple(c - (r + EPS) for c, r in zip(self.centers, self.ceilings))
+        self.use_bisect = self.ceilings[key] + 2 * EPS < 0.5
+        n_strips = math.isqrt(len(offsets)) if d > 1 else 1
+        buckets = [[] for _ in range(n_strips)]
+        for off in offsets:
+            buckets[min(int(_frac(off[0]) * n_strips), n_strips - 1)].append(off)
+        self.strips = []
+        for bucket in buckets:
+            if not bucket:
+                continue
+            lows = [_frac(off[0]) for off in bucket]
+            bucket.sort(key=lambda off: _frac(off[key]))
+            keys = array("d", (_frac(off[key]) for off in bucket))
+            keys.extend([u + 1.0 for u in keys])
+            self.strips.append((min(lows), max(lows) - min(lows), keys, bucket))
+
+    def count(self, x: Sequence[float]) -> int:
+        centers, ceilings, key = self.centers, self.ceilings, self.key
+        dims = range(len(centers))
+        rest = range(2, len(centers))
+
+        def inside(off, coords) -> bool:
+            # the rule of BoxIndicator.contains_float at the point x + off
+            for j in coords:
+                delta = (x[j] + off[j] - centers[j]) % 1.0
+                if min(delta, 1.0 - delta) >= ceilings[j]:
+                    return False
+            return True
+
+        start0 = (self.arc_starts[0] - x[0]) % 1.0
+        core0, wide0 = 2.0 * ceilings[0], 2.0 * ceilings[0] + 2 * EPS
+        start = (self.arc_starts[key] - x[key]) % 1.0
+        core_lo = start + 2 * EPS
+        core_hi = start + 2.0 * ceilings[key]
+        wide_hi = start + (2.0 * ceilings[key] + 2 * EPS)
+        total = 0
+        for lo, span, keys, members in self.strips:
+            # key k < 2 * size belongs to members[k - size]: k - size < 0
+            # counts from the end of the list, so both copies map back
+            size = len(members)
+            if key:
+                p = (lo - start0) % 1.0
+                if p > wide0 and p + span < 1.0:
+                    continue
+            # a strip crossing a coordinate-0 arc end, or a full-turn key arc
+            if not self.use_bisect or key and not (2 * EPS <= p and p + span <= core0):
+                total += sum(inside(off, dims) for off in members)
+                continue
+            i = bisect_left(keys, core_lo)
+            j = bisect_right(keys, core_hi, i)
+            if rest:
+                total += sum(inside(members[k - size], rest) for k in range(i, j))
+            else:
+                total += j - i
+            k = i - 1
+            while k >= 0 and keys[k] >= start:
+                total += inside(members[k - size], dims)
+                k -= 1
+            k = j
+            while k < 2 * size and keys[k] <= wide_hi:
+                total += inside(members[k - size], dims)
+                k += 1
+        return total
+
+
+def check_correlation(
+    sys: TorusSystem,
+    box: BoxIndicator,
+    orbits: Sequence[PolyVector],
+    n_counts: Sequence[int],
+    samples: int,
+    replicates: int,
+) -> None:
+    """Raise ValueError unless the box has at most one arc per torus
+    coordinate, there is at least one orbit, each with a count N_i >= 1,
+    and samples and replicates are >= 1."""
+    if len(box.radii) > sys.torus_dim:
+        raise ValueError(
+            f"box has {len(box.radii)} arcs for a torus of dimension {sys.torus_dim}")
+    if len(orbits) != len(n_counts):
+        raise ValueError("need one sample count per orbit")
+    if not orbits:
+        raise ValueError("need at least one orbit")
+    if min(n_counts) < 1:
+        raise ValueError("every N_i must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -405,49 +501,72 @@ def correlation_average(
 
     computed as the integral of 1_B(x) * prod_i g_i(x) with g_i the visit
     frequency of the i-th orbit to B - x.  Each replicate uses a randomly
-    shifted Kronecker sequence; the standard error is across replicates."""
-    if len(orbits) != len(n_counts):
-        raise ValueError("need one sample count per orbit")
-    if not orbits:
-        raise ValueError("need at least one orbit")
-    if min(n_counts) < 1:
-        raise ValueError("every N_i must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    d_torus = sys.torus_dim
+    shifted Kronecker sequence; the standard error is across replicates.
 
-    # orbit torus offsets, computed once
-    offsets = [
-        list(phases(polys, sys.rows, n_count, sys.precision))
+    Each visit count is the number of offsets `off` of an orbit that
+    `BoxIndicator.contains_float` accepts at the float sums x_j + off_j,
+    that is, whose `(x_j + off_j - c_j) % 1.0` lies within the radius
+    ceiling R_j of 0 on every coordinate j.  A strip index, built once per
+    orbit, gives the same counts bit for bit as a scan of all N offsets
+    per sample, testing a few offsets near the arc ends instead.
+
+    Layout.  With d box coordinates, the key coordinate is K = 1 (K = 0
+    when d = 1).  The fractional parts of coordinate 0 are cut into
+    isqrt(N) strips (a single strip when d = 1), each with the least
+    fractional part `lo` and the width `span` of its members.  Inside a
+    strip the members are sorted by the fractional part u of coordinate K,
+    and the keys are doubled (all u, then all u + 1), so any arc of the
+    circle shorter than a full turn is one run of keys.
+
+    Query.  On coordinate j the offset's fractional part u lies in the box
+    when it is within R_j of c_j - x_j on the circle.  Positions are taken
+    from the start of the widened arc, c_j - x_j - R_j - EPS: the widened
+    arc is [0, 2R_j + 2EPS] and the shrunk arc [2EPS, 2R_j].  A strip
+    wholly outside the widened coordinate-0 arc is skipped; one that
+    crosses an edge of it runs the exact test on every member; one wholly
+    inside the shrunk arc needs no coordinate-0 test.  There (and in the
+    single strip when d = 1) bisection on coordinate K splits the keys
+    into the shrunk arc, counted without a test when d <= 2 and tested on
+    coordinates 2, ..., d-1 otherwise; the two thin bands between the
+    shrunk and the widened arc, which run the exact test; and the rest,
+    skipped.
+
+    Why it is exact.  Take |x_j| <= 1, centres in [0, 1] (both hold here)
+    and |off_j| <= 2^10 (checked when the index is built; kernel phases
+    lie in [0, 1]).  Let dist_j be the true circle distance of
+    x_j + off_j - c_j from 0.
+    (1) The exact test reads dist_j to within 2^-40.  Its two sums are
+    below 2^11 in size, so each rounds by at most 2^-42; float % is exact
+    but for a final + 1.0, which rounds by at most 2^-53; and
+    min(delta, 1 - delta) adds no error, since 1 - delta is exact for
+    delta >= 1/2 and the min is delta below that.
+    (2) The index's positions, fractional parts, strip bounds and band
+    thresholds are sums of floats below 2 in size, a few roundings of at
+    most 2^-53 each, so each is within 2^-48 of its true value.
+    (3) A position p in [2EPS, 2R_j] is within R_j - EPS of the arc's
+    centre R_j + EPS, so an offset the index puts there has
+    dist_j <= R_j - EPS + 2^-48, and the exact test reads less than
+    R_j - EPS + 2^-39 < R_j: it accepts.  A position in
+    (2R_j + 2EPS, 1) is more than R_j + EPS from the centre, so an offset
+    the index puts there has dist_j >= R_j + EPS - 2^-48, and the exact
+    test reads more than R_j: it rejects.  Every other offset runs the
+    exact test.  The exact test is a conjunction over coordinates, so
+    testing only the coordinates not yet proved inside gives its answer.
+    (4) The run [start, start + 2R_K + 2EPS] of doubled keys holds at
+    most one copy of each member while the widened arc falls short of a
+    full turn by more than the rounding.  When R_K + 2EPS >= 1/2 (a radius
+    ceiling of 0.5, or within 2EPS of it), the strip runs the exact test
+    instead, so nothing is counted twice.  On coordinate 0 each strip is placed once, so a
+    ceiling of 0.5 there needs nothing more: no strip is then outside the
+    widened arc.
+    With EPS = 2^-30 every margin above holds many times over.
+    """
+    check_correlation(sys, box, orbits, n_counts, samples, replicates)
+    d_torus = sys.torus_dim
+    indexes = [
+        _StripIndex(box, list(phases(polys, sys.rows, n_count, sys.precision)))
         for polys, n_count in zip(orbits, n_counts)
     ]
-
-    centers = box.float_centers
-    radii = [float(r) for r in box.radii]
-
-    sorted_fracs = None
-    if d_torus == 1:
-        # 1-d fast path: per orbit, sorted frac(offset - center) for bisection
-        sorted_fracs = [
-            sorted((off[0] - centers[0]) % 1.0 for off in orbit_offsets)
-            for orbit_offsets in offsets
-        ]
-
-    def visit_frequency(x: Sequence[float], i: int) -> float:
-        n_i = n_counts[i]
-        if sorted_fracs is not None:
-            # s + x in (-r, r) mod 1  <=>  s in (-r - x, r - x) mod 1
-            lo = (-radii[0] - x[0]) % 1.0
-            hi = (radii[0] - x[0]) % 1.0
-            data = sorted_fracs[i]
-            if lo <= hi:
-                count = bisect_left(data, hi) - bisect_right(data, lo)
-            else:
-                count = bisect_left(data, hi) + (len(data) - bisect_right(data, lo))
-            return count / n_i
-        return _shifted_box_hits(box, x, offsets[i]) / n_i
 
     rng = random.Random(seed)
     replicate_values = []
@@ -462,8 +581,8 @@ def correlation_average(
             if not box.contains_float(x):
                 continue
             product = 1.0
-            for i in range(len(orbits)):
-                product *= visit_frequency(x, i)
+            for index, n_count in zip(indexes, n_counts):
+                product *= index.count(x) / n_count
                 if product == 0.0:
                     break
             acc.add(product)

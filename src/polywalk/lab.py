@@ -300,6 +300,12 @@ class SearchResult:
         return self.status is Status.FOUND
 
 
+def check_n_max(n_max: int) -> None:
+    """Raise ValueError unless the search range [1, n_max] is not empty."""
+    if n_max < 1:
+        raise ValueError(f"N_max must be >= 1, got {n_max}")
+
+
 def twisted_search(
     walk: Walk,
     v: Sequence[int],
@@ -317,8 +323,7 @@ def twisted_search(
     be the smallest n.  Indeterminate is reported only when every
     candidate was indeterminate.
     """
-    if n_max < 1:
-        raise ValueError(f"N_max must be >= 1, got {n_max}")
+    check_n_max(n_max)
     polys = walk.orbit_poly(v)
     indeterminate = 0
     for n, verdict in enumerate(oracle.difference_verdicts(polys, n_max), start=1):
@@ -428,6 +433,31 @@ def _run_targets(kind, oracle, k, targets, n_max, seed, make_instance, config):
     return ExperimentReport(kind, tuple(records), config, seed)
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+
+
+def check_magyar(p: MPoly, k: int, targets: Sequence[int]) -> None:
+    """Raise ValueError unless k >= 1, every target is a non-zero multiple
+    of k^2 and P is univariate."""
+    _check_k(k)
+    for target in targets:
+        if target == 0 or target % (k * k) != 0:
+            raise ValueError(f"target {target} is not a non-zero multiple of k^2={k * k}")
+    _single_var_name(p)
+
+
+def check_bogolubov(p: MPoly, k: int, targets: Sequence[int]) -> None:
+    """Raise ValueError unless k >= 1, every target is a multiple of k and
+    P is univariate."""
+    _check_k(k)
+    for target in targets:
+        if target % k != 0:
+            raise ValueError(f"target {target} is not a multiple of k={k}")
+    _single_var_name(p)
+
+
 def magyar_experiment(
     p: MPoly,
     oracle: SetModel,
@@ -442,11 +472,7 @@ def magyar_experiment(
     the form value is k*k*a - P(0) = k^2*a, the fleeing walk over the two
     shear generators preserves it, and time-scaling by k keeps the orbit in
     k * Z^3."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    for target in targets:
-        if target == 0 or target % (k * k) != 0:
-            raise ValueError(f"target {target} is not a non-zero multiple of k^2={k * k}")
+    check_magyar(p, k, targets)
     var = _single_var_name(p)
     s1, s2 = xy_minus_P_walks(p)
     gens = [s1, s2]
@@ -480,11 +506,7 @@ def bogolubov_experiment(
 
     Targets must lie in k * Z: from v = (c, 0) the form value is c - P(0) = c,
     preserved along the single-generator fleeing walk."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    for target in targets:
-        if target % k != 0:
-            raise ValueError(f"target {target} is not a multiple of k={k}")
+    check_bogolubov(p, k, targets)
     var = _single_var_name(p)
     gen = bogolubov_walk(p)
     form = (MPoly.var(("x", "y"), "x")
@@ -506,6 +528,12 @@ def bogolubov_experiment(
 
 # -- Weyl sums ------------------------------------------------------------------
 
+def check_sample_count(n_count: int) -> None:
+    """Raise ValueError unless an average over n = 1, ..., N has N >= 1."""
+    if n_count < 1:
+        raise ValueError("N must be >= 1")
+
+
 def weyl_sum(
     polys: PolyVector,
     thetas: Sequence[Real | Fraction | int | str],
@@ -517,8 +545,7 @@ def weyl_sum(
     Phases come from the fixed-point kernel stream, within 10^-precision
     of the true phase before rounding to a float, so large orbit values do
     not lose the fractional part."""
-    if n_count < 1:
-        raise ValueError("N must be >= 1")
+    check_sample_count(n_count)
     re, im = KahanSum(), KahanSum()
     for (x,) in phases(polys, [thetas], n_count, precision):
         phase = 2.0 * math.pi * x

@@ -403,6 +403,10 @@ def _configs(tmp_path):
                      "orbit_1 = n^6, n^3\norbit_2 = n^6, n^3\nN_1 = 100\nN_2 = 100\n"
                      "samples = 32\nreplicates = 2\nseed = 7\nk = 1\n",
     }
+    files["empty_average"] = files["trig"].replace("N = 300", "N = 0")
+    files["extra_arc"] = files["correlate"] + "center_3 = 0\nradius_3 = 1/10\n"
+    files["no_orbit"] = "".join(line + "\n" for line in files["correlate"].splitlines()
+                                if not line.startswith(("orbit_", "N_")))
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.cfg"
@@ -463,12 +467,23 @@ VALIDATE_GAPS = {
     "gen-matrix-determinant": ["gen", "--family", "adjoint", "--matrix", "2,0,0,1"],
     "gen-signature-p": ["gen", "--family", "signature", "--p", "0", "--q", "3"],
     "gen-signature-q": ["gen", "--family", "signature", "--p", "1", "--q", "1"],
+    "magyar-k": ["magyar", "--config", "{magyar}", "--k", "0"],
+    "magyar-target": ["magyar", "--config", "{magyar}", "--targets", "0"],
+    "magyar-P-bivariate": ["magyar", "--config", "{magyar}", "--P", "y*z"],
+    "magyar-N-max": ["magyar", "--config", "{magyar}", "--N-max", "0"],
+    "bogolubov-k": ["bogolubov", "--config", "{window}", "--k", "0"],
+    "bogolubov-target": ["bogolubov", "--config", "{window}", "--k", "2", "--targets", "3"],
+    "bogolubov-N-max": ["bogolubov", "--config", "{bohr}", "--N-max", "0"],
+    "ergodic-avg-N": ["ergodic-avg", "--config", "{empty_average}"],
+    "weyl-N": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "0"],
+    "correlate-no-orbit": ["correlate", "--config", "{no_orbit}"],
+    "correlate-extra-arc": ["correlate", "--config", "{extra_arc}"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATE_GAPS))
-def test_validate_only_rejects_what_the_run_rejects(capsys, name):
-    argv = VALIDATE_GAPS[name]
+def test_validate_only_rejects_what_the_run_rejects(tmp_path, capsys, name):
+    argv = _argv(tmp_path, VALIDATE_GAPS[name])
     code, out, run_err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert run_err.startswith("error: ")
@@ -520,6 +535,7 @@ def test_correlate_rejects_zero_counts(tmp_path, capsys, key):
     code, out, err = run(capsys, "correlate", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "must be >= 1" in err
+    assert run(capsys, "correlate", "--config", str(cfg), "--validate-only") == (1, "", err)
 
 
 @pytest.mark.parametrize("n_max", ["0", "-4"])

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywalk.ergodic import (
+    EPS,
     BoxIndicator,
-    _shifted_box_hits,
     TorusSystem,
+    _StripIndex,
     TrigPoly,
     choose_k,
     classify_characters,
@@ -218,6 +219,21 @@ def test_box_contains_float_matches_per_call_route(arcs, data):
         assert box.contains_float(point) == _reference_contains_float(box, point)
 
 
+def _shifted_box_hits(box, x, offsets):
+    # the reference scan: every offset, by the rule of contains_float
+    centers, ceilings = box.float_centers, box.radius_ceilings
+    dims = range(len(centers))
+    count = 0
+    for off in offsets:
+        for j in dims:
+            delta = (x[j] + off[j] - centers[j]) % 1.0
+            if min(delta, 1.0 - delta) >= ceilings[j]:
+                break
+        else:
+            count += 1
+    return count
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_center, _radius), min_size=2, max_size=3), st.data())
 def test_shifted_box_scan_matches_contains_float(arcs, data):
@@ -245,6 +261,85 @@ def test_shifted_box_scan_reads_radius_ceilings():
     # float(3/10) < 3/10, so a distance of exactly float(3/10) is inside
     box = BoxIndicator.of([0, 0], [F(3, 10), F(3, 10)])
     assert _shifted_box_hits(box, [0.0, 0.0], [(float(F(3, 10)), 0.0)]) == 1
+
+
+def _ulps(v, steps):
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.inf if steps > 0 else -math.inf)
+    return v
+
+
+# radii up to just below 1/2: the ceiling of 1/2 - 10^-20 is 0.5, and
+# 1/2 - EPS and 1/2 - 3 EPS lie on either side of the full-turn fallback
+_index_radius = st.one_of(_radius, st.sampled_from(
+    [F(1, 2) - F(1, 10 ** 20), F(1, 2) - F(EPS), F(1, 2) - 3 * F(EPS), F(3, 10)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_center, _index_radius), min_size=1, max_size=3), st.data())
+def test_strip_index_matches_the_scan(arcs, data):
+    box = BoxIndicator.of([c for c, _ in arcs], [r for _, r in arcs])
+    d = len(arcs)
+    xs = [[data.draw(st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True)))
+           for _ in arcs] for _ in range(3)]
+    # each coordinate: at or a few ulps around an arc end of one of the
+    # queries (by the radius ceiling or by float(r)) or near one, exactly 1.0,
+    # negative, anywhere, or in a narrow range, which leaves most strips empty
+
+    def arc_end_or(j):
+        def end(x, sign, ceiling, steps, shift):
+            r = box.radius_ceilings[j] if ceiling else float(box.radii[j])
+            return _ulps(box.float_centers[j] + sign * r - x[j], steps) + shift
+        ends = st.builds(end, st.sampled_from(xs), st.sampled_from([1.0, -1.0]),
+                         st.booleans(), st.integers(-3, 3),
+                         st.one_of(st.just(0.0), st.floats(-0.1, 0.1)))
+        return st.one_of(ends, st.just(1.0), st.floats(-2, 0), st.floats(-2, 2),
+                         st.floats(0.25, 0.25 + 1e-3))
+
+    offsets = data.draw(st.lists(
+        st.tuples(*(arc_end_or(j) for j in range(d))), min_size=1, max_size=60))
+    offsets += data.draw(st.lists(st.sampled_from(offsets), max_size=5))  # duplicates
+    index = _StripIndex(box, offsets)
+    for x in xs:
+        assert index.count(x) == _shifted_box_hits(box, x, offsets)
+
+
+@pytest.mark.parametrize("rows,centers,orbit", [
+    ([["sqrt2", "sqrt3"], ["sqrt5", "sqrt2"]], ["1/10", "7/10"], "n^6, n^3"),
+    ([["sqrt2"], ["sqrt3"], ["sqrt5"]], ["0", "1/2", "9/10"], "n^2"),
+])
+def test_correlation_average_matches_the_reference_scan(monkeypatch, rows, centers, orbit):
+    import polywalk.ergodic as ergodic
+
+    class Scan:
+        def __init__(self, box, offsets):
+            self.box, self.offsets = box, offsets
+
+        def count(self, x):
+            return _shifted_box_hits(self.box, x, self.offsets)
+
+    system = TorusSystem(rows)
+    box = BoxIndicator.of(centers, [F(3, 10)] * len(centers))
+    orbits = [_pv(orbit)] * 2
+    indexed = correlation_average(system, box, orbits, [300, 200], samples=64,
+                                  replicates=2, seed=3)
+    monkeypatch.setattr(ergodic, "_StripIndex", Scan)
+    assert indexed == correlation_average(system, box, orbits, [300, 200], samples=64,
+                                          replicates=2, seed=3)
+
+
+def test_strip_index_counts_a_one_dimensional_arc_end_inside():
+    # float(3/10) < 3/10, so x = 0.3 at offset 0 is inside the arc of radius
+    # 3/10 about 0, in exact arithmetic and for contains_float alike
+    box = BoxIndicator.of([0], [F(3, 10)])
+    assert F(0.3) < F(3, 10) and box.contains_float([0.3])
+    assert _StripIndex(box, [(0.0,)]).count([0.3]) == 1
+
+
+def test_strip_index_rejects_a_far_offset():
+    box = BoxIndicator.of([0, 0], [F(1, 5), F(1, 5)])
+    with pytest.raises(ValueError, match="outside"):
+        _StripIndex(box, [(0.5, 2.0 ** 11)])
 
 
 @pytest.mark.parametrize("counts,kwargs,message", [
@@ -334,12 +429,12 @@ def test_correlation_reproducible_for_fixed_seed():
 
 
 def test_correlation_fast_path_matches_scan():
-    # same experiment on a 1-d torus (bisect path) and a degenerate scan
+    # same experiment on a 1-d torus and a 2-d torus whose second
+    # coordinate is constant
     sys1 = TorusSystem([[Real.named("sqrt2")]])
     box = BoxIndicator.of([0], [F(3, 20)])
     orbit = PolyVector([poly_parse("n^2", ("n",))])
     fast = correlation_average(sys1, box, [orbit], [150], samples=64, replicates=2, seed=6)
-    # 2-d system with a dummy constant second coordinate exercises the scan path
     sys2 = TorusSystem([[Real.named("sqrt2")], [F(0)]])
     box2 = BoxIndicator.of([0, 0], [F(3, 20), F(49, 100)])
     scan = correlation_average(sys2, box2, [orbit], [150], samples=64, replicates=2, seed=6)
