@@ -55,13 +55,6 @@ class AffineFunctional:
         return sum((a * Fraction(x) for a, x in zip(self.linear, point)),
                    start=self.constant)
 
-    def apply_polys(self, polys: PolyVector) -> MPoly:
-        total = MPoly.const(polys.vars, self.constant)
-        for a, p in zip(self.linear, polys):
-            if a:
-                total = total + p * a
-        return total
-
 
 def affine_annihilator(polys: PolyVector) -> list[AffineFunctional]:
     """Basis of the affine maps L with L(p_1, ..., p_d) identically zero.

@@ -34,7 +34,6 @@ from .reals import (
     circle_distance,
     dot_frac,
 )
-from .walks import Walk
 
 # Windows with more points than this never materialize a difference index;
 # neither do point sets whose pair count would exceed the pair bound.
@@ -307,24 +306,23 @@ def check_n_max(n_max: int) -> None:
 
 
 def twisted_search(
-    walk: Walk,
-    v: Sequence[int],
+    polys: PolyVector,
     oracle: SetModel,
     n_max: int,
 ) -> SearchResult:
-    """First n in [1, n_max] whose orbit point is certified to land in B - B.
+    """First n in [1, n_max] whose orbit point polys(n) is certified to
+    land in B - B.
 
     The scan reads the oracle's `difference_verdicts` along the symbolic
-    orbit polynomials (the search path), and evaluates the point once, at
-    the hit.  Experiment validation re-applies the walk directly and asks
-    the per-query oracle, keeping the two routes independent.  The scan
-    stops at the first hit.  When candidates before it were indeterminate
+    orbit polynomials in `n` (the search path), and evaluates the point
+    once, at the hit.  Experiment validation re-applies the walk directly
+    and asks the per-query oracle, keeping the two routes independent.
+    The scan stops at the first hit.  When candidates before it were indeterminate
     (`indeterminate > 0`), the hit is the first certified one and may not
     be the smallest n.  Indeterminate is reported only when every
     candidate was indeterminate.
     """
     check_n_max(n_max)
-    polys = walk.orbit_poly(v)
     indeterminate = 0
     for n, verdict in enumerate(oracle.difference_verdicts(polys, n_max), start=1):
         if verdict:
@@ -409,13 +407,18 @@ def _run_targets(kind, oracle, k, targets, n_max, seed, make_instance, config):
     records = []
     for target in targets:
         start = time.perf_counter()
-        v, walk, form = make_instance(target)
-        scaled = walk.time_scale(k)
-        result = twisted_search(scaled, v, oracle, n_max)
+        v, cert, form = make_instance(target)
+        # the certificate's orbit at time k*n is the orbit of the walk
+        # time-scaled by k
+        orbit = cert.orbit_poly
+        if k != 1:
+            orbit = orbit.substitute({"n": MPoly.var(("n",), "n") * k})
+        result = twisted_search(orbit, oracle, n_max)
         millis = (time.perf_counter() - start) * 1000.0
         if result.found():
             # independent re-validation: direct walk application, a fresh
             # difference query, and the exact form value
+            scaled = cert.final_walk.time_scale(k)
             witness = scaled.apply(result.n, v)
             if witness != result.point:
                 raise AssertionError("orbit-poly point disagrees with walk application")
@@ -482,8 +485,7 @@ def magyar_experiment(
     def make_instance(target: int):
         a = target // (k * k)
         v = (k, k * a, 0)
-        cert = construct_fleeing_walk(gens, v)
-        return v, cert.final_walk, form
+        return v, construct_fleeing_walk(gens, v), form
 
     config = {
         "experiment": "magyar", "P": str(p), "k": str(k),
@@ -514,8 +516,7 @@ def bogolubov_experiment(
 
     def make_instance(target: int):
         v = (target, 0)
-        cert = construct_fleeing_walk([gen], v)
-        return v, cert.final_walk, form
+        return v, construct_fleeing_walk([gen], v), form
 
     config = {
         "experiment": "bogolubov", "P": str(p), "k": str(k),

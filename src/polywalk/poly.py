@@ -7,6 +7,24 @@ are Fractions (always in lowest terms with positive denominator), and two
 values compare equal exactly when they denote the same polynomial, even if
 their variable universes differ by unused names.
 
+Products, powers and substitution run on integer numerators, as in
+Monagan and Pearce, "Sparse polynomial multiplication and division in
+Maple 14" (2010).  Each operand is scaled by the lcm L of its coefficient
+denominators, the sums of products are taken over plain ints, and every
+result coefficient is built once, as Fraction(c, D) with D the product of
+the scales (for a substitution, D = L * prod L_i^m_i, m_i the degree in
+the i-th bound variable).  A one-term power is {e*n: c**n} at once.
+Monomials stay exponent tuples; packing them into one int measured no
+faster here.
+
+These results skip the checks of the public constructor, through
+MPoly._trusted.  Its invariant: the operands are canonical, so the
+variables are distinct and every exponent tuple has the right length and
+non-negative entries; zero numerators are dropped, and Fraction(c, D)
+reduces c/D to lowest terms with a positive denominator, so the result
+is canonical too.  Sums, negation and `extend` rely on the same
+invariant.  The coefficients a caller sees are always exact Fractions.
+
 Terms print in graded lexicographic order (total degree descending, then
 lexicographic by the declared variable order), which keeps printing and
 serialization deterministic.
@@ -19,6 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add
 from typing import Iterable, Mapping
 
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -77,6 +96,18 @@ class MPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, vars: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> MPoly:
+        """A result computed from canonical inputs (module docstring):
+        `vars` distinct, `terms` non-zero Fractions keyed by exponent
+        tuples of len(vars) non-negative ints.  Skips the checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -150,18 +181,6 @@ class MPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Fraction(0))
 
-    def coefficients_in(self, name: str) -> dict[int, MPoly]:
-        """View the polynomial as univariate in `name`: degree -> coefficient
-        polynomial over the remaining universe."""
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for exps, coeff in self.terms.items():
-            d = exps[i]
-            key = exps[:i] + exps[i + 1:]
-            buckets.setdefault(d, {})[key] = coeff
-        return {d: MPoly(rest, t) for d, t in buckets.items()}
-
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
@@ -180,13 +199,13 @@ class MPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return MPoly(self.vars, out)
+            out[exps] = out.get(exps, 0) + coeff
+        return MPoly._trusted(self.vars, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> MPoly:
         return self + (-self._coerce(other))
@@ -196,32 +215,27 @@ class MPoly:
 
     def __mul__(self, other) -> MPoly:
         other = self._coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return MPoly(self.vars, out)
+        la, a = _numerators(self.terms)
+        lb, b = _numerators(other.terms)
+        return _from_numerators(self.vars, _mul_into({}, a, b), la * lb)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> MPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {n!r}")
-        result = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return MPoly.const(self.vars, 1)
+        scale, a = _numerators(self.terms)
+        return _from_numerators(self.vars, _int_pow(a, n), scale ** n)
 
     # -- universe management ---------------------------------------------
 
     def extend(self, vars: Iterable[str]) -> MPoly:
         """Re-express over a universe that contains every current variable."""
         vars = tuple(vars)
+        if vars == self.vars:
+            return self
         positions = []
         for v in self.vars:
             if v not in vars:
@@ -233,7 +247,7 @@ class MPoly:
             for pos, e in zip(positions, exps):
                 key[pos] = e
             out[tuple(key)] = coeff
-        return MPoly(vars, out)
+        return MPoly._trusted(vars, out)
 
     # -- substitution and evaluation --------------------------------------
 
@@ -252,9 +266,8 @@ class MPoly:
         target: list[str] = list(retained)
         for v in self.vars:
             if v in bindings:
-                introduced = set(bindings[v].support())
                 for w in bindings[v].vars:
-                    if w in retained and w in introduced:
+                    if w in retained and w in bindings[v].support():
                         raise ValueError(
                             f"binding for '{v}' introduces '{w}' which collides "
                             f"with a retained variable"
@@ -263,21 +276,41 @@ class MPoly:
                         target.append(w)
         target_t = tuple(target)
 
-        factors = [bindings[v].extend(target_t) if v in bindings else MPoly.var(target_t, v)
-                   for v in self.vars]
-        powers: dict[tuple[int, int], MPoly] = {}
-        one = {(0,) * len(target_t): 1}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            product = None
+        # Over D = L * prod L_i^m_i (L, L_i the scales of self and of the
+        # bindings, m_i the degree of self in its i-th variable) a term
+        # c * prod x_i^e_i adds (L c) * prod L_i^(m_i - e_i) * prod F_i^e_i,
+        # F_i = L_i * binding_i, all in integers.
+        width = len(target_t)
+        degrees = [max((e[i] for e in self.terms), default=0) for i in range(len(self.vars))]
+        factors: list[tuple[int, dict] | None] = []
+        for v, m in zip(self.vars, degrees):
+            if not m:
+                factors.append(None)
+            elif v in bindings:
+                factors.append(_numerators(bindings[v].extend(target_t).terms))
+            else:
+                factors.append((1, {tuple(int(w == v) for w in target_t): 1}))
+        lifted = [(i, f[0], m) for i, (f, m) in enumerate(zip(factors, degrees))
+                  if f is not None and f[0] != 1]
+        denominator, numerators = _numerators(self.terms)
+        for _, scale, m in lifted:
+            denominator *= scale ** m
+        powers: dict[tuple[int, int], dict] = {}
+        one = {(0,) * width: 1}
+        out: dict[tuple[int, ...], int] = {}
+        for exps, c in numerators.items():
+            for i, scale, m in lifted:
+                c *= scale ** (m - exps[i])
+            product = last = one
             for i, e in enumerate(exps):
                 if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = factors[i] ** e
-                    product = powers[i, e] if product is None else product * powers[i, e]
-            for key, c in (one if product is None else product.terms).items():
-                out[key] = out.get(key, 0) + coeff * c
-        return MPoly(target_t, out)
+                    if last is not one:
+                        product = last if product is one else _mul_into({}, product, last)
+                    last = powers.get((i, e))
+                    if last is None:
+                        last = powers[i, e] = _int_pow(factors[i][1], e)
+            _mul_into(out, product, last, c)
+        return _from_numerators(target_t, out, denominator)
 
     def eval(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at a rational point; every occurring variable must be bound."""
@@ -325,12 +358,11 @@ class MPoly:
             return IntegralityCertificate(True, None)
         # Scaled by the lcm L of the denominators the coefficients are
         # integers, and p(b) is an integer exactly when L divides L*p(b).
-        L = lcm(*(c.denominator for c in self.terms.values()))
-        scaled = [(c.numerator * (L // c.denominator), exps) for exps, c in self.terms.items()]
+        L, scaled = _numerators(self.terms)
         degs = [self.degree_in(v) for v in self.vars]
         for b in _grid(degs):
             total = 0
-            for c, exps in scaled:
+            for exps, c in scaled.items():
                 for x, e in zip(b, exps):
                     if e:
                         c *= x ** e
@@ -397,6 +429,46 @@ class IntegralityCertificate:
     def __repr__(self) -> str:
         status = "integral" if self.integral else f"non-integral (witness {self.witness})"
         return f"IntegralityCertificate({status})"
+
+
+def _numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, dict]:
+    """The lcm L of the coefficient denominators, and the coefficients
+    times L as ints."""
+    L = lcm(*(c.denominator for c in terms.values()))
+    return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
+
+
+def _from_numerators(vars: tuple[str, ...], numerators: dict, denominator: int) -> MPoly:
+    """The polynomial with coefficients numerator / denominator."""
+    return MPoly._trusted(
+        vars, {e: Fraction(c, denominator) for e, c in numerators.items() if c})
+
+
+def _mul_into(out: dict, a: dict, b: dict, scale: int = 1) -> dict:
+    """Add scale * a * b into `out`; all three map exponent tuples to ints."""
+    get = out.get
+    for ea, ca in a.items():
+        ca *= scale
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
+def _int_pow(a: dict, n: int) -> dict:
+    """a^n, n >= 1, for a map from exponent tuples to ints: one term at
+    once, else by repeated squaring."""
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return {tuple(x * n for x in e): c ** n}
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else _mul_into({}, result, a)
+        n >>= 1
+        if not n:
+            return result
+        a = _mul_into({}, a, a)
 
 
 def _grid(limits: Iterable[int]):

@@ -294,12 +294,6 @@ class RootOfUnityMean:
     def is_exactly_one(self) -> bool:
         return self.counts[0] == self.n_count
 
-    @property
-    def constant_residue(self) -> int | None:
-        """The single residue j hit by every term, if there is one."""
-        hits = [j for j, c in enumerate(self.counts) if c]
-        return hits[0] if len(hits) == 1 else None
-
     def value(self) -> complex:
         if self.is_exactly_zero:
             return 0j

@@ -27,6 +27,12 @@ from polywalk.reals import Real
 F = Fraction
 
 
+def _constant_residue(mean):
+    # the single residue hit by every term of a RootOfUnityMean, if any
+    hits = [j for j, c in enumerate(mean.counts) if c]
+    return hits[0] if len(hits) == 1 else None
+
+
 def _brute_force_diff(points, w):
     # double-loop enumeration oracle
     for b1 in points:
@@ -141,14 +147,14 @@ def test_twisted_search_density_one():
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     # need a 1-d walk-like orbit: use a 2-d window instead
     window = WindowSet(2, 9, [(i, j) for i in range(9) for j in range(9)])
-    result = twisted_search(walk, (0, 0), window, 10)
+    result = twisted_search(walk.orbit_poly((0, 0)), window, 10)
     assert result.found() and result.n == 1
 
 
 def test_twisted_search_even_window_example():
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     window = WindowSet(2, 20, [(a, b) for a in range(0, 20, 2) for b in range(20)])
-    result = twisted_search(walk, (0, 0), window, 50)
+    result = twisted_search(walk.orbit_poly((0, 0)), window, 50)
     # S(n)(0,0) = (n^2, n) needs n^2 even, first at n = 2
     assert result.n == 2
     assert result.point == (4, 2)
@@ -157,7 +163,7 @@ def test_twisted_search_even_window_example():
 def test_twisted_search_exhausted_on_empty_oracle():
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     empty = WindowSet(2, 5, [])
-    result = twisted_search(walk, (0, 0), empty, 25)
+    result = twisted_search(walk.orbit_poly((0, 0)), empty, 25)
     assert result.status is Status.EXHAUSTED
 
 
@@ -167,14 +173,14 @@ def test_twisted_search_rejects_empty_range(n_max):
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     window = WindowSet(2, 20, [(a, b) for a in range(0, 20, 2) for b in range(20)])
     with pytest.raises(ValueError, match=f"N_max must be >= 1, got {n_max}"):
-        twisted_search(walk, (0, 0), window, n_max)
+        twisted_search(walk.orbit_poly((0, 0)), window, n_max)
 
 
 def test_twisted_search_monotone_in_range():
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     window = WindowSet(2, 20, [(a, b) for a in range(0, 20, 2) for b in range(20)])
-    small = twisted_search(walk, (0, 0), window, 10)
-    large = twisted_search(walk, (0, 0), window, 500)
+    small = twisted_search(walk.orbit_poly((0, 0)), window, 10)
+    large = twisted_search(walk.orbit_poly((0, 0)), window, 500)
     assert small.n == large.n == 2
 
 
@@ -183,7 +189,7 @@ def test_twisted_search_indeterminate_propagation():
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     boundary = BohrSet(2, [[F(1, 4), F(0)]], [F(1, 8)])
     # orbit from (1, 0): (1 + n^2, n); frac((1 + n^2)/4) hits 1/4 when n odd
-    result = twisted_search(walk, (1, 0), boundary, 2)
+    result = twisted_search(walk.orbit_poly((1, 0)), boundary, 2)
     assert result.indeterminate >= 1
     assert result.status in (Status.EXHAUSTED, Status.INDETERMINATE)
     all_boundary = BohrSet(1, [[F(1, 2)]], [F(1, 4)])
@@ -322,7 +328,7 @@ def _walk_start_oracle(draw):
 @given(_walk_start_oracle(), st.integers(1, 60))
 def test_twisted_search_matches_per_point_loop(data, n_max):
     walk, v, oracle = data
-    result = twisted_search(walk, v, oracle, n_max)
+    result = twisted_search(walk.orbit_poly(v), oracle, n_max)
     expected = _reference_twisted_search(walk, v, oracle, n_max)
     assert (result.status, result.n, result.point, result.indeterminate) == expected
 
@@ -333,7 +339,7 @@ def test_twisted_search_window_matches_per_point_loop():
     for _ in range(20):
         window = WindowSet(2, 30, [(rng.randrange(30), rng.randrange(30)) for _ in range(25)])
         v = (rng.randrange(-10, 10), rng.randrange(-3, 3))
-        result = twisted_search(walk, v, window, 40)
+        result = twisted_search(walk.orbit_poly(v), window, 40)
         expected = _reference_twisted_search(walk, v, window, 40)
         assert (result.status, result.n, result.point, result.indeterminate) == expected
 
@@ -342,7 +348,7 @@ def test_twisted_search_found_after_indeterminate_candidates():
     # n = 1 is a tie (indeterminate), n = 2 the first certified hit
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     oracle = BohrSet(2, [[F(1, 4), F(0)]], [F(1, 8)])
-    result = twisted_search(walk, (0, 0), oracle, 10)   # orbit (n^2, n)
+    result = twisted_search(walk.orbit_poly((0, 0)), oracle, 10)   # orbit (n^2, n)
     assert (result.status, result.n, result.point, result.indeterminate) == \
         (Status.FOUND, 2, (4, 2), 1)
 
@@ -351,7 +357,7 @@ def test_bohr_scan_dimension_mismatch():
     oracle = _bohr3()
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     with pytest.raises(ValueError, match="wrong dimension"):
-        twisted_search(walk, (1, 0), oracle, 10)
+        twisted_search(walk.orbit_poly((1, 0)), oracle, 10)
     with pytest.raises(ValueError, match="wrong dimension"):
         oracle.difference_verdicts(walk.orbit_poly((1, 0)), 10)
 
@@ -385,7 +391,7 @@ def test_weyl_sum_rational_exact_one():
     polys = PolyVector([poly_parse("3*n", ["n"])])
     mean = weyl_sum_rational(polys, [F(1, 3)], 1000)
     assert mean.is_exactly_one
-    assert mean.constant_residue == 0
+    assert _constant_residue(mean) == 0
 
 
 def test_weyl_periodic_cross_check():

@@ -193,6 +193,202 @@ def test_substitute_matches_reference(case):
     assert str(out) == str(expected)
 
 
+# -- the integer kernel against the Fraction loops it replaced -----------------
+#
+# Verbatim copies of the Fraction-coefficient MPoly.__mul__, __pow__ and
+# substitute that the integer-numerator kernel replaced, with `self` a
+# parameter and their products and powers routed to each other.
+
+def _fraction_mul(self: MPoly, other) -> MPoly:
+    other = self._coerce(other)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in self.terms.items():
+        for eb, cb in other.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return MPoly(self.vars, out)
+
+
+def _fraction_pow(self: MPoly, n: int) -> MPoly:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"exponent must be a non-negative integer, got {n!r}")
+    result = MPoly.const(self.vars, 1)
+    base = self
+    while n:
+        if n & 1:
+            result = _fraction_mul(result, base)
+        base = _fraction_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _fraction_substitute(self: MPoly, bindings) -> MPoly:
+    for name in bindings:
+        if name not in self.vars:
+            raise ValueError(f"binding for '{name}' which is not in universe {self.vars}")
+    retained = [v for v in self.vars if v not in bindings]
+    target: list[str] = list(retained)
+    for v in self.vars:
+        if v in bindings:
+            introduced = set(bindings[v].support())
+            for w in bindings[v].vars:
+                if w in retained and w in introduced:
+                    raise ValueError(
+                        f"binding for '{v}' introduces '{w}' which collides "
+                        f"with a retained variable"
+                    )
+                if w not in target:
+                    target.append(w)
+    target_t = tuple(target)
+
+    factors = [bindings[v].extend(target_t) if v in bindings else MPoly.var(target_t, v)
+               for v in self.vars]
+    powers: dict[tuple[int, int], MPoly] = {}
+    one = {(0,) * len(target_t): 1}
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in self.terms.items():
+        product = None
+        for i, e in enumerate(exps):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = _fraction_pow(factors[i], e)
+                product = powers[i, e] if product is None else _fraction_mul(product, powers[i, e])
+        for key, c in (one if product is None else product.terms).items():
+            out[key] = out.get(key, 0) + coeff * c
+    return MPoly(target_t, out)
+
+
+def _assert_canonical_equal(out: MPoly, expected: MPoly):
+    # only non-zero Fractions over exponent tuples of the universe's length,
+    # the oracle's terms and universe exactly, and == / hash equal to the
+    # same polynomial built through the checking constructor
+    for exps, c in out.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(exps) == len(out.vars) and all(type(e) is int and e >= 0 for e in exps)
+    assert out.vars == expected.vars
+    assert out.terms == expected.terms
+    rebuilt = MPoly(out.vars, dict(out.terms))
+    assert out == rebuilt == expected
+    assert hash(out) == hash(rebuilt) == hash(expected)
+
+
+_KERNEL_VARS = ("a", "b", "c", "d")
+
+# mixed denominators: coprime, shared factors and a large prime
+_coefficient = st.builds(
+    F, st.integers(-7, 7), st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10, 1009]))
+
+
+@st.composite
+def _kernel_poly(draw, vars_n, max_terms=4, max_exp=3):
+    # the zero polynomial, a constant, a monomial, or a general polynomial
+    kind = draw(st.sampled_from(["zero", "constant", "monomial"] + ["general"] * 3))
+    if kind == "zero":
+        return MPoly.zero(vars_n)
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in vars_n))
+    if kind == "constant":
+        return MPoly(vars_n, {(0,) * len(vars_n): draw(_coefficient)})
+    if kind == "monomial":
+        return MPoly(vars_n, {draw(exps): draw(_coefficient.filter(bool))})
+    return MPoly(vars_n, draw(st.dictionaries(exps, _coefficient, min_size=2, max_size=max_terms)))
+
+
+@st.composite
+def _universe(draw):
+    return _KERNEL_VARS[: draw(st.integers(1, 4))]
+
+
+@st.composite
+def _product_case(draw):
+    vars_n = draw(_universe())
+    return draw(_kernel_poly(vars_n)), draw(_kernel_poly(vars_n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_case())
+def test_mul_matches_fraction_oracle(case):
+    p, q = case
+    _assert_canonical_equal(p * q, _fraction_mul(p, q))
+    _assert_canonical_equal(p * F(-3, 4), _fraction_mul(p, F(-3, 4)))
+
+
+@st.composite
+def _power_case(draw):
+    vars_n = draw(_universe())
+    p = draw(_kernel_poly(vars_n))
+    if len(p.terms) <= 1:
+        n = draw(st.one_of(st.integers(0, 3), st.integers(50, 400)))
+    else:
+        n = draw(st.integers(0, 7))
+    return p, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_power_case())
+def test_pow_matches_fraction_oracle(case):
+    p, n = case
+    _assert_canonical_equal(p ** n, _fraction_pow(p, n))
+
+
+def test_pow_edge_exponents():
+    x = MPoly.var(("x", "y"), "x")
+    p = x * F(2, 3) - MPoly.var(("x", "y"), "y") * F(5, 7) + F(1, 2)
+    zero = MPoly.zero(("x", "y"))
+    for base in (zero, MPoly.const(("x", "y"), F(-3, 2)), x * F(-5, 9), p):
+        for n in (0, 1, 2, 3, 64):
+            if len(base.terms) > 1 and n == 64:
+                n = 9
+            _assert_canonical_equal(base ** n, _fraction_pow(base, n))
+    assert zero ** 0 == MPoly.const(("x", "y"), 1)
+    assert (x * F(-5, 9)) ** 301 == MPoly(("x", "y"), {(301, 0): F(-5, 9) ** 301})
+
+
+def test_products_that_cancel():
+    names = ("x", "y")
+    x, y = MPoly.var(names, "x"), MPoly.var(names, "y")
+    c = F(7, 6)
+    # the x*y terms cancel to zero and must not be stored
+    _assert_canonical_equal((x + y * c) * (x - y * c), _fraction_mul(x + y * c, x - y * c))
+    assert ((x + y * c) * (x - y * c)).terms == {(2, 0): F(1), (0, 2): -c * c}
+    # the whole product cancels to the zero polynomial after a difference
+    square = (x * F(1, 2) - y * F(1, 3)) ** 2
+    _assert_canonical_equal(square - _fraction_pow(x * F(1, 2) - y * F(1, 3), 2),
+                            MPoly.zero(names))
+    # a substitution whose terms all cancel
+    diff = poly_parse("x - y", names)
+    w = poly_parse("1/3*w^2 - 5/2", ["w"])
+    _assert_canonical_equal(diff.substitute({"x": w, "y": w}), MPoly.zero(("w",)))
+
+
+@st.composite
+def _kernel_substitution_case(draw):
+    vars_n = draw(_universe())
+    p = draw(_kernel_poly(vars_n))
+    bound = draw(st.lists(st.sampled_from(vars_n), unique=True, min_size=1))
+    # bindings introduce u, v and may reuse a name of the outer universe;
+    # a reused name that stays unbound is a collision both sides refuse
+    inner = ("u", "v") + tuple(draw(st.lists(st.sampled_from(vars_n), unique=True, max_size=2)))
+    inner = draw(st.permutations(inner))[: draw(st.integers(1, len(inner)))]
+    bindings = {name: draw(_kernel_poly(tuple(inner), max_terms=3, max_exp=2)) for name in bound}
+    return p, bindings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_substitution_case())
+def test_substitute_matches_fraction_oracle(case):
+    # rational bindings (constants, monomials, zero and general ones) and
+    # unbound variables that pass through
+    p, bindings = case
+    try:
+        expected = _fraction_substitute(p, bindings)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            p.substitute(bindings)
+        assert str(got.value) == str(err)
+        return
+    _assert_canonical_equal(p.substitute(bindings), expected)
+
+
 def test_constructor_rejects_duplicate_variables():
     with pytest.raises(ValueError, match=r"duplicate variable names in \('x', 'x'\)"):
         MPoly(("x", "x"), {})

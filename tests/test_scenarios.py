@@ -92,7 +92,7 @@ def test_twisted_search_narrow_arc_needs_larger_n():
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     narrow = BohrSet(2, [[Real.named("sqrt2"), Real.named("sqrt3")]], [F(1, 200)])
     wide = BohrSet(2, [[Real.named("sqrt2"), Real.named("sqrt3")]], [F(1, 5)])
-    r_narrow = twisted_search(walk, (0, 1), narrow, 4000)
-    r_wide = twisted_search(walk, (0, 1), wide, 4000)
+    r_narrow = twisted_search(walk.orbit_poly((0, 1)), narrow, 4000)
+    r_wide = twisted_search(walk.orbit_poly((0, 1)), wide, 4000)
     assert r_wide.found() and r_narrow.found()
     assert r_wide.n <= r_narrow.n
