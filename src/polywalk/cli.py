@@ -340,7 +340,7 @@ def cmd_weyl(args):
     return run
 
 
-_ERGODIC_KEYS = {"x0", "observable", "p", "N", "precision", "seed", "grid"}
+_ERGODIC_KEYS = {"x0", "observable", "p", "N", "precision", "seed"}
 _ERGODIC_PREFIXES = ("row_", "comp_", "center_", "radius_")
 
 
@@ -351,11 +351,10 @@ def cmd_ergodic_avg(args):
     observable = build_trig(cfg) if kind == "trig" else build_box(cfg)
     polys = parse_poly_vector(cfg.get_str("p"))
     n_count = cfg.get_int("N")
-    grid = cfg.get_int("grid", 128)
     check_sample_count(n_count)
 
     def run():
-        result = empirical_average(system, observable, polys, n_count, sample_grid=grid)
+        result = empirical_average(system, observable, polys, n_count)
         estimate = result.value
         lines = [f"N = {n_count}",
                  f"estimate = {estimate.real:.12g} + {estimate.imag:.12g}i"]

@@ -328,13 +328,15 @@ def empirical_average(
     f: Observable,
     polys: PolyVector,
     n_count: int,
-    sample_grid: int = 128,
 ) -> EmpiricalAverage:
     """(1/N) sum f(x0 + A p(n)) with compensated summation.
 
-    For a TrigPoly the closed-form prediction is also evaluated and the L2
-    distance between the empirical average (as a function of the base
-    point) and the prediction is estimated over a low-discrepancy grid."""
+    For a TrigPoly the closed-form prediction is also evaluated.  As a
+    function of the base point the empirical average is the trigonometric
+    polynomial sum c_m W_m e(<m, x>), W_m the Weyl sum of the m-th induced
+    character, and the prediction is sum c_m M_m e(<m, x>), M_m its limit
+    multiplier; `l2_to_prediction` is their L2 distance on the torus, by
+    Parseval exactly sqrt(sum |c_m|^2 |W_m - M_m|^2)."""
     check_sample_count(n_count)
     base = [float(x.frac(sys.precision)) for x in sys.base_point]
     if isinstance(f, BoxIndicator):
@@ -350,17 +352,9 @@ def empirical_average(
     empirical_fn = TrigPoly.of(
         (freq, coeff * multipliers[freq]) for freq, coeff in f.components
     )
-    value = empirical_fn.value_at(base)
-
     prediction = q_p_closed_form(sys, f, polys)
-    difference = empirical_fn - prediction
-    grid_err = KahanSum()
-    for s in range(sample_grid):
-        point = [(_QMC_ALPHAS[j % len(_QMC_ALPHAS)] * (s + 1)) % 1.0
-                 for j in range(f.torus_dim)]
-        grid_err.add(abs(difference.value_at(point)) ** 2)
-    l2 = math.sqrt(grid_err.total / sample_grid) if sample_grid else difference.l2_norm()
-    return EmpiricalAverage(value, l2, prediction)
+    return EmpiricalAverage(empirical_fn.value_at(base),
+                            (empirical_fn - prediction).l2_norm(), prediction)
 
 
 EPS = 2.0 ** -30
@@ -480,10 +474,6 @@ def check_correlation(
 class CorrelationEstimate:
     value: float
     std_error: float
-    replicate_values: tuple[float, ...]
-    measure: float
-    samples: int
-    replicates: int
 
 
 def correlation_average(
@@ -594,7 +584,4 @@ def correlation_average(
         std_error = math.sqrt(variance / replicates)
     else:
         std_error = float("nan")
-    return CorrelationEstimate(
-        mean, std_error, tuple(replicate_values), float(box.measure),
-        samples, replicates,
-    )
+    return CorrelationEstimate(mean, std_error)

@@ -143,8 +143,8 @@ class FleeingCertificate:
     exponents: tuple[int, ...]
     final_walk: Walk
     orbit_poly: PolyVector
-    annihilator_dims: tuple[int, ...] = ()
-    base: int = 0
+    annihilator_dims: tuple[int, ...]
+    base: int
 
     def to_text(self) -> str:
         lines = [

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .fleeing import construct_fleeing_walk
@@ -40,9 +41,9 @@ from .reals import (
 INDEX_POINT_LIMIT = 10 ** 6
 INDEX_PAIR_LIMIT = 4 * 10 ** 6
 
-# Decimal digits of the Bohr scan's phases at the least: 10^-19 is a tenth
+# Decimal digits of a Bohr set's phases at the least: 10^-19 is a tenth
 # of the guard band, whatever precision the set was given.
-_SCAN_DIGITS = len(str(GUARD_BAND.denominator))
+_MIN_DIGITS = len(str(GUARD_BAND.denominator))
 
 
 class IndeterminateError(RuntimeError):
@@ -70,7 +71,7 @@ class WindowSet:
     def random(cls, dim: int, side: int, density: float, seed: int) -> WindowSet:
         rng = random.Random(seed)
         points = [
-            p for p in _box_points(dim, side) if rng.random() < density
+            p for p in product(range(side), repeat=dim) if rng.random() < density
         ]
         return cls(dim, side, points)
 
@@ -117,15 +118,6 @@ class WindowSet:
         return f"window dim={self.dim} side={self.side} points={len(self.points)}"
 
 
-def _box_points(dim: int, side: int):
-    if dim == 0:
-        yield ()
-        return
-    for head in range(side):
-        for rest in _box_points(dim - 1, side):
-            yield (head, *rest)
-
-
 class BohrSet:
     """Preimage of a torus box under v -> A v mod 1.
 
@@ -140,12 +132,14 @@ class BohrSet:
     2 r_j - G on every coordinate is inside (True), and anything else is
     in the guard band: indeterminate, never guessed.
 
-    `contains_difference(w)` computes the distance from `dot_frac` at
-    `precision` digits.  `difference_verdicts(p, N)` gives the same three
-    verdicts (None for indeterminate) along an orbit, n = 1, ..., N, from
-    the kernel's `fixed_phases` at P = max(precision, 19) digits.  Each
-    row's phase is an integer a mod M, and a / M is within 10^-P of
-    frac(<row_j, p(n)>) on the circle.  Circle distance is 1-Lipschitz, so
+    The constructor raises `precision` to P = max(precision, 19) digits,
+    so every phase below is within 10^-P <= G / 10 of the true one.
+    `contains` and `contains_difference(w)` compute the distance from
+    `dot_frac` at P digits.  `difference_verdicts(p, N)` gives the same
+    three verdicts (None for indeterminate) along an orbit, n = 1, ..., N,
+    from the kernel's `fixed_phases` at P digits.  Each row's phase is an
+    integer a mod M, and a / M is within 10^-P of frac(<row_j, p(n)>) on
+    the circle.  Circle distance is 1-Lipschitz, so
     d = min(a, M - a) gives d / M within 10^-P <= G / 10 of the true
     distance, and the scan compares d with the integer thresholds
     floor((2 r_j + G) M) and ceil((2 r_j - G) M).  A False verdict thus
@@ -184,7 +178,7 @@ class BohrSet:
         self.centers = tuple(Real.of(c) for c in centers)
         if len(self.centers) != self.torus_dim:
             raise ValueError("one center per torus coordinate required")
-        self.precision = precision
+        self.precision = max(precision, _MIN_DIGITS)
 
     def torus_point(self, v: Sequence[int]) -> list[Fraction]:
         """frac(A v), coordinate by coordinate."""
@@ -237,8 +231,7 @@ class BohrSet:
                 f"orbit of {len(polys)} coordinates has wrong dimension "
                 f"for a set of dim={self.dim}"
             )
-        moduli, blocks = fixed_phases(
-            polys, self.freq, count, max(self.precision, _SCAN_DIGITS))
+        moduli, blocks = fixed_phases(polys, self.freq, count, self.precision)
         # d > outside: beyond 2r + G; d >= edge: not below 2r - G
         bounds = [
             (m, math.floor((2 * r + GUARD_BAND) * m), math.ceil((2 * r - GUARD_BAND) * m))

@@ -34,6 +34,7 @@ Values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from math import factorial, lcm
@@ -375,11 +376,9 @@ class MPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         # Graded lex: total degree descending, then exponent vector descending
-        # in the declared variable order.
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
-        )
+        # in the declared variable order (exponent tuples are distinct, so
+        # reversing the ascending order gives exactly that).
+        return sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -473,14 +472,7 @@ def _int_pow(a: dict, n: int) -> dict:
 
 def _grid(limits: Iterable[int]):
     """All integer tuples 0 <= b_i <= limits_i, in lexicographic order."""
-    limits = list(limits)
-    if not limits:
-        yield ()
-        return
-    head, *tail = limits
-    for h in range(head + 1):
-        for rest in _grid(tail):
-            yield (h, *rest)
+    return itertools.product(*(range(m + 1) for m in limits))
 
 
 def binomial_poly(vars: Iterable[str], name: str, k: int) -> MPoly:

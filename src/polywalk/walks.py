@@ -12,7 +12,6 @@ underlying objects are semigroups of maps, not groups).
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Sequence
 
 from .poly import MPoly, PolyVector, is_reserved_time_name, poly_parse
@@ -200,53 +199,60 @@ def identity_walk(dim: int, coords: Sequence[str] | None = None) -> Walk:
 
 
 class ScalingCertificate:
-    """Symbolic evidence that S(k*n) maps k*Z^d into k*Z^d for every k.
+    """Outcome of `walk_scaling_certificate`.  When `ok` is False,
+    `witness` is (k, n, v) with v in k*Z^d and k >= 1, n >= 0, such that
+    some entry of S(k*n) v is not divisible by k."""
 
-    The universal statement follows from every entry having zero constant
-    term; `samples` records the randomized concrete divisibility checks run
-    alongside.  `failures` lists (coordinate, constant term) pairs when the
-    symbolic check does not hold.
-    """
+    __slots__ = ("ok", "witness")
 
-    __slots__ = ("ok", "failures", "samples")
-
-    def __init__(self, ok: bool, failures, samples: int):
+    def __init__(self, ok: bool, witness: tuple[int, int, tuple[int, ...]] | None):
         self.ok = ok
-        self.failures = failures
-        self.samples = samples
+        self.witness = witness
 
     def __bool__(self) -> bool:
         return self.ok
 
     def __repr__(self) -> str:
-        if self.ok:
-            return f"ScalingCertificate(ok, {self.samples} concrete checks)"
-        return f"ScalingCertificate(failed: {self.failures})"
+        return "ScalingCertificate(ok)" if self.ok else f"ScalingCertificate(witness {self.witness})"
 
 
-def walk_scaling_certificate(walk: Walk, samples: int = 25, seed: int = 0) -> ScalingCertificate:
-    """Check the zero-constant-term property and sample concrete divisibility."""
-    failures = [
-        (name, entry.constant_term())
-        for name, entry in zip(walk.coords, walk.entries)
-        if entry.constant_term() != 0
-    ]
-    if failures:
-        return ScalingCertificate(False, failures, 0)
-    rng = random.Random(seed)
-    done = 0
-    for _ in range(samples):
-        k = rng.randint(1, 20)
-        n = rng.randint(0, 50)
-        v = [k * rng.randint(-10, 10) for _ in range(walk.dim)]
-        image = walk.apply(k * n, v)
-        for value in image:
-            if value % k != 0:
-                return ScalingCertificate(
-                    False, [("concrete", (k, n, tuple(v), image))], done
-                )
-        done += 1
-    return ScalingCertificate(True, [], done)
+# The scale variable; a reserved time name, so no coordinate can take it.
+SCALE = "t0"
+
+
+def walk_scaling_certificate(walk: Walk) -> ScalingCertificate:
+    """Decide whether S(k*n) maps k*Z^d into k*Z^d for every k >= 1, n >= 0.
+
+    With v = k*x, an entry p(t, x) = sum c * t^a * x^b gives
+    p(k*n, k*x) = k * R(k, n, x), where R(k, t, x) = sum c * k^(a+|b|-1) *
+    t^a * x^b is a polynomial when p has no constant term.  The walk keeps
+    k*Z^d exactly when R is an integer at every k >= 1, t >= 0 and integer
+    x, and that holds exactly when R(k'+1, t, x) is integer-valued.
+
+    Proof.  Integer-valued gives the claim at k' = k - 1 >= 0.  Conversely,
+    `MPoly.integer_valued` decides on the degree grid, whose points have
+    k' >= 0, t >= 0 and x >= 0, all inside the claim's range; so the claim
+    makes R(k'+1, t, x) an integer on the grid, hence integer-valued.  The
+    first non-integral grid point (k', t, x) is the witness
+    (k'+1, t, (k'+1)*x).  A constant term c != 0 (only a walk built with
+    check=False has one) is that entry of S(0) 0, as every other term
+    vanishes there, and c is no integer multiple of |numerator(c)| + 1:
+    the witness is (|numerator(c)| + 1, 0, 0).
+    """
+    universe = (SCALE, TIME) + walk.coords
+    shift = {SCALE: MPoly.var(universe, SCALE) + 1}
+    for entry in walk.entries:
+        c = entry.constant_term()
+        if c:
+            return ScalingCertificate(False, (abs(c.numerator) + 1, 0, (0,) * walk.dim))
+        scaled = MPoly(universe, {(sum(e) - 1, *e): coeff for e, coeff in entry.terms.items()})
+        cert = scaled.substitute(shift).integer_valued()
+        if not cert:
+            point = cert.witness
+            k = point[SCALE] + 1
+            return ScalingCertificate(
+                False, (k, point[TIME], tuple(k * point[x] for x in walk.coords)))
+    return ScalingCertificate(True, None)
 
 
 def preserves(form: MPoly, walk: Walk) -> bool:

@@ -111,7 +111,7 @@ def test_criterion_02_walk_algebra_battery(capsys):
         n = rng.randint(0, 50)
         v = tuple(k * rng.randint(-5, 5) for _ in range(s.dim))
         scaling_ok &= all(x % k == 0 for x in s.apply(k * n, v))
-        scaling_ok &= walk_scaling_certificate(s, samples=1, seed=n).ok
+        scaling_ok &= walk_scaling_certificate(s).ok
     passed = compose_ok and reparam_ok and scaling_ok
     _report(capsys, 2, "walk algebra battery", passed)
     assert compose_ok

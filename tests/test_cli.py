@@ -404,6 +404,7 @@ def _configs(tmp_path):
                      "samples = 32\nreplicates = 2\nseed = 7\nk = 1\n",
     }
     files["empty_average"] = files["trig"].replace("N = 300", "N = 0")
+    files["sample_grid"] = files["trig"] + "grid = 64\n"
     files["extra_arc"] = files["correlate"] + "center_3 = 0\nradius_3 = 1/10\n"
     files["no_orbit"] = "".join(line + "\n" for line in files["correlate"].splitlines()
                                 if not line.startswith(("orbit_", "N_")))
@@ -475,6 +476,7 @@ VALIDATE_GAPS = {
     "bogolubov-target": ["bogolubov", "--config", "{window}", "--k", "2", "--targets", "3"],
     "bogolubov-N-max": ["bogolubov", "--config", "{bohr}", "--N-max", "0"],
     "ergodic-avg-N": ["ergodic-avg", "--config", "{empty_average}"],
+    "ergodic-avg-grid": ["ergodic-avg", "--config", "{sample_grid}"],
     "weyl-N": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "0"],
     "correlate-no-orbit": ["correlate", "--config", "{no_orbit}"],
     "correlate-extra-arc": ["correlate", "--config", "{extra_arc}"],

@@ -23,6 +23,7 @@ from polywalk.ergodic import (
     q_p_multipliers,
     rational_projection,
 )
+from polywalk.lab import weyl_sum
 from polywalk.poly import MPoly, PolyVector, poly_parse
 from polywalk.reals import Real
 
@@ -185,6 +186,46 @@ def test_empirical_average_box_indicator():
     # equidistribution: visit frequency approaches the measure 1/2
     assert result.value.real == pytest.approx(0.5, abs=0.02)
     assert result.prediction is None
+
+
+_QMC_ALPHAS = (0.41421356237309515, 0.7320508075688772)   # frac(sqrt 2), frac(sqrt 3)
+
+
+def _qmc_l2(difference: TrigPoly, torus_dim: int, grid: int = 128) -> float:
+    # reference oracle: the L2 norm estimated on a 128-point Kronecker grid
+    total = math.fsum(
+        abs(difference.value_at([_QMC_ALPHAS[j] * (s + 1) % 1.0 for j in range(torus_dim)])) ** 2
+        for s in range(grid))
+    return math.sqrt(total / grid)
+
+
+# the benchmark's rational-1/6 and mixed-1/2-sqrt3 ergodic-avg configurations
+_BENCHMARK_TRIG_CASES = [
+    ([["1/6"]], ["5/12"], "n^2 + n^3", 20000, [((1,), 0.75), ((2,), -0.5), ((3,), 0.25)]),
+    ([["1/2", "0"], ["0", "sqrt3"]], ["3/8", "1/8"], "n, n^2", 10000,
+     [((1, 0), 0.5), ((2, 0), -0.25), ((0, 1), 0.75), ((1, 1), -0.5)]),
+]
+
+
+@pytest.mark.parametrize("rows, x0, orbit, n_count, components", _BENCHMARK_TRIG_CASES)
+def test_l2_to_prediction_is_parseval(rows, x0, orbit, n_count, components):
+    system = TorusSystem(rows, x0)
+    f = TrigPoly.of(components)
+    polys = _pv(orbit)
+    result = empirical_average(system, f, polys, n_count)
+    coeffs = dict(f.components)
+    squares = []
+    for info, mean in q_p_multipliers(system, f, polys):
+        limit = 0 if mean is None or mean.is_exactly_zero else mean.value()
+        weyl = weyl_sum(polys, info.row, n_count, system.precision)
+        squares.append(abs(coeffs[info.freq]) ** 2 * abs(weyl - limit) ** 2)
+    exact = math.sqrt(math.fsum(squares))
+    assert exact > 1e-6
+    assert math.isclose(result.l2_to_prediction, exact, rel_tol=1e-12)
+    difference = TrigPoly.of(
+        (freq, c * weyl_sum(polys, system.transposed_row(freq), n_count, system.precision))
+        for freq, c in f.components) - result.prediction
+    assert math.isclose(result.l2_to_prediction, _qmc_l2(difference, len(rows)), rel_tol=1e-3)
 
 
 def _reference_contains_float(box, point):

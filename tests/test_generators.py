@@ -252,14 +252,26 @@ def test_signature_rejects_small_q():
 def test_signature_walks_pass_walk_invariants():
     family = signature_form_walks(1, 2)
     for walk in family.walks:
-        assert walk_scaling_certificate(walk, samples=4).ok
+        assert walk_scaling_certificate(walk).ok
 
 
 def test_generator_families_scaling_certificates():
+    # every family the command line builds, and a fleeing walk composed from two
     s1, s2 = xy_minus_P_walks(poly_parse("z^3", ["z"]))
-    for walk in (s1, s2, bogolubov_walk(poly_parse("y^2", ["y"])),
-                 unipotent_walk([[1, 1, 0], [0, 1, 1], [0, 0, 1]])):
-        assert walk_scaling_certificate(walk, samples=4).ok
+    walks = [s1, s2, bogolubov_walk(poly_parse("y^2", ["y"])),
+             unipotent_walk([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+             *xy_minus_P_walks(poly_parse("z^3 + 2*z", ["z"])),
+             bogolubov_walk(poly_parse("y^3", ["y"])),
+             unipotent_walk([[1, 2, 3, 4], [0, 1, 5, 6], [0, 0, 1, 7], [0, 0, 0, 1]]),
+             unipotent_walk(adjoint_action_matrix([[1, 1], [0, 1]])),
+             unipotent_walk(adjoint_action_matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])),
+             unipotent_walk(adjoint_action_matrix([[1, 0, 0], [1, 1, 0], [0, 1, 1]])),
+             *signature_form_walks(2, 2).walks,
+             identity_walk(2),
+             construct_fleeing_walk([s1, s2], (1, 0, 0)).final_walk]
+    for walk in walks:
+        cert = walk_scaling_certificate(walk)
+        assert cert.ok and cert.witness is None, walk
 
 
 def test_shear_orbits_flee_when_x0_nonzero():

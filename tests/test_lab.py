@@ -22,7 +22,7 @@ from polywalk.lab import (
     weyl_sum_rational,
 )
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import Real
+from polywalk.reals import GUARD_BAND, Real
 
 F = Fraction
 
@@ -311,6 +311,21 @@ def test_bohr_scan_guard_band_on_both_sides():
         oracle = BohrSet(1, [[theta]], [F(1, 8)])
         assert next(oracle.difference_verdicts(orbit, 1)) is verdict
         assert _reference_verdicts(oracle, orbit, 1) == [verdict]
+
+
+def test_bohr_low_precision_is_raised_to_the_scan_digits():
+    # the true distance of w * sqrt2 lies five guard bands above 2r; at one
+    # digit dot_frac would read it inside
+    w = 10 ** 17 + 3
+    scale = 10 ** 60
+    frac = w * isqrt(2 * scale * scale) % scale
+    dist = F(min(frac, scale - frac), scale)   # within 10^-42 of the truth
+    radius = (dist - 5 * GUARD_BAND) / 2
+    oracle = BohrSet(1, [[Real.named("sqrt2")]], [radius], precision=1)
+    assert oracle.contains_difference((w,)) is False
+    orbit = PolyVector([poly_parse(f"{w}*n", ["n"])])
+    assert list(oracle.difference_verdicts(orbit, 1)) == [False]
+    assert oracle.precision == 19
 
 
 @st.composite

@@ -33,7 +33,7 @@ def test_cubic_form_full_pipeline():
     form = poly_parse("x*y - z^3", ["x", "y", "z"])
     assert preserves(form, s1) and preserves(form, s2)
     for walk in (s1, s2):
-        assert walk_scaling_certificate(walk, samples=4).ok
+        assert walk_scaling_certificate(walk).ok
     oracle = BohrSet(
         3,
         [[Real.named("sqrt2"), Real.named("sqrt3"), Real.named("sqrt5")]],
