@@ -64,7 +64,7 @@ from .lab import (
     weyl_sum_rational,
 )
 from .poly import MPoly, PolySyntaxError, PolyVector, poly_parse, poly_parse_auto
-from .reals import DEFAULT_PRECISION, Real, parse_real
+from .reals import DEFAULT_PRECISION, Real, check_precision, parse_real
 from .walks import Walk, identity_walk, preserves
 
 
@@ -194,13 +194,16 @@ def parse_poly_vector(text: str, var: str = "n") -> PolyVector:
 
 def _load_config(args, allowed: set[str], prefixes=()) -> Config:
     # A common flag reaches the config only where the subcommand allows its
-    # key, so --N-max is accepted and ignored without a search range, and
-    # --jobs is ignored everywhere.
+    # key, so --N-max is accepted and ignored without a search range,
+    # --seed where nothing is randomized, and --jobs everywhere.  A
+    # precision from the flag or the file must ask for at least one digit.
     cfg = Config.from_path(args.config) if args.config else Config({})
     for key in ("N_max", "seed", "precision"):
         if key in allowed:
             cfg.override(key, getattr(args, key, None))
     cfg.require_known(allowed, prefixes)
+    if cfg.has("precision"):
+        check_precision(cfg.get_int("precision"))
     return cfg
 
 
@@ -324,6 +327,8 @@ def cmd_weyl(args):
     if len(thetas) != len(polys):
         raise UsageError(f"{len(polys)} polynomials but {len(thetas)} frequencies")
     check_sample_count(args.N)
+    precision = 40 if args.precision is None else args.precision
+    check_precision(precision)
     if args.exact and not all(t.is_rational() for t in thetas):
         raise UsageError("--exact requires rational frequencies")
 
@@ -334,13 +339,13 @@ def cmd_weyl(args):
             value = mean.value()
             lines.append(f"exactly_zero = {'true' if mean.is_exactly_zero else 'false'}")
         else:
-            value = weyl_sum(polys, thetas, args.N, precision=args.precision or 40)
+            value = weyl_sum(polys, thetas, args.N, precision=precision)
         return Outcome("\n".join([f"value = {value.real:.12g} + {value.imag:.12g}i",
                                   f"modulus = {abs(value):.12g}"] + lines))
     return run
 
 
-_ERGODIC_KEYS = {"x0", "observable", "p", "N", "precision", "seed"}
+_ERGODIC_KEYS = {"x0", "observable", "p", "N", "precision"}
 _ERGODIC_PREFIXES = ("row_", "comp_", "center_", "radius_")
 
 

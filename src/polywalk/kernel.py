@@ -25,16 +25,17 @@ Four streams share this table:
   one integer per difference order modulo M = q * 10^W, where q is the lcm
   of the denominators of the row's rational parts.  The rational part is
   exact.  Each irrational part is read once, at the start, through
-  `constant_digits`.  It yields the integers a with a / M the phase; the
+  `reals.FixedRow`.  It yields the integers a with a / M the phase; the
   Bohr-set scan compares them with integer thresholds.
 * `phases` turns them into floats a / M, an exact int/int division that
   cannot overflow.
 * `residues` is the rational case W = 0: exact residues mod q.
 
 Error bound.  Write s(n) = <row, p(n)>, a real polynomial in n of degree
-at most D; the streams start at n = 1.  `_FixedRow` turns an integer
-vector v into an integer fix(v) with |fix(v) - M <row, v>| < 1 (see its
-docstring).
+at most D; the streams start at n = 1.  `reals.FixedRow` turns an
+integer vector v into an integer fix(v) with |fix(v) - M <row, v>| < 1.
+Its docstring proves this bound; `Real.approx` and `dot_frac` rest on the
+same proof.
 
 * The first D + 1 phases are fix(p(n)) mod M, so their error is below
   1/M.
@@ -71,7 +72,7 @@ from operator import mod, truediv
 from typing import Iterator, Sequence
 
 from .poly import PolyVector
-from .reals import Real, constant_digits
+from .reals import FixedRow, Real
 
 # Points per block: the first block has 16, each next one twice as many,
 # up to this many.  The bound caps the memory a stream holds.
@@ -131,46 +132,6 @@ def orbit_points(polys: PolyVector, count: int) -> Iterator[tuple[int, ...]]:
             yield from zip(*block)
 
 
-class _FixedRow:
-    """One torus row in fixed point modulo M = q * 10^W.
-
-    fix(v) is an integer with |fix(v) - M <row, v>| < 1.  The rational part
-    sum (q r_c) v_c 10^W is an exact integer.  For each basis constant c
-    the coefficient K = sum q a_c v_c is exact, and with
-    d = constant_digits(c, W + g), 0 <= c 10^(W+g) - d < 1, the term
-    K d / 10^g is within |K| / 10^g <= 1/100 of K c 10^W once
-    |K| <= 10^(g-2).  At most four basis constants add under 1/25, and
-    rounding the sum to an integer adds at most 1/2."""
-
-    def __init__(self, row: Sequence[Real], width: int):
-        coords = [entry.basis() for entry in row]
-        self.q = lcm(*(rational.denominator for rational, _ in coords))
-        names = sorted({name for _, irr in coords for name in irr})
-        self.width = width if names else 0
-        self.modulus = self.q * 10 ** self.width
-        self.weights = [int(rational * self.q) for rational, _ in coords]
-        self.irrational = {
-            name: [irr.get(name, 0) * self.q for _, irr in coords] for name in names
-        }
-
-    def __call__(self, v: Sequence[int]) -> int:
-        total = sum(w * x for w, x in zip(self.weights, v)) * 10 ** self.width
-        if not self.irrational:
-            return total
-        coeffs = {
-            name: sum((a * x for a, x in zip(column, v)), Fraction(0))
-            for name, column in self.irrational.items()
-        }
-        # 10^(g-2) > |K|: 31/100 > log10(2) bounds the decimal digits
-        widest = max(k.numerator.bit_length() for k in coeffs.values())
-        work = self.width + 31 * widest // 100 + 3
-        # quantize the digit precision so the digit cache stays warm
-        work += (-work) % 32
-        scaled = sum(k * constant_digits(name, work) for name, k in coeffs.items())
-        scale = scaled.denominator * 10 ** (work - self.width)
-        return total + (2 * scaled.numerator + scale) // (2 * scale)
-
-
 def _width(count: int, degree: int, precision: int) -> int:
     """Smallest W >= 0 with max(1, C(count - 1, degree)) * 10^-W <= 10^-precision."""
     bound = comb(count - 1, degree) if count > 0 else 1
@@ -192,7 +153,7 @@ def fixed_phases(
             raise ValueError(f"{len(polys)} polynomials but {len(row)} frequencies")
     degree = polys.max_degree()
     width = _width(count, degree, precision)
-    fixed = [_FixedRow(row, width) for row in rows]
+    fixed = [FixedRow(row, width) for row in rows]
     moduli = tuple(f.modulus for f in fixed)
     head = list(orbit_points(polys, min(count, degree + 1)))
 

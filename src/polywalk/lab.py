@@ -133,9 +133,12 @@ class BohrSet:
     in the guard band: indeterminate, never guessed.
 
     The constructor raises `precision` to P = max(precision, 19) digits,
-    so every phase below is within 10^-P <= G / 10 of the true one.
-    `contains` and `contains_difference(w)` compute the distance from
-    `dot_frac` at P digits.  `difference_verdicts(p, N)` gives the same
+    so every phase below is within 10^-P <= G / 10 of the true one.  Both
+    routes below read the digits through `reals.FixedRow`; they differ in
+    their thresholds.  `contains` and `contains_difference(w)` compute the
+    distance as a Fraction from `dot_frac` at P digits and compare it with
+    the Fractions r_j +- G (from the center) and 2 r_j +- G (from 0) in
+    one loop, `_verdict`.  `difference_verdicts(p, N)` gives the same
     three verdicts (None for indeterminate) along an orbit, n = 1, ..., N,
     from the kernel's `fixed_phases` at P digits.  Each row's phase is an
     integer a mod M, and a / M is within 10^-P of frac(<row_j, p(n)>) on
@@ -187,39 +190,33 @@ class BohrSet:
             raise ValueError(f"vector {v} has wrong dimension")
         return [dot_frac(row, v, self.precision) for row in self.freq]
 
-    def contains(self, v: Sequence[int]) -> bool:
-        point = self.torus_point(v)
+    def _verdict(self, distances: Iterable[Fraction], thresholds: Iterable[Fraction],
+                 what: str, v: Sequence[int]) -> bool:
+        """False if some distance is above its threshold t + G, True if
+        every one is below t - G, and IndeterminateError (on the `what` of
+        v) otherwise."""
         verdict = True
-        for j, x in enumerate(point):
-            dist = circle_distance(x, self.centers[j].frac(self.precision))
-            if dist > self.radii[j] + GUARD_BAND:
+        for dist, t in zip(distances, thresholds):
+            if dist > t + GUARD_BAND:
                 return False
-            if dist >= self.radii[j] - GUARD_BAND:
+            if dist >= t - GUARD_BAND:
                 verdict = None
         if verdict is None:
-            raise IndeterminateError(
-                f"membership of {tuple(v)} is within the guard band"
-            )
+            raise IndeterminateError(f"{what} of {tuple(v)} is within the guard band")
         return True
+
+    def contains(self, v: Sequence[int]) -> bool:
+        centers = (c.frac(self.precision) for c in self.centers)
+        distances = map(circle_distance, self.torus_point(v), centers)
+        return self._verdict(distances, self.radii, "membership", v)
 
     def contains_difference(self, w: Sequence[int]) -> bool:
         """True iff the box and its translate by frac(A w) overlap in every
         coordinate (which yields an actual pair b, b + w in the set when
         the torus image is dense)."""
-        point = self.torus_point(w)
-        verdict = True
-        for j, x in enumerate(point):
-            dist = circle_distance(x)
-            threshold = 2 * self.radii[j]
-            if dist > threshold + GUARD_BAND:
-                return False
-            if dist >= threshold - GUARD_BAND:
-                verdict = None
-        if verdict is None:
-            raise IndeterminateError(
-                f"difference membership of {tuple(w)} is within the guard band"
-            )
-        return True
+        distances = map(circle_distance, self.torus_point(w))
+        return self._verdict(distances, (2 * r for r in self.radii),
+                             "difference membership", w)
 
     def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool | None]:
         """Difference membership of p(1), ..., p(count): True, False, or None

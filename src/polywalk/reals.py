@@ -8,18 +8,20 @@ rationals (pifrac = pi - 3 is transcendental).  Rationality and equality are
 decided symbolically on those coordinates: the value is rational exactly
 when every irrational basis coordinate is zero.
 
-Numeric evaluation goes through integer digit engines: digits(name, p)
-returns floor-ish c * 10^p with error below one unit in the last place, so
-an approximation to any requested precision is a plain exact Fraction and
-all downstream comparisons stay in rational arithmetic.
+Numeric evaluation goes through integer digit engines: constant_digits(name,
+p) returns floor-ish c * 10^p with error below one unit in the last place.
+`FixedRow` is their only reader; `Real.approx`, `dot_frac` and the orbit
+kernel all evaluate through it.  So an approximation to any requested
+precision is a plain exact Fraction and all downstream comparisons stay in
+rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import isqrt
-from typing import Mapping
+from math import isqrt, lcm
+from typing import Mapping, Sequence
 
 DEFAULT_PRECISION = 60
 
@@ -71,6 +73,12 @@ _ENGINES = {
 CONSTANT_NAMES = tuple(sorted(_ENGINES))
 
 _digit_cache: dict[tuple[str, int], int] = {}
+
+
+def check_precision(precision: int) -> None:
+    """Raise ValueError unless a precision asks for at least one digit."""
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
 
 
 def constant_digits(name: str, prec: int) -> int:
@@ -179,19 +187,11 @@ class Real:
     __rmul__ = __mul__
 
     def approx(self, prec: int = DEFAULT_PRECISION) -> Fraction:
-        """Fraction within 10^-prec of the true value."""
-        rational, irr = self._basis
-        if not irr:
-            return rational
-        work = prec + 10 + max(
-            len(str(abs(c.numerator))) for c in irr.values()
-        )
-        scale = 10 ** work
-        total = rational * scale
-        for name, coeff in irr.items():
-            total += coeff * constant_digits(name, work)
-        # floor to an integer numerator over 10^work
-        return Fraction(total.numerator // total.denominator, scale)
+        """Fraction within 10^-prec of the true value: fix((1,)) / M for
+        the row FixedRow([self], prec), as 1/M <= 10^-prec.  A rational
+        value is returned exactly."""
+        fixed = FixedRow([self], prec)
+        return Fraction(fixed((1,)), fixed.modulus)
 
     def frac(self, prec: int = DEFAULT_PRECISION) -> Fraction:
         """Fractional part, as a Fraction within 10^-prec of the true one
@@ -221,32 +221,56 @@ class Real:
         return " + ".join(parts)
 
 
-def dot_frac(thetas: list[Real], values: list[int], prec: int = DEFAULT_PRECISION) -> Fraction:
-    """Fractional part of sum(theta_i * v_i) as a Fraction within 10^-prec.
+class FixedRow:
+    """One row of exact reals in fixed point modulo M = q * 10^W.
 
-    The integer weights fold into the rational coefficients, so the digit
-    engines are consulted at a precision that absorbs their size and the
-    result is safe for guard-band comparisons at the requested precision.
-    """
-    rational = Fraction(0)
-    irr: dict[str, Fraction] = {}
-    for theta, v in zip(thetas, values):
-        theta_rational, theta_irr = theta.basis()
-        rational += theta_rational * v
-        for name, c in theta_irr.items():
-            irr[name] = irr.get(name, Fraction(0)) + c * v
-    if not irr:
-        return rational % 1
-    widest = max(len(str(abs(c.numerator))) for c in irr.values())
-    # quantize the working precision so the digit cache stays warm while
-    # orbit values grow
-    work = prec + widest + 10
-    work += (-work) % 32
-    scale = 10 ** work
-    acc = rational * scale
-    for name, c in irr.items():
-        acc += c * constant_digits(name, work)
-    return Fraction(acc.numerator // acc.denominator, scale) % 1
+    q is the lcm of the denominators of the row's rational parts, and
+    W = max(width, 0), or W = 0 for a row of rationals.  fix(v) is an
+    integer with |fix(v) - M <row, v>| < 1, so fix(v) / M is within
+    1/M <= 10^-W of <row, v>, and exactly <row, v> for a row of rationals.
+
+    Proof.  The rational part sum (q r_c) v_c 10^W is an exact integer.
+    For each basis constant c the coefficient K = sum q a_c v_c is exact,
+    and with d = constant_digits(c, W + g), 0 <= c 10^(W+g) - d < 1, the
+    term K d / 10^g is within |K| / 10^g <= 1/100 of K c 10^W once
+    |K| <= 10^(g-2).  At most four basis constants add under 1/25, and
+    rounding the sum to an integer adds at most 1/2."""
+
+    def __init__(self, row: Sequence[Real], width: int):
+        coords = [entry.basis() for entry in row]
+        q = lcm(*(rational.denominator for rational, _ in coords))
+        names = sorted({name for _, irr in coords for name in irr})
+        self.width = max(width, 0) if names else 0
+        self.modulus = q * 10 ** self.width
+        self.weights = [int(rational * q) for rational, _ in coords]
+        self.irrational = {
+            name: [irr.get(name, 0) * q for _, irr in coords] for name in names
+        }
+
+    def __call__(self, v: Sequence[int]) -> int:
+        total = sum(w * x for w, x in zip(self.weights, v)) * 10 ** self.width
+        if not self.irrational:
+            return total
+        coeffs = {
+            name: sum((a * x for a, x in zip(column, v)), Fraction(0))
+            for name, column in self.irrational.items()
+        }
+        # 10^(g-2) > |K|: 31/100 > log10(2) bounds the decimal digits
+        widest = max(k.numerator.bit_length() for k in coeffs.values())
+        work = self.width + 31 * widest // 100 + 3
+        # quantize the digit precision so the digit cache stays warm
+        work += (-work) % 32
+        scaled = sum(k * constant_digits(name, work) for name, k in coeffs.items())
+        scale = scaled.denominator * 10 ** (work - self.width)
+        return total + (2 * scaled.numerator + scale) // (2 * scale)
+
+
+def dot_frac(thetas: list[Real], values: list[int], prec: int = DEFAULT_PRECISION) -> Fraction:
+    """Fractional part of sum(theta_i * v_i) as a Fraction within 10^-prec
+    on the circle: fix(v) mod M over M for FixedRow(thetas, prec).  A row
+    of rationals gives the exact fractional part."""
+    fixed = FixedRow(thetas, prec)
+    return Fraction(fixed(values) % fixed.modulus, fixed.modulus)
 
 
 def circle_distance(a: Fraction, b: Fraction = Fraction(0)) -> Fraction:

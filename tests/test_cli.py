@@ -405,6 +405,9 @@ def _configs(tmp_path):
     }
     files["empty_average"] = files["trig"].replace("N = 300", "N = 0")
     files["sample_grid"] = files["trig"] + "grid = 64\n"
+    files["trig_seed"] = files["trig"] + "seed = 5\n"
+    files["box_precision_0"] = files["box"] + "precision = 0\n"
+    files["box_precision_negative"] = files["box"] + "precision = -3\n"
     files["extra_arc"] = files["correlate"] + "center_3 = 0\nradius_3 = 1/10\n"
     files["no_orbit"] = "".join(line + "\n" for line in files["correlate"].splitlines()
                                 if not line.startswith(("orbit_", "N_")))
@@ -477,6 +480,18 @@ VALIDATE_GAPS = {
     "bogolubov-N-max": ["bogolubov", "--config", "{bohr}", "--N-max", "0"],
     "ergodic-avg-N": ["ergodic-avg", "--config", "{empty_average}"],
     "ergodic-avg-grid": ["ergodic-avg", "--config", "{sample_grid}"],
+    "ergodic-avg-seed": ["ergodic-avg", "--config", "{trig_seed}"],
+    "ergodic-avg-precision-0": ["ergodic-avg", "--config", "{box_precision_0}"],
+    "ergodic-avg-precision-negative": ["ergodic-avg", "--config",
+                                       "{box_precision_negative}"],
+    "ergodic-avg-precision-flag": ["ergodic-avg", "--config", "{box}", "--precision", "0"],
+    "weyl-precision-0": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "5",
+                         "--precision", "0"],
+    "weyl-precision-negative": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "5",
+                                "--precision", "-5"],
+    "correlate-precision": ["correlate", "--config", "{correlate}", "--precision", "0"],
+    "magyar-precision": ["magyar", "--config", "{magyar}", "--precision", "-1"],
+    "bogolubov-precision": ["bogolubov", "--config", "{bohr}", "--precision", "0"],
     "weyl-N": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "0"],
     "correlate-no-orbit": ["correlate", "--config", "{no_orbit}"],
     "correlate-extra-arc": ["correlate", "--config", "{extra_arc}"],
@@ -545,3 +560,19 @@ def test_magyar_rejects_empty_search_range(tmp_path, capsys, n_max):
     cfg = _configs(tmp_path)["magyar"]
     code, out, err = run(capsys, "magyar", "--config", str(cfg), "--N-max", n_max)
     assert (code, out, err) == (1, "", f"error: N_max must be >= 1, got {n_max}\n")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "5", "--precision", "-5"], "-5"),
+    (["ergodic-avg", "--config", "{box_precision_negative}"], "-3"),
+], ids=["weyl-flag", "ergodic-avg-key"])
+def test_precision_below_one_digit_is_rejected(tmp_path, capsys, argv, value):
+    code, out, err = run(capsys, *_argv(tmp_path, argv))
+    assert (code, out, err) == (1, "", f"error: precision must be >= 1, got {value}\n")
+
+
+def test_ergodic_avg_ignores_the_seed_flag(tmp_path, capsys):
+    argv = _argv(tmp_path, ["ergodic-avg", "--config", "{trig}"])
+    code, plain, err = run(capsys, *argv)
+    assert code == 0, err
+    assert run(capsys, *argv, "--seed", "99") == (0, plain, "")

@@ -1,8 +1,11 @@
 """Orbit/phase kernel against the Fraction route it replaced.
 
 The reference oracle is the per-point route: `PolyVector.eval_int` for the
-orbit point, then `dot_frac` for the phase and exact Fractions for the
-residues."""
+orbit point, then `_reference_dot_frac` for the phase and exact Fractions
+for the residues.  `_reference_dot_frac` is the digit loop that `dot_frac`
+ran before every evaluation went through `reals.FixedRow`, so the kernel is
+checked against a route that does not share `FixedRow`.  `FixedRow`
+itself is checked against the constants read at 400 digits."""
 
 import math
 from fractions import Fraction
@@ -16,7 +19,15 @@ from polywalk import kernel
 from polywalk.kernel import orbit_points, phases, residues
 from polywalk.lab import weyl_sum
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import KahanSum, Real, circle_distance, dot_frac
+from polywalk.reals import (
+    DEFAULT_PRECISION,
+    FixedRow,
+    KahanSum,
+    Real,
+    circle_distance,
+    constant_digits,
+    dot_frac,
+)
 
 F = Fraction
 UNIVERSE = ("n",)
@@ -27,15 +38,38 @@ def _reference_points(polys, count):
     return [polys.eval_int({"n": n}) for n in range(1, count + 1)]
 
 
+def _reference_dot_frac(thetas, values, prec=DEFAULT_PRECISION):
+    """frac(sum(theta_i * v_i)) within 10^-prec, by its own digit loop."""
+    rational = Fraction(0)
+    irr: dict[str, Fraction] = {}
+    for theta, v in zip(thetas, values):
+        theta_rational, theta_irr = theta.basis()
+        rational += theta_rational * v
+        for name, c in theta_irr.items():
+            irr[name] = irr.get(name, Fraction(0)) + c * v
+    if not irr:
+        return rational % 1
+    widest = max(len(str(abs(c.numerator))) for c in irr.values())
+    # quantize the working precision so the digit cache stays warm while
+    # orbit values grow
+    work = prec + widest + 10
+    work += (-work) % 32
+    scale = 10 ** work
+    acc = rational * scale
+    for name, c in irr.items():
+        acc += c * constant_digits(name, work)
+    return Fraction(acc.numerator // acc.denominator, scale) % 1
+
+
 def _reference_phase(row, point):
-    return dot_frac(list(row), list(point), 80)
+    return _reference_dot_frac(list(row), list(point), 80)
 
 
 def _reference_weyl(polys, thetas, n_count, precision=40):
     re, im = KahanSum(), KahanSum()
     for n in range(1, n_count + 1):
         values = polys.eval_int({"n": n})
-        phase = 2.0 * math.pi * float(dot_frac(thetas, list(values), precision))
+        phase = 2.0 * math.pi * float(_reference_dot_frac(thetas, list(values), precision))
         re.add(math.cos(phase))
         im.add(math.sin(phase))
     return complex(re.total / n_count, im.total / n_count)
@@ -176,3 +210,43 @@ def test_weyl_sum_matches_fraction_route(exprs, thetas, n_count):
     polys = PolyVector([poly_parse(e, ["n"]) for e in exprs])
     rows = [Real.of(t) for t in thetas]
     assert abs(weyl_sum(polys, rows, n_count) - _reference_weyl(polys, rows, n_count)) < 1e-12
+
+
+REFERENCE_DIGITS = 400
+
+
+def _reference_value(row, v):
+    """<row, v> with every constant as written (golden too) read at 400
+    digits: off by less than sum |c v| * 10^-400."""
+    total = F(0)
+    for x, value in zip(row, v):
+        total += x.rational * value
+        for name, c in x.irr.items():
+            total += c * value * F(constant_digits(name, REFERENCE_DIGITS),
+                                   10 ** REFERENCE_DIGITS)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entry, min_size=1, max_size=4), st.data())
+def test_fixed_row_is_within_one_unit(row, data):
+    v = data.draw(st.lists(st.integers(-10 ** 60, 10 ** 60),
+                           min_size=len(row), max_size=len(row)))
+    exact = _reference_value(row, v)
+    rational = all(x.is_rational() for x in row)
+    # 32 consecutive widths meet every residue of the digit quantization
+    for width in range(32):
+        fixed = FixedRow(row, width)
+        error = abs(fixed(v) - fixed.modulus * exact)
+        assert error == 0 if rational else error < 1
+    precision = data.draw(st.integers(0, 60))
+    bound = F(1, 10 ** precision)
+    got = dot_frac(row, v, precision)
+    assert circle_distance(got, exact) < bound
+    assert circle_distance(got, _reference_dot_frac(row, v, precision)) < bound
+    for x in row:
+        value = x.approx(precision)
+        assert abs(value - _reference_value([x], [1])) < bound
+        assert circle_distance(value, _reference_dot_frac([x], [1], precision)) < bound
+        if x.is_rational():
+            assert value == x.as_fraction()

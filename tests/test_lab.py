@@ -142,6 +142,23 @@ def test_bohr_indeterminate_on_boundary():
         member.contains((1,))         # dist = eps exactly
 
 
+def test_bohr_single_query_verdicts_and_messages():
+    # one row exactly on its threshold, one far outside: outside wins
+    tie, outside = [F(1, 4)], [F(1, 2)]
+    for rows in ([tie, outside], [outside, tie]):
+        b = BohrSet(1, rows, [F(1, 8) if row is tie else F(1, 10) for row in rows])
+        assert b.contains_difference((1,)) is False
+    b = BohrSet(1, [tie], [F(1, 8)])
+    with pytest.raises(IndeterminateError) as raised:
+        b.contains_difference([1])
+    assert str(raised.value) == "difference membership of (1,) is within the guard band"
+    member = BohrSet(1, [tie], [F(1, 4)])
+    with pytest.raises(IndeterminateError) as raised:
+        member.contains([1])
+    assert str(raised.value) == "membership of (1,) is within the guard band"
+    assert BohrSet(1, [tie], [F(1, 3)]).contains((1,)) is True
+
+
 def test_twisted_search_density_one():
     everything = WindowSet(1, 9, [(i,) for i in range(9)])
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
