@@ -30,6 +30,7 @@ from .ergodic import (
     BoxIndicator,
     TorusSystem,
     TrigPoly,
+    check_box,
     check_correlation,
     choose_k,
     correlation_average,
@@ -177,14 +178,16 @@ def build_trig(cfg: Config) -> TrigPoly:
     return TrigPoly.of(comps)
 
 
-def build_box(cfg: Config) -> BoxIndicator:
+def build_box(cfg: Config, system: TorusSystem) -> BoxIndicator:
     centers = [parse_real(c) for c in cfg.indexed("center_")]
     radii = [Fraction(r) for r in cfg.indexed("radius_")]
     if not radii:
         raise ConfigError("no box arcs (radius_1 = ... missing)")
     if not centers:
         centers = [Real(0)] * len(radii)
-    return BoxIndicator.of(centers, radii)
+    box = BoxIndicator.of(centers, radii)
+    check_box(system, box)
+    return box
 
 
 def parse_poly_vector(text: str, var: str = "n") -> PolyVector:
@@ -244,7 +247,7 @@ def cmd_walk_apply(args):
 def cmd_construct_walk(args):
     gens = [parse_walk_spec(spec) for spec in args.gen]
     v = parse_int_vector(args.v)
-    check_start(gens, v)
+    check_start(gens, v, args.N_max)
 
     def run():
         try:
@@ -353,7 +356,7 @@ def cmd_ergodic_avg(args):
     cfg = _load_config(args, _ERGODIC_KEYS, _ERGODIC_PREFIXES)
     system = build_system(cfg)
     kind = cfg.get_str("observable", "trig")
-    observable = build_trig(cfg) if kind == "trig" else build_box(cfg)
+    observable = build_trig(cfg) if kind == "trig" else build_box(cfg, system)
     polys = parse_poly_vector(cfg.get_str("p"))
     n_count = cfg.get_int("N")
     check_sample_count(n_count)
@@ -388,7 +391,7 @@ _CORRELATE_PREFIXES = ("row_", "center_", "radius_", "orbit_", "N_")
 def cmd_correlate(args):
     cfg = _load_config(args, _CORRELATE_KEYS, _CORRELATE_PREFIXES)
     system = build_system(cfg)
-    box = build_box(cfg)
+    box = build_box(cfg, system)
     orbits = [parse_poly_vector(o) for o in cfg.indexed("orbit_")]
     n_counts = [int(x) for x in cfg.indexed("N_")]
     if len(orbits) != len(n_counts):

@@ -316,6 +316,13 @@ def _choose_k_box(sys: TorusSystem) -> int:
     )
 
 
+def check_box(sys: TorusSystem, box: BoxIndicator) -> None:
+    """Raise ValueError unless the box has at most one arc per torus coordinate."""
+    if len(box.radii) > sys.torus_dim:
+        raise ValueError(
+            f"box has {len(box.radii)} arcs for a torus of dimension {sys.torus_dim}")
+
+
 @dataclass(frozen=True)
 class EmpiricalAverage:
     value: complex
@@ -340,6 +347,7 @@ def empirical_average(
     check_sample_count(n_count)
     base = [float(x.frac(sys.precision)) for x in sys.base_point]
     if isinstance(f, BoxIndicator):
+        check_box(sys, f)
         hits = 0
         for shift in phases(polys, sys.rows, n_count, sys.precision):
             hits += f.contains_float([(x + b) % 1.0 for x, b in zip(shift, base)])
@@ -452,12 +460,10 @@ def check_correlation(
     samples: int,
     replicates: int,
 ) -> None:
-    """Raise ValueError unless the box has at most one arc per torus
-    coordinate, there is at least one orbit, each with a count N_i >= 1,
-    and samples and replicates are >= 1."""
-    if len(box.radii) > sys.torus_dim:
-        raise ValueError(
-            f"box has {len(box.radii)} arcs for a torus of dimension {sys.torus_dim}")
+    """Raise ValueError unless the box fits the torus (`check_box`), there
+    is at least one orbit, each with a count N_i >= 1, and samples and
+    replicates are >= 1."""
+    check_box(sys, box)
     if len(orbits) != len(n_counts):
         raise ValueError("need one sample count per orbit")
     if not orbits:

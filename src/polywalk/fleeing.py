@@ -96,9 +96,12 @@ def time_var(k: int) -> str:
     return f"t{k}"
 
 
-def check_start(gens: Sequence[Walk], v: Sequence[int]) -> None:
+def check_start(gens: Sequence[Walk], v: Sequence[int], depth_cap: int | None = None) -> None:
     """Raise ValueError unless there is a generator, all generators share
-    one dimension and coordinates, and v has that dimension."""
+    one dimension and coordinates, v has that dimension, and a depth cap,
+    if given, lets at least one depth be examined."""
+    if depth_cap is not None and depth_cap < 1:
+        raise ValueError(f"depth cap must be >= 1, got {depth_cap}")
     if not gens:
         raise ValueError("need at least one generator walk")
     dim = gens[0].dim
@@ -174,7 +177,7 @@ def construct_fleeing_walk(
     and makes the certificate self-checking rather than trusting the
     exponent growth rule).
     """
-    check_start(gens, v)
+    check_start(gens, v, depth_cap)
     if depth_cap is None:
         depth_cap = 8 * len(gens) * gens[0].dim
 

@@ -34,8 +34,8 @@ Four streams share this table:
 Error bound.  Write s(n) = <row, p(n)>, a real polynomial in n of degree
 at most D; the streams start at n = 1.  `reals.FixedRow` turns an
 integer vector v into an integer fix(v) with |fix(v) - M <row, v>| < 1.
-Its docstring proves this bound; `Real.approx` and `dot_frac` rest on the
-same proof.
+Its docstring proves this bound; `Real.approx` and the Bohr-set single
+queries rest on the same proof.
 
 * The first D + 1 phases are fix(p(n)) mod M, so their error is below
   1/M.
@@ -58,9 +58,8 @@ Hence the phase of the point n is within max(1, C(n - 1, D)) / M of
 frac(<row, p(n)>) on the circle, and so within
 max(1, C(n - 1, D)) * 10^-W <= sum_{k <= D} C(n - 1, k) * 10^-W.  The
 bound grows with n, so `_width` takes the smallest W that keeps it at
-most 10^-precision at the last of `count` points: `precision` keeps the
-meaning it has for `dot_frac`.  Rows with only rational entries have no
-error and use W = 0.
+most 10^-precision at the last of `count` points.  Rows with only
+rational entries have no error and use W = 0.
 """
 
 from __future__ import annotations

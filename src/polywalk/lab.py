@@ -3,12 +3,11 @@ orbit searches along walks, and Weyl-sum diagnostics.
 
 Two set models are supported.  A WindowSet is an explicit finite subset of
 a box [0, side)^d with an exact difference-set index.  A BohrSet is the
-preimage of a box on a torus under v -> A v mod 1; its membership and
-difference queries are decided at high decimal precision with a guard band,
-and a query too close to an arc boundary raises IndeterminateError rather
-than guessing.  Both models answer difference queries along a whole
-polynomial orbit through `difference_verdicts`, which the orbit search
-reads; the Bohr set decides those from the kernel's fixed-point phases.
+preimage of a box on a torus under v -> A v mod 1; every query of it is
+decided from fixed-point phases with a guard band, and one too close to an
+arc boundary is indeterminate rather than guessed.  Both models answer
+difference queries along a whole polynomial orbit through
+`difference_verdicts`, which the orbit search reads.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from .fleeing import construct_fleeing_walk
@@ -29,11 +28,10 @@ from .poly import MPoly, PolyVector
 from .reals import (
     DEFAULT_PRECISION,
     GUARD_BAND,
+    FixedRow,
     KahanSum,
     Real,
     RootOfUnityMean,
-    circle_distance,
-    dot_frac,
 )
 
 # Windows with more points than this never materialize a difference index;
@@ -48,6 +46,26 @@ _MIN_DIGITS = len(str(GUARD_BAND.denominator))
 
 class IndeterminateError(RuntimeError):
     """A membership decision fell inside the precision guard band."""
+
+
+def _bounds(moduli: Iterable[int], targets: Iterable[Fraction]) -> list[tuple[int, int, int]]:
+    """(M, floor((t + G) M), ceil((t - G) M)) per row (BohrSet docstring)."""
+    return [(m, math.floor((t + GUARD_BAND) * m), math.ceil((t - GUARD_BAND) * m))
+            for m, t in zip(moduli, targets)]
+
+
+def _verdicts(phases: Iterable[Sequence[int]], bounds) -> Iterator[bool | None]:
+    """False, True or None per phase tuple, one a mod M per row (BohrSet docstring)."""
+    for phase in phases:
+        verdict = True
+        for a, (m, outside, edge) in zip(phase, bounds):
+            d = min(a, m - a)
+            if d > outside:
+                verdict = False
+                break
+            if d >= edge:
+                verdict = None
+        yield verdict
 
 
 class WindowSet:
@@ -122,36 +140,29 @@ class BohrSet:
     """Preimage of a torus box under v -> A v mod 1.
 
     `freq` holds the rows of A (torus_dim rows of dim exact reals); the box
-    is given by arc centers and radii.  Aperiodicity (dense image of the
-    torus map) is declared by the configuration, not verified; the
+    is given by arc centers c_j and radii r_j.  Aperiodicity (dense image of
+    the torus map) is declared by the configuration, not verified; the
     difference oracle relies on it.
 
-    A difference w is in B - B when the circle distance of frac(<row_j, w>)
-    to 0 is below 2 r_j on every coordinate j.  With G = GUARD_BAND, a
-    computed distance above 2 r_j + G is outside (False), one below
-    2 r_j - G on every coordinate is inside (True), and anything else is
-    in the guard band: indeterminate, never guessed.
+    v is in the set when the circle distance of <row_j, v> to c_j is below
+    t_j = r_j for every j, and w is in B - B when that of <row_j, w> to 0
+    is below t_j = 2 r_j.  Each row's phase is an integer a mod M with
+    a / M within 10^-P of the true value, P = max(precision, 19): a single
+    query reads one `reals.FixedRow` per row built at width P (for
+    membership the row with c_j appended, read at v + (-1,)), and
+    `difference_verdicts` reads the kernel's `fixed_phases` at precision P.
+    One loop, `_verdicts`, compares d = min(a, M - a) with the integers
+    floor((t + G) M) and ceil((t - G) M) of `_bounds`, G = GUARD_BAND:
+    above the first on some row is outside (False), below the second on
+    every row inside (True), and anything else indeterminate (None, or
+    IndeterminateError from a single query), never guessed.
 
-    The constructor raises `precision` to P = max(precision, 19) digits,
-    so every phase below is within 10^-P <= G / 10 of the true one.  Both
-    routes below read the digits through `reals.FixedRow`; they differ in
-    their thresholds.  `contains` and `contains_difference(w)` compute the
-    distance as a Fraction from `dot_frac` at P digits and compare it with
-    the Fractions r_j +- G (from the center) and 2 r_j +- G (from 0) in
-    one loop, `_verdict`.  `difference_verdicts(p, N)` gives the same
-    three verdicts (None for indeterminate) along an orbit, n = 1, ..., N,
-    from the kernel's `fixed_phases` at P digits.  Each row's phase is an
-    integer a mod M, and a / M is within 10^-P of frac(<row_j, p(n)>) on
-    the circle.  Circle distance is 1-Lipschitz, so
-    d = min(a, M - a) gives d / M within 10^-P <= G / 10 of the true
-    distance, and the scan compares d with the integer thresholds
-    floor((2 r_j + G) M) and ceil((2 r_j - G) M).  A False verdict thus
-    means a true distance above 2 r_j + G - 10^-P > 2 r_j, and a True one a
-    true distance below 2 r_j - G + 10^-P < 2 r_j: both are certified, as
-    the `dot_frac` ones are.  The two routes can differ only where the true
-    distance lies within 10^-P of 2 r_j +- G, and there one of them says
-    indeterminate.  A row of rationals has W = 0 and M = q, so d / M is the
-    exact distance, and an exact tie at 2 r_j is indeterminate on both.
+    Proof.  Circle distance is 1-Lipschitz, so d / M is within
+    10^-P <= G / 10 of the true distance; and d > floor((t + G) M) iff
+    d / M > t + G, d >= ceil((t - G) M) iff d / M >= t - G.  So False
+    means a true distance above t + G - 10^-P > t, and True one below
+    t - G + 10^-P < t.  Rows of rationals with rational centers have M = q:
+    d / M is exact, and an exact tie at t is indeterminate.
     """
 
     def __init__(
@@ -181,74 +192,45 @@ class BohrSet:
         self.centers = tuple(Real.of(c) for c in centers)
         if len(self.centers) != self.torus_dim:
             raise ValueError("one center per torus coordinate required")
-        self.precision = max(precision, _MIN_DIGITS)
+        self.precision = p = max(precision, _MIN_DIGITS)
+        difference = [FixedRow(row, p) for row in self.freq]
+        membership = [FixedRow(row + (c,), p) for row, c in zip(self.freq, self.centers)]
+        self._difference = difference, _bounds((f.modulus for f in difference),
+                                                [2 * r for r in self.radii])
+        self._membership = membership, _bounds((f.modulus for f in membership), self.radii)
 
-    def torus_point(self, v: Sequence[int]) -> list[Fraction]:
-        """frac(A v), coordinate by coordinate."""
+    def _decide(self, rule, v: Sequence[int], tail: list[int], what: str) -> bool:
+        """The verdict of `rule` (rows, bounds) at v + tail; None raises."""
         v = [int(x) for x in v]
         if len(v) != self.dim:
             raise ValueError(f"vector {v} has wrong dimension")
-        return [dot_frac(row, v, self.precision) for row in self.freq]
-
-    def _verdict(self, distances: Iterable[Fraction], thresholds: Iterable[Fraction],
-                 what: str, v: Sequence[int]) -> bool:
-        """False if some distance is above its threshold t + G, True if
-        every one is below t - G, and IndeterminateError (on the `what` of
-        v) otherwise."""
-        verdict = True
-        for dist, t in zip(distances, thresholds):
-            if dist > t + GUARD_BAND:
-                return False
-            if dist >= t - GUARD_BAND:
-                verdict = None
+        fixed, bounds = rule
+        (verdict,) = _verdicts([tuple(f(v + tail) % f.modulus for f in fixed)], bounds)
         if verdict is None:
             raise IndeterminateError(f"{what} of {tuple(v)} is within the guard band")
-        return True
+        return verdict
 
     def contains(self, v: Sequence[int]) -> bool:
-        centers = (c.frac(self.precision) for c in self.centers)
-        distances = map(circle_distance, self.torus_point(v), centers)
-        return self._verdict(distances, self.radii, "membership", v)
+        # each membership row ends with its center, read at -1
+        return self._decide(self._membership, v, [-1], "membership")
 
     def contains_difference(self, w: Sequence[int]) -> bool:
         """True iff the box and its translate by frac(A w) overlap in every
         coordinate (which yields an actual pair b, b + w in the set when
         the torus image is dense)."""
-        distances = map(circle_distance, self.torus_point(w))
-        return self._verdict(distances, (2 * r for r in self.radii),
-                             "difference membership", w)
+        return self._decide(self._difference, w, [], "difference membership")
 
     def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool | None]:
         """Difference membership of p(1), ..., p(count): True, False, or None
-        where `contains_difference` would raise IndeterminateError.  The
-        phases come from the kernel, not from `dot_frac`; the class
-        docstring proves the verdicts certified."""
+        where `contains_difference` would raise IndeterminateError."""
         if len(polys) != self.dim:
             raise ValueError(
                 f"orbit of {len(polys)} coordinates has wrong dimension "
                 f"for a set of dim={self.dim}"
             )
         moduli, blocks = fixed_phases(polys, self.freq, count, self.precision)
-        # d > outside: beyond 2r + G; d >= edge: not below 2r - G
-        bounds = [
-            (m, math.floor((2 * r + GUARD_BAND) * m), math.ceil((2 * r - GUARD_BAND) * m))
-            for r, m in zip(self.radii, moduli)
-        ]
-
-        def verdicts():
-            for block in blocks:
-                for phase in zip(*block):
-                    verdict = True
-                    for a, (m, outside, edge) in zip(phase, bounds):
-                        d = min(a, m - a)
-                        if d > outside:
-                            verdict = False
-                            break
-                        if d >= edge:
-                            verdict = None
-                    yield verdict
-
-        return verdicts()
+        points = chain.from_iterable(zip(*block) for block in blocks)
+        return _verdicts(points, _bounds(moduli, [2 * r for r in self.radii]))
 
     def describe(self) -> str:
         rows = "; ".join(

@@ -10,16 +10,17 @@ when every irrational basis coordinate is zero.
 
 Numeric evaluation goes through integer digit engines: constant_digits(name,
 p) returns floor-ish c * 10^p with error below one unit in the last place.
-`FixedRow` is their only reader; `Real.approx`, `dot_frac` and the orbit
-kernel all evaluate through it.  So an approximation to any requested
-precision is a plain exact Fraction and all downstream comparisons stay in
-rational arithmetic.
+`FixedRow` is their only reader; `Real.approx`, the Bohr-set queries and
+the orbit kernel all evaluate through it.  It gives <row, v> as an exact
+integer over a modulus M, so every downstream comparison stays in integer
+or rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from typing import Mapping, Sequence
 
@@ -194,13 +195,9 @@ class Real:
         return Fraction(fixed((1,)), fixed.modulus)
 
     def frac(self, prec: int = DEFAULT_PRECISION) -> Fraction:
-        """Fractional part, as a Fraction within 10^-prec of the true one
-        (up to wrap-around at integer boundaries, which the guard band in
-        the callers absorbs)."""
+        """Fractional part, as a Fraction within 10^-prec of the true one on
+        the circle."""
         return self.approx(prec) % 1
-
-    def __float__(self) -> float:
-        return float(self.approx(30))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Real, int, Fraction)):
@@ -265,20 +262,6 @@ class FixedRow:
         return total + (2 * scaled.numerator + scale) // (2 * scale)
 
 
-def dot_frac(thetas: list[Real], values: list[int], prec: int = DEFAULT_PRECISION) -> Fraction:
-    """Fractional part of sum(theta_i * v_i) as a Fraction within 10^-prec
-    on the circle: fix(v) mod M over M for FixedRow(thetas, prec).  A row
-    of rationals gives the exact fractional part."""
-    fixed = FixedRow(thetas, prec)
-    return Fraction(fixed(values) % fixed.modulus, fixed.modulus)
-
-
-def circle_distance(a: Fraction, b: Fraction = Fraction(0)) -> Fraction:
-    """Distance between two points of the circle R/Z."""
-    delta = (a - b) % 1
-    return min(delta, 1 - delta)
-
-
 class KahanSum:
     """Compensated float accumulator."""
 
@@ -293,6 +276,27 @@ class KahanSum:
         t = self.total + y
         self.compensation = (t - self.total) - y
         self.total = t
+
+
+def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder by a monic b; coefficients lowest degree first."""
+    rem, k = list(a), len(b) - 1
+    quot = [0] * max(len(a) - k, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + k]
+        for j, coeff in enumerate(b):
+            rem[i + j] -= c * coeff
+    return quot, rem[:k]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(q: int) -> tuple[int, ...]:
+    """The q-th cyclotomic polynomial: x^q - 1 over the d-th one for each d | q, d < q."""
+    poly = [-1] + [0] * (q - 1) + [1]
+    for d in range(1, q):
+        if q % d == 0:
+            poly, _ = _divmod_monic(poly, cyclotomic(d))
+    return tuple(poly)
 
 
 class RootOfUnityMean:
@@ -311,8 +315,10 @@ class RootOfUnityMean:
 
     @property
     def is_exactly_zero(self) -> bool:
-        # A uniform distribution over all q-th roots sums to zero exactly.
-        return self.q > 1 and len(set(self.counts)) == 1
+        # sum counts[j] z^j vanishes at z = e(1/q) exactly when the minimal
+        # polynomial of e(1/q), the q-th cyclotomic one, divides it
+        _, rem = _divmod_monic(self.counts, cyclotomic(self.q))
+        return not any(rem)
 
     @property
     def is_exactly_one(self) -> bool:

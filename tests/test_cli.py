@@ -409,6 +409,10 @@ def _configs(tmp_path):
     files["box_precision_0"] = files["box"] + "precision = 0\n"
     files["box_precision_negative"] = files["box"] + "precision = -3\n"
     files["extra_arc"] = files["correlate"] + "center_3 = 0\nradius_3 = 1/10\n"
+    files["box_extra_arc"] = (files["box"].replace("N = 300", "N = 2000")
+                              .replace("center_1 = 3/10\n", "") + "radius_2 = 1/8\n")
+    files["trig_zero_mean"] = ("row_1 = 1/4\nx0 = 0\np = 2*n\nN = 8\n"
+                               "observable = trig\ncomp_1 = 1 : 1 : 0\n")
     files["no_orbit"] = "".join(line + "\n" for line in files["correlate"].splitlines()
                                 if not line.startswith(("orbit_", "N_")))
     paths = {}
@@ -495,6 +499,11 @@ VALIDATE_GAPS = {
     "weyl-N": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "0"],
     "correlate-no-orbit": ["correlate", "--config", "{no_orbit}"],
     "correlate-extra-arc": ["correlate", "--config", "{extra_arc}"],
+    "ergodic-avg-extra-arc": ["ergodic-avg", "--config", "{box_extra_arc}"],
+    "construct-walk-N-max-0": ["construct-walk", "--gen", "bogolubov:y^2", "--v", "-3,0",
+                               "--N-max", "0"],
+    "construct-walk-N-max-negative": ["construct-walk", "--gen", "bogolubov:y^2",
+                                      "--v", "-3,0", "--N-max", "-3"],
 }
 
 
@@ -576,3 +585,34 @@ def test_ergodic_avg_ignores_the_seed_flag(tmp_path, capsys):
     code, plain, err = run(capsys, *argv)
     assert code == 0, err
     assert run(capsys, *argv, "--seed", "99") == (0, plain, "")
+
+
+def test_ergodic_avg_box_with_more_arcs_than_torus_coordinates(tmp_path, capsys):
+    # one torus coordinate: the second arc used to be dropped, not rejected
+    argv = _argv(tmp_path, ["ergodic-avg", "--config", "{box_extra_arc}"])
+    assert run(capsys, *argv) == (
+        1, "", "error: box has 2 arcs for a torus of dimension 1\n")
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_construct_walk_rejects_an_empty_depth_range(capsys, n_max):
+    # no depth is examined, so it is a usage error, not a failed construction
+    code, out, err = run(capsys, "construct-walk", "--gen", "bogolubov:y^2",
+                         "--v", "-3,0", "--N-max", n_max)
+    assert (code, out, err) == (1, "", f"error: depth cap must be >= 1, got {n_max}\n")
+
+
+@pytest.mark.parametrize("p, theta, n_count", [("n^2", "1/6", 600), ("2*n", "1/4", 40)])
+def test_weyl_exact_zero_beyond_uniform_counts(capsys, p, theta, n_count):
+    # n^2 mod 6 runs 1, 4, 3, 4, 1, 0: 1 + 2z + z^3 + 2z^4 = 0 at z = e(1/6)
+    code, out, _ = run(capsys, "weyl", "--p", p, "--theta", theta, "--N", str(n_count),
+                       "--exact")
+    assert (code, out) == (0, "value = 0 + 0i\nmodulus = 0\nexactly_zero = true\n")
+
+
+def test_ergodic_avg_drops_an_exactly_zero_component(tmp_path, capsys):
+    # e(2n/4) = (-1)^n has mean exactly 0 over a period
+    code, out, _ = run(capsys, *_argv(tmp_path, ["ergodic-avg", "--config",
+                                                 "{trig_zero_mean}"]))
+    assert code == 0
+    assert "predicted = 0 + 0i" in out.splitlines()

@@ -25,7 +25,7 @@ from polywalk.ergodic import (
 )
 from polywalk.lab import weyl_sum
 from polywalk.poly import MPoly, PolyVector, poly_parse
-from polywalk.reals import Real
+from polywalk.reals import Real, RootOfUnityMean, cyclotomic
 
 F = Fraction
 
@@ -106,6 +106,58 @@ def test_multiplier_period_of_binomial_orbit():
     (_, mean), = q_p_multipliers(sys1, f, _pv("1/2*n^2 + 1/2*n"))
     assert mean.is_exactly_zero
     assert mean.counts == (2, 2)
+
+
+@pytest.mark.parametrize("theta, orbit, counts", [
+    (F(1, 6), "n^2", (1, 2, 0, 1, 2, 0)),   # 1 + 2z + z^3 + 2z^4 at z = e(1/6)
+    (F(1, 4), "2*n", (2, 0, 2, 0)),
+])
+def test_multiplier_exactly_zero_beyond_uniform_counts(theta, orbit, counts):
+    sys1 = TorusSystem([[theta]])
+    f = TrigPoly.of([((1,), 1.0)])
+    (_, mean), = q_p_multipliers(sys1, f, _pv(orbit))
+    assert mean.counts == counts
+    assert mean.is_exactly_zero and mean.value() == 0j
+    assert q_p_closed_form(sys1, f, _pv(orbit)).components == ()
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_divisor_product_is_x_to_the_q_minus_one():
+    for q in range(1, 41):
+        product = [1]
+        for d in range(1, q + 1):
+            if q % d == 0:
+                product = _poly_mul(product, cyclotomic(d))
+        assert product == [-1] + [0] * (q - 1) + [1]
+        # monic of degree phi(q)
+        assert cyclotomic(q)[-1] == 1 and len(cyclotomic(q)) - 1 == sum(
+            math.gcd(q, k) == 1 for k in range(1, q + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 60), st.data())
+def test_root_of_unity_mean_is_zero_exactly_on_polygon_sums(q, data):
+    # a regular p-gon of q-th roots (p a prime factor of q), rotated, sums
+    # to 0; one more root cannot, as the q-th cyclotomic polynomial does
+    # not divide a monomial
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]
+    counts = [0] * q
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(st.sampled_from(primes))
+        start = data.draw(st.integers(0, q - 1))
+        for i in range(p):
+            counts[(start + i * q // p) % q] += 1
+    mean = RootOfUnityMean(q, tuple(counts), sum(counts))
+    assert mean.is_exactly_zero and mean.value() == 0j
+    counts[data.draw(st.integers(0, q - 1))] += 1
+    assert not RootOfUnityMean(q, tuple(counts), sum(counts)).is_exactly_zero
 
 
 def test_multiplier_constant_nonzero_residue():
@@ -401,6 +453,13 @@ def test_correlation_rejects_empty_counts(counts, kwargs, message):
     orbit = PolyVector([poly_parse("n^2", ("n",))])
     with pytest.raises(ValueError, match=message):
         correlation_average(sys1, box, [orbit] * len(counts), counts, **kwargs)
+
+
+def test_empirical_average_rejects_more_arcs_than_torus_coordinates():
+    sys1 = TorusSystem([[Real.named("sqrt2")]])
+    box = BoxIndicator.of([0, 0], [F(1, 8), F(1, 8)])
+    with pytest.raises(ValueError, match="^box has 2 arcs for a torus of dimension 1$"):
+        empirical_average(sys1, box, _pv("n^2"), 2000)
 
 
 def test_choose_k_lcm_of_periods():

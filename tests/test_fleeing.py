@@ -188,6 +188,14 @@ def test_construct_depth_exhausted_for_identity():
     assert err.value.dims == [2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("depth_cap", [0, -3])
+def test_construct_rejects_an_empty_depth_range(depth_cap):
+    # no depth would be examined: an input error, not DepthExhausted
+    s = bogolubov_walk(poly_parse("y^2", ["y"]))
+    with pytest.raises(ValueError, match=f"^depth cap must be >= 1, got {depth_cap}$"):
+        construct_fleeing_walk([s], (-3, 0), depth_cap=depth_cap)
+
+
 def test_construct_base_exhausted_cap():
     s = bogolubov_walk(poly_parse("y^2", ["y"]))
     with pytest.raises(BaseExhausted):

@@ -3,8 +3,9 @@
 The reference oracle is the per-point route: `PolyVector.eval_int` for the
 orbit point, then `_reference_dot_frac` for the phase and exact Fractions
 for the residues.  `_reference_dot_frac` is the digit loop that `dot_frac`
-ran before every evaluation went through `reals.FixedRow`, so the kernel is
-checked against a route that does not share `FixedRow`.  `FixedRow`
+ran before every evaluation went through `reals.FixedRow` (and `dot_frac`
+itself was deleted), so the kernel is checked against a route that does
+not share `FixedRow`.  `FixedRow`
 itself is checked against the constants read at 400 digits."""
 
 import math
@@ -24,14 +25,18 @@ from polywalk.reals import (
     FixedRow,
     KahanSum,
     Real,
-    circle_distance,
     constant_digits,
-    dot_frac,
 )
 
 F = Fraction
 UNIVERSE = ("n",)
 FLOAT_ROUNDING = F(1, 2 ** 52)
+
+
+def circle_distance(a, b):
+    """Distance between two points of the circle R/Z."""
+    delta = (a - b) % 1
+    return min(delta, 1 - delta)
 
 
 def _reference_points(polys, count):
@@ -241,7 +246,8 @@ def test_fixed_row_is_within_one_unit(row, data):
         assert error == 0 if rational else error < 1
     precision = data.draw(st.integers(0, 60))
     bound = F(1, 10 ** precision)
-    got = dot_frac(row, v, precision)
+    fixed = FixedRow(row, precision)
+    got = F(fixed(v) % fixed.modulus, fixed.modulus)
     assert circle_distance(got, exact) < bound
     assert circle_distance(got, _reference_dot_frac(row, v, precision)) < bound
     for x in row:

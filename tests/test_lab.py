@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -22,7 +23,7 @@ from polywalk.lab import (
     weyl_sum_rational,
 )
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import GUARD_BAND, Real
+from polywalk.reals import GUARD_BAND, Real, constant_digits
 
 F = Fraction
 
@@ -216,28 +217,63 @@ def test_twisted_search_indeterminate_propagation():
 
 # -- the Bohr scan against the per-query oracle ----------------------------------
 
+def _reference_dot_frac(row, v, prec):
+    """frac(<row, v>) within 10^-prec on the circle, by its own digit loop
+    over the basis coordinates, not through `reals.FixedRow`."""
+    rational, irr = sum((x * c for x, c in zip(row, v)), Real(0)).basis()
+    widest = max((len(str(abs(c.numerator))) for c in irr.values()), default=0)
+    work = prec + widest + 10
+    digits = sum(c * constant_digits(name, work) for name, c in irr.items())
+    return (rational + F(digits, 10 ** work)) % 1
+
+
+def _reference_verdict(oracle, v, member=False):
+    """The Fraction route: circle distances from `_reference_dot_frac` at the
+    set's precision against the Fraction thresholds t - G and t + G, with
+    t = r (from the center) or 2r (from 0).  True, False, or None."""
+    prec = oracle.precision
+    verdict = True
+    for row, r, c in zip(oracle.freq, oracle.radii, oracle.centers):
+        delta = _reference_dot_frac(row, v, prec)
+        if member:
+            delta -= _reference_dot_frac([c], [1], prec)
+        else:
+            r *= 2
+        dist = min(delta % 1, 1 - delta % 1)
+        if dist > r + GUARD_BAND:
+            return False
+        if dist >= r - GUARD_BAND:
+            verdict = None
+    return verdict
+
+
 def _reference_verdicts(oracle, polys, count):
-    # per point: eval_int, then the exact dot_frac route
-    out = []
-    for n in range(1, count + 1):
-        try:
-            out.append(oracle.contains_difference(polys.eval_int({"n": n})))
-        except IndeterminateError:
-            out.append(None)
-    return out
+    # per point: eval_int, then the Fraction route
+    return [_reference_verdict(oracle, polys.eval_int({"n": n}))
+            for n in range(1, count + 1)]
 
 
 def _reference_twisted_search(walk, v, oracle, n_max):
     # the per-point loop the scan replaced
     indeterminate = 0
     for n, point in enumerate(orbit_points(walk.orbit_poly(v), n_max), start=1):
-        try:
-            if oracle.contains_difference(point):
-                return Status.FOUND, n, point, indeterminate
-        except IndeterminateError:
+        if isinstance(oracle, BohrSet):
+            verdict = _reference_verdict(oracle, point)
+        else:
+            verdict = oracle.contains_difference(point)
+        if verdict:
+            return Status.FOUND, n, point, indeterminate
+        if verdict is None:
             indeterminate += 1
     status = Status.INDETERMINATE if indeterminate == n_max else Status.EXHAUSTED
     return status, None, None, indeterminate
+
+
+def _single_query(query, v):
+    try:
+        return query(v)
+    except IndeterminateError:
+        return None
 
 
 @st.composite
@@ -274,6 +310,51 @@ def _bohr_set(draw, dim):
     torus_dim = len(rows)
     radii = [draw(_radius) for _ in range(torus_dim)]
     return BohrSet(dim, rows, radii, precision=draw(_precision))
+
+
+@st.composite
+def _bohr_query(draw):
+    # rows of rationals, constants or both; rational or irrational centers;
+    # small vectors for exact ties and vectors up to 10^30
+    dim = draw(st.integers(1, 3))
+    oracle = draw(_bohr_set(dim))
+    center = st.one_of(_rational.map(Real), _entry)
+    centers = draw(st.lists(center, min_size=oracle.torus_dim, max_size=oracle.torus_dim))
+    oracle = BohrSet(dim, oracle.freq, oracle.radii, centers, oracle.precision)
+    size = draw(st.sampled_from([12, 10 ** 6, 10 ** 30]))
+    v = draw(st.lists(st.integers(-size, size), min_size=dim, max_size=dim))
+    return oracle, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bohr_query())
+def test_bohr_single_queries_match_fraction_route(data):
+    # contains_difference reads the same fix(w) mod M as the Fraction route
+    # did and is equal to it; contains reads the center in the same
+    # fixed-point sum as the row, so the two may differ only where one of
+    # them is None, near r +- G, and never on rows and centers of rationals
+    oracle, v = data
+    assert _single_query(oracle.contains_difference, v) == _reference_verdict(oracle, v)
+    got = _single_query(oracle.contains, v)
+    expected = _reference_verdict(oracle, v, member=True)
+    rational = all(x.is_rational() for row in oracle.freq for x in row) and \
+        all(c.is_rational() for c in oracle.centers)
+    if rational:
+        assert got == expected
+    assert None in (got, expected) or got == expected
+
+
+def test_bohr_single_queries_on_exact_ties():
+    # rational rows: every verdict, ties included, is exact on both routes
+    oracle = BohrSet(2, [[F(1, 4), F(1, 6)], [F(1, 3), F(0)]], [F(1, 12), F(1, 6)],
+                     [F(1, 4), F(-1, 3)])
+    seen = set()
+    for v in product(range(-6, 7), repeat=2):
+        for query, member in ((oracle.contains_difference, False), (oracle.contains, True)):
+            verdict = _single_query(query, v)
+            assert verdict == _reference_verdict(oracle, v, member)
+            seen.add((member, verdict))
+    assert seen == {(m, x) for m in (False, True) for x in (True, False, None)}
 
 
 @st.composite

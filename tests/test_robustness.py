@@ -24,7 +24,7 @@ from polywalk.generators import (
 )
 from polywalk.lab import BohrSet
 from polywalk.poly import MPoly, PolyVector, poly_parse
-from polywalk.reals import Real, constant_digits, dot_frac, parse_real
+from polywalk.reals import FixedRow, Real, constant_digits, parse_real
 from polywalk.walks import Walk
 
 F = Fraction
@@ -352,7 +352,8 @@ def test_dot_frac_against_reference_precision():
         name = rng.choice(names)
         value = rng.randint(-10 ** 12, 10 ** 12)
         theta = Real.named(name, F(rng.randint(1, 9), rng.randint(1, 9)))
-        got = dot_frac([theta], [value], prec=50)
+        fixed = FixedRow([theta], 50)
+        got = F(fixed([value]) % fixed.modulus, fixed.modulus)
         ref_scale = 10 ** 200
         ref = (theta.irr[name] * value * constant_digits(name, 200)) / ref_scale
         ref_frac = ref % 1
