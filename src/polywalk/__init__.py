@@ -53,8 +53,8 @@ from .lab import (
     bogolubov_experiment,
     magyar_experiment,
     twisted_search,
-    weyl_sum,
     weyl_sum_rational,
+    weyl_sums,
 )
 from .ergodic import (
     BoxIndicator,

@@ -30,7 +30,7 @@ from .ergodic import (
     BoxIndicator,
     TorusSystem,
     TrigPoly,
-    check_box,
+    check_average,
     check_correlation,
     choose_k,
     correlation_average,
@@ -52,6 +52,7 @@ from .generators import (
     unipotent_walk,
     xy_minus_P_walks,
 )
+from .kernel import check_orbit
 from .lab import (
     BohrSet,
     WindowSet,
@@ -61,8 +62,8 @@ from .lab import (
     check_n_max,
     check_sample_count,
     magyar_experiment,
-    weyl_sum,
     weyl_sum_rational,
+    weyl_sums,
 )
 from .poly import MPoly, PolySyntaxError, PolyVector, poly_parse, poly_parse_auto
 from .reals import DEFAULT_PRECISION, Real, check_precision, parse_real
@@ -178,16 +179,14 @@ def build_trig(cfg: Config) -> TrigPoly:
     return TrigPoly.of(comps)
 
 
-def build_box(cfg: Config, system: TorusSystem) -> BoxIndicator:
+def build_box(cfg: Config) -> BoxIndicator:
     centers = [parse_real(c) for c in cfg.indexed("center_")]
     radii = [Fraction(r) for r in cfg.indexed("radius_")]
     if not radii:
         raise ConfigError("no box arcs (radius_1 = ... missing)")
     if not centers:
         centers = [Real(0)] * len(radii)
-    box = BoxIndicator.of(centers, radii)
-    check_box(system, box)
-    return box
+    return BoxIndicator.of(centers, radii)
 
 
 def parse_poly_vector(text: str, var: str = "n") -> PolyVector:
@@ -327,8 +326,7 @@ def cmd_bogolubov(args):
 def cmd_weyl(args):
     polys = parse_poly_vector(args.p)
     thetas = [parse_real(x) for x in args.theta.split(",")]
-    if len(thetas) != len(polys):
-        raise UsageError(f"{len(polys)} polynomials but {len(thetas)} frequencies")
+    check_orbit(polys, [thetas])
     check_sample_count(args.N)
     precision = 40 if args.precision is None else args.precision
     check_precision(precision)
@@ -338,11 +336,11 @@ def cmd_weyl(args):
     def run():
         lines = []
         if args.exact:
-            mean = weyl_sum_rational(polys, [t.as_fraction() for t in thetas], args.N)
+            mean = weyl_sum_rational(polys, thetas, args.N)
             value = mean.value()
             lines.append(f"exactly_zero = {'true' if mean.is_exactly_zero else 'false'}")
         else:
-            value = weyl_sum(polys, thetas, args.N, precision=precision)
+            (value,) = weyl_sums(polys, [thetas], args.N, precision)
         return Outcome("\n".join([f"value = {value.real:.12g} + {value.imag:.12g}i",
                                   f"modulus = {abs(value):.12g}"] + lines))
     return run
@@ -356,10 +354,10 @@ def cmd_ergodic_avg(args):
     cfg = _load_config(args, _ERGODIC_KEYS, _ERGODIC_PREFIXES)
     system = build_system(cfg)
     kind = cfg.get_str("observable", "trig")
-    observable = build_trig(cfg) if kind == "trig" else build_box(cfg, system)
+    observable = build_trig(cfg) if kind == "trig" else build_box(cfg)
     polys = parse_poly_vector(cfg.get_str("p"))
     n_count = cfg.get_int("N")
-    check_sample_count(n_count)
+    check_average(system, observable, polys, n_count)
 
     def run():
         result = empirical_average(system, observable, polys, n_count)
@@ -391,11 +389,9 @@ _CORRELATE_PREFIXES = ("row_", "center_", "radius_", "orbit_", "N_")
 def cmd_correlate(args):
     cfg = _load_config(args, _CORRELATE_KEYS, _CORRELATE_PREFIXES)
     system = build_system(cfg)
-    box = build_box(cfg, system)
+    box = build_box(cfg)
     orbits = [parse_poly_vector(o) for o in cfg.indexed("orbit_")]
     n_counts = [int(x) for x in cfg.indexed("N_")]
-    if len(orbits) != len(n_counts):
-        raise ConfigError("need one N_i per orbit_i")
     seed = cfg.get_int("seed", 0)
     samples = cfg.get_int("samples", 512)
     replicates = cfg.get_int("replicates", 8)

@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .generators import kernel_basis
-from .kernel import phases, residues
-from .lab import check_sample_count, weyl_sum
+from .kernel import check_orbit, phases, residues
+from .lab import check_sample_count, weyl_sums
 from .poly import PolyVector
-from .reals import KahanSum, Real, RootOfUnityMean
+from .reals import Real, RootOfUnityMean
 
 _QMC_ALPHAS = (
     0.41421356237309515,   # frac(sqrt 2)
@@ -236,10 +236,7 @@ def q_p_multipliers(
     rational ones get the exact root-of-unity mean of chi(p(n)) over one
     period of n -> chi(p(n)), which exposes exact-one / exact-zero answers
     via the counts."""
-    for entry in polys:
-        cert = entry.integer_valued()
-        if not cert:
-            raise ValueError(f"orbit entry {entry} is not integer-valued")
+    check_orbit(polys, sys.rows)
     out = []
     for info in classify_characters(sys, f):
         if not info.rational:
@@ -316,11 +313,18 @@ def _choose_k_box(sys: TorusSystem) -> int:
     )
 
 
-def check_box(sys: TorusSystem, box: BoxIndicator) -> None:
-    """Raise ValueError unless the box has at most one arc per torus coordinate."""
-    if len(box.radii) > sys.torus_dim:
+def check_average(sys: TorusSystem, f: Observable, polys: PolyVector, n_count: int) -> None:
+    """Raise ValueError unless f fits the torus (a box has at most one arc
+    per coordinate, a TrigPoly frequency one entry per coordinate), p
+    passes `check_orbit` with the rows of A, and `check_sample_count` holds."""
+    check_sample_count(n_count)
+    if isinstance(f, TrigPoly):
+        for freq, _ in f.components:
+            sys.transposed_row(freq)
+    elif len(f.radii) > sys.torus_dim:
         raise ValueError(
-            f"box has {len(box.radii)} arcs for a torus of dimension {sys.torus_dim}")
+            f"box has {len(f.radii)} arcs for a torus of dimension {sys.torus_dim}")
+    check_orbit(polys, sys.rows)
 
 
 @dataclass(frozen=True)
@@ -336,30 +340,27 @@ def empirical_average(
     polys: PolyVector,
     n_count: int,
 ) -> EmpiricalAverage:
-    """(1/N) sum f(x0 + A p(n)) with compensated summation.
+    """(1/N) sum f(x0 + A p(n)), after `check_average`.
 
     For a TrigPoly the closed-form prediction is also evaluated.  As a
     function of the base point the empirical average is the trigonometric
-    polynomial sum c_m W_m e(<m, x>), W_m the Weyl sum of the m-th induced
-    character, and the prediction is sum c_m M_m e(<m, x>), M_m its limit
-    multiplier; `l2_to_prediction` is their L2 distance on the torus, by
-    Parseval exactly sqrt(sum |c_m|^2 |W_m - M_m|^2)."""
-    check_sample_count(n_count)
+    polynomial sum c_m W_m e(<m, x>), W_m the Weyl sums of the induced
+    characters (one `weyl_sums` stream), and the prediction is
+    sum c_m M_m e(<m, x>), M_m their limit multipliers; `l2_to_prediction`
+    is their L2 distance, by Parseval sqrt(sum |c_m|^2 |W_m - M_m|^2)."""
+    check_average(sys, f, polys, n_count)
     base = [float(x.frac(sys.precision)) for x in sys.base_point]
     if isinstance(f, BoxIndicator):
-        check_box(sys, f)
         hits = 0
-        for shift in phases(polys, sys.rows, n_count, sys.precision):
-            hits += f.contains_float([(x + b) % 1.0 for x, b in zip(shift, base)])
+        for block in phases(polys, sys.rows, n_count, sys.precision):
+            for shift in zip(*block):
+                hits += f.contains_float([(x + b) % 1.0 for x, b in zip(shift, base)])
         return EmpiricalAverage(complex(hits / n_count, 0.0), None, None)
 
-    multipliers = {
-        info.freq: weyl_sum(polys, info.row, n_count, sys.precision)
-        for info in classify_characters(sys, f)
-    }
+    infos = classify_characters(sys, f)
+    sums = weyl_sums(polys, [info.row for info in infos], n_count, sys.precision)
     empirical_fn = TrigPoly.of(
-        (freq, coeff * multipliers[freq]) for freq, coeff in f.components
-    )
+        (freq, coeff * w) for (freq, coeff), w in zip(f.components, sums))
     prediction = q_p_closed_form(sys, f, polys)
     return EmpiricalAverage(empirical_fn.value_at(base),
                             (empirical_fn - prediction).l2_norm(), prediction)
@@ -460,10 +461,9 @@ def check_correlation(
     samples: int,
     replicates: int,
 ) -> None:
-    """Raise ValueError unless the box fits the torus (`check_box`), there
-    is at least one orbit, each with a count N_i >= 1, and samples and
-    replicates are >= 1."""
-    check_box(sys, box)
+    """Raise ValueError unless there is at least one orbit, each with a
+    count N_i >= 1 and passing `check_average` with the box, and samples
+    and replicates are >= 1."""
     if len(orbits) != len(n_counts):
         raise ValueError("need one sample count per orbit")
     if not orbits:
@@ -474,6 +474,8 @@ def check_correlation(
         raise ValueError("samples must be >= 1")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    for polys, n_count in zip(orbits, n_counts):
+        check_average(sys, box, polys, n_count)
 
 
 @dataclass(frozen=True)
@@ -560,7 +562,8 @@ def correlation_average(
     check_correlation(sys, box, orbits, n_counts, samples, replicates)
     d_torus = sys.torus_dim
     indexes = [
-        _StripIndex(box, list(phases(polys, sys.rows, n_count, sys.precision)))
+        _StripIndex(box, [point for block in phases(polys, sys.rows, n_count, sys.precision)
+                          for point in zip(*block)])
         for polys, n_count in zip(orbits, n_counts)
     ]
 
@@ -568,7 +571,7 @@ def correlation_average(
     replicate_values = []
     for _ in range(replicates):
         shifts = [rng.random() for _ in range(d_torus)]
-        acc = KahanSum()
+        products = []
         for s in range(samples):
             x = [
                 (shifts[j] + (s + 1) * _QMC_ALPHAS[j % len(_QMC_ALPHAS)]) % 1.0
@@ -581,10 +584,10 @@ def correlation_average(
                 product *= index.count(x) / n_count
                 if product == 0.0:
                     break
-            acc.add(product)
-        replicate_values.append(acc.total / samples)
+            products.append(product)
+        replicate_values.append(math.fsum(products) / samples)
 
-    mean = sum(replicate_values) / replicates
+    mean = math.fsum(replicate_values) / replicates
     if replicates > 1:
         variance = sum((v - mean) ** 2 for v in replicate_values) / (replicates - 1)
         std_error = math.sqrt(variance / replicates)

@@ -27,8 +27,8 @@ Four streams share this table:
   exact.  Each irrational part is read once, at the start, through
   `reals.FixedRow`.  It yields the integers a with a / M the phase; the
   Bohr-set scan compares them with integer thresholds.
-* `phases` turns them into floats a / M, an exact int/int division that
-  cannot overflow.
+* `phases` turns them into floats a / M in the same blocks, an exact
+  int/int division that cannot overflow.
 * `residues` is the rational case W = 0: exact residues mod q.
 
 Error bound.  Write s(n) = <row, p(n)>, a real polynomial in n of degree
@@ -131,6 +131,19 @@ def orbit_points(polys: PolyVector, count: int) -> Iterator[tuple[int, ...]]:
             yield from zip(*block)
 
 
+def check_orbit(polys: PolyVector, rows: Sequence[Sequence]) -> None:
+    """Raise ValueError unless every row has one frequency per polynomial
+    and every polynomial is integer-valued (`MPoly.integer_valued`)."""
+    for row in rows:
+        if len(row) != len(polys):
+            raise ValueError(f"orbit of {len(polys)} polynomials has wrong dimension "
+                             f"for a row of {len(row)} frequencies")
+    for entry in polys:
+        cert = entry.integer_valued()
+        if not cert:
+            raise ValueError(f"orbit entry {entry} is not integer-valued at {cert.witness}")
+
+
 def _width(count: int, degree: int, precision: int) -> int:
     """Smallest W >= 0 with max(1, C(count - 1, degree)) * 10^-W <= 10^-precision."""
     bound = comb(count - 1, degree) if count > 0 else 1
@@ -141,15 +154,13 @@ def _width(count: int, degree: int, precision: int) -> int:
 
 
 def fixed_phases(
-    polys: PolyVector, rows: Sequence[Sequence[Real]], count: int, precision: int
+    polys: PolyVector, rows: Sequence[Sequence], count: int, precision: int
 ) -> tuple[tuple[int, ...], Iterator[list]]:
     """The moduli M_j, and blocks of the phases as integers a mod M_j: one
-    sequence per row in every block.  a / M_j is within 10^-precision of
-    frac(<row_j, p(n)>) on the circle for n = 1, ..., count (module
-    docstring), and equal to it for a row of rationals (M_j = q_j)."""
-    for row in rows:
-        if len(row) != len(polys):
-            raise ValueError(f"{len(polys)} polynomials but {len(row)} frequencies")
+    sequence per row in every block, after `check_orbit`.  a / M_j is within
+    10^-precision of frac(<row_j, p(n)>) on the circle for n = 1, ..., count
+    (module docstring), and equal to it for a row of rationals (M_j = q_j)."""
+    check_orbit(polys, rows)
     degree = polys.max_degree()
     width = _width(count, degree, precision)
     fixed = [FixedRow(row, width) for row in rows]
@@ -172,14 +183,13 @@ def phases(
     rows: Sequence[Sequence[Real | Fraction | int | str]],
     count: int,
     precision: int,
-) -> Iterator[tuple[float, ...]]:
-    """frac(<row_j, p(n)>) for every row, as floats, for n = 1, ..., count.
-    Before the final rounding to a float each phase is
+) -> Iterator[list[list[float]]]:
+    """frac(<row_j, p(n)>) for n = 1, ..., count as floats, in the blocks of
+    `fixed_phases`.  Before the final rounding to a float each phase is
     within 10^-precision of the true one on the circle (module docstring)."""
-    rows = [[Real.of(x) for x in row] for row in rows]
     moduli, blocks = fixed_phases(polys, rows, count, precision)
     for block in blocks:
-        yield from zip(*(map(truediv, run, repeat(m)) for run, m in zip(block, moduli)))
+        yield [list(map(truediv, run, repeat(m))) for run, m in zip(block, moduli)]
 
 
 def residues(

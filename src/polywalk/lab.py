@@ -29,7 +29,6 @@ from .reals import (
     DEFAULT_PRECISION,
     GUARD_BAND,
     FixedRow,
-    KahanSum,
     Real,
     RootOfUnityMean,
 )
@@ -223,11 +222,6 @@ class BohrSet:
     def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool | None]:
         """Difference membership of p(1), ..., p(count): True, False, or None
         where `contains_difference` would raise IndeterminateError."""
-        if len(polys) != self.dim:
-            raise ValueError(
-                f"orbit of {len(polys)} coordinates has wrong dimension "
-                f"for a set of dim={self.dim}"
-            )
         moduli, blocks = fixed_phases(polys, self.freq, count, self.precision)
         points = chain.from_iterable(zip(*block) for block in blocks)
         return _verdicts(points, _bounds(moduli, [2 * r for r in self.radii]))
@@ -507,40 +501,49 @@ def check_sample_count(n_count: int) -> None:
         raise ValueError("N must be >= 1")
 
 
-def weyl_sum(
+def weyl_sums(
     polys: PolyVector,
-    thetas: Sequence[Real | Fraction | int | str],
+    rows: Sequence[Sequence[Real | Fraction | int | str]],
     n_count: int,
     precision: int = 40,
-) -> complex:
-    """(1/N) sum_{n=1}^{N} e(<p(n), theta>), double precision, Kahan summed.
+) -> list[complex]:
+    """(1/N) sum_{n=1}^{N} e(<row, p(n)>) for every row, in double precision.
 
-    Phases come from the fixed-point kernel stream, within 10^-precision
-    of the true phase before rounding to a float, so large orbit values do
-    not lose the fractional part."""
+    All rows are read from one `kernel.phases` stream, each phase within
+    10^-precision of the true one before rounding to a float.  Per row the
+    terms t_n (cos, then sin, of 2 pi x_n) of a block are summed by
+    `math.fsum`, and the block totals by one more, so one block is held.
+
+    Error bound.  Let u = 2^-53, S = sum t_n and S_k the sum over block k.
+    `math.fsum` returns the float nearest the exact sum of its inputs, so
+    b_k = S_k (1 + d_k) and T = (sum b_k)(1 + d) with |d_k|, |d| <= u:
+        |T - S| <= u |sum b_k| + u sum |S_k| <= u |S| + (u + u^2) sum |S_k|
+                <= (2u + u^2) sum |t_n| <= (2u + u^2) N.
+    Kahan summation is within (2u + O(N u^2)) sum |t_n| (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 4.3); this bound is no
+    worse and does not grow with N.  Both then divide by N, one rounding."""
     check_sample_count(n_count)
-    re, im = KahanSum(), KahanSum()
-    for (x,) in phases(polys, [thetas], n_count, precision):
-        phase = 2.0 * math.pi * x
-        re.add(math.cos(phase))
-        im.add(math.sin(phase))
-    return complex(re.total / n_count, im.total / n_count)
+    totals = [([], []) for _ in rows]
+    for block in phases(polys, rows, n_count, precision):
+        for (re, im), run in zip(totals, block):
+            angles = [2.0 * math.pi * x for x in run]
+            re.append(math.fsum(map(math.cos, angles)))
+            im.append(math.fsum(map(math.sin, angles)))
+    return [complex(math.fsum(re) / n_count, math.fsum(im) / n_count) for re, im in totals]
 
 
 def weyl_sum_rational(
     polys: PolyVector,
-    thetas: Sequence[Fraction],
+    thetas: Sequence[Real | Fraction | int | str],
     n_count: int,
 ) -> RootOfUnityMean:
     """Exact root-of-unity evaluation of the Weyl average for rational
     frequencies: phases lie in (1/q) Z / Z and repeat with a period that
     `residues` works out from q and the coefficient denominators."""
-    q, stream = residues(polys, [Fraction(t) for t in thetas])
-    period_residues = list(stream)
+    q, stream = residues(polys, thetas)
+    period = list(stream)
+    cycles, remainder = divmod(n_count, len(period))
     counts = [0] * q
-    cycles, remainder = divmod(n_count, len(period_residues))
-    for j in period_residues:
-        counts[j] += cycles
-    for j in period_residues[:remainder]:
-        counts[j] += 1
+    for i, j in enumerate(period):
+        counts[j] += cycles + (i < remainder)
     return RootOfUnityMean(q, tuple(counts), n_count)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from itertools import combinations
+from math import isqrt, lcm, prod
 from typing import Mapping, Sequence
 
 DEFAULT_PRECISION = 60
@@ -233,8 +234,8 @@ class FixedRow:
     |K| <= 10^(g-2).  At most four basis constants add under 1/25, and
     rounding the sum to an integer adds at most 1/2."""
 
-    def __init__(self, row: Sequence[Real], width: int):
-        coords = [entry.basis() for entry in row]
+    def __init__(self, row: Sequence[Real | Fraction | int | str], width: int):
+        coords = [Real.of(entry).basis() for entry in row]
         q = lcm(*(rational.denominator for rational, _ in coords))
         names = sorted({name for _, irr in coords for name in irr})
         self.width = max(width, 0) if names else 0
@@ -262,40 +263,28 @@ class FixedRow:
         return total + (2 * scaled.numerator + scale) // (2 * scale)
 
 
-class KahanSum:
-    """Compensated float accumulator."""
-
-    __slots__ = ("total", "compensation")
-
-    def __init__(self):
-        self.total = 0.0
-        self.compensation = 0.0
-
-    def add(self, value: float):
-        y = value - self.compensation
-        t = self.total + y
-        self.compensation = (t - self.total) - y
-        self.total = t
-
-
-def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder by a monic b; coefficients lowest degree first."""
-    rem, k = list(a), len(b) - 1
-    quot = [0] * max(len(a) - k, 0)
-    for i in reversed(range(len(quot))):
-        c = quot[i] = rem[i + k]
-        for j, coeff in enumerate(b):
-            rem[i + j] -= c * coeff
-    return quot, rem[:k]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(q: int) -> tuple[int, ...]:
-    """The q-th cyclotomic polynomial: x^q - 1 over the d-th one for each d | q, d < q."""
-    poly = [-1] + [0] * (q - 1) + [1]
-    for d in range(1, q):
-        if q % d == 0:
-            poly, _ = _divmod_monic(poly, cyclotomic(d))
+    """The q-th cyclotomic polynomial, coefficients lowest degree first.
+
+    Moebius inversion of x^q - 1 = prod_{d | q} Phi_d gives
+    Phi_q = prod (x^d - 1)^mu(q/d), where mu(s) = (-1)^k for s a product of
+    k distinct primes and 0 otherwise.  Multiplying by every factor with
+    mu = 1 first makes each later division by x^d - 1 exact: p = c (x^d - 1)
+    gives c_i = c_(i-d) - p_i."""
+    primes = [p for p in range(2, q + 1)
+              if q % p == 0 and all(p % r for r in range(2, isqrt(p) + 1))]
+    squarefree = sorted((k % 2, prod(c)) for k in range(len(primes) + 1)
+                        for c in combinations(primes, k))
+    poly = [1]
+    for odd, s in squarefree:
+        d = q // s
+        if odd:
+            poly = [-c for c in poly[:len(poly) - d]]
+            for i in range(d, len(poly)):
+                poly[i] += poly[i - d]
+        else:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
     return tuple(poly)
 
 
@@ -306,34 +295,32 @@ class RootOfUnityMean:
     come from the counts alone; the complex value is only materialized on
     demand."""
 
-    __slots__ = ("q", "counts", "n_count")
+    __slots__ = ("q", "counts", "n_count", "is_exactly_zero", "is_exactly_one")
 
     def __init__(self, q: int, counts: tuple[int, ...], n_count: int):
         self.q = q
         self.counts = tuple(counts)
         self.n_count = n_count
-
-    @property
-    def is_exactly_zero(self) -> bool:
-        # sum counts[j] z^j vanishes at z = e(1/q) exactly when the minimal
-        # polynomial of e(1/q), the q-th cyclotomic one, divides it
-        _, rem = _divmod_monic(self.counts, cyclotomic(self.q))
-        return not any(rem)
-
-    @property
-    def is_exactly_one(self) -> bool:
-        return self.counts[0] == self.n_count
+        # exactly 0 iff the minimal polynomial of e(1/q), the monic Phi_q,
+        # divides sum counts[j] z^j: divide, over the non-zero terms of Phi_q
+        rem, phi = list(self.counts), cyclotomic(q)
+        k = len(phi) - 1
+        terms = [(j, c) for j, c in enumerate(phi[:k]) if c]
+        for i in reversed(range(len(rem) - k)):
+            if rem[i + k]:
+                for j, c in terms:
+                    rem[i + j] -= rem[i + k] * c
+        self.is_exactly_zero = not any(rem[:k])
+        self.is_exactly_one = self.counts[0] == n_count
 
     def value(self) -> complex:
         if self.is_exactly_zero:
             return 0j
-        re, im = KahanSum(), KahanSum()
-        for j, count in enumerate(self.counts):
-            if count:
-                angle = 2.0 * math.pi * j / self.q
-                re.add(count * math.cos(angle))
-                im.add(count * math.sin(angle))
-        return complex(re.total / self.n_count, im.total / self.n_count)
+        terms = [(count, 2.0 * math.pi * j / self.q)
+                 for j, count in enumerate(self.counts) if count]
+        re = math.fsum(count * math.cos(angle) for count, angle in terms)
+        im = math.fsum(count * math.sin(angle) for count, angle in terms)
+        return complex(re / self.n_count, im / self.n_count)
 
     def __repr__(self) -> str:
         return f"RootOfUnityMean(q={self.q}, counts={self.counts}, N={self.n_count})"

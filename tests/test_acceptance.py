@@ -32,8 +32,8 @@ from polywalk.lab import (
     BohrSet,
     bogolubov_experiment,
     magyar_experiment,
-    weyl_sum,
     weyl_sum_rational,
+    weyl_sums,
 )
 from polywalk.poly import MPoly, PolyVector, poly_parse
 from polywalk.reals import Real
@@ -204,12 +204,12 @@ def test_criterion_05_bogolubov_desk_scale(capsys):
 
 
 def test_criterion_06_weyl_decay(capsys):
-    quadratic = abs(weyl_sum(
-        PolyVector([poly_parse("n^2", ["n"])]), [Real.named("sqrt2")], 10 ** 5
+    (quadratic,) = map(abs, weyl_sums(
+        PolyVector([poly_parse("n^2", ["n"])]), [[Real.named("sqrt2")]], 10 ** 5
     ))
-    pair = abs(weyl_sum(
+    (pair,) = map(abs, weyl_sums(
         PolyVector([poly_parse("n^2", ["n"]), poly_parse("n^3", ["n"])]),
-        [Real.named("sqrt2"), Real.named("sqrt3")],
+        [[Real.named("sqrt2"), Real.named("sqrt3")]],
         10 ** 5,
     ))
     exact = weyl_sum_rational(

@@ -413,6 +413,16 @@ def _configs(tmp_path):
                               .replace("center_1 = 3/10\n", "") + "radius_2 = 1/8\n")
     files["trig_zero_mean"] = ("row_1 = 1/4\nx0 = 0\np = 2*n\nN = 8\n"
                                "observable = trig\ncomp_1 = 1 : 1 : 0\n")
+    files["trig_half"] = ("row_1 = sqrt2\nx0 = 0\np = 1/2*n\nN = 300\n"
+                          "observable = trig\ncomp_1 = 1 : 1 : 0\n")
+    files["trig_row_length"] = files["trig_half"].replace("sqrt2", "sqrt2, sqrt3").replace(
+        "1/2*n", "n")
+    files["trig_frequency"] = files["trig_half"].replace("1/2*n", "n").replace(
+        "comp_1 = 1 :", "comp_1 = 1 2 :")
+    files["correlate_half"] = files["correlate"].replace("orbit_1 = n^6, n^3",
+                                                         "orbit_1 = 1/2*n, n")
+    files["correlate_orbit_length"] = files["correlate"].replace("orbit_1 = n^6, n^3",
+                                                                 "orbit_1 = n^6")
     files["no_orbit"] = "".join(line + "\n" for line in files["correlate"].splitlines()
                                 if not line.startswith(("orbit_", "N_")))
     paths = {}
@@ -500,6 +510,12 @@ VALIDATE_GAPS = {
     "correlate-no-orbit": ["correlate", "--config", "{no_orbit}"],
     "correlate-extra-arc": ["correlate", "--config", "{extra_arc}"],
     "ergodic-avg-extra-arc": ["ergodic-avg", "--config", "{box_extra_arc}"],
+    "weyl-non-integer": ["weyl", "--p", "1/2*n", "--theta", "sqrt2", "--N", "4"],
+    "ergodic-avg-non-integer": ["ergodic-avg", "--config", "{trig_half}"],
+    "ergodic-avg-row-length": ["ergodic-avg", "--config", "{trig_row_length}"],
+    "ergodic-avg-frequency-dimension": ["ergodic-avg", "--config", "{trig_frequency}"],
+    "correlate-non-integer": ["correlate", "--config", "{correlate_half}"],
+    "correlate-orbit-length": ["correlate", "--config", "{correlate_orbit_length}"],
     "construct-walk-N-max-0": ["construct-walk", "--gen", "bogolubov:y^2", "--v", "-3,0",
                                "--N-max", "0"],
     "construct-walk-N-max-negative": ["construct-walk", "--gen", "bogolubov:y^2",
@@ -542,7 +558,7 @@ def test_validate_only_prints_ok_and_computes_nothing(tmp_path, capsys, monkeypa
         raise AssertionError("--validate-only ran a computation")
 
     for fn in ("construct_fleeing_walk", "magyar_experiment", "bogolubov_experiment",
-               "weyl_sum", "weyl_sum_rational", "empirical_average",
+               "weyl_sums", "weyl_sum_rational", "empirical_average",
                "correlation_average"):
         monkeypatch.setattr(cli, fn, computed)
     out_path = tmp_path / "report.txt"
@@ -602,9 +618,11 @@ def test_construct_walk_rejects_an_empty_depth_range(capsys, n_max):
     assert (code, out, err) == (1, "", f"error: depth cap must be >= 1, got {n_max}\n")
 
 
-@pytest.mark.parametrize("p, theta, n_count", [("n^2", "1/6", 600), ("2*n", "1/4", 40)])
+@pytest.mark.parametrize("p, theta, n_count", [("n^2", "1/6", 600), ("2*n", "1/4", 40),
+                                               ("n", "1/5040", 5040)])
 def test_weyl_exact_zero_beyond_uniform_counts(capsys, p, theta, n_count):
-    # n^2 mod 6 runs 1, 4, 3, 4, 1, 0: 1 + 2z + z^3 + 2z^4 = 0 at z = e(1/6)
+    # n^2 mod 6 runs 1, 4, 3, 4, 1, 0: 1 + 2z + z^3 + 2z^4 = 0 at z = e(1/6);
+    # q = 5040 has a cyclotomic polynomial of degree 1152
     code, out, _ = run(capsys, "weyl", "--p", p, "--theta", theta, "--N", str(n_count),
                        "--exact")
     assert (code, out) == (0, "value = 0 + 0i\nmodulus = 0\nexactly_zero = true\n")

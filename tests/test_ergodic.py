@@ -23,7 +23,7 @@ from polywalk.ergodic import (
     q_p_multipliers,
     rational_projection,
 )
-from polywalk.lab import weyl_sum
+from polywalk.lab import weyl_sums
 from polywalk.poly import MPoly, PolyVector, poly_parse
 from polywalk.reals import Real, RootOfUnityMean, cyclotomic
 
@@ -141,6 +141,53 @@ def test_cyclotomic_divisor_product_is_x_to_the_q_minus_one():
             math.gcd(q, k) == 1 for k in range(1, q + 1))
 
 
+def _divmod_monic(a, b):
+    """Quotient and remainder by a monic b; coefficients lowest degree first."""
+    rem, k = list(a), len(b) - 1
+    quot = [0] * max(len(a) - k, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + k]
+        for j, coeff in enumerate(b):
+            rem[i + j] -= c * coeff
+    return quot, rem[:k]
+
+
+_REFERENCE_CYCLOTOMIC: dict[int, tuple[int, ...]] = {}
+
+
+def _reference_cyclotomic(q):
+    """x^q - 1 divided by the d-th cyclotomic polynomial for each d | q,
+    d < q: the recursive construction, about q^2 steps."""
+    if q not in _REFERENCE_CYCLOTOMIC:
+        poly = [-1] + [0] * (q - 1) + [1]
+        for d in range(1, q):
+            if q % d == 0:
+                poly, _ = _divmod_monic(poly, _reference_cyclotomic(d))
+        _REFERENCE_CYCLOTOMIC[q] = tuple(poly)
+    return _REFERENCE_CYCLOTOMIC[q]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300))
+def test_cyclotomic_product_formula_matches_the_recursion(q):
+    assert cyclotomic(q) == _reference_cyclotomic(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 120), st.data())
+def test_exactly_zero_matches_the_reference_division(q, data):
+    phi = _reference_cyclotomic(q)
+    counts = data.draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q))
+    if data.draw(st.booleans()):
+        # a multiple of Phi_q, perhaps with one count moved
+        factor = data.draw(st.lists(st.integers(-3, 3), min_size=q - len(phi) + 1,
+                                    max_size=q - len(phi) + 1))
+        counts = _poly_mul(phi, factor)
+        counts[data.draw(st.integers(0, q - 1))] += data.draw(st.sampled_from([0, 0, 1]))
+    _, rem = _divmod_monic(counts, phi)
+    assert RootOfUnityMean(q, tuple(counts), sum(counts)).is_exactly_zero == (not any(rem))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 60), st.data())
 def test_root_of_unity_mean_is_zero_exactly_on_polygon_sums(q, data):
@@ -231,6 +278,33 @@ def test_empirical_average_irrational_decay():
     assert result.l2_to_prediction < 0.05
 
 
+def test_trig_average_reads_one_phase_stream(monkeypatch):
+    # four irrational characters: no closed-form residue stream, and the
+    # four Weyl sums share one kernel stream
+    import polywalk.kernel as kernel
+
+    calls = []
+    fixed_phases = kernel.fixed_phases
+
+    def counted(*args):
+        calls.append(args)
+        return fixed_phases(*args)
+
+    monkeypatch.setattr(kernel, "fixed_phases", counted)
+    system = TorusSystem([["sqrt2"], ["sqrt3"]], ["1/8", "3/8"])
+    f = TrigPoly.of([((1, 0), 0.5), ((0, 1), -0.25), ((1, 1), 0.75), ((2, -1), 0.25)])
+    result = empirical_average(system, f, _pv("n^2"), 3000)
+    assert len(calls) == 1
+    assert len(calls[0][1]) == 4
+    assert result.prediction.components == ()
+    # the same value as one single-row stream per character
+    monkeypatch.undo()
+    weyl = [weyl_sums(_pv("n^2"), [system.transposed_row(freq)], 3000, system.precision)[0]
+            for freq, _ in f.components]
+    assert result.value == TrigPoly.of(
+        (freq, c * w) for (freq, c), w in zip(f.components, weyl)).value_at([0.125, 0.375])
+
+
 def test_empirical_average_box_indicator():
     sys1 = TorusSystem([[Real.named("golden")]])
     box = BoxIndicator.of([0], [F(1, 4)])
@@ -269,13 +343,13 @@ def test_l2_to_prediction_is_parseval(rows, x0, orbit, n_count, components):
     squares = []
     for info, mean in q_p_multipliers(system, f, polys):
         limit = 0 if mean is None or mean.is_exactly_zero else mean.value()
-        weyl = weyl_sum(polys, info.row, n_count, system.precision)
+        (weyl,) = weyl_sums(polys, [info.row], n_count, system.precision)
         squares.append(abs(coeffs[info.freq]) ** 2 * abs(weyl - limit) ** 2)
     exact = math.sqrt(math.fsum(squares))
     assert exact > 1e-6
     assert math.isclose(result.l2_to_prediction, exact, rel_tol=1e-12)
     difference = TrigPoly.of(
-        (freq, c * weyl_sum(polys, system.transposed_row(freq), n_count, system.precision))
+        (freq, c * weyl_sums(polys, [system.transposed_row(freq)], n_count, system.precision)[0])
         for freq, c in f.components) - result.prediction
     assert math.isclose(result.l2_to_prediction, _qmc_l2(difference, len(rows)), rel_tol=1e-3)
 

@@ -10,6 +10,7 @@ itself is checked against the constants read at 400 digits."""
 
 import math
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 import pytest
@@ -18,15 +19,9 @@ from hypothesis import strategies as st
 
 from polywalk import kernel
 from polywalk.kernel import orbit_points, phases, residues
-from polywalk.lab import weyl_sum
+from polywalk.lab import weyl_sums
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import (
-    DEFAULT_PRECISION,
-    FixedRow,
-    KahanSum,
-    Real,
-    constant_digits,
-)
+from polywalk.reals import DEFAULT_PRECISION, FixedRow, Real, constant_digits
 
 F = Fraction
 UNIVERSE = ("n",)
@@ -68,6 +63,23 @@ def _reference_dot_frac(thetas, values, prec=DEFAULT_PRECISION):
 
 def _reference_phase(row, point):
     return _reference_dot_frac(list(row), list(point), 80)
+
+
+class KahanSum:
+    """Compensated float accumulator: the summation the Weyl sums used
+    before `math.fsum`, kept as their reference."""
+
+    __slots__ = ("total", "compensation")
+
+    def __init__(self):
+        self.total = 0.0
+        self.compensation = 0.0
+
+    def add(self, value: float):
+        y = value - self.compensation
+        t = self.total + y
+        self.compensation = (t - self.total) - y
+        self.total = t
 
 
 def _reference_weyl(polys, thetas, n_count, precision=40):
@@ -153,7 +165,7 @@ def test_fixed_phases_within_documented_bound(data, precision, count):
 def test_float_phases_within_precision(data, precision, count):
     polys, rows = data
     points = _reference_points(polys, count)
-    got = list(phases(polys, rows, count, precision))
+    got = [point for block in phases(polys, rows, count, precision) for point in zip(*block)]
     assert len(got) == count
     for point, fracs in zip(points, got):
         for row, x in zip(rows, fracs):
@@ -199,7 +211,8 @@ def test_residues_reject_irrational_rows():
 def test_phases_at_high_precision_on_large_values():
     # W above 308 digits: the float conversion must not overflow
     cube = PolyVector([poly_parse("n^3", ["n"])])
-    got = list(phases(cube, [[Real.named("sqrt3")]], 200, 400))
+    got = [point for block in phases(cube, [[Real.named("sqrt3")]], 200, 400)
+           for point in zip(*block)]
     for n, (x,) in enumerate(got, start=1):
         error = circle_distance(F(x), _reference_phase([Real.named("sqrt3")], (n ** 3,)))
         assert error <= FLOAT_ROUNDING
@@ -214,7 +227,48 @@ def test_phases_at_high_precision_on_large_values():
 def test_weyl_sum_matches_fraction_route(exprs, thetas, n_count):
     polys = PolyVector([poly_parse(e, ["n"]) for e in exprs])
     rows = [Real.of(t) for t in thetas]
-    assert abs(weyl_sum(polys, rows, n_count) - _reference_weyl(polys, rows, n_count)) < 1e-12
+    (value,) = weyl_sums(polys, [rows], n_count)
+    assert abs(value - _reference_weyl(polys, rows, n_count)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys_and_rows(), st.integers(1, 600), st.integers(1, 30))
+def test_weyl_sums_of_many_rows_equal_single_row_calls(data, count, precision):
+    polys, rows = data
+    together = weyl_sums(polys, rows, count, precision)
+    alone = [weyl_sums(polys, [row], count, precision)[0] for row in rows]
+    assert [(w.real.hex(), w.imag.hex()) for w in together] == \
+        [(w.real.hex(), w.imag.hex()) for w in alone]
+
+
+U = F(1, 2 ** 53)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys_and_rows(), st.integers(1, 2000))
+def test_weyl_sums_within_the_summation_bound(data, count):
+    # the terms are those of the float phases of the same stream, in its
+    # blocks; the reference sums them exactly, and per point with Kahan
+    # summation
+    polys, rows = data
+    blocks = [list(zip(*block)) for block in phases(polys, rows, count, 40)]
+    for j, value in enumerate(weyl_sums(polys, rows, count)):
+        for part, fn in ((value.real, math.cos), (value.imag, math.sin)):
+            terms = [[fn(2.0 * math.pi * point[j]) for point in block] for block in blocks]
+            block_sums = [sum(map(F, block), F(0)) for block in terms]
+            exact = sum(block_sums)
+            absolute = sum(abs(F(t)) for block in terms for t in block)
+            # |T - S| <= u |S| + (u + u^2) sum |S_k| <= (2u + u^2) sum |t_n|,
+            # then the division by N rounds by at most u |T| / N
+            total = U * abs(exact) + (U + U * U) * sum(map(abs, block_sums))
+            assert total <= (2 * U + U * U) * absolute
+            bound = (total + U * (abs(exact) + total)) / count
+            assert abs(F(part) - exact / count) <= bound
+            kahan = KahanSum()
+            for t in chain.from_iterable(terms):
+                kahan.add(t)
+            # Kahan's (2u + O(N u^2)) sum |t_n|, and its division
+            assert abs(part - kahan.total / count) <= bound + 3 * (2 * U + U * U) * absolute / count
 
 
 REFERENCE_DIGITS = 400

@@ -19,8 +19,8 @@ from polywalk.lab import (
     bogolubov_experiment,
     magyar_experiment,
     twisted_search,
-    weyl_sum,
     weyl_sum_rational,
+    weyl_sums,
 )
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
 from polywalk.reals import GUARD_BAND, Real, constant_digits
@@ -477,18 +477,18 @@ def test_bohr_scan_dimension_mismatch():
 
 def test_weyl_sum_zero_frequency():
     polys = PolyVector([poly_parse("n", ["n"])])
-    assert weyl_sum(polys, [0], 200) == pytest.approx(1.0)
+    assert weyl_sums(polys, [[0]], 200) == [pytest.approx(1.0)]
 
 
 def test_weyl_sum_cube_roots_cancel():
     polys = PolyVector([poly_parse("n", ["n"])])
-    value = weyl_sum(polys, [F(1, 3)], 300)
+    (value,) = weyl_sums(polys, [[F(1, 3)]], 300)
     assert abs(value) < 1e-12
 
 
 def test_weyl_sum_equidistribution_quadratic():
     polys = PolyVector([poly_parse("n^2", ["n"])])
-    value = weyl_sum(polys, [Real.named("sqrt2")], 20000)
+    (value,) = weyl_sums(polys, [[Real.named("sqrt2")]], 20000)
     assert abs(value) < 0.05
 
 
@@ -515,7 +515,7 @@ def test_weyl_periodic_cross_check():
         polys = PolyVector([poly_parse(f"{rng.randint(1,3)}*n^2 + {rng.randint(0,4)}*n", ["n"])])
         theta = F(rng.randint(1, q - 1), q)
         n_count = q * rng.randint(3, 12)
-        numeric = weyl_sum(polys, [theta], n_count)
+        (numeric,) = weyl_sums(polys, [[theta]], n_count)
         exact = weyl_sum_rational(polys, [theta], n_count).value()
         assert abs(numeric - exact) < 1e-9
 
@@ -525,12 +525,12 @@ def test_weyl_sum_rational_binomial_orbit():
     polys = PolyVector([poly_parse("1/2*n^2 + 1/2*n", ["n"])])
     for n_count in (4, 7, 1000, 1001):
         exact = weyl_sum_rational(polys, [F(1, 2)], n_count).value()
-        assert abs(weyl_sum(polys, [F(1, 2)], n_count) - exact) < 1e-12
+        assert abs(weyl_sums(polys, [[F(1, 2)]], n_count)[0] - exact) < 1e-12
 
 
 def test_weyl_sum_multidimensional():
     polys = PolyVector([poly_parse("n^2", ["n"]), poly_parse("n^3", ["n"])])
-    value = weyl_sum(polys, [Real.named("sqrt2"), Real.named("sqrt3")], 5000)
+    (value,) = weyl_sums(polys, [[Real.named("sqrt2"), Real.named("sqrt3")]], 5000)
     assert abs(value) < 0.05
 
 
