@@ -33,7 +33,6 @@ from .fleeing import (
     affine_annihilator,
     construct_fleeing_walk,
     is_fleeing,
-    orbit_polynomials,
 )
 from .generators import (
     NotUnipotent,
@@ -67,7 +66,6 @@ from .ergodic import (
     empirical_average,
     q_p_closed_form,
     q_p_multipliers,
-    rational_projection,
 )
 
 __version__ = "0.1.0"

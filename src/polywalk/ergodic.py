@@ -219,14 +219,6 @@ def classify_characters(sys: TorusSystem, f: TrigPoly) -> list[CharacterInfo]:
     return out
 
 
-def rational_projection(sys: TorusSystem, f: TrigPoly) -> TrigPoly:
-    """Keep exactly the components with rational induced character."""
-    infos = {info.freq: info for info in classify_characters(sys, f)}
-    return TrigPoly.of(
-        (freq, coeff) for freq, coeff in f.components if infos[freq].rational
-    )
-
-
 def q_p_multipliers(
     sys: TorusSystem, f: TrigPoly, polys: PolyVector
 ) -> list[tuple[CharacterInfo, RootOfUnityMean | None]]:

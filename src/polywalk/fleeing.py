@@ -127,17 +127,6 @@ def _orbit_stream(gens: Sequence[Walk], v: Sequence[int]) -> Iterator[PolyVector
         yield current
 
 
-def orbit_polynomials(gens: Sequence[Walk], v: Sequence[int], depth: int) -> PolyVector:
-    """Entries of s_depth(t_depth) ... s_1(t_1) v, generators cycling in list order."""
-    stream = _orbit_stream(gens, v)
-    orbit = next(stream)  # checks gens and v before depth
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    for _ in range(depth - 1):
-        orbit = next(stream)
-    return orbit
-
-
 @dataclass(frozen=True)
 class FleeingCertificate:
     """Self-certifying output of the fleeing-walk construction."""

@@ -3,14 +3,22 @@
 Every per-n loop of the package walks an integer-valued polynomial vector
 p(n) = (p_1(n), ..., p_m(n)) of degree at most D over consecutive n, and
 the torus loops also read the phase frac(<row, p(n)>) of rows of exact
-reals.  Evaluating each p(n) from scratch is one Fraction polynomial
-evaluation per point.  The streams here work like the difference engine
-(Knuth, TAOCP vol. 2, 4.6.4).  The first D + 1 points come from
-`PolyVector.eval_int`.  The backward differences at the last of them
-follow by exact subtraction, and every later point costs D additions per
-coordinate, since nabla^(D+1) p = 0 and
+reals.  Evaluating each p(n) from scratch costs a polynomial evaluation
+per point.  The streams here work like the difference engine (Knuth,
+TAOCP vol. 2, 4.6.4): after a start-up, every point costs D additions
+per coordinate, since nabla^(D+1) p = 0 and
 
     nabla^i p(n + 1) = nabla^i p(n) + nabla^(i+1) p(n + 1).
+
+The start-up, the head of a stream, is in integers only.  The first D + 1
+points come from `PolyVector.eval_int`, which reads each entry on its
+integer numerators over the lcm of its denominators, computed once per
+vector; the Fraction route `MPoly.eval` is never called.  The backward
+differences at the last of them are taken column by column, one
+`map(operator.sub, ...)` per level and coordinate.  So a stream starts
+with D + 1 integer evaluations and D (D + 1) / 2 subtractions per
+coordinate, and the subtractions run in C.  A phase stream also reads
+2 (D + 1) integer vectors through `reals.FixedRow`.
 
 Points are stepped in blocks: over a block, the order-i differences are
 the running sums (`itertools.accumulate`) of the order-(i+1) ones, started
@@ -67,7 +75,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, lcm
-from operator import mod, truediv
+from operator import mod, sub, truediv
 from typing import Iterator, Sequence
 
 from .poly import PolyVector
@@ -78,15 +86,17 @@ from .reals import FixedRow, Real
 _MAX_BLOCK = 256
 
 
-def _backward_table(head: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _backward_table(head: list[tuple[int, ...]]) -> list[list[int]]:
     """The differences [nabla^D, ..., nabla^1, nabla^0] of D + 1 consecutive
-    points, taken at the last one."""
-    table = [head[-1]]
-    rows = head
-    while len(rows) > 1:
-        rows = [tuple(b - a for a, b in zip(r0, r1)) for r0, r1 in zip(rows, rows[1:])]
-        table.append(rows[-1])
-    table.reverse()
+    points, taken at the last one: one list per coordinate."""
+    table = []
+    for column in zip(*head):
+        ends = [column[-1]]
+        while len(column) > 1:
+            column = list(map(sub, column[1:], column))
+            ends.append(column[-1])
+        ends.reverse()
+        table.append(ends)
     return table
 
 
@@ -126,8 +136,7 @@ def orbit_points(polys: PolyVector, count: int) -> Iterator[tuple[int, ...]]:
         head.append(polys.eval_int({var: n}))
         yield head[-1]
     if count > len(head):
-        columns = [list(column) for column in zip(*_backward_table(head))]
-        for block in _blocks(columns, count - len(head)):
+        for block in _blocks(_backward_table(head), count - len(head)):
             yield from zip(*block)
 
 
@@ -170,7 +179,7 @@ def fixed_phases(
     def stream():
         yield [[f(point) % m for point in head] for f, m in zip(fixed, moduli)]
         if count > len(head):
-            table = _backward_table(head)
+            table = list(zip(*_backward_table(head)))
             columns = [[f(diff) % m for diff in table] for f, m in zip(fixed, moduli)]
             for block in _blocks(columns, count - len(head), moduli):
                 yield [map(mod, run, repeat(m)) for run, m in zip(block, moduli)]

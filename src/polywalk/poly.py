@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import add
 from typing import Iterable, Mapping
 
@@ -71,6 +71,16 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and denominator of an int or Fraction, with the TypeError
+    of `_as_fraction`."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, int):
+        return value, 1
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -612,7 +622,7 @@ def poly_parse_auto(text: str) -> MPoly:
 class PolyVector:
     """Ordered sequence of polynomials over one shared variable universe."""
 
-    __slots__ = ("entries", "vars")
+    __slots__ = ("entries", "vars", "_form")
 
     def __init__(self, entries: Iterable[MPoly]):
         entries = tuple(entries)
@@ -624,6 +634,7 @@ class PolyVector:
                 raise ValueError(f"mixed universes: {vars} vs {p.vars}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyVector is immutable")
@@ -651,12 +662,62 @@ class PolyVector:
     def eval(self, point: Mapping[str, Fraction | int]) -> tuple[Fraction, ...]:
         return tuple(p.eval(point) for p in self.entries)
 
-    def eval_int(self, point: Mapping[str, int]) -> tuple[int, ...]:
-        values = self.eval(point)
-        for v in values:
-            if v.denominator != 1:
-                raise ValueError(f"non-integer value {v} at {dict(point)}")
-        return tuple(v.numerator for v in values)
+    def _numerator_form(self) -> tuple[list, list[int], list[list[int]]]:
+        """Per entry its scale L, its (exponents, numerator) pairs and the
+        indices of its variables; per variable its largest exponent M_i and
+        its exponents in use.  Computed once per vector."""
+        form = object.__getattribute__(self, "_form")
+        if form is None:
+            entries = []
+            for p in self.entries:
+                L, terms = _numerators(p.terms)
+                entries.append((L, tuple(terms.items()), tuple(
+                    i for i in range(len(self.vars)) if any(e[i] for e in terms))))
+            exponents = [sorted({e[i] for p in self.entries for e in p.terms})
+                         for i in range(len(self.vars))]
+            form = entries, [max(used, default=0) for used in exponents], exponents
+            object.__setattr__(self, "_form", form)
+        return form
+
+    def eval_int(self, point: Mapping[str, Fraction | int]) -> tuple[int, ...]:
+        """The values of `eval` as ints, in integer arithmetic only.
+
+        Entry k is read on its integer numerators c_e over the lcm L_k of
+        its denominators (`_numerator_form`).  At x_i = a_i / b_i, with M_i
+        the largest exponent of x_i in the vector, its value is
+        N_k / (L_k prod_i b_i^M_i), where
+            N_k = sum_e c_e prod_i a_i^e_i b_i^(M_i - e_i),
+        so one remainder decides whether it is an integer.  The errors are
+        those of `eval`, in its order, then a ValueError for the first
+        non-integer value."""
+        entries, degrees, exponents = self._numerator_form()
+        ratios = []
+        for i, v in enumerate(self.vars):
+            if v in point:
+                ratios.append(_ratio(point[v]))
+            elif i in entries[0][2]:
+                raise ValueError(f"unbound variable '{v}'")
+            else:
+                ratios.append((0, 1))
+        for _, _, used in entries[1:]:
+            for i in used:
+                if self.vars[i] not in point:
+                    raise ValueError(f"unbound variable '{self.vars[i]}'")
+        tables = [{e: a ** e * b ** (m - e) for e in used}
+                  for (a, b), m, used in zip(ratios, degrees, exponents)]
+        unit = prod(b ** m for (_, b), m in zip(ratios, degrees))
+        values = []
+        for L, terms, _ in entries:
+            total = 0
+            for exps, c in terms:
+                for table, e in zip(tables, exps):
+                    c *= table[e]
+                total += c
+            value, rest = divmod(total, L * unit)
+            if rest:
+                raise ValueError(f"non-integer value {Fraction(total, L * unit)} at {dict(point)}")
+            values.append(value)
+        return tuple(values)
 
     def max_degree(self) -> int:
         return max(p.total_degree() for p in self.entries)

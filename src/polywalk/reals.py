@@ -22,7 +22,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 DEFAULT_PRECISION = 60
@@ -227,12 +228,20 @@ class FixedRow:
     integer with |fix(v) - M <row, v>| < 1, so fix(v) / M is within
     1/M <= 10^-W of <row, v>, and exactly <row, v> for a row of rationals.
 
+    Every coefficient is held as an integer: q r_c for the rational parts
+    r_c, and for each basis constant c the column den q a_c of its
+    coefficients a_c, where den is the lcm of the denominators of every
+    q a_c of the row.
+
     Proof.  The rational part sum (q r_c) v_c 10^W is an exact integer.
-    For each basis constant c the coefficient K = sum q a_c v_c is exact,
-    and with d = constant_digits(c, W + g), 0 <= c 10^(W+g) - d < 1, the
-    term K d / 10^g is within |K| / 10^g <= 1/100 of K c 10^W once
-    |K| <= 10^(g-2).  At most four basis constants add under 1/25, and
-    rounding the sum to an integer adds at most 1/2."""
+    The coefficient of a basis constant c is K = S / den, with the exact
+    integer S = sum (den q a_c) v_c.  Its digits are read at W + g places,
+    g >= 31 b // 100 + 3 for b the bit length of the numerator of K in
+    lowest terms, S / gcd(S, den), so |K| < 2^b < 10^(g-2).  With
+    d = constant_digits(c, W + g), 0 <= c 10^(W+g) - d < 1, the term
+    K d / 10^g is within |K| / 10^g < 1/100 of K c 10^W.  At most four
+    basis constants add under 1/25, and rounding their sum,
+    (sum S d) / (den 10^g), to an integer adds at most 1/2."""
 
     def __init__(self, row: Sequence[Real | Fraction | int | str], width: int):
         coords = [Real.of(entry).basis() for entry in row]
@@ -241,26 +250,24 @@ class FixedRow:
         self.width = max(width, 0) if names else 0
         self.modulus = q * 10 ** self.width
         self.weights = [int(rational * q) for rational, _ in coords]
+        self.den = lcm(*((a * q).denominator for _, irr in coords for a in irr.values()))
         self.irrational = {
-            name: [irr.get(name, 0) * q for _, irr in coords] for name in names
+            name: [int(irr.get(name, 0) * q * self.den) for _, irr in coords] for name in names
         }
 
     def __call__(self, v: Sequence[int]) -> int:
-        total = sum(w * x for w, x in zip(self.weights, v)) * 10 ** self.width
+        total = sum(map(mul, self.weights, v)) * 10 ** self.width
         if not self.irrational:
             return total
-        coeffs = {
-            name: sum((a * x for a, x in zip(column, v)), Fraction(0))
-            for name, column in self.irrational.items()
-        }
+        sums = {name: sum(map(mul, column, v)) for name, column in self.irrational.items()}
         # 10^(g-2) > |K|: 31/100 > log10(2) bounds the decimal digits
-        widest = max(k.numerator.bit_length() for k in coeffs.values())
+        widest = max((s // gcd(s, self.den)).bit_length() for s in sums.values())
         work = self.width + 31 * widest // 100 + 3
         # quantize the digit precision so the digit cache stays warm
         work += (-work) % 32
-        scaled = sum(k * constant_digits(name, work) for name, k in coeffs.items())
-        scale = scaled.denominator * 10 ** (work - self.width)
-        return total + (2 * scaled.numerator + scale) // (2 * scale)
+        scaled = sum(s * constant_digits(name, work) for name, s in sums.items())
+        scale = self.den * 10 ** (work - self.width)
+        return total + (2 * scaled + scale) // (2 * scale)
 
 
 @lru_cache(maxsize=None)

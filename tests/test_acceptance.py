@@ -18,7 +18,7 @@ from polywalk.ergodic import (
     empirical_average,
     q_p_multipliers,
 )
-from polywalk.fleeing import construct_fleeing_walk, is_fleeing, orbit_polynomials
+from polywalk.fleeing import construct_fleeing_walk, is_fleeing
 from polywalk.generators import (
     adjoint_action_matrix,
     bogolubov_walk,
@@ -42,6 +42,7 @@ from polywalk.walks import (
     preserves,
     walk_scaling_certificate,
 )
+from test_fleeing import orbit_polynomials
 
 F = Fraction
 

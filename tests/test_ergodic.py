@@ -21,13 +21,22 @@ from polywalk.ergodic import (
     empirical_average,
     q_p_closed_form,
     q_p_multipliers,
-    rational_projection,
 )
 from polywalk.lab import weyl_sums
 from polywalk.poly import MPoly, PolyVector, poly_parse
 from polywalk.reals import Real, RootOfUnityMean, cyclotomic
 
 F = Fraction
+
+
+def rational_projection(sys: TorusSystem, f: TrigPoly) -> TrigPoly:
+    """Keep exactly the components with rational induced character: the
+    projection the Jensen-inequality tests below take, built on
+    `classify_characters`."""
+    infos = {info.freq: info for info in classify_characters(sys, f)}
+    return TrigPoly.of(
+        (freq, coeff) for freq, coeff in f.components if infos[freq].rational
+    )
 
 
 def _constant_residue(mean):

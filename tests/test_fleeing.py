@@ -11,10 +11,10 @@ from polywalk.fleeing import (
     BaseExhausted,
     DepthExhausted,
     _collapse,
+    _orbit_stream,
     affine_annihilator,
     construct_fleeing_walk,
     is_fleeing,
-    orbit_polynomials,
     time_var,
 )
 from polywalk.generators import (
@@ -75,6 +75,19 @@ def test_is_fleeing_rejects_multivariate():
     bad = PolyVector([poly_parse("t1*t2", ["t1", "t2"])])
     with pytest.raises(ValueError, match="single-variable"):
         is_fleeing(bad)
+
+
+def orbit_polynomials(gens, v, depth: int) -> PolyVector:
+    """Entries of s_depth(t_depth) ... s_1(t_1) v, generators cycling in
+    list order: the orbit `_orbit_stream` yields at `depth`.  Also used by
+    test_scenarios.py and test_acceptance.py."""
+    stream = _orbit_stream(gens, v)
+    orbit = next(stream)  # checks gens and v before depth
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    for _ in range(depth - 1):
+        orbit = next(stream)
+    return orbit
 
 
 def test_orbit_bogolubov_depth_one():

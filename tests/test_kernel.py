@@ -1,23 +1,26 @@
 """Orbit/phase kernel against the Fraction route it replaced.
 
-The reference oracle is the per-point route: `PolyVector.eval_int` for the
-orbit point, then `_reference_dot_frac` for the phase and exact Fractions
-for the residues.  `_reference_dot_frac` is the digit loop that `dot_frac`
-ran before every evaluation went through `reals.FixedRow` (and `dot_frac`
-itself was deleted), so the kernel is checked against a route that does
-not share `FixedRow`.  `FixedRow`
-itself is checked against the constants read at 400 digits."""
+The reference oracle is the per-point route: the Fraction evaluation
+`PolyVector.eval` for the orbit point, then `_reference_dot_frac` for the
+phase and exact Fractions for the residues.  `_reference_dot_frac` is the
+digit loop that `dot_frac` ran before every evaluation went through
+`reals.FixedRow` (and `dot_frac` itself was deleted), so the kernel is
+checked against a route that does not share `FixedRow`.  `FixedRow`
+itself is checked against the constants read at 400 digits, and against
+`_ReferenceFixedRow`, its Fraction form, bit for bit; the difference
+table against `_reference_backward_table`, its tuple loop."""
 
 import math
 from fractions import Fraction
 from itertools import chain
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polywalk import kernel
+from polywalk import kernel, reals
 from polywalk.kernel import orbit_points, phases, residues
 from polywalk.lab import weyl_sums
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
@@ -34,8 +37,15 @@ def circle_distance(a, b):
     return min(delta, 1 - delta)
 
 
+def _reference_point(polys, n):
+    """p(n) by the Fraction route, `MPoly.eval`, which the kernel never calls."""
+    values = polys.eval({"n": n})
+    assert all(v.denominator == 1 for v in values)
+    return tuple(v.numerator for v in values)
+
+
 def _reference_points(polys, count):
-    return [polys.eval_int({"n": n}) for n in range(1, count + 1)]
+    return [_reference_point(polys, n) for n in range(1, count + 1)]
 
 
 def _reference_dot_frac(thetas, values, prec=DEFAULT_PRECISION):
@@ -85,7 +95,7 @@ class KahanSum:
 def _reference_weyl(polys, thetas, n_count, precision=40):
     re, im = KahanSum(), KahanSum()
     for n in range(1, n_count + 1):
-        values = polys.eval_int({"n": n})
+        values = _reference_point(polys, n)
         phase = 2.0 * math.pi * float(_reference_dot_frac(thetas, list(values), precision))
         re.add(math.cos(phase))
         im.add(math.sin(phase))
@@ -186,7 +196,7 @@ def test_residues_exact_over_a_full_period(polys, thetas):
     assert period % q == 0
 
     def exact(n):
-        value = sum((x.as_fraction() * v for x, v in zip(row, polys.eval_int({"n": n}))),
+        value = sum((x.as_fraction() * v for x, v in zip(row, _reference_point(polys, n))),
                     F(0))
         assert (value * q).denominator == 1
         return int(value * q) % q
@@ -310,3 +320,141 @@ def test_fixed_row_is_within_one_unit(row, data):
         assert circle_distance(value, _reference_dot_frac([x], [1], precision)) < bound
         if x.is_rational():
             assert value == x.as_fraction()
+
+
+class _ReferenceFixedRow:
+    """`FixedRow` as it was before it held its columns as integers: the
+    coefficients K of the constants are Fractions, and so is their sum."""
+
+    def __init__(self, row, width):
+        coords = [Real.of(entry).basis() for entry in row]
+        q = math.lcm(*(rational.denominator for rational, _ in coords))
+        names = sorted({name for _, irr in coords for name in irr})
+        self.width = max(width, 0) if names else 0
+        self.modulus = q * 10 ** self.width
+        self.weights = [int(rational * q) for rational, _ in coords]
+        self.irrational = {
+            name: [irr.get(name, 0) * q for _, irr in coords] for name in names
+        }
+
+    def __call__(self, v):
+        total = sum(w * x for w, x in zip(self.weights, v)) * 10 ** self.width
+        if not self.irrational:
+            return total
+        coeffs = {
+            name: sum((a * x for a, x in zip(column, v)), Fraction(0))
+            for name, column in self.irrational.items()
+        }
+        widest = max(k.numerator.bit_length() for k in coeffs.values())
+        work = self.width + 31 * widest // 100 + 3
+        work += (-work) % 32
+        scaled = sum(k * reals.constant_digits(name, work) for name, k in coeffs.items())
+        scale = scaled.denominator * 10 ** (work - self.width)
+        return total + (2 * scaled.numerator + scale) // (2 * scale)
+
+
+# coefficients with coprime, shared and large denominators, as in 3/7*sqrt2
+coefficient = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 3, 6, 7, 9, 10, 1009]))
+row_entry = st.one_of(
+    coefficient.map(Real),
+    st.builds(lambda c, name: Real.named(name, c), coefficient.filter(bool), named),
+    st.builds(lambda a, b, c, x, y: Real(a) + Real.named(x, b) + Real.named(y, c),
+              coefficient, coefficient, coefficient, named, named),
+)
+huge = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 200, 10 ** 200))
+
+
+def _same_digits_and_value(row, width, v):
+    """FixedRow and the Fraction formula agree on fix(v) and on the
+    constant digits they read, request by request."""
+    fixed, reference = FixedRow(row, width), _ReferenceFixedRow(row, width)
+    assert fixed.modulus == reference.modulus
+    with mock.patch.object(reals, "constant_digits", wraps=reals.constant_digits) as spy:
+        got = fixed(v)
+        read = spy.call_args_list[:]
+        spy.reset_mock()
+        assert got == reference(v)
+        assert read == spy.call_args_list
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(row_entry, min_size=1, max_size=4), st.data())
+def test_fixed_row_matches_fraction_formula(row, data):
+    v = data.draw(st.lists(huge, min_size=len(row), max_size=len(row)))
+    width = data.draw(st.one_of(st.integers(0, 40), st.integers(301, 340)))
+    _same_digits_and_value(row, width, v)
+    _same_digits_and_value(row, width, [-x for x in v])
+
+
+@pytest.mark.parametrize("row", [
+    ["3/7*sqrt2"],
+    ["1/3", "3/7*sqrt2", "golden + 2/9*pifrac"],
+    ["1/6*sqrt3 - 5/4*sqrt5", "2/1009*golden", "sqrt2 + 1/10"],
+    ["1/2", "2/3"],
+])
+@pytest.mark.parametrize("width", [0, 1, 19, 301, 333])
+def test_fixed_row_matches_fraction_formula_at_the_edges(row, width):
+    for sign in (1, -1):
+        for v in ([sign * 10 ** 200] * 3, [sign, -sign * (10 ** 200 - 1), 7],
+                  [0, 0, 0], [sign * 3 ** 400, 2 ** 600, -5 ** 250]):
+            _same_digits_and_value(row, width, v[:len(row)])
+
+
+def test_fixed_row_reads_digits_from_lowest_terms():
+    # den = 7 divides S = 21 * 2^j, so K = 3 * 2^j: a digit count taken
+    # from S itself is larger and, past a multiple of 32, reads more digits
+    for width in (0, 301):
+        for j in range(200):
+            _same_digits_and_value(["3/7*sqrt2"], width, [7 * 2 ** j])
+
+
+def _reference_backward_table(head):
+    """`kernel._backward_table` as it was before it ran column-wise: one
+    tuple per difference order, each level by a tuple comprehension."""
+    table = [head[-1]]
+    rows = head
+    while len(rows) > 1:
+        rows = [tuple(b - a for a, b in zip(r0, r1)) for r0, r1 in zip(rows, rows[1:])]
+        table.append(rows[-1])
+    table.reverse()
+    return table
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([10, 10 ** 200]), st.randoms(use_true_random=False))
+def test_backward_table_matches_tuple_loop(dim, size, rng):
+    for degree in range(41):
+        head = [tuple(rng.randint(-size, size) for _ in range(dim)) for _ in range(degree + 1)]
+        columns = kernel._backward_table(head)
+        assert len(columns) == dim
+        assert list(zip(*columns)) == _reference_backward_table(head)
+
+
+def test_streams_never_call_fraction_eval(monkeypatch):
+    # the kernel reads points by integer numerators; MPoly.eval is the
+    # Fraction reference only
+    polys = PolyVector([poly_parse("1/2*n^2 + 1/2*n", ["n"]),
+                        poly_parse("n^7 - 3*n + 1/6*n^3 - 1/6*n", ["n"])])
+    rows = [[Real.named("sqrt2"), Real.of("1/3 + 2/7*golden")],
+            [Real(F(1, 4)), Real(F(2, 5))]]
+    count = 60
+    points = _reference_points(polys, count)
+    expected = [[_reference_phase(row, point) for row in rows] for point in points]
+
+    def refuse(self, point):
+        raise AssertionError("MPoly.eval called")
+
+    monkeypatch.setattr(MPoly, "eval", refuse)
+    fresh = PolyVector(list(polys))
+    assert list(orbit_points(fresh, count)) == points
+    moduli, blocks = kernel.fixed_phases(fresh, rows, count, 12)
+    got = [point for block in blocks for point in zip(*block)]
+    assert len(got) == count
+    for accs, want in zip(got, expected):
+        for acc, m, phase in zip(accs, moduli, want):
+            assert circle_distance(F(acc, m), phase) < F(1, 10 ** 12)
+    floats = [point for block in phases(fresh, rows, count, 12) for point in zip(*block)]
+    assert len(floats) == count
+    q, stream = residues(fresh, rows[1])
+    for residue, want in zip(stream, expected):
+        assert F(residue, q) == want[1]

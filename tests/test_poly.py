@@ -607,3 +607,78 @@ def test_polyvector_eval_int_rejects_fractions():
     pv = PolyVector([MPoly(("n",), {(1,): F(1, 2)})])
     with pytest.raises(ValueError, match="non-integer"):
         pv.eval_int({"n": 1})
+
+
+def _reference_eval_int(pv: PolyVector, point):
+    """`PolyVector.eval_int` as it was before it read integer numerators:
+    every entry by the Fraction route, `MPoly.eval`, then one check."""
+    values = pv.eval(point)
+    for v in values:
+        if v.denominator != 1:
+            raise ValueError(f"non-integer value {v} at {dict(point)}")
+    return tuple(v.numerator for v in values)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_point_value = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(-10 ** 40, 10 ** 40),
+    st.builds(F, st.integers(-50, 50), st.sampled_from([1, 2, 3, 4, 6, 1009])),
+    st.just(True),
+    st.sampled_from([None, None, 1.0, 0.5, "1"]),  # None: the variable is unbound
+)
+
+
+@st.composite
+def _eval_int_case(draw):
+    vars_n = draw(_universe())
+    entry = st.one_of(_kernel_poly(vars_n), _binomial_basis_poly().map(
+        lambda p: p.extend(tuple(dict.fromkeys(p.vars + vars_n)))))
+    entries = draw(st.lists(entry, min_size=1, max_size=3))
+    universe = max((p.vars for p in entries), key=len)
+    pv = PolyVector([p.extend(universe) for p in entries])
+    point = {}
+    for v in universe + ("w",):
+        value = draw(_point_value)
+        if value is not None:
+            point[v] = value
+    return pv, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eval_int_case())
+def test_eval_int_matches_fraction_eval(case):
+    pv, point = case
+    assert _outcome(pv.eval_int, point) == _outcome(_reference_eval_int, pv, point)
+
+
+def test_eval_int_errors_match_fraction_eval():
+    universe = ("n", "x", "y")
+    pv = PolyVector([poly_parse("1/2*n^2 + x", universe), poly_parse("n*y", universe)])
+    cases = [
+        ({"n": 2, "x": 0, "y": 1}, None, (2, 2)),
+        ({"n": F(4, 2), "x": 0, "y": 1}, None, (2, 2)),
+        ({"n": 1, "x": 0, "y": 2}, ValueError, "non-integer value 1/2 at {'n': 1, 'x': 0, 'y': 2}"),
+        ({"n": 2, "x": 0}, ValueError, "unbound variable 'y'"),
+        ({"x": 0, "y": 1}, ValueError, "unbound variable 'n'"),
+        ({"n": 2.0, "x": 0, "y": 1}, TypeError, "expected int or Fraction, got float"),
+        ({"n": 2, "x": 0, "y": "1"}, TypeError, "expected int or Fraction, got str"),
+    ]
+    for point, error, expected in cases:
+        assert _outcome(pv.eval_int, point) == _outcome(_reference_eval_int, pv, point)
+        if error is None:
+            assert pv.eval_int(point) == expected
+        else:
+            with pytest.raises(error) as info:
+                pv.eval_int(point)
+            assert str(info.value) == expected
+    # a float is refused, never truncated, even for a variable of no term
+    unused = PolyVector([poly_parse("n", ["n", "x"])])
+    with pytest.raises(TypeError, match="got float"):
+        unused.eval_int({"n": 3, "x": 1.5})

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 from polywalk.cli import main
 from polywalk.ergodic import TorusSystem, TrigPoly, empirical_average, q_p_closed_form
-from polywalk.fleeing import construct_fleeing_walk, orbit_polynomials
+from polywalk.fleeing import construct_fleeing_walk
 from polywalk.generators import bogolubov_walk, unipotent_walk, xy_minus_P_walks
 from polywalk.lab import BohrSet, magyar_experiment, twisted_search
 from polywalk.poly import PolyVector, poly_parse
 from polywalk.reals import Real
 from polywalk.walks import preserves, walk_scaling_certificate
+from test_fleeing import orbit_polynomials
 
 F = Fraction
 
