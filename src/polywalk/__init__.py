@@ -27,7 +27,6 @@ from .walks import (
 )
 from .fleeing import (
     AffineFunctional,
-    BaseExhausted,
     DepthExhausted,
     FleeingCertificate,
     affine_annihilator,
@@ -43,14 +42,17 @@ from .generators import (
     xy_minus_P_walks,
 )
 from .lab import (
+    BOGOLUBOV,
+    COROLLARIES,
+    MAGYAR,
     BohrSet,
+    Corollary,
     ExperimentReport,
     IndeterminateError,
     SearchResult,
     Status,
     WindowSet,
-    bogolubov_experiment,
-    magyar_experiment,
+    corollary_experiment,
     twisted_search,
     weyl_sum_rational,
     weyl_sums,

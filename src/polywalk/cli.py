@@ -36,13 +36,7 @@ from .ergodic import (
     correlation_average,
     empirical_average,
 )
-from .fleeing import (
-    BaseExhausted,
-    DepthExhausted,
-    check_start,
-    construct_fleeing_walk,
-    is_fleeing,
-)
+from .fleeing import DepthExhausted, check_start, construct_fleeing_walk, is_fleeing
 from .generators import (
     IntMatrix,
     adjoint_action_matrix,
@@ -54,14 +48,12 @@ from .generators import (
 )
 from .kernel import check_orbit
 from .lab import (
+    COROLLARIES,
     BohrSet,
     WindowSet,
-    bogolubov_experiment,
-    check_bogolubov,
-    check_magyar,
     check_n_max,
     check_sample_count,
-    magyar_experiment,
+    corollary_experiment,
     weyl_sum_rational,
     weyl_sums,
 )
@@ -250,8 +242,8 @@ def cmd_construct_walk(args):
 
     def run():
         try:
-            cert = construct_fleeing_walk(gens, v, args.N_max, args.R_max)
-        except (DepthExhausted, BaseExhausted) as exc:
+            cert = construct_fleeing_walk(gens, v, args.N_max)
+        except DepthExhausted as exc:
             return Outcome(f"construction failed: {exc}", 2)
         return Outcome(cert.to_text())
     return run
@@ -292,7 +284,8 @@ _EXPERIMENT_KEYS = _ORACLE_KEYS | {"experiment", "P", "k", "targets", "N_max",
                                    "seed", "jobs"}
 
 
-def _experiment(args, runner, check):
+def cmd_experiment(args):
+    corollary = COROLLARIES[args.command]
     cfg = _load_config(args, _EXPERIMENT_KEYS, _ORACLE_PREFIXES)
     if args.P is not None:
         cfg.override("P", args.P)
@@ -306,21 +299,16 @@ def _experiment(args, runner, check):
     targets = cfg.get_int_list("targets")
     n_max = cfg.get_int("N_max", 100000)
     oracle = build_oracle(cfg, seed)
-    check(p, k, targets)
+    corollary.check(p, k, targets)
     check_n_max(n_max)
+    # building the walks is what checks P, as in `gen`; the run reuses them
+    walks = corollary.walks(p)
 
     def run():
-        report = runner(p, oracle, k, targets, n_max, seed=seed)
+        report = corollary_experiment(corollary, p, oracle, k, targets, n_max, seed,
+                                      walks=walks)
         return Outcome(report.to_text(), report.exit_status(), report.to_csv())
     return run
-
-
-def cmd_magyar(args):
-    return _experiment(args, magyar_experiment, check_magyar)
-
-
-def cmd_bogolubov(args):
-    return _experiment(args, bogolubov_experiment, check_bogolubov)
 
 
 def cmd_weyl(args):
@@ -481,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", action="append", required=True,
                    help="generator walk spec (repeatable)")
     p.add_argument("--v", required=True)
-    p.add_argument("--R-max", dest="R_max", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_construct_walk)
 
@@ -495,19 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("magyar", help="difference-set search for x*y - P(z) targets")
-    p.add_argument("--P")
-    p.add_argument("--k", type=int)
-    p.add_argument("--targets", help="comma-separated integers")
-    common(p, config=True)
-    p.set_defaults(func=cmd_magyar)
-
-    p = sub.add_parser("bogolubov", help="difference-set search for x - P(y) targets")
-    p.add_argument("--P")
-    p.add_argument("--k", type=int)
-    p.add_argument("--targets")
-    common(p, config=True)
-    p.set_defaults(func=cmd_bogolubov)
+    for corollary in COROLLARIES.values():
+        p = sub.add_parser(corollary.name, help=corollary.help)
+        p.add_argument("--P")
+        p.add_argument("--k", type=int)
+        p.add_argument("--targets", help="comma-separated integers")
+        common(p, config=True)
+        p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("weyl", help="Weyl exponential-sum average")
     p.add_argument("--p", required=True, help="comma-separated polynomials in n")

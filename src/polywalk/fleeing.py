@@ -35,14 +35,6 @@ class DepthExhausted(RuntimeError):
         self.dims = dims
 
 
-class BaseExhausted(RuntimeError):
-    """No exponent base up to the cap produced an independent single-variable orbit."""
-
-    def __init__(self, base_cap: int):
-        super().__init__(f"no exponent base up to {base_cap} gave independence")
-        self.base_cap = base_cap
-
-
 @dataclass(frozen=True)
 class AffineFunctional:
     """L(y) = <linear, y> + constant, stored as a primitive integer vector
@@ -155,16 +147,25 @@ def construct_fleeing_walk(
     gens: Sequence[Walk],
     v: Sequence[int],
     depth_cap: int | None = None,
-    base_cap: int | None = None,
 ) -> FleeingCertificate:
     """Search the orbit tree for a hyperplane-fleeing single-parameter walk.
 
     Deepens until the affine annihilator of the orbit polynomials is
-    trivial, then collapses time variables via t_k -> n^(base^k), taking
-    base = 1 + (largest exponent of any time variable) and retrying with a
-    larger base if the collapsed orbit loses independence (cheap to verify,
-    and makes the certificate self-checking rather than trusting the
-    exponent growth rule).
+    trivial, at depth N, then collapses the time variables via
+    t_k -> n^(base^k) with base = 1 + (largest exponent of any time
+    variable in the orbit).
+
+    Proof that the collapsed orbit is fleeing.  Every exponent a_k of a
+    monomial t^a = t_1^a_1 ... t_N^a_N of the orbit lies in [0, base), so
+    E(a) = sum_k a_k base^k is the number with base-`base` digits
+    (a_N, ..., a_1, 0), and t^a -> n^E(a) is injective on the orbit's
+    monomials (the constant one goes to n^0).  So collapsing sums no two
+    coefficients: it relabels the monomials, the same way in every entry.
+    An affine map L = <a, y> + c vanishes on the orbit iff each monomial's
+    coefficient of L(p) is zero, and these conditions are the same before
+    and after relabelling; so the collapsed orbit has the same, trivial,
+    annihilator.  Both that and `final.orbit_poly(v) == collapsed` are
+    still checked, as AssertionErrors: the certificate checks itself.
     """
     check_start(gens, v, depth_cap)
     if depth_cap is None:
@@ -185,34 +186,22 @@ def construct_fleeing_walk(
     if depth is None:
         raise DepthExhausted(depth_cap, dims)
 
-    max_power = max(
-        (e for p in orbit for exps in p.terms for e in exps),
-        default=0,
+    base = 1 + max((e for p in orbit for exps in p.terms for e in exps), default=0)
+    exponents = tuple(base ** k for k in range(1, depth + 1))
+    collapsed = _collapse(orbit, exponents)
+    if not is_fleeing(collapsed):
+        raise AssertionError(f"collapsing with base {base} lost independence")
+    final = _build_final_walk(gens, exponents)
+    if final.orbit_poly(v) != collapsed:
+        raise AssertionError("collapsed orbit does not match the composed walk applied to v")
+    return FleeingCertificate(
+        depth=depth,
+        exponents=exponents,
+        final_walk=final,
+        orbit_poly=collapsed,
+        annihilator_dims=tuple(dims),
+        base=base,
     )
-    base = max_power + 1
-    if base_cap is None:
-        base_cap = 10 * base
-
-    while base <= base_cap:
-        exponents = tuple(base ** k for k in range(1, depth + 1))
-        substituted = _collapse(orbit, exponents)
-        if is_fleeing(substituted):
-            final = _build_final_walk(gens, exponents)
-            check = final.orbit_poly(v)
-            if check != substituted:
-                raise AssertionError(
-                    "collapsed orbit does not match the composed walk applied to v"
-                )
-            return FleeingCertificate(
-                depth=depth,
-                exponents=exponents,
-                final_walk=final,
-                orbit_poly=substituted,
-                annihilator_dims=tuple(dims),
-                base=base,
-            )
-        base += 1
-    raise BaseExhausted(base_cap)
 
 
 def _collapse(orbit: PolyVector, exponents: tuple[int, ...]) -> PolyVector:

@@ -8,6 +8,12 @@ decided from fixed-point phases with a guard band, and one too close to an
 arc boundary is indeterminate rather than guessed.  Both models answer
 difference queries along a whole polynomial orbit through
 `difference_verdicts`, which the orbit search reads.
+
+The experiments are the paper's Bogolubov-type corollaries, one row each
+of the `Corollary` table (`MAGYAR` for x*y - P(z), `BOGOLUBOV` for
+x - P(y)).  One driver, `corollary_experiment`, runs either: per target it
+builds a fleeing walk from a start vector in k Z^d, searches its orbit for
+a point of B - B, and re-validates each hit independently.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .fleeing import construct_fleeing_walk
 from .generators import bogolubov_walk, xy_minus_P_walks
 from .kernel import fixed_phases, orbit_points, phases, residues
-from .poly import MPoly, PolyVector
+from .poly import MPoly, PolyVector, poly_parse
 from .reals import (
     DEFAULT_PRECISION,
     GUARD_BAND,
@@ -32,6 +38,7 @@ from .reals import (
     Real,
     RootOfUnityMean,
 )
+from .walks import Walk
 
 # Windows with more points than this never materialize a difference index;
 # neither do point sets whose pair count would exceed the pair bound.
@@ -369,11 +376,83 @@ def _single_var_name(p: MPoly) -> str:
     return support[0]
 
 
-def _run_targets(kind, oracle, k, targets, n_max, seed, make_instance, config):
+@dataclass(frozen=True)
+class Corollary:
+    """One Bogolubov-type corollary of the twisted recurrence, as a search.
+
+    Each row fixes a form F = `form_part` - P(last coordinate) on
+    `coords`, the walks preserving F (`walks(P)`), the targets F may take
+    (non-zero if `nonzero`, multiples of k^`power`), and a start vector
+    `start(k, target)` in k Z^d with F = target, since P(0) = 0:
+
+        MAGYAR     x*y - P(z), v = (k, target/k, 0), target non-zero in k^2 Z
+        BOGOLUBOV  x - P(y),   v = (target, 0),      target in k Z
+
+    The fleeing walk over the generators preserves F, and time-scaling it
+    by k keeps the orbit in k Z^d, so each hit is a point of k Z^d in
+    B - B on which F takes the target value."""
+
+    name: str
+    help: str
+    coords: tuple[str, ...]
+    form_part: str
+    walks: Callable[[MPoly], Sequence[Walk]]
+    power: int
+    nonzero: bool
+    start: Callable[[int, int], tuple[int, ...]]
+
+    def check(self, p: MPoly, k: int, targets: Sequence[int]) -> None:
+        """Raise ValueError unless k >= 1, every target lies in the target
+        lattice and P is univariate."""
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
+        step = k ** self.power
+        for target in targets:
+            if (self.nonzero and target == 0) or target % step != 0:
+                lattice = "k" if self.power == 1 else f"k^{self.power}"
+                raise ValueError(f"target {target} is not a "
+                                 f"{'non-zero ' if self.nonzero else ''}"
+                                 f"multiple of {lattice}={step}")
+        _single_var_name(p)
+
+
+# the walk builders are looked up by name at each call, as a direct
+# caller's would be, so a patched module binding reaches the rows too
+MAGYAR = Corollary("magyar", "difference-set search for x*y - P(z) targets",
+                   ("x", "y", "z"), "x*y", lambda p: list(xy_minus_P_walks(p)), 2, True,
+                   lambda k, target: (k, target // k, 0))
+BOGOLUBOV = Corollary("bogolubov", "difference-set search for x - P(y) targets",
+                      ("x", "y"), "x", lambda p: [bogolubov_walk(p)], 1, False,
+                      lambda k, target: (target, 0))
+COROLLARIES = {c.name: c for c in (MAGYAR, BOGOLUBOV)}
+
+
+def corollary_experiment(
+    corollary: Corollary,
+    p: MPoly,
+    oracle: SetModel,
+    k: int,
+    targets: Sequence[int],
+    n_max: int,
+    seed: int = 0,
+    *,
+    walks: Sequence[Walk] | None = None,
+) -> ExperimentReport:
+    """Search for differences realizing each target value of the
+    corollary's form, one fleeing walk per target (`Corollary`).  `walks`
+    are the corollary's walks for P, built here when not given."""
+    corollary.check(p, k, targets)
+    var = _single_var_name(p)
+    if walks is None:
+        walks = corollary.walks(p)
+    coords = corollary.coords
+    form = (poly_parse(corollary.form_part, coords)
+            - p.substitute({var: MPoly.var(coords, coords[-1])}).extend(coords))
     records = []
     for target in targets:
         start = time.perf_counter()
-        v, cert, form = make_instance(target)
+        v = corollary.start(k, target)
+        cert = construct_fleeing_walk(walks, v)
         # the certificate's orbit at time k*n is the orbit of the walk
         # time-scaled by k
         orbit = cert.orbit_poly
@@ -399,98 +478,12 @@ def _run_targets(kind, oracle, k, targets, n_max, seed, make_instance, config):
                                         witness, f_value.numerator, millis))
         else:
             records.append(TargetRecord(target, result.status, None, None, None, millis))
-    return ExperimentReport(kind, tuple(records), config, seed)
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-
-
-def check_magyar(p: MPoly, k: int, targets: Sequence[int]) -> None:
-    """Raise ValueError unless k >= 1, every target is a non-zero multiple
-    of k^2 and P is univariate."""
-    _check_k(k)
-    for target in targets:
-        if target == 0 or target % (k * k) != 0:
-            raise ValueError(f"target {target} is not a non-zero multiple of k^2={k * k}")
-    _single_var_name(p)
-
-
-def check_bogolubov(p: MPoly, k: int, targets: Sequence[int]) -> None:
-    """Raise ValueError unless k >= 1, every target is a multiple of k and
-    P is univariate."""
-    _check_k(k)
-    for target in targets:
-        if target % k != 0:
-            raise ValueError(f"target {target} is not a multiple of k={k}")
-    _single_var_name(p)
-
-
-def magyar_experiment(
-    p: MPoly,
-    oracle: SetModel,
-    k: int,
-    targets: Sequence[int],
-    n_max: int,
-    seed: int = 0,
-) -> ExperimentReport:
-    """Search for differences realizing each target value of x*y - P(z).
-
-    Targets must lie in k^2 * Z (excluding 0): starting from v = (k, k*a, 0)
-    the form value is k*k*a - P(0) = k^2*a, the fleeing walk over the two
-    shear generators preserves it, and time-scaling by k keeps the orbit in
-    k * Z^3."""
-    check_magyar(p, k, targets)
-    var = _single_var_name(p)
-    s1, s2 = xy_minus_P_walks(p)
-    gens = [s1, s2]
-    form = (MPoly.var(("x", "y", "z"), "x") * MPoly.var(("x", "y", "z"), "y")
-            - p.substitute({var: MPoly.var(("x", "y", "z"), "z")}).extend(("x", "y", "z")))
-
-    def make_instance(target: int):
-        a = target // (k * k)
-        v = (k, k * a, 0)
-        return v, construct_fleeing_walk(gens, v), form
-
     config = {
-        "experiment": "magyar", "P": str(p), "k": str(k),
+        "experiment": corollary.name, "P": str(p), "k": str(k),
         "targets": " ".join(str(t) for t in targets),
         "N_max": str(n_max), "oracle": oracle.describe(),
     }
-    return _run_targets("magyar", oracle, k, targets, n_max, seed,
-                        make_instance, config)
-
-
-def bogolubov_experiment(
-    p: MPoly,
-    oracle: SetModel,
-    k: int,
-    targets: Sequence[int],
-    n_max: int,
-    seed: int = 0,
-) -> ExperimentReport:
-    """Search for differences realizing each target value of x - P(y).
-
-    Targets must lie in k * Z: from v = (c, 0) the form value is c - P(0) = c,
-    preserved along the single-generator fleeing walk."""
-    check_bogolubov(p, k, targets)
-    var = _single_var_name(p)
-    gen = bogolubov_walk(p)
-    form = (MPoly.var(("x", "y"), "x")
-            - p.substitute({var: MPoly.var(("x", "y"), "y")}).extend(("x", "y")))
-
-    def make_instance(target: int):
-        v = (target, 0)
-        return v, construct_fleeing_walk([gen], v), form
-
-    config = {
-        "experiment": "bogolubov", "P": str(p), "k": str(k),
-        "targets": " ".join(str(t) for t in targets),
-        "N_max": str(n_max), "oracle": oracle.describe(),
-    }
-    return _run_targets("bogolubov", oracle, k, targets, n_max, seed,
-                        make_instance, config)
+    return ExperimentReport(corollary.name, tuple(records), config, seed)
 
 
 # -- Weyl sums ------------------------------------------------------------------

@@ -28,10 +28,11 @@ from polywalk.generators import (
     xy_minus_P_walks,
 )
 from polywalk.lab import (
+    BOGOLUBOV,
+    MAGYAR,
     WindowSet,
     BohrSet,
-    bogolubov_experiment,
-    magyar_experiment,
+    corollary_experiment,
     weyl_sum_rational,
     weyl_sums,
 )
@@ -172,7 +173,7 @@ def test_criterion_04_magyar_desk_scale(capsys):
     )
     p = poly_parse("z^2", ["z"])
     targets = [1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    report = magyar_experiment(p, oracle, 1, targets, 10 ** 5)
+    report = corollary_experiment(MAGYAR, p, oracle, 1, targets, 10 ** 5)
     form = poly_parse("x*y - z^2", ["x", "y", "z"])
     found = report.all_found()
     revalidated = True
@@ -193,7 +194,7 @@ def test_criterion_05_bogolubov_desk_scale(capsys):
     oracle = BohrSet(2, [[Real.named("sqrt2"), Real.named("sqrt3")]], [F(1, 5)])
     p = poly_parse("y^2", ["y"])
     targets = [1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    report = bogolubov_experiment(p, oracle, 1, targets, 10 ** 5)
+    report = corollary_experiment(BOGOLUBOV, p, oracle, 1, targets, 10 ** 5)
     found = report.all_found()
     exact = all(
         record.witness[0] - record.witness[1] ** 2 == record.target

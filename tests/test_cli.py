@@ -488,10 +488,13 @@ VALIDATE_GAPS = {
     "magyar-k": ["magyar", "--config", "{magyar}", "--k", "0"],
     "magyar-target": ["magyar", "--config", "{magyar}", "--targets", "0"],
     "magyar-P-bivariate": ["magyar", "--config", "{magyar}", "--P", "y*z"],
+    "magyar-P-constant-term": ["magyar", "--config", "{magyar}", "--P", "z^2 + 1"],
+    "magyar-P-degree": ["magyar", "--config", "{magyar}", "--P", "z"],
     "magyar-N-max": ["magyar", "--config", "{magyar}", "--N-max", "0"],
     "bogolubov-k": ["bogolubov", "--config", "{window}", "--k", "0"],
     "bogolubov-target": ["bogolubov", "--config", "{window}", "--k", "2", "--targets", "3"],
     "bogolubov-N-max": ["bogolubov", "--config", "{bohr}", "--N-max", "0"],
+    "bogolubov-P-constant-term": ["bogolubov", "--config", "{window}", "--P", "y^2 + 1"],
     "ergodic-avg-N": ["ergodic-avg", "--config", "{empty_average}"],
     "ergodic-avg-grid": ["ergodic-avg", "--config", "{sample_grid}"],
     "ergodic-avg-seed": ["ergodic-avg", "--config", "{trig_seed}"],
@@ -557,8 +560,7 @@ def test_validate_only_prints_ok_and_computes_nothing(tmp_path, capsys, monkeypa
     def computed(*args, **kwargs):
         raise AssertionError("--validate-only ran a computation")
 
-    for fn in ("construct_fleeing_walk", "magyar_experiment", "bogolubov_experiment",
-               "weyl_sums", "weyl_sum_rational", "empirical_average",
+    for fn in ("construct_fleeing_walk", "corollary_experiment", "weyl_sums", "weyl_sum_rational", "empirical_average",
                "correlation_average"):
         monkeypatch.setattr(cli, fn, computed)
     out_path = tmp_path / "report.txt"

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywalk.fleeing import (
-    BaseExhausted,
     DepthExhausted,
     _collapse,
     _orbit_stream,
@@ -209,12 +209,6 @@ def test_construct_rejects_an_empty_depth_range(depth_cap):
         construct_fleeing_walk([s], (-3, 0), depth_cap=depth_cap)
 
 
-def test_construct_base_exhausted_cap():
-    s = bogolubov_walk(poly_parse("y^2", ["y"]))
-    with pytest.raises(BaseExhausted):
-        construct_fleeing_walk([s], (0, 0), base_cap=1)
-
-
 def test_annihilator_dims_non_increasing():
     s1, s2 = xy_minus_P_walks(poly_parse("z^3", ["z"]))
     for v in [(1, 0, 0), (2, -1, 3), (1, 1, 1)]:
@@ -279,6 +273,36 @@ def test_random_unipotent_orbits_are_certified():
             continue
         cert = construct_fleeing_walk(gens, v)
         assert is_fleeing(cert.orbit_poly)
+
+
+@st.composite
+def _generators_and_start(draw):
+    family = draw(st.sampled_from(["xyP", "bogolubov", "sl2"]))
+    if family == "xyP":
+        gens = xy_minus_P_walks(poly_parse(f"z^{draw(st.integers(2, 5))}", ["z"]))
+    elif family == "bogolubov":
+        gens = [bogolubov_walk(poly_parse(f"y^{draw(st.integers(2, 4))}", ["y"]))]
+    else:
+        gens = [unipotent_walk(adjoint_action_matrix(m))
+                for m in ([[1, 1], [0, 1]], [[1, 0], [1, 1]])]
+    dim = gens[0].dim
+    v = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any))
+    return gens, tuple(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generators_and_start())
+def test_one_exponent_base_certifies(case):
+    # base = 1 + the largest time exponent of the final-depth orbit is
+    # always taken, and the certificate agrees with the walk it prints
+    gens, v = case
+    cert = construct_fleeing_walk(gens, v)
+    orbit = next(islice(_orbit_stream(gens, v), cert.depth - 1, None))
+    assert cert.base == 1 + max(e for p in orbit for exps in p.terms for e in exps)
+    assert cert.exponents == tuple(cert.base ** k for k in range(1, cert.depth + 1))
+    for n in (0, 1, 2, 5):
+        assert cert.final_walk.apply(n, v) == tuple(int(p.eval({"n": n}))
+                                                    for p in cert.orbit_poly)
 
 
 def _collapse_by_substitution(orbit, exponents):

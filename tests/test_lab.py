@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from polywalk.generators import bogolubov_walk, xy_minus_P_walks
 from polywalk.kernel import orbit_points
 from polywalk.lab import (
+    BOGOLUBOV,
+    MAGYAR,
     BohrSet,
     IndeterminateError,
     Status,
     WindowSet,
-    bogolubov_experiment,
-    magyar_experiment,
+    corollary_experiment,
     twisted_search,
     weyl_sum_rational,
     weyl_sums,
@@ -543,7 +544,8 @@ def _bohr3() -> BohrSet:
 
 
 def test_magyar_experiment_small():
-    report = magyar_experiment(poly_parse("z^2", ["z"]), _bohr3(), 1, [1, -2, 3], 10 ** 5)
+    report = corollary_experiment(MAGYAR, poly_parse("z^2", ["z"]), _bohr3(), 1, [1, -2, 3],
+                                  10 ** 5)
     assert report.all_found()
     for record in report.records:
         assert record.f_value == record.target
@@ -554,7 +556,7 @@ def test_magyar_experiment_small():
 def test_magyar_witnesses_revalidate():
     oracle = _bohr3()
     p = poly_parse("z^2", ["z"])
-    report = magyar_experiment(p, oracle, 1, [2, -1], 10 ** 5)
+    report = corollary_experiment(MAGYAR, p, oracle, 1, [2, -1], 10 ** 5)
     form = poly_parse("x*y - z^2", ["x", "y", "z"])
     for record in report.records:
         assert oracle.contains_difference(record.witness)
@@ -565,22 +567,72 @@ def test_magyar_witnesses_revalidate():
 def test_magyar_k_divisibility():
     oracle = _bohr3()
     k = 2
-    report = magyar_experiment(poly_parse("z^2", ["z"]), oracle, k, [4, -8], 10 ** 5)
+    report = corollary_experiment(MAGYAR, poly_parse("z^2", ["z"]), oracle, k, [4, -8], 10 ** 5)
     assert report.all_found()
     for record in report.records:
         assert all(x % k == 0 for x in record.witness)
 
 
 def test_magyar_target_preconditions():
-    with pytest.raises(ValueError, match="multiple of k"):
-        magyar_experiment(poly_parse("z^2", ["z"]), _bohr3(), 2, [3], 100)
-    with pytest.raises(ValueError, match="multiple of k"):
-        magyar_experiment(poly_parse("z^2", ["z"]), _bohr3(), 1, [0], 100)
+    with pytest.raises(ValueError, match=r"^target 3 is not a non-zero multiple of k\^2=4$"):
+        corollary_experiment(MAGYAR, poly_parse("z^2", ["z"]), _bohr3(), 2, [3], 100)
+    with pytest.raises(ValueError, match=r"^target 0 is not a non-zero multiple of k\^2=1$"):
+        corollary_experiment(MAGYAR, poly_parse("z^2", ["z"]), _bohr3(), 1, [0], 100)
+
+
+def test_bogolubov_target_preconditions():
+    oracle = BohrSet(2, [[Real.named("sqrt2"), Real.named("sqrt3")]], [F(1, 5)])
+    with pytest.raises(ValueError, match=r"^target 3 is not a multiple of k=2$"):
+        corollary_experiment(BOGOLUBOV, poly_parse("y^2", ["y"]), oracle, 2, [4, 3], 100)
+    # 0 is a multiple of k, and F = 0 is a target of x - P(y)
+    BOGOLUBOV.check(poly_parse("y^2", ["y"]), 2, [0, -2])
+    with pytest.raises(ValueError, match=r"^k must be positive, got 0$"):
+        BOGOLUBOV.check(poly_parse("y^2", ["y"]), 0, [0])
+
+
+# report bodies (the `#` timing lines stripped) frozen from the two
+# corollary drivers this one replaced, at k = 2
+FROZEN_REPORTS = {
+    "magyar": """experiment magyar
+seed 5
+config N_max = 10000
+config P = z^2
+config experiment = magyar
+config k = 2
+config oracle = bohr dim=3 torus_dim=1 freq=[(sqrt2, sqrt3, sqrt5)] radii=[1/40]
+config targets = 4 -8 12
+target 4: found n=13 witness=(18213371598033450695343292447735810 617831554 3354518695430459243856) F=4
+target -8: found n=17 witness=(11390007344370282927885259074256781314 3089608828 187591756860879316822800) F=-8
+target 12: found n=5 witness=(2000006000004000000000002 2000006 2000006000002000) F=12""",
+    "bogolubov": """experiment bogolubov
+seed 5
+config N_max = 10000
+config P = y^2
+config experiment = bogolubov
+config k = 2
+config oracle = bohr dim=2 torus_dim=1 freq=[(sqrt2, sqrt3)] radii=[1/40]
+config targets = 2 -4 6
+target 2: found n=23 witness=(9474296898 97336) F=2
+target -4: found n=3 witness=(46652 216) F=-4
+target 6: found n=2 witness=(4102 64) F=6""",
+}
+
+
+@pytest.mark.parametrize("corollary, p, var, freq, targets", [
+    (MAGYAR, "z^2", "z", ["sqrt2", "sqrt3", "sqrt5"], [4, -8, 12]),
+    (BOGOLUBOV, "y^2", "y", ["sqrt2", "sqrt3"], [2, -4, 6]),
+], ids=["magyar", "bogolubov"])
+def test_corollary_report_body_frozen(corollary, p, var, freq, targets):
+    oracle = BohrSet(len(freq), [[Real.named(x) for x in freq]], [F(1, 40)])
+    report = corollary_experiment(corollary, poly_parse(p, [var]), oracle, 2, targets,
+                                  10 ** 4, seed=5)
+    body = [line for line in report.to_text().splitlines() if not line.startswith("#")]
+    assert "\n".join(body) == FROZEN_REPORTS[corollary.name]
 
 
 def test_bogolubov_experiment_dense_window():
     window = WindowSet(2, 30, [(a, b) for a in range(30) for b in range(30)])
-    report = bogolubov_experiment(poly_parse("y^2", ["y"]), window, 1, [4], 10)
+    report = corollary_experiment(BOGOLUBOV, poly_parse("y^2", ["y"]), window, 1, [4], 10)
     assert report.all_found()
     record = report.records[0]
     assert record.witness[0] - record.witness[1] ** 2 == 4
@@ -588,7 +640,8 @@ def test_bogolubov_experiment_dense_window():
 
 def test_bogolubov_experiment_bohr():
     oracle = BohrSet(2, [[Real.named("sqrt2"), Real.named("sqrt3")]], [F(1, 5)])
-    report = bogolubov_experiment(poly_parse("y^2", ["y"]), oracle, 1, [1, -1, 5], 10 ** 5)
+    report = corollary_experiment(BOGOLUBOV, poly_parse("y^2", ["y"]), oracle, 1, [1, -1, 5],
+                                  10 ** 5)
     assert report.all_found()
     for record in report.records:
         assert record.witness[0] - record.witness[1] ** 2 == record.target
@@ -596,14 +649,14 @@ def test_bogolubov_experiment_bohr():
 
 def test_bogolubov_exhausted_on_sparse_window():
     window = WindowSet(2, 4, [(0, 0), (1, 3)])
-    report = bogolubov_experiment(poly_parse("y^2", ["y"]), window, 1, [2], 3)
+    report = corollary_experiment(BOGOLUBOV, poly_parse("y^2", ["y"]), window, 1, [2], 3)
     assert report.records[0].status is Status.EXHAUSTED
     assert report.exit_status() == 2
 
 
 def test_report_text_and_csv_shape():
     window = WindowSet(2, 30, [(a, b) for a in range(30) for b in range(30)])
-    report = bogolubov_experiment(poly_parse("y^2", ["y"]), window, 1, [4, 9], 10)
+    report = corollary_experiment(BOGOLUBOV, poly_parse("y^2", ["y"]), window, 1, [4, 9], 10)
     text = report.to_text()
     assert "experiment bogolubov" in text
     assert "target 4: found" in text

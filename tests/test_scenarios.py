@@ -6,7 +6,7 @@ from polywalk.cli import main
 from polywalk.ergodic import TorusSystem, TrigPoly, empirical_average, q_p_closed_form
 from polywalk.fleeing import construct_fleeing_walk
 from polywalk.generators import bogolubov_walk, unipotent_walk, xy_minus_P_walks
-from polywalk.lab import BohrSet, magyar_experiment, twisted_search
+from polywalk.lab import MAGYAR, BohrSet, corollary_experiment, twisted_search
 from polywalk.poly import PolyVector, poly_parse
 from polywalk.reals import Real
 from polywalk.walks import preserves, walk_scaling_certificate
@@ -40,7 +40,7 @@ def test_cubic_form_full_pipeline():
         [[Real.named("sqrt2"), Real.named("sqrt3"), Real.named("sqrt5")]],
         [F(1, 5)],
     )
-    report = magyar_experiment(p, oracle, 1, [1, -2], 10 ** 5)
+    report = corollary_experiment(MAGYAR, p, oracle, 1, [1, -2], 10 ** 5)
     assert report.all_found()
     for record in report.records:
         x, y, z = record.witness
