@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from pathlib import Path
 from typing import NamedTuple
@@ -118,8 +119,8 @@ def parse_square_matrix(text: str) -> IntMatrix:
 
 # -- oracle / system construction from config ---------------------------------
 
-_ORACLE_KEYS = {"model", "dim", "torus_dim", "side", "density", "points", "precision"}
-_ORACLE_PREFIXES = ("freq_", "radius_", "center_")
+_ORACLE_KEYS = {"model", "dim", "side", "density", "points", "precision"}
+_ORACLE_PREFIXES = ("freq_", "radius_")
 
 
 def build_oracle(cfg: Config, seed: int):
@@ -137,10 +138,8 @@ def build_oracle(cfg: Config, seed: int):
             [parse_real(x) for x in row.split(",")] for row in cfg.indexed("freq_")
         ]
         radii = [Fraction(r) for r in cfg.indexed("radius_")]
-        centers_raw = cfg.indexed("center_")
-        centers = [parse_real(c) for c in centers_raw] if centers_raw else None
         precision = cfg.get_int("precision", DEFAULT_PRECISION)
-        return BohrSet(dim, freq_rows, radii, centers, precision)
+        return BohrSet(dim, freq_rows, radii, precision)
     raise ConfigError(f"unknown set model {model!r} (expected window or bohr)")
 
 
@@ -189,8 +188,8 @@ def parse_poly_vector(text: str, var: str = "n") -> PolyVector:
 def _load_config(args, allowed: set[str], prefixes=()) -> Config:
     # A common flag reaches the config only where the subcommand allows its
     # key, so --N-max is accepted and ignored without a search range,
-    # --seed where nothing is randomized, and --jobs everywhere.  A
-    # precision from the flag or the file must ask for at least one digit.
+    # --seed where nothing is randomized; --jobs never does.  A precision
+    # from the flag or the file must ask for at least one digit.
     cfg = Config.from_path(args.config) if args.config else Config({})
     for key in ("N_max", "seed", "precision"):
         if key in allowed:
@@ -280,8 +279,7 @@ def cmd_gen(args):
     return run
 
 
-_EXPERIMENT_KEYS = _ORACLE_KEYS | {"experiment", "P", "k", "targets", "N_max",
-                                   "seed", "jobs"}
+_EXPERIMENT_KEYS = _ORACLE_KEYS | {"P", "k", "targets", "N_max", "seed"}
 
 
 def cmd_experiment(args):
@@ -301,12 +299,12 @@ def cmd_experiment(args):
     oracle = build_oracle(cfg, seed)
     corollary.check(p, k, targets)
     check_n_max(n_max)
-    # building the walks is what checks P, as in `gen`; the run reuses them
-    walks = corollary.walks(p)
+    # building the walks is what checks P, as in `gen`; the run reads them
+    # back from the builder's cache
+    corollary.walks(p)
 
     def run():
-        report = corollary_experiment(corollary, p, oracle, k, targets, n_max, seed,
-                                      walks=walks)
+        report = corollary_experiment(corollary, p, oracle, k, targets, n_max, seed)
         return Outcome(report.to_text(), report.exit_status(), report.to_csv())
     return run
 
@@ -424,6 +422,7 @@ def cmd_correlate(args):
 
 # -- parser wiring ----------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polywalk",

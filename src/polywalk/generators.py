@@ -235,8 +235,8 @@ def _require_admissible(p: MPoly, var: str):
         raise ValueError(f"polynomial must involve only '{var}', got {p.support()}")
     if not p.has_integer_coefficients():
         raise ValueError("polynomial must have integer coefficients")
-    if p.eval({var: 0}) != 0:
-        raise ValueError(f"P(0) must be 0, got {p.eval({var: 0})}")
+    if p.constant_term() != 0:
+        raise ValueError(f"P(0) must be 0, got {p.constant_term()}")
     if p.degree_in(var) < 2:
         raise ValueError(f"degree must be >= 2, got {p.degree_in(var)}")
 
@@ -267,13 +267,15 @@ def _to_single_var(p: MPoly, var: str) -> MPoly:
     return MPoly((var,), {(exps[idx],): c for exps, c in p.terms.items()})
 
 
+@cache
 def xy_minus_P_walks(p: MPoly) -> tuple[Walk, Walk]:
     """The two shear walks preserving x*y - P(z):
 
         S1(n)(x, y, z) = (x, y + H(n, x, z), z + n*x)
         S2(n)(x, y, z) = (x + H(n, y, z), y, z + n*y)
 
-    with H(n, x, z) = (P(z + n*x) - P(z)) / x."""
+    with H(n, x, z) = (P(z + n*x) - P(z)) / x.  Built once per P and
+    process, as `signature_form_walks` is."""
     var = p.support()[0] if p.support() else "z"
     _require_admissible(p, var)
     p = _to_single_var(p, var)
@@ -300,8 +302,10 @@ def xy_minus_P_walks(p: MPoly) -> tuple[Walk, Walk]:
     return s1, s2
 
 
+@cache
 def bogolubov_walk(p: MPoly) -> Walk:
-    """The walk (x, y) -> (x + P(y + n) - P(y), y + n), preserving x - P(y)."""
+    """The walk (x, y) -> (x + P(y + n) - P(y), y + n), preserving x - P(y).
+    Built once per P and process."""
     var = p.support()[0] if p.support() else "y"
     _require_admissible(p, var)
 

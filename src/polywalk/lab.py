@@ -1,9 +1,11 @@
 """Desk-scale search experiments: set models with difference-set oracles,
 orbit searches along walks, and Weyl-sum diagnostics.
 
-Two set models are supported.  A WindowSet is an explicit finite subset of
-a box [0, side)^d with an exact difference-set index.  A BohrSet is the
-preimage of a box on a torus under v -> A v mod 1; every query of it is
+Two set models are supported, and each is an oracle for its difference
+set B - B, the one question the experiments ask of a set.  A WindowSet is
+an explicit finite subset of a box [0, side)^d with an exact
+difference-set index.  A BohrSet is the preimage of a box on a torus under
+v -> A v mod 1, given by rows and radii alone; every query of it is
 decided from fixed-point phases with a guard band, and one too close to an
 arc boundary is indeterminate rather than guessed.  Both models answer
 difference queries along a whole polynomial orbit through
@@ -51,7 +53,7 @@ _MIN_DIGITS = len(str(GUARD_BAND.denominator))
 
 
 class IndeterminateError(RuntimeError):
-    """A membership decision fell inside the precision guard band."""
+    """A difference-membership decision fell inside the precision guard band."""
 
 
 def _bounds(moduli: Iterable[int], targets: Iterable[Fraction]) -> list[tuple[int, int, int]]:
@@ -103,9 +105,6 @@ class WindowSet:
     def density(self) -> float:
         return len(self.points) / self.side ** self.dim
 
-    def contains(self, v: Sequence[int]) -> bool:
-        return tuple(v) in self.points
-
     def _use_index(self) -> bool:
         if self.side ** self.dim > INDEX_POINT_LIMIT:
             return False
@@ -143,19 +142,19 @@ class WindowSet:
 
 
 class BohrSet:
-    """Preimage of a torus box under v -> A v mod 1.
+    """Preimage of a torus box under v -> A v mod 1, as an oracle for B - B.
 
-    `freq` holds the rows of A (torus_dim rows of dim exact reals); the box
-    is given by arc centers c_j and radii r_j.  Aperiodicity (dense image of
-    the torus map) is declared by the configuration, not verified; the
-    difference oracle relies on it.
+    `freq` holds the rows of A (torus_dim rows of dim exact reals), and the
+    box has radius r_j on row j.  Aperiodicity (dense image of the torus
+    map) is declared by the configuration, not verified; the difference
+    oracle relies on it.  The box is centred at 0: other arc centres only
+    translate the box on the torus, which leaves box - box and so every
+    answer unchanged.
 
-    v is in the set when the circle distance of <row_j, v> to c_j is below
-    t_j = r_j for every j, and w is in B - B when that of <row_j, w> to 0
-    is below t_j = 2 r_j.  Each row's phase is an integer a mod M with
+    w is in B - B when the circle distance of <row_j, w> to 0 is below
+    t_j = 2 r_j for every j.  Each row's phase is an integer a mod M with
     a / M within 10^-P of the true value, P = max(precision, 19): a single
-    query reads one `reals.FixedRow` per row built at width P (for
-    membership the row with c_j appended, read at v + (-1,)), and
+    query reads one `reals.FixedRow` per row built at width P, and
     `difference_verdicts` reads the kernel's `fixed_phases` at precision P.
     One loop, `_verdicts`, compares d = min(a, M - a) with the integers
     floor((t + G) M) and ceil((t - G) M) of `_bounds`, G = GUARD_BAND:
@@ -167,8 +166,8 @@ class BohrSet:
     10^-P <= G / 10 of the true distance; and d > floor((t + G) M) iff
     d / M > t + G, d >= ceil((t - G) M) iff d / M >= t - G.  So False
     means a true distance above t + G - 10^-P > t, and True one below
-    t - G + 10^-P < t.  Rows of rationals with rational centers have M = q:
-    d / M is exact, and an exact tie at t is indeterminate.
+    t - G + 10^-P < t.  Rows of rationals have M = q: d / M is exact, and
+    an exact tie at t is indeterminate.
     """
 
     def __init__(
@@ -176,7 +175,6 @@ class BohrSet:
         dim: int,
         freq: Sequence[Sequence[Real | Fraction | int | str]],
         radii: Sequence[Fraction | str],
-        centers: Sequence[Real | Fraction | int | str] | None = None,
         precision: int = DEFAULT_PRECISION,
     ):
         self.dim = dim
@@ -193,38 +191,23 @@ class BohrSet:
         for r in self.radii:
             if not (0 < r < Fraction(1, 2)):
                 raise ValueError(f"radius {r} outside (0, 1/2)")
-        if centers is None:
-            centers = [0] * self.torus_dim
-        self.centers = tuple(Real.of(c) for c in centers)
-        if len(self.centers) != self.torus_dim:
-            raise ValueError("one center per torus coordinate required")
         self.precision = p = max(precision, _MIN_DIGITS)
-        difference = [FixedRow(row, p) for row in self.freq]
-        membership = [FixedRow(row + (c,), p) for row, c in zip(self.freq, self.centers)]
-        self._difference = difference, _bounds((f.modulus for f in difference),
-                                                [2 * r for r in self.radii])
-        self._membership = membership, _bounds((f.modulus for f in membership), self.radii)
-
-    def _decide(self, rule, v: Sequence[int], tail: list[int], what: str) -> bool:
-        """The verdict of `rule` (rows, bounds) at v + tail; None raises."""
-        v = [int(x) for x in v]
-        if len(v) != self.dim:
-            raise ValueError(f"vector {v} has wrong dimension")
-        fixed, bounds = rule
-        (verdict,) = _verdicts([tuple(f(v + tail) % f.modulus for f in fixed)], bounds)
-        if verdict is None:
-            raise IndeterminateError(f"{what} of {tuple(v)} is within the guard band")
-        return verdict
-
-    def contains(self, v: Sequence[int]) -> bool:
-        # each membership row ends with its center, read at -1
-        return self._decide(self._membership, v, [-1], "membership")
+        self._rows = [FixedRow(row, p) for row in self.freq]
+        self._thresholds = _bounds((f.modulus for f in self._rows),
+                                   [2 * r for r in self.radii])
 
     def contains_difference(self, w: Sequence[int]) -> bool:
         """True iff the box and its translate by frac(A w) overlap in every
         coordinate (which yields an actual pair b, b + w in the set when
         the torus image is dense)."""
-        return self._decide(self._difference, w, [], "difference membership")
+        w = [int(x) for x in w]
+        if len(w) != self.dim:
+            raise ValueError(f"vector {w} has wrong dimension")
+        (verdict,) = _verdicts([tuple(f(w) % f.modulus for f in self._rows)], self._thresholds)
+        if verdict is None:
+            raise IndeterminateError(
+                f"difference membership of {tuple(w)} is within the guard band")
+        return verdict
 
     def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool | None]:
         """Difference membership of p(1), ..., p(count): True, False, or None
@@ -435,16 +418,12 @@ def corollary_experiment(
     targets: Sequence[int],
     n_max: int,
     seed: int = 0,
-    *,
-    walks: Sequence[Walk] | None = None,
 ) -> ExperimentReport:
     """Search for differences realizing each target value of the
-    corollary's form, one fleeing walk per target (`Corollary`).  `walks`
-    are the corollary's walks for P, built here when not given."""
+    corollary's form, one fleeing walk per target (`Corollary`)."""
     corollary.check(p, k, targets)
     var = _single_var_name(p)
-    if walks is None:
-        walks = corollary.walks(p)
+    walks = corollary.walks(p)
     coords = corollary.coords
     form = (poly_parse(corollary.form_part, coords)
             - p.substitute({var: MPoly.var(coords, coords[-1])}).extend(coords))

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from polywalk import generators
-from polywalk.cli import main, parse_walk_spec
+from polywalk.cli import build_parser, main, parse_walk_spec
+from polywalk.poly import poly_parse_auto
 from polywalk.walks import Walk
 
 
@@ -255,6 +256,41 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "mystery" in err
 
 
+@pytest.mark.parametrize("line", ["center_1 = 0", "torus_dim = 1", "experiment = magyar",
+                                  "jobs = 2"])
+def test_bohr_experiment_rejects_keys_no_output_reads(tmp_path, capsys, line):
+    # a Bohr set is given by rows and radii alone, and --jobs never reached
+    # the config: these keys are unknown like any other
+    key = line.split(" =")[0]
+    paths = _configs(tmp_path)
+    for command, name in (("magyar", "magyar"), ("bogolubov", "bohr")):
+        cfg = tmp_path / f"{name}-{key}.cfg"
+        cfg.write_text(paths[name].read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        for extra in ([], ["--validate-only"]):
+            assert run(capsys, command, "--config", str(cfg), *extra) == (
+                1, "", f"error: unknown config key '{key}'\n")
+
+
+def test_corollary_walks_built_once_per_P(tmp_path, capsys, monkeypatch):
+    generators.xy_minus_P_walks.cache_clear()
+    generators.bogolubov_walk.cache_clear()
+    built = []
+    require = generators._require_admissible
+    monkeypatch.setattr(generators, "_require_admissible",
+                        lambda p, var: built.append(str(p)) or require(p, var))
+    paths = _configs(tmp_path)
+    for argv in (["magyar", "--config", str(paths["magyar"]), "--validate-only"],
+                 ["magyar", "--config", str(paths["magyar"])],
+                 ["bogolubov", "--config", str(paths["window"])],
+                 ["bogolubov", "--config", str(paths["points"]), "--validate-only"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    walk = parse_walk_spec("xyP:z^2:2")
+    assert walk is generators.xy_minus_P_walks(poly_parse_auto("z^2"))[1]
+    assert parse_walk_spec("bogolubov:y^2") is generators.bogolubov_walk(poly_parse_auto("y^2"))
+    assert built == ["z^2", "y^2"]
+
+
 def test_bogolubov_cli_window_model(tmp_path, capsys):
     cfg = tmp_path / "bog.cfg"
     cfg.write_text(
@@ -381,6 +417,29 @@ def test_out_file_written(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["walk-apply", "--n", "1"]) == 1
     capsys.readouterr()
+
+
+def test_successive_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; every later call must still
+    # give what a fresh process gives, files included
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    apply = ["walk-apply", "--walk-from", "bogolubov:y^2", "--n", "3", "--v", "3,3"]
+    calls = [apply + ["--validate-only"], apply, apply + ["--out", "{out}"],
+             ["walk-apply", "--n", "1"], ["check-fleeing", "--poly", "n, n^2"]]
+    assert build_parser() is build_parser()
+    for i, template in enumerate(calls):
+        argv = [a.format(out=tmp_path / f"in-{i}.txt") for a in template]
+        got = run(capsys, *argv)
+        fresh_argv = [a.format(out=tmp_path / f"fresh-{i}.txt") for a in template]
+        done = subprocess.run([sys.executable, "-m", "polywalk", *fresh_argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert got == (done.returncode, done.stdout, done.stderr)
+        if "--out" in template:
+            assert (tmp_path / f"in-{i}.txt").read_text() == \
+                (tmp_path / f"fresh-{i}.txt").read_text() == done.stdout
 
 
 # -- one pipeline: --out, --csv and --validate-only are handled in main --------

@@ -153,7 +153,7 @@ def test_xyP_cubic_H():
 
 
 def test_xyP_preconditions():
-    with pytest.raises(ValueError, match="P\\(0\\)"):
+    with pytest.raises(ValueError, match="^P\\(0\\) must be 0, got 1$"):
         xy_minus_P_walks(poly_parse("z^2 + 1", ["z"]))
     with pytest.raises(ValueError, match="degree"):
         xy_minus_P_walks(poly_parse("z", ["z"]))

@@ -46,7 +46,7 @@ def _brute_force_diff(points, w):
 
 def test_window_basic_membership():
     w = WindowSet(1, 4, [(0,), (2,), (3,)])
-    assert w.contains((2,)) and not w.contains((1,))
+    assert (2,) in w.points and (1,) not in w.points
     assert w.density == 0.75
 
 
@@ -101,15 +101,9 @@ def test_window_diffset_matches_brute_force_random():
             assert window.contains_difference(w) == _brute_force_diff(window.points, w)
 
 
-def test_bohr_membership_examples():
-    b = BohrSet(1, [[Real.named("sqrt2")]], [F(1, 10)])
-    assert b.contains((0,))
-    assert not b.contains((1,))   # frac(sqrt2) = 0.41421...
-    assert b.contains((5,))       # frac(5*sqrt2) = 0.07107...
-
-
 def test_bohr_membership_oracle_digits():
-    # independent high-precision check of the two decisions above
+    # independent high-precision check of frac(sqrt2) and frac(5*sqrt2),
+    # which decide the overlap queries below
     scale = 10 ** 30
     sqrt2_scaled = isqrt(2 * scale * scale)
     frac_1 = sqrt2_scaled % scale
@@ -139,9 +133,6 @@ def test_bohr_indeterminate_on_boundary():
     b = BohrSet(1, [[F(1, 4)]], [F(1, 8)])
     with pytest.raises(IndeterminateError):
         b.contains_difference((1,))   # dist = 1/4 = 2*eps exactly
-    member = BohrSet(1, [[F(1, 4)]], [F(1, 4)])
-    with pytest.raises(IndeterminateError):
-        member.contains((1,))         # dist = eps exactly
 
 
 def test_bohr_single_query_verdicts_and_messages():
@@ -154,11 +145,7 @@ def test_bohr_single_query_verdicts_and_messages():
     with pytest.raises(IndeterminateError) as raised:
         b.contains_difference([1])
     assert str(raised.value) == "difference membership of (1,) is within the guard band"
-    member = BohrSet(1, [tie], [F(1, 4)])
-    with pytest.raises(IndeterminateError) as raised:
-        member.contains([1])
-    assert str(raised.value) == "membership of (1,) is within the guard band"
-    assert BohrSet(1, [tie], [F(1, 3)]).contains((1,)) is True
+    assert BohrSet(1, [tie], [F(1, 6)]).contains_difference((1,)) is True
 
 
 def test_twisted_search_density_one():
@@ -228,22 +215,18 @@ def _reference_dot_frac(row, v, prec):
     return (rational + F(digits, 10 ** work)) % 1
 
 
-def _reference_verdict(oracle, v, member=False):
-    """The Fraction route: circle distances from `_reference_dot_frac` at the
-    set's precision against the Fraction thresholds t - G and t + G, with
-    t = r (from the center) or 2r (from 0).  True, False, or None."""
+def _reference_verdict(oracle, v):
+    """The Fraction route: circle distances to 0 from `_reference_dot_frac`
+    at the set's precision against the Fraction thresholds t - G and t + G,
+    t = 2r.  True, False, or None."""
     prec = oracle.precision
     verdict = True
-    for row, r, c in zip(oracle.freq, oracle.radii, oracle.centers):
+    for row, r in zip(oracle.freq, oracle.radii):
         delta = _reference_dot_frac(row, v, prec)
-        if member:
-            delta -= _reference_dot_frac([c], [1], prec)
-        else:
-            r *= 2
-        dist = min(delta % 1, 1 - delta % 1)
-        if dist > r + GUARD_BAND:
+        dist = min(delta, 1 - delta)
+        if dist > 2 * r + GUARD_BAND:
             return False
-        if dist >= r - GUARD_BAND:
+        if dist >= 2 * r - GUARD_BAND:
             verdict = None
     return verdict
 
@@ -315,13 +298,10 @@ def _bohr_set(draw, dim):
 
 @st.composite
 def _bohr_query(draw):
-    # rows of rationals, constants or both; rational or irrational centers;
-    # small vectors for exact ties and vectors up to 10^30
+    # rows of rationals, constants or both; small vectors for exact ties
+    # and vectors up to 10^30
     dim = draw(st.integers(1, 3))
     oracle = draw(_bohr_set(dim))
-    center = st.one_of(_rational.map(Real), _entry)
-    centers = draw(st.lists(center, min_size=oracle.torus_dim, max_size=oracle.torus_dim))
-    oracle = BohrSet(dim, oracle.freq, oracle.radii, centers, oracle.precision)
     size = draw(st.sampled_from([12, 10 ** 6, 10 ** 30]))
     v = draw(st.lists(st.integers(-size, size), min_size=dim, max_size=dim))
     return oracle, v
@@ -331,31 +311,20 @@ def _bohr_query(draw):
 @given(_bohr_query())
 def test_bohr_single_queries_match_fraction_route(data):
     # contains_difference reads the same fix(w) mod M as the Fraction route
-    # did and is equal to it; contains reads the center in the same
-    # fixed-point sum as the row, so the two may differ only where one of
-    # them is None, near r +- G, and never on rows and centers of rationals
+    # did and is equal to it
     oracle, v = data
     assert _single_query(oracle.contains_difference, v) == _reference_verdict(oracle, v)
-    got = _single_query(oracle.contains, v)
-    expected = _reference_verdict(oracle, v, member=True)
-    rational = all(x.is_rational() for row in oracle.freq for x in row) and \
-        all(c.is_rational() for c in oracle.centers)
-    if rational:
-        assert got == expected
-    assert None in (got, expected) or got == expected
 
 
 def test_bohr_single_queries_on_exact_ties():
     # rational rows: every verdict, ties included, is exact on both routes
-    oracle = BohrSet(2, [[F(1, 4), F(1, 6)], [F(1, 3), F(0)]], [F(1, 12), F(1, 6)],
-                     [F(1, 4), F(-1, 3)])
+    oracle = BohrSet(2, [[F(1, 4), F(1, 6)], [F(1, 3), F(0)]], [F(1, 12), F(1, 6)])
     seen = set()
     for v in product(range(-6, 7), repeat=2):
-        for query, member in ((oracle.contains_difference, False), (oracle.contains, True)):
-            verdict = _single_query(query, v)
-            assert verdict == _reference_verdict(oracle, v, member)
-            seen.add((member, verdict))
-    assert seen == {(m, x) for m in (False, True) for x in (True, False, None)}
+        verdict = _single_query(oracle.contains_difference, v)
+        assert verdict == _reference_verdict(oracle, v)
+        seen.add(verdict)
+    assert seen == {True, False, None}
 
 
 @st.composite

@@ -224,6 +224,51 @@ def test_constructor_rejects_non_identity_at_zero():
         Walk([poly_parse("x + 1", universe)], ("x",))
 
 
+def _reference_identity_error(entries, coords):
+    """The message of the substitute route that the constructor's t = 0
+    check replaced, or None when every entry is the identity at t = 0."""
+    universe = ("t",) + coords
+    for name, entry in zip(coords, entries):
+        at0 = entry.extend(universe).substitute({"t": MPoly.zero(())})
+        if at0 != MPoly.var(universe, name):
+            return f"entry for '{name}' is {at0} at t=0, not the identity"
+    return None
+
+
+def _assert_identity_check_matches_reference(entries, coords):
+    expected = _reference_identity_error(entries, coords)
+    if expected is None:
+        Walk(entries, coords)
+        return
+    with pytest.raises(ValueError) as raised:
+        Walk(entries, coords)
+    assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("texts", [["x + 1"], ["2*x"], ["y", "x"], ["x", "y + 3*x^2 - 1"],
+                                   ["x + t*y", "y + t^2*x"]])
+def test_identity_check_matches_the_substitute_route(texts):
+    coords = ("x", "y")[:len(texts)]
+    _assert_identity_check_matches_reference(
+        [poly_parse(text, ("t",) + coords) for text in texts], coords)
+
+
+_small_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-2, 2),
+                               max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_small_terms, min_size=1, max_size=2))
+def test_identity_check_matches_the_substitute_route_on_random_entries(perturbations):
+    # the identity plus integer terms in (t, x, y), with and without t
+    coords = ("x", "y")[:len(perturbations)]
+    universe = ("t",) + coords
+    entries = [MPoly.var(universe, name)
+               + MPoly(universe, {e[:len(universe)]: c for e, c in terms.items()})
+               for name, terms in zip(coords, perturbations)]
+    _assert_identity_check_matches_reference(entries, coords)
+
+
 def test_constructor_rejects_non_integral_entries():
     universe = ("t", "x")
     with pytest.raises(ValueError, match="integer-valued"):
