@@ -297,7 +297,7 @@ def cmd_experiment(args):
     targets = cfg.get_int_list("targets")
     n_max = cfg.get_int("N_max", 100000)
     oracle = build_oracle(cfg, seed)
-    corollary.check(p, k, targets)
+    corollary.check(p, oracle, k, targets)
     check_n_max(n_max)
     # building the walks is what checks P, as in `gen`; the run reads them
     # back from the builder's cache

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import mul
 from typing import Iterator, Sequence
 
 from .generators import kernel_basis
-from .poly import MPoly, PolyVector
+from .poly import MPoly, PolyVector, _from_numerators, _numerators
 from .walks import TIME, Walk
 
 
@@ -206,16 +207,18 @@ def construct_fleeing_walk(
 
 def _collapse(orbit: PolyVector, exponents: tuple[int, ...]) -> PolyVector:
     """Substitute t_k -> n^(e_k): a monomial map, t^a -> n^<a, e>, so each
-    entry's coefficients are summed by their new exponent."""
+    entry's integer numerators are summed by their new exponent and each
+    coefficient is divided by the common denominator once."""
     by_name = {time_var(k): e for k, e in enumerate(exponents, start=1)}
     weights = [by_name[name] for name in orbit.vars]
     entries = []
     for p in orbit:
-        terms: dict[tuple[int], Fraction] = {}
-        for exps, coeff in p.terms.items():
-            key = (sum(a * e for a, e in zip(exps, weights)),)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        entries.append(MPoly(("n",), terms))
+        denominator, numerators = _numerators(p.terms)
+        sums: dict[tuple[int], int] = {}
+        for exps, c in numerators.items():
+            key = (sum(map(mul, exps, weights)),)
+            sums[key] = sums.get(key, 0) + c
+        entries.append(_from_numerators(("n",), sums, denominator))
     return PolyVector(entries)
 
 

@@ -3,8 +3,8 @@ orbit searches along walks, and Weyl-sum diagnostics.
 
 Two set models are supported, and each is an oracle for its difference
 set B - B, the one question the experiments ask of a set.  A WindowSet is
-an explicit finite subset of a box [0, side)^d with an exact
-difference-set index.  A BohrSet is the preimage of a box on a torus under
+an explicit finite subset of a box [0, side)^d, and answers a query by
+scanning its points.  A BohrSet is the preimage of a box on a torus under
 v -> A v mod 1, given by rows and radii alone; every query of it is
 decided from fixed-point phases with a guard band, and one too close to an
 arc boundary is indeterminate rather than guessed.  Both models answer
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, product
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .fleeing import construct_fleeing_walk
@@ -41,11 +42,6 @@ from .reals import (
     RootOfUnityMean,
 )
 from .walks import Walk
-
-# Windows with more points than this never materialize a difference index;
-# neither do point sets whose pair count would exceed the pair bound.
-INDEX_POINT_LIMIT = 10 ** 6
-INDEX_PAIR_LIMIT = 4 * 10 ** 6
 
 # Decimal digits of a Bohr set's phases at the least: 10^-19 is a tenth
 # of the guard band, whatever precision the set was given.
@@ -77,24 +73,27 @@ def _verdicts(phases: Iterable[Sequence[int]], bounds) -> Iterator[bool | None]:
 
 
 class WindowSet:
-    """Finite subset of [0, side)^d with cached difference-set membership.
+    """Finite subset of [0, side)^d, as an oracle for B - B.
 
-    Difference queries scan the points until answering them has cost about
-    as much as building the index of all pairs would (one scan per point),
-    and use the index from then on."""
+    A difference query w is answered by one rule: False when some
+    |w_j| >= side (differences of points in [0, side) lie strictly inside
+    (-side, side)), else True iff b + w is a point for some point b, a
+    scan of the points with early exit.  Queries change no state."""
 
     def __init__(self, dim: int, side: int, points: Iterable[Sequence[int]]):
+        if side < 1:
+            raise ValueError(f"window side must be >= 1, got {side}")
         self.dim = dim
         self.side = side
         self.points = frozenset(tuple(int(x) for x in p) for p in points)
         for p in self.points:
             if len(p) != dim or any(not (0 <= x < side) for x in p):
                 raise ValueError(f"point {p} outside the window [0,{side})^{dim}")
-        self._diff_index: frozenset | None = None
-        self._scans = 0
 
     @classmethod
     def random(cls, dim: int, side: int, density: float, seed: int) -> WindowSet:
+        if not 0 <= density <= 1:
+            raise ValueError(f"window density must be in [0, 1], got {density}")
         rng = random.Random(seed)
         points = [
             p for p in product(range(side), repeat=dim) if rng.random() < density
@@ -105,11 +104,6 @@ class WindowSet:
     def density(self) -> float:
         return len(self.points) / self.side ** self.dim
 
-    def _use_index(self) -> bool:
-        if self.side ** self.dim > INDEX_POINT_LIMIT:
-            return False
-        return len(self.points) ** 2 <= INDEX_PAIR_LIMIT
-
     def contains_difference(self, w: Sequence[int]) -> bool:
         """True iff w = b1 - b2 for some b1, b2 in the set."""
         w = tuple(int(x) for x in w)
@@ -117,21 +111,8 @@ class WindowSet:
             raise ValueError(f"difference {w} has wrong dimension")
         if any(abs(x) >= self.side for x in w):
             return False
-        if self._diff_index is not None:
-            return w in self._diff_index
-        if self._scans >= len(self.points) and self._use_index():
-            self._diff_index = frozenset(
-                tuple(a - b for a, b in zip(p1, p2))
-                for p1 in self.points
-                for p2 in self.points
-            )
-            return w in self._diff_index
-        # per-query scan with early exit
-        self._scans += 1
-        for b in self.points:
-            if tuple(a + c for a, c in zip(b, w)) in self.points:
-                return True
-        return False
+        points = self.points
+        return any(tuple(map(add, b, w)) in points for b in points)
 
     def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool]:
         """contains_difference at the orbit points p(1), ..., p(count)."""
@@ -384,9 +365,13 @@ class Corollary:
     nonzero: bool
     start: Callable[[int, int], tuple[int, ...]]
 
-    def check(self, p: MPoly, k: int, targets: Sequence[int]) -> None:
-        """Raise ValueError unless k >= 1, every target lies in the target
+    def check(self, p: MPoly, oracle: SetModel, k: int, targets: Sequence[int]) -> None:
+        """Raise ValueError unless the set model has one coordinate per
+        coordinate of the form, k >= 1, every target lies in the target
         lattice and P is univariate."""
+        if oracle.dim != len(self.coords):
+            raise ValueError(f"{self.name} needs a set model of dimension "
+                             f"{len(self.coords)}, got dimension {oracle.dim}")
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         step = k ** self.power
@@ -421,7 +406,7 @@ def corollary_experiment(
 ) -> ExperimentReport:
     """Search for differences realizing each target value of the
     corollary's form, one fleeing walk per target (`Corollary`)."""
-    corollary.check(p, k, targets)
+    corollary.check(p, oracle, k, targets)
     var = _single_var_name(p)
     walks = corollary.walks(p)
     coords = corollary.coords

@@ -463,6 +463,11 @@ def _configs(tmp_path):
                      "samples = 32\nreplicates = 2\nseed = 7\nk = 1\n",
     }
     files["empty_average"] = files["trig"].replace("N = 300", "N = 0")
+    files["points_dim_3"] = files["points"].replace("dim = 2", "dim = 3").replace(
+        "points = 0,0; 4,2; 9,3", "points = 0,0,0; 4,2,1")
+    files["density_above_1"] = files["window"].replace("density = 1.0", "density = 1.7")
+    files["density_negative"] = files["window"].replace("density = 1.0", "density = -0.5")
+    files["side_0"] = files["window"].replace("side = 30", "side = 0")
     files["sample_grid"] = files["trig"] + "grid = 64\n"
     files["trig_seed"] = files["trig"] + "seed = 5\n"
     files["box_precision_0"] = files["box"] + "precision = 0\n"
@@ -554,6 +559,11 @@ VALIDATE_GAPS = {
     "bogolubov-target": ["bogolubov", "--config", "{window}", "--k", "2", "--targets", "3"],
     "bogolubov-N-max": ["bogolubov", "--config", "{bohr}", "--N-max", "0"],
     "bogolubov-P-constant-term": ["bogolubov", "--config", "{window}", "--P", "y^2 + 1"],
+    "magyar-dim-2": ["magyar", "--config", "{bohr}", "--P", "z^2"],
+    "bogolubov-window-dim-3": ["bogolubov", "--config", "{points_dim_3}"],
+    "bogolubov-density-above-1": ["bogolubov", "--config", "{density_above_1}"],
+    "bogolubov-density-negative": ["bogolubov", "--config", "{density_negative}"],
+    "bogolubov-side-0": ["bogolubov", "--config", "{side_0}"],
     "ergodic-avg-N": ["ergodic-avg", "--config", "{empty_average}"],
     "ergodic-avg-grid": ["ergodic-avg", "--config", "{sample_grid}"],
     "ergodic-avg-seed": ["ergodic-avg", "--config", "{trig_seed}"],

@@ -317,6 +317,21 @@ def _collapse_by_substitution(orbit, exponents):
     return collapsed
 
 
+def _collapse_by_fractions(orbit, exponents):
+    """Reference: the monomial map t^a -> n^<a, e>, summing Fraction
+    coefficients one term at a time."""
+    by_name = {time_var(k): e for k, e in enumerate(exponents, start=1)}
+    weights = [by_name[name] for name in orbit.vars]
+    entries = []
+    for p in orbit:
+        terms = {}
+        for exps, coeff in p.terms.items():
+            key = (sum(a * e for a, e in zip(exps, weights)),)
+            terms[key] = terms.get(key, Fraction(0)) + coeff
+        entries.append(MPoly(("n",), terms))
+    return PolyVector(entries)
+
+
 @st.composite
 def _orbit_and_exponents(draw):
     depth = draw(st.integers(1, 3))
@@ -338,5 +353,16 @@ def test_collapse_matches_substitution(case):
     collapsed = _collapse(orbit, exponents)
     reference = _collapse_by_substitution(orbit, exponents)
     assert collapsed == reference
+    assert [str(p) for p in collapsed] == [str(p) for p in reference]
+    assert collapsed.vars == reference.vars == ("n",)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_orbit_and_exponents())
+def test_collapse_matches_the_fraction_sums(case):
+    orbit, exponents = case
+    collapsed = _collapse(orbit, exponents)
+    reference = _collapse_by_fractions(orbit, exponents)
+    assert [p.terms for p in collapsed] == [p.terms for p in reference]
     assert [str(p) for p in collapsed] == [str(p) for p in reference]
     assert collapsed.vars == reference.vars == ("n",)

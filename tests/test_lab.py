@@ -63,30 +63,59 @@ def test_window_rejects_out_of_range_points():
         WindowSet(1, 4, [(5,)])
 
 
-def test_window_index_and_scan_paths_agree():
-    rng = random.Random(7)
-    points = [(rng.randrange(6), rng.randrange(6)) for _ in range(14)]
-    indexed = WindowSet(2, 6, points)
-    scanning = WindowSet(2, 6, points)
-    # force the scan path on one copy by pretending the window is huge
-    scanning.side = 200
-    queries = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(40)]
-    for w in queries:
-        expected = _brute_force_diff(indexed.points, w)
-        assert indexed.contains_difference(w) == expected
-        assert scanning.contains_difference(w) == expected
+@pytest.mark.parametrize("side", [0, -3])
+def test_window_rejects_an_empty_side(side):
+    with pytest.raises(ValueError, match=f"^window side must be >= 1, got {side}$"):
+        WindowSet(1, side, [])
+    with pytest.raises(ValueError, match=f"^window side must be >= 1, got {side}$"):
+        WindowSet.random(2, side, 0.5, seed=1)
 
 
-def test_window_scans_before_building_the_index():
+@pytest.mark.parametrize("density", [1.7, -0.25, float("nan")])
+def test_window_rejects_a_density_outside_the_unit_interval(density):
+    with pytest.raises(ValueError, match=r"^window density must be in \[0, 1\], got "):
+        WindowSet.random(2, 4, density, seed=1)
+
+
+def test_window_queries_leave_the_set_unchanged():
     w = WindowSet(1, 10, [(0,), (3,), (7,)])
+    before = dict(vars(w))
     # differences of points in [0, side) lie strictly inside (-side, side)
     assert not w.contains_difference((10,))
     assert not w.contains_difference((-12,))
     for _ in range(3):
         assert w.contains_difference((4,))   # 7 - 3
-    assert w._diff_index is None
-    assert w.contains_difference((-7,))
-    assert w._diff_index is not None
+    # more queries than there are points
+    for x in range(-9, 10):
+        assert w.contains_difference((x,)) == _brute_force_diff(w.points, (x,))
+    assert vars(w) == before
+
+
+@st.composite
+def _window_and_queries(draw):
+    dim = draw(st.integers(1, 3))
+    # small dense windows, and sparse ones far wider than any bitmask
+    side = draw(st.one_of(st.integers(1, 6), st.just(10 ** 12)))
+    coord = st.integers(0, side - 1)
+    points = draw(st.lists(st.tuples(*[coord] * dim), max_size=12))
+    window = WindowSet(dim, side, points)
+    listed = sorted(window.points)
+    differences = [tuple(a - b for a, b in zip(b1, b2))
+                   for b1 in listed for b2 in listed]
+    near = st.integers(-side, side)
+    queries = draw(st.lists(st.one_of(st.sampled_from(differences or [(0,) * dim]),
+                                      st.tuples(*[near] * dim),
+                                      st.tuples(*[st.integers(-3, 3)] * dim)),
+                            max_size=20))
+    return window, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_window_and_queries())
+def test_window_difference_matches_the_pair_scan(case):
+    window, queries = case
+    for w in queries:
+        assert window.contains_difference(w) == _brute_force_diff(window.points, w)
 
 
 def test_window_diffset_matches_brute_force_random():
@@ -554,9 +583,23 @@ def test_bogolubov_target_preconditions():
     with pytest.raises(ValueError, match=r"^target 3 is not a multiple of k=2$"):
         corollary_experiment(BOGOLUBOV, poly_parse("y^2", ["y"]), oracle, 2, [4, 3], 100)
     # 0 is a multiple of k, and F = 0 is a target of x - P(y)
-    BOGOLUBOV.check(poly_parse("y^2", ["y"]), 2, [0, -2])
+    BOGOLUBOV.check(poly_parse("y^2", ["y"]), oracle, 2, [0, -2])
     with pytest.raises(ValueError, match=r"^k must be positive, got 0$"):
-        BOGOLUBOV.check(poly_parse("y^2", ["y"]), 0, [0])
+        BOGOLUBOV.check(poly_parse("y^2", ["y"]), oracle, 0, [0])
+
+
+def test_corollary_rejects_a_set_model_of_the_wrong_dimension():
+    bohr2 = BohrSet(2, [[Real.named("sqrt2"), Real.named("sqrt3")]], [F(1, 5)])
+    window3 = WindowSet(3, 30, [(0, 0, 0), (4, 2, 1)])
+    for corollary, p, oracle, message in (
+            (MAGYAR, poly_parse("z^2", ["z"]), bohr2,
+             "magyar needs a set model of dimension 3, got dimension 2"),
+            (BOGOLUBOV, poly_parse("y^2", ["y"]), window3,
+             "bogolubov needs a set model of dimension 2, got dimension 3")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            corollary.check(p, oracle, 1, [1])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            corollary_experiment(corollary, p, oracle, 1, [1], 10)
 
 
 # report bodies (the `#` timing lines stripped) frozen from the two
