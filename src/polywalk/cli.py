@@ -186,14 +186,9 @@ def parse_poly_vector(text: str, var: str = "n") -> PolyVector:
 
 
 def _load_config(args, allowed: set[str], prefixes=()) -> Config:
-    # A common flag reaches the config only where the subcommand allows its
-    # key, so --N-max is accepted and ignored without a search range,
-    # --seed where nothing is randomized; --jobs never does.  A precision
-    # from the flag or the file must ask for at least one digit.
     cfg = Config.from_path(args.config) if args.config else Config({})
-    for key in ("N_max", "seed", "precision"):
-        if key in allowed:
-            cfg.override(key, getattr(args, key, None))
+    for key in ("N_max", "seed", "precision", "P", "k", "targets"):
+        cfg.override(key, getattr(args, key, None))
     cfg.require_known(allowed, prefixes)
     if cfg.has("precision"):
         check_precision(cfg.get_int("precision"))
@@ -248,7 +243,14 @@ def cmd_construct_walk(args):
     return run
 
 
+_GEN_FLAG_FAMILIES = {"P": ("xyP", "bogolubov"), "p": ("signature",),
+                      "q": ("signature",), "matrix": ("adjoint",)}
+
+
 def cmd_gen(args):
+    for flag, families in _GEN_FLAG_FAMILIES.items():
+        if getattr(args, flag) is not None and args.family not in families:
+            raise UsageError(f"--{flag} is not read by the {args.family} family")
     # the walks are built here, as a walk spec builds them, since building
     # is what checks P, the matrix or (p, q); the run only prints them
     if args.family in ("xyP", "bogolubov"):
@@ -285,12 +287,6 @@ _EXPERIMENT_KEYS = _ORACLE_KEYS | {"P", "k", "targets", "N_max", "seed"}
 def cmd_experiment(args):
     corollary = COROLLARIES[args.command]
     cfg = _load_config(args, _EXPERIMENT_KEYS, _ORACLE_PREFIXES)
-    if args.P is not None:
-        cfg.override("P", args.P)
-    if args.targets is not None:
-        cfg.override("targets", args.targets)
-    if args.k is not None:
-        cfg.override("k", args.k)
     seed = cfg.get_int("seed", 0)
     p = poly_parse_auto(cfg.get_str("P"))
     k = cfg.get_int("k", 1)
@@ -340,6 +336,8 @@ def cmd_ergodic_avg(args):
     cfg = _load_config(args, _ERGODIC_KEYS, _ERGODIC_PREFIXES)
     system = build_system(cfg)
     kind = cfg.get_str("observable", "trig")
+    if kind not in ("trig", "box"):
+        raise ConfigError(f"unknown observable {kind!r} (expected trig or box)")
     observable = build_trig(cfg) if kind == "trig" else build_box(cfg)
     polys = parse_poly_vector(cfg.get_str("p"))
     n_count = cfg.get_int("N")
@@ -377,12 +375,14 @@ def cmd_correlate(args):
     system = build_system(cfg)
     box = build_box(cfg)
     orbits = [parse_poly_vector(o) for o in cfg.indexed("orbit_")]
-    n_counts = [int(x) for x in cfg.indexed("N_")]
+    n_counts = [cfg.get_int(key) for key in cfg.indexed_keys("N_")]
     seed = cfg.get_int("seed", 0)
     samples = cfg.get_int("samples", 512)
     replicates = cfg.get_int("replicates", 8)
     if cfg.has("k"):
         k = cfg.get_int("k")
+        if k < 1:
+            raise ConfigError(f"k must be positive, got {k}")
     elif cfg.has("eps"):
         k = choose_k(system, box, cfg.get_float("eps"))
     else:
@@ -431,19 +431,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False):
+    # --out and --validate-only are read by every subcommand; each other
+    # shared flag is declared only by the subcommands that read it, except
+    # --jobs, which the benchmark's search workload still passes
+    shared = {
+        "--config": dict(help="key = value experiment file"),
+        "--csv": dict(help="write CSV output to this path"),
+        "--jobs": dict(type=int, help="accepted and ignored: searches run sequentially "
+                                      "and stop at the first hit"),
+        "--seed": dict(type=int, help="seed for randomized pieces"),
+        "--precision": dict(type=int, help="decimal digits for torus arithmetic"),
+        "--N-max": dict(type=int, help="search range bound (construct-walk: depth cap)"),
+    }
+
+    def common(p, *flags):
         p.add_argument("--out", help="also write the report to this path")
-        p.add_argument("--csv", help="write CSV output to this path")
-        p.add_argument("--jobs", type=int,
-                       help="accepted for compatibility; searches run sequentially "
-                            "and stop at the first hit")
-        p.add_argument("--seed", type=int, help="seed for randomized pieces")
-        p.add_argument("--precision", type=int, help="decimal digits for torus arithmetic")
-        p.add_argument("--N-max", dest="N_max", type=int, help="search range bound")
         p.add_argument("--validate-only", action="store_true",
                        help="parse and validate inputs, skip computation")
-        if config:
-            p.add_argument("--config", help="key = value experiment file")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("check-fleeing", help="decide hyperplane-fleeing for orbit polynomials")
     p.add_argument("--poly", required=True, help="comma-separated expressions, e.g. 'n, n^2'")
@@ -468,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", action="append", required=True,
                    help="generator walk spec (repeatable)")
     p.add_argument("--v", required=True)
-    common(p)
+    common(p, "--N-max")
     p.set_defaults(func=cmd_construct_walk)
 
     p = sub.add_parser("gen", help="emit generator walks and matrices")
@@ -486,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--P")
         p.add_argument("--k", type=int)
         p.add_argument("--targets", help="comma-separated integers")
-        common(p, config=True)
+        common(p, "--config", "--csv", "--jobs", "--seed", "--precision", "--N-max")
         p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("weyl", help="Weyl exponential-sum average")
@@ -495,15 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--exact", action="store_true",
                    help="exact root-of-unity path (rational frequencies)")
-    common(p)
+    common(p, "--precision")
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("ergodic-avg", help="polynomial orbit average on a torus system")
-    common(p, config=True)
+    common(p, "--config", "--csv", "--precision")
     p.set_defaults(func=cmd_ergodic_avg)
 
     p = sub.add_parser("correlate", help="multiple correlation average estimate")
-    common(p, config=True)
+    common(p, "--config", "--csv", "--seed", "--precision")
     p.set_defaults(func=cmd_correlate)
 
     return parser
@@ -551,7 +557,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
-        if args.csv and csv is not None:
+        if csv is not None and args.csv:
             Path(args.csv).write_text(csv, encoding="utf-8")
         return code
     except PolySyntaxError as exc:

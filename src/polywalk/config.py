@@ -92,10 +92,12 @@ class Config:
         except ValueError:
             raise ConfigError(f"key '{key}' is not an integer list: {raw!r}")
 
+    def indexed_keys(self, prefix: str) -> list[str]:
+        """Keys prefix1, prefix2, ... in index order."""
+        return sorted((key for key in self.values
+                       if key.startswith(prefix) and key[len(prefix):].isdigit()),
+                      key=lambda key: int(key[len(prefix):]))
+
     def indexed(self, prefix: str) -> list[str]:
         """Values of prefix1, prefix2, ... in index order."""
-        found = []
-        for key, value in self.values.items():
-            if key.startswith(prefix) and key[len(prefix):].isdigit():
-                found.append((int(key[len(prefix):]), value))
-        return [value for _, value in sorted(found)]
+        return [self.values[key] for key in self.indexed_keys(prefix)]

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, config files, exit codes, determinism."""
 
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -242,10 +244,12 @@ def test_magyar_output_deterministic(tmp_path, capsys):
 def test_magyar_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "magyar.cfg"
     cfg.write_text(MAGYAR_CONFIG, encoding="utf-8")
-    code, out, _ = run(capsys, "magyar", "--config", str(cfg), "--targets", "4")
+    code, out, _ = run(capsys, "magyar", "--config", str(cfg), "--targets", "4",
+                       "--seed", "5", "--N-max", "500")
     assert code == 0
     assert "target 4: found" in out
     assert "target 1:" not in out
+    assert {"seed 5", "config N_max = 500"} <= set(out.splitlines())
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -259,8 +263,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["center_1 = 0", "torus_dim = 1", "experiment = magyar",
                                   "jobs = 2"])
 def test_bohr_experiment_rejects_keys_no_output_reads(tmp_path, capsys, line):
-    # a Bohr set is given by rows and radii alone, and --jobs never reached
-    # the config: these keys are unknown like any other
+    # a Bohr set is given by rows and radii alone, and --jobs is read by
+    # nothing: these keys are unknown like any other
     key = line.split(" =")[0]
     paths = _configs(tmp_path)
     for command, name in (("magyar", "magyar"), ("bogolubov", "bohr")):
@@ -376,7 +380,7 @@ def test_ergodic_avg_box_output_pinned(tmp_path, capsys):
     assert out == "N = 4000\nestimate = 0.14225 + 0i\n"
 
 
-def test_jobs_accepted_and_ignored_by_average_subcommands(tmp_path, capsys):
+def test_average_subcommands_reject_jobs_and_N_max(tmp_path, capsys):
     avg = tmp_path / "avg.cfg"
     avg.write_text("row_1 = 1/3\nobservable = trig\ncomp_1 = 1 : 1.0 : 0.0\n"
                    "p = 3*n\nN = 300\n", encoding="utf-8")
@@ -386,12 +390,12 @@ def test_jobs_accepted_and_ignored_by_average_subcommands(tmp_path, capsys):
                     encoding="utf-8")
     for argv in (["ergodic-avg", "--config", str(avg)],
                  ["correlate", "--config", str(corr)]):
-        code, plain, err = run(capsys, *argv)
+        code, _, err = run(capsys, *argv)
         assert code == 0, err
         for flag in (["--jobs", "2"], ["--N-max", "5"]):
-            code, with_flag, err = run(capsys, *argv, *flag)
-            assert code == 0, err
-            assert with_flag == plain
+            code, out, err = run(capsys, *argv, *flag)
+            assert (code, out) == (1, "")
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_python_dash_m_runs_the_cli():
@@ -487,6 +491,11 @@ def _configs(tmp_path):
                                                          "orbit_1 = 1/2*n, n")
     files["correlate_orbit_length"] = files["correlate"].replace("orbit_1 = n^6, n^3",
                                                                  "orbit_1 = n^6")
+    files["box_capital"] = files["box"].replace("observable = box", "observable = Box")
+    files["trigg"] = files["trig"].replace("observable = trig", "observable = trigg")
+    files["correlate_k_0"] = files["correlate"].replace("k = 1", "k = 0")
+    files["correlate_k_negative"] = files["correlate"].replace("k = 1", "k = -2")
+    files["correlate_N_float"] = files["correlate"].replace("N_1 = 100", "N_1 = 2e2")
     files["no_orbit"] = "".join(line + "\n" for line in files["correlate"].splitlines()
                                 if not line.startswith(("orbit_", "N_")))
     paths = {}
@@ -524,11 +533,12 @@ def _argv(tmp_path, template):
 def test_out_file_equals_stdout(tmp_path, capsys, name):
     out_path, csv_path = tmp_path / "report.txt", tmp_path / "report.csv"
     argv = _argv(tmp_path, EVERY_SUBCOMMAND[name])
-    code, out, err = run(capsys, *argv, "--out", str(out_path), "--csv", str(csv_path))
+    csv = ["--csv", str(csv_path)] if name in WRITES_CSV else []
+    code, out, err = run(capsys, *argv, "--out", str(out_path), *csv)
     assert code == (2 if name == "construct-walk-failed" else 0), err
     assert out and out_path.read_text(encoding="utf-8") == out
     assert ("construction failed" in out) == (name == "construct-walk-failed")
-    # --csv is written by the four experiment subcommands and ignored elsewhere
+    # the four experiment subcommands write their CSV; the others reject --csv
     assert csv_path.exists() == (name in WRITES_CSV)
 
 
@@ -592,6 +602,11 @@ VALIDATE_GAPS = {
                                "--N-max", "0"],
     "construct-walk-N-max-negative": ["construct-walk", "--gen", "bogolubov:y^2",
                                       "--v", "-3,0", "--N-max", "-3"],
+    "ergodic-avg-observable-Box": ["ergodic-avg", "--config", "{box_capital}"],
+    "ergodic-avg-observable-trigg": ["ergodic-avg", "--config", "{trigg}"],
+    "correlate-k-0": ["correlate", "--config", "{correlate_k_0}"],
+    "correlate-k-negative": ["correlate", "--config", "{correlate_k_negative}"],
+    "correlate-N-not-integer": ["correlate", "--config", "{correlate_N_float}"],
 }
 
 
@@ -603,6 +618,91 @@ def test_validate_only_rejects_what_the_run_rejects(tmp_path, capsys, name):
     assert run_err.startswith("error: ")
     code, out, err = run(capsys, *argv, "--validate-only")
     assert (code, out, err) == (1, "", run_err)
+
+
+GAP_MESSAGES = {
+    "ergodic-avg-observable-Box": "unknown observable 'Box' (expected trig or box)",
+    "ergodic-avg-observable-trigg": "unknown observable 'trigg' (expected trig or box)",
+    "correlate-k-0": "k must be positive, got 0",
+    "correlate-k-negative": "k must be positive, got -2",
+    "correlate-N-not-integer": "key 'N_1' is not an integer: '2e2'",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_MESSAGES))
+def test_config_value_errors_name_the_value(tmp_path, capsys, name):
+    assert run(capsys, *_argv(tmp_path, VALIDATE_GAPS[name])) == (
+        1, "", f"error: {GAP_MESSAGES[name]}\n")
+
+
+# -- each subcommand declares only the flags it reads ---------------------------
+
+SHARED_FLAG_VALUES = {"--csv": "{out}", "--jobs": "2", "--seed": "4", "--precision": "20",
+                      "--N-max": "9"}
+SEARCH_FLAGS = {"--csv", "--jobs", "--seed", "--precision", "--N-max"}
+READS_SHARED = {"construct-walk": {"--N-max"}, "magyar": SEARCH_FLAGS,
+                "bogolubov": SEARCH_FLAGS, "weyl": {"--precision"},
+                "ergodic-avg": {"--csv", "--precision"},
+                "correlate": {"--csv", "--seed", "--precision"}}
+SUBCOMMANDS = ["check-fleeing", "preserves", "walk-apply", "construct-walk", "gen",
+               "magyar", "bogolubov", "weyl", "ergodic-avg", "correlate"]
+UNREAD_FLAGS = [(name, flag) for name in SUBCOMMANDS for flag in SHARED_FLAG_VALUES
+                if flag not in READS_SHARED.get(name, ())]
+
+
+@pytest.mark.parametrize("name, flag", UNREAD_FLAGS, ids=[f"{n}{f}" for n, f in UNREAD_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, name, flag):
+    argv = _argv(tmp_path, EVERY_SUBCOMMAND[name])
+    assert run(capsys, *argv, "--validate-only") == (0, "ok\n", "")
+    value = SHARED_FLAG_VALUES[flag].format(out=tmp_path / "unread.csv")
+    for extra in ([], ["--validate-only"]):
+        code, out, err = run(capsys, *argv, flag, value, *extra)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag} {value}" in err
+    assert not (tmp_path / "unread.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag, family", [
+    (["--family", "signature", "--p", "1", "--q", "2", "--P", "z^2"], "--P", "signature"),
+    (["--family", "adjoint", "--matrix", "1,1,0,1", "--P", "z^2"], "--P", "adjoint"),
+    (["--family", "xyP", "--P", "z^2", "--p", "4"], "--p", "xyP"),
+    (["--family", "bogolubov", "--P", "y^2", "--q", "1"], "--q", "bogolubov"),
+    (["--family", "adjoint", "--matrix", "1,1,0,1", "--q", "2"], "--q", "adjoint"),
+    (["--family", "xyP", "--P", "z^2", "--matrix", "1"], "--matrix", "xyP"),
+    (["--family", "signature", "--p", "1", "--q", "2", "--matrix", "1,1,0,1"], "--matrix",
+     "signature"),
+], ids=["signature-P", "adjoint-P", "xyP-p", "bogolubov-q", "adjoint-q", "xyP-matrix",
+        "signature-matrix"])
+def test_gen_rejects_the_flags_of_another_family(capsys, argv, flag, family):
+    for extra in ([], ["--validate-only"]):
+        assert run(capsys, "gen", *argv, *extra) == (
+            1, "", f"error: {flag} is not read by the {family} family\n")
+
+
+def _readme_flag_table() -> dict[str, set[str]]:
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| Subcommand | Own flags | Shared flags |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = line.strip("|").split("|")
+        flags = re.findall(r"`(--[\w-]+)`", "|".join(cells[1:]))
+        table[cells[0].strip().strip("`")] = set(flags)
+    return table
+
+
+def _parser_flag_table() -> dict[str, set[str]]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {o for a in p._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert _readme_flag_table() == _parser_flag_table()
+    assert sum(map(len, _parser_flag_table().values())) == 65
 
 
 # the shapes of the benchmark's operations
@@ -667,11 +767,13 @@ def test_precision_below_one_digit_is_rejected(tmp_path, capsys, argv, value):
     assert (code, out, err) == (1, "", f"error: precision must be >= 1, got {value}\n")
 
 
-def test_ergodic_avg_ignores_the_seed_flag(tmp_path, capsys):
+def test_ergodic_avg_rejects_the_seed_flag(tmp_path, capsys):
     argv = _argv(tmp_path, ["ergodic-avg", "--config", "{trig}"])
-    code, plain, err = run(capsys, *argv)
+    code, _, err = run(capsys, *argv)
     assert code == 0, err
-    assert run(capsys, *argv, "--seed", "99") == (0, plain, "")
+    code, out, err = run(capsys, *argv, "--seed", "99")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --seed 99" in err
 
 
 def test_ergodic_avg_box_with_more_arcs_than_torus_coordinates(tmp_path, capsys):
