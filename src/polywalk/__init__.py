@@ -48,7 +48,6 @@ from .lab import (
     BohrSet,
     Corollary,
     ExperimentReport,
-    IndeterminateError,
     SearchResult,
     Status,
     WindowSet,

@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the library: construct-walk, check-fleeing,
 preserves, walk-apply, magyar, bogolubov, weyl, ergodic-avg, correlate, gen.
 Exit codes: 0 on success (all targets found), 2 when a search exhausted its
-range or hit an indeterminate decision, 1 for usage or validation errors.
+range (or construct-walk ran out of depth), 1 for usage or validation errors.
 
 Walks are named by compact specs:
 
@@ -59,7 +59,7 @@ from .lab import (
     weyl_sums,
 )
 from .poly import MPoly, PolySyntaxError, PolyVector, poly_parse, poly_parse_auto
-from .reals import DEFAULT_PRECISION, Real, check_precision, parse_real
+from .reals import Real, parse_real
 from .walks import Walk, identity_walk, preserves
 
 
@@ -119,7 +119,7 @@ def parse_square_matrix(text: str) -> IntMatrix:
 
 # -- oracle / system construction from config ---------------------------------
 
-_ORACLE_KEYS = {"model", "dim", "side", "density", "points", "precision"}
+_ORACLE_KEYS = {"model", "dim", "side", "density", "points"}
 _ORACLE_PREFIXES = ("freq_", "radius_")
 
 
@@ -138,8 +138,7 @@ def build_oracle(cfg: Config, seed: int):
             [parse_real(x) for x in row.split(",")] for row in cfg.indexed("freq_")
         ]
         radii = [Fraction(r) for r in cfg.indexed("radius_")]
-        precision = cfg.get_int("precision", DEFAULT_PRECISION)
-        return BohrSet(dim, freq_rows, radii, precision)
+        return BohrSet(dim, freq_rows, radii)
     raise ConfigError(f"unknown set model {model!r} (expected window or bohr)")
 
 
@@ -150,8 +149,7 @@ def build_system(cfg: Config) -> TorusSystem:
     base = [parse_real(x) for x in cfg.get_str("x0", "0").split(",")]
     if len(base) == 1 and len(rows) > 1:
         base = base * len(rows)
-    precision = cfg.get_int("precision", 40)
-    return TorusSystem(rows, base, precision)
+    return TorusSystem(rows, base)
 
 
 def build_trig(cfg: Config) -> TrigPoly:
@@ -187,11 +185,9 @@ def parse_poly_vector(text: str, var: str = "n") -> PolyVector:
 
 def _load_config(args, allowed: set[str], prefixes=()) -> Config:
     cfg = Config.from_path(args.config) if args.config else Config({})
-    for key in ("N_max", "seed", "precision", "P", "k", "targets"):
+    for key in ("N_max", "seed", "P", "k", "targets"):
         cfg.override(key, getattr(args, key, None))
     cfg.require_known(allowed, prefixes)
-    if cfg.has("precision"):
-        check_precision(cfg.get_int("precision"))
     return cfg
 
 
@@ -310,8 +306,6 @@ def cmd_weyl(args):
     thetas = [parse_real(x) for x in args.theta.split(",")]
     check_orbit(polys, [thetas])
     check_sample_count(args.N)
-    precision = 40 if args.precision is None else args.precision
-    check_precision(precision)
     if args.exact and not all(t.is_rational() for t in thetas):
         raise UsageError("--exact requires rational frequencies")
 
@@ -322,13 +316,13 @@ def cmd_weyl(args):
             value = mean.value()
             lines.append(f"exactly_zero = {'true' if mean.is_exactly_zero else 'false'}")
         else:
-            (value,) = weyl_sums(polys, [thetas], args.N, precision)
+            (value,) = weyl_sums(polys, [thetas], args.N)
         return Outcome("\n".join([f"value = {value.real:.12g} + {value.imag:.12g}i",
                                   f"modulus = {abs(value):.12g}"] + lines))
     return run
 
 
-_ERGODIC_KEYS = {"x0", "observable", "p", "N", "precision"}
+_ERGODIC_KEYS = {"x0", "observable", "p", "N"}
 _ERGODIC_PREFIXES = ("row_", "comp_", "center_", "radius_")
 
 
@@ -345,14 +339,12 @@ def cmd_ergodic_avg(args):
 
     def run():
         result = empirical_average(system, observable, polys, n_count)
-        estimate = result.value
+        estimate, predicted = result.value, result.predicted
         lines = [f"N = {n_count}",
                  f"estimate = {estimate.real:.12g} + {estimate.imag:.12g}i"]
         row = ["ergodic-avg", str(n_count), f"{estimate.real:.12g}",
                f"{estimate.imag:.12g}"]
-        if result.prediction is not None:
-            base = [float(x.frac(system.precision)) for x in system.base_point]
-            predicted = result.prediction.value_at(base)
+        if predicted is not None:
             error = abs(estimate - predicted)
             lines += [f"predicted = {predicted.real:.12g} + {predicted.imag:.12g}i",
                       f"abs_error = {error:.12g}",
@@ -366,7 +358,7 @@ def cmd_ergodic_avg(args):
     return run
 
 
-_CORRELATE_KEYS = {"samples", "replicates", "seed", "eps", "k", "precision"}
+_CORRELATE_KEYS = {"samples", "replicates", "seed", "eps", "k"}
 _CORRELATE_PREFIXES = ("row_", "center_", "radius_", "orbit_", "N_")
 
 
@@ -379,6 +371,8 @@ def cmd_correlate(args):
     seed = cfg.get_int("seed", 0)
     samples = cfg.get_int("samples", 512)
     replicates = cfg.get_int("replicates", 8)
+    if cfg.has("k") and cfg.has("eps"):
+        raise ConfigError("set k or eps, not both")
     if cfg.has("k"):
         k = cfg.get_int("k")
         if k < 1:
@@ -440,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs": dict(type=int, help="accepted and ignored: searches run sequentially "
                                       "and stop at the first hit"),
         "--seed": dict(type=int, help="seed for randomized pieces"),
-        "--precision": dict(type=int, help="decimal digits for torus arithmetic"),
         "--N-max": dict(type=int, help="search range bound (construct-walk: depth cap)"),
     }
 
@@ -492,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--P")
         p.add_argument("--k", type=int)
         p.add_argument("--targets", help="comma-separated integers")
-        common(p, "--config", "--csv", "--jobs", "--seed", "--precision", "--N-max")
+        common(p, "--config", "--csv", "--jobs", "--seed", "--N-max")
         p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("weyl", help="Weyl exponential-sum average")
@@ -501,15 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--exact", action="store_true",
                    help="exact root-of-unity path (rational frequencies)")
-    common(p, "--precision")
+    common(p)
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("ergodic-avg", help="polynomial orbit average on a torus system")
-    common(p, "--config", "--csv", "--precision")
+    common(p, "--config", "--csv")
     p.set_defaults(func=cmd_ergodic_avg)
 
     p = sub.add_parser("correlate", help="multiple correlation average estimate")
-    common(p, "--config", "--csv", "--seed", "--precision")
+    common(p, "--config", "--csv", "--seed")
     p.set_defaults(func=cmd_correlate)
 
     return parser

@@ -93,10 +93,17 @@ class Config:
             raise ConfigError(f"key '{key}' is not an integer list: {raw!r}")
 
     def indexed_keys(self, prefix: str) -> list[str]:
-        """Keys prefix1, prefix2, ... in index order."""
-        return sorted((key for key in self.values
+        """Keys prefix1, prefix2, ..., prefixn in index order.  Raise
+        ConfigError unless they are numbered exactly 1, ..., n, without
+        gaps or leading zeros."""
+        keys = sorted((key for key in self.values
                        if key.startswith(prefix) and key[len(prefix):].isdigit()),
-                      key=lambda key: int(key[len(prefix):]))
+                      key=lambda key: (int(key[len(prefix):]), key))
+        for i, key in enumerate(keys, start=1):
+            if key != f"{prefix}{i}":
+                raise ConfigError(f"config key '{key}' should be '{prefix}{i}': "
+                                  f"indexed keys are numbered 1, 2, 3, ...")
+        return keys
 
     def indexed(self, prefix: str) -> list[str]:
         """Values of prefix1, prefix2, ... in index order."""

@@ -26,7 +26,7 @@ from .generators import kernel_basis
 from .kernel import check_orbit, phases, residues
 from .lab import check_sample_count, weyl_sums
 from .poly import PolyVector
-from .reals import Real, RootOfUnityMean
+from .reals import DIGITS, Real, RootOfUnityMean
 
 _QMC_ALPHAS = (
     0.41421356237309515,   # frac(sqrt 2)
@@ -45,7 +45,6 @@ class TorusSystem:
         self,
         rows: Sequence[Sequence[Real | Fraction | int | str]],
         base_point: Sequence[Real | Fraction | int | str] | None = None,
-        precision: int = 40,
     ):
         self.rows = tuple(tuple(Real.of(x) for x in row) for row in rows)
         self.torus_dim = len(self.rows)
@@ -60,7 +59,6 @@ class TorusSystem:
         self.base_point = tuple(Real.of(x) for x in base_point)
         if len(self.base_point) != self.torus_dim:
             raise ValueError("base point dimension mismatch")
-        self.precision = precision
 
     def image(self, v: Sequence[int]) -> tuple[Real, ...]:
         """A v as exact reals (no mod), for symbolic identities."""
@@ -160,7 +158,7 @@ class BoxIndicator:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "float_centers", tuple(float(c.frac(30)) for c in self.centers))
+            self, "float_centers", tuple(float(c.frac(DIGITS)) for c in self.centers))
         ceilings = []
         for r in self.radii:
             x = float(r)
@@ -323,7 +321,7 @@ def check_average(sys: TorusSystem, f: Observable, polys: PolyVector, n_count: i
 class EmpiricalAverage:
     value: complex
     l2_to_prediction: float | None
-    prediction: TrigPoly | None
+    predicted: complex | None
 
 
 def empirical_average(
@@ -334,28 +332,29 @@ def empirical_average(
 ) -> EmpiricalAverage:
     """(1/N) sum f(x0 + A p(n)), after `check_average`.
 
-    For a TrigPoly the closed-form prediction is also evaluated.  As a
+    For a TrigPoly the closed-form prediction is also evaluated at the
+    base point (`predicted`).  As a
     function of the base point the empirical average is the trigonometric
     polynomial sum c_m W_m e(<m, x>), W_m the Weyl sums of the induced
     characters (one `weyl_sums` stream), and the prediction is
     sum c_m M_m e(<m, x>), M_m their limit multipliers; `l2_to_prediction`
     is their L2 distance, by Parseval sqrt(sum |c_m|^2 |W_m - M_m|^2)."""
     check_average(sys, f, polys, n_count)
-    base = [float(x.frac(sys.precision)) for x in sys.base_point]
+    base = [float(x.frac(DIGITS)) for x in sys.base_point]
     if isinstance(f, BoxIndicator):
         hits = 0
-        for block in phases(polys, sys.rows, n_count, sys.precision):
+        for block in phases(polys, sys.rows, n_count, DIGITS):
             for shift in zip(*block):
                 hits += f.contains_float([(x + b) % 1.0 for x, b in zip(shift, base)])
         return EmpiricalAverage(complex(hits / n_count, 0.0), None, None)
 
     infos = classify_characters(sys, f)
-    sums = weyl_sums(polys, [info.row for info in infos], n_count, sys.precision)
+    sums = weyl_sums(polys, [info.row for info in infos], n_count)
     empirical_fn = TrigPoly.of(
         (freq, coeff * w) for (freq, coeff), w in zip(f.components, sums))
     prediction = q_p_closed_form(sys, f, polys)
     return EmpiricalAverage(empirical_fn.value_at(base),
-                            (empirical_fn - prediction).l2_norm(), prediction)
+                            (empirical_fn - prediction).l2_norm(), prediction.value_at(base))
 
 
 EPS = 2.0 ** -30
@@ -554,7 +553,7 @@ def correlation_average(
     check_correlation(sys, box, orbits, n_counts, samples, replicates)
     d_torus = sys.torus_dim
     indexes = [
-        _StripIndex(box, [point for block in phases(polys, sys.rows, n_count, sys.precision)
+        _StripIndex(box, [point for block in phases(polys, sys.rows, n_count, DIGITS)
                           for point in zip(*block)])
         for polys, n_count in zip(orbits, n_counts)
     ]

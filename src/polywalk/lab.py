@@ -6,8 +6,8 @@ set B - B, the one question the experiments ask of a set.  A WindowSet is
 an explicit finite subset of a box [0, side)^d, and answers a query by
 scanning its points.  A BohrSet is the preimage of a box on a torus under
 v -> A v mod 1, given by rows and radii alone; every query of it is
-decided from fixed-point phases with a guard band, and one too close to an
-arc boundary is indeterminate rather than guessed.  Both models answer
+decided exactly, from fixed-point phases and, within their error of an
+arc end, from the exact value at the point.  Both models answer
 difference queries along a whole polynomial orbit through
 `difference_verdicts`, which the orbit search reads.
 
@@ -34,41 +34,37 @@ from .fleeing import construct_fleeing_walk
 from .generators import bogolubov_walk, xy_minus_P_walks
 from .kernel import fixed_phases, orbit_points, phases, residues
 from .poly import MPoly, PolyVector, poly_parse
-from .reals import (
-    DEFAULT_PRECISION,
-    GUARD_BAND,
-    FixedRow,
-    Real,
-    RootOfUnityMean,
-)
+from .reals import DIGITS, FixedRow, Real, RootOfUnityMean
 from .walks import Walk
 
-# Decimal digits of a Bohr set's phases at the least: 10^-19 is a tenth
-# of the guard band, whatever precision the set was given.
-_MIN_DIGITS = len(str(GUARD_BAND.denominator))
+
+def _bounds(moduli: Iterable[int], freq, radii) -> list[tuple]:
+    """(M, floor((t + e) M), ceil((t - e) M), t, row) per row, with t = 2r
+    and e = 10^-DIGITS (BohrSet docstring)."""
+    e = Fraction(1, 10 ** DIGITS)
+    return [(m, math.floor((2 * r + e) * m), math.ceil((2 * r - e) * m), 2 * r, row)
+            for m, row, r in zip(moduli, freq, radii)]
 
 
-class IndeterminateError(RuntimeError):
-    """A difference-membership decision fell inside the precision guard band."""
-
-
-def _bounds(moduli: Iterable[int], targets: Iterable[Fraction]) -> list[tuple[int, int, int]]:
-    """(M, floor((t + G) M), ceil((t - G) M)) per row (BohrSet docstring)."""
-    return [(m, math.floor((t + GUARD_BAND) * m), math.ceil((t - GUARD_BAND) * m))
-            for m, t in zip(moduli, targets)]
-
-
-def _verdicts(phases: Iterable[Sequence[int]], bounds) -> Iterator[bool | None]:
-    """False, True or None per phase tuple, one a mod M per row (BohrSet docstring)."""
-    for phase in phases:
+def _verdicts(phases: Iterable[Sequence[int]], bounds,
+              point: Callable[[int], Sequence[int]]) -> Iterator[bool]:
+    """Membership in B - B per phase tuple, one a mod M per row; point(i)
+    is the i-th point, read only to settle a row in the band (BohrSet
+    docstring)."""
+    for i, phase in enumerate(phases):
         verdict = True
-        for a, (m, outside, edge) in zip(phase, bounds):
+        band = []
+        for a, (m, outside, inside, t, row) in zip(phase, bounds):
             d = min(a, m - a)
             if d > outside:
                 verdict = False
                 break
-            if d >= edge:
-                verdict = None
+            if d >= inside:
+                band.append((t, row))
+        if verdict and band:
+            w = point(i)
+            verdict = all(sum(map(Real.scale, row, w), Real(0)).circle_distance_below(t)
+                          for t, row in band)
         yield verdict
 
 
@@ -126,29 +122,37 @@ class BohrSet:
     """Preimage of a torus box under v -> A v mod 1, as an oracle for B - B.
 
     `freq` holds the rows of A (torus_dim rows of dim exact reals), and the
-    box has radius r_j on row j.  Aperiodicity (dense image of the torus
-    map) is declared by the configuration, not verified; the difference
-    oracle relies on it.  The box is centred at 0: other arc centres only
-    translate the box on the torus, which leaves box - box and so every
-    answer unchanged.
+    box is the open B = {v : dist(<row_j, v>) < r_j for every j}, with dist
+    the distance to the nearest integer.  Aperiodicity (dense image of the
+    torus map) is declared by the configuration, not verified; the
+    difference oracle relies on it.  The box is centred at 0: other arc
+    centres only translate the box on the torus, which leaves box - box
+    and so every answer unchanged.
 
-    w is in B - B when the circle distance of <row_j, w> to 0 is below
-    t_j = 2 r_j for every j.  Each row's phase is an integer a mod M with
-    a / M within 10^-P of the true value, P = max(precision, 19): a single
-    query reads one `reals.FixedRow` per row built at width P, and
-    `difference_verdicts` reads the kernel's `fixed_phases` at precision P.
-    One loop, `_verdicts`, compares d = min(a, M - a) with the integers
-    floor((t + G) M) and ceil((t - G) M) of `_bounds`, G = GUARD_BAND:
-    above the first on some row is outside (False), below the second on
-    every row inside (True), and anything else indeterminate (None, or
-    IndeterminateError from a single query), never guessed.
+    w is in B - B when dist(<row_j, w>) is below t_j = 2 r_j for every j,
+    and every verdict is decided exactly.  Each row's phase is an integer
+    a mod M with a / M within e = 10^-DIGITS of the true value: a single
+    query reads one `reals.FixedRow` per row built at width DIGITS, and
+    `difference_verdicts` reads the kernel's `fixed_phases` at precision
+    DIGITS.  One loop, `_verdicts`, compares d = min(a, M - a) with the
+    integers floor((t + e) M) and ceil((t - e) M) of `_bounds`: above the
+    first on some row is False, below the second on every row True.  A
+    row in between, in the band [t - e, t + e], is settled at the point w
+    itself: x = <row, w> as an exact Real, and
+    `Real.circle_distance_below(t)` compares its distance with t, exactly
+    for a rational x and at doubling precision otherwise.
 
-    Proof.  Circle distance is 1-Lipschitz, so d / M is within
-    10^-P <= G / 10 of the true distance; and d > floor((t + G) M) iff
-    d / M > t + G, d >= ceil((t - G) M) iff d / M >= t - G.  So False
-    means a true distance above t + G - 10^-P > t, and True one below
-    t - G + 10^-P < t.  Rows of rationals have M = q: d / M is exact, and
-    an exact tie at t is indeterminate.
+    Proofs.  (1) The fast path is certain.  Circle distance is
+    1-Lipschitz, so d / M is within e of the true distance; and
+    d > floor((t + e) M) iff d / M > t + e, d < ceil((t - e) M) iff
+    d / M < t - e.  So False means a true distance above t, and True one
+    below t.  (2) A tie is never in B - B.  If w = b1 - b2 with b1, b2 in
+    B, the triangle inequality gives
+    dist(<row, w>) <= dist(<row, b1>) + dist(<row, b2>) < 2r = t, with or
+    without density; so a distance of exactly t is False.  (3) Settling
+    ends.  A rational x is compared exactly.  An irrational x has an
+    irrational distance, which never equals the rational t, and a read
+    within 10^-p of it stops as soon as 2 10^-p is below their gap.
     """
 
     def __init__(
@@ -156,7 +160,6 @@ class BohrSet:
         dim: int,
         freq: Sequence[Sequence[Real | Fraction | int | str]],
         radii: Sequence[Fraction | str],
-        precision: int = DEFAULT_PRECISION,
     ):
         self.dim = dim
         self.freq = tuple(tuple(Real.of(x) for x in row) for row in freq)
@@ -172,10 +175,8 @@ class BohrSet:
         for r in self.radii:
             if not (0 < r < Fraction(1, 2)):
                 raise ValueError(f"radius {r} outside (0, 1/2)")
-        self.precision = p = max(precision, _MIN_DIGITS)
-        self._rows = [FixedRow(row, p) for row in self.freq]
-        self._thresholds = _bounds((f.modulus for f in self._rows),
-                                   [2 * r for r in self.radii])
+        self._rows = [FixedRow(row, DIGITS) for row in self.freq]
+        self._bounds = _bounds((f.modulus for f in self._rows), self.freq, self.radii)
 
     def contains_difference(self, w: Sequence[int]) -> bool:
         """True iff the box and its translate by frac(A w) overlap in every
@@ -184,18 +185,17 @@ class BohrSet:
         w = [int(x) for x in w]
         if len(w) != self.dim:
             raise ValueError(f"vector {w} has wrong dimension")
-        (verdict,) = _verdicts([tuple(f(w) % f.modulus for f in self._rows)], self._thresholds)
-        if verdict is None:
-            raise IndeterminateError(
-                f"difference membership of {tuple(w)} is within the guard band")
+        (verdict,) = _verdicts([[f(w) % f.modulus for f in self._rows]], self._bounds,
+                               lambda i: w)
         return verdict
 
-    def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool | None]:
-        """Difference membership of p(1), ..., p(count): True, False, or None
-        where `contains_difference` would raise IndeterminateError."""
-        moduli, blocks = fixed_phases(polys, self.freq, count, self.precision)
-        points = chain.from_iterable(zip(*block) for block in blocks)
-        return _verdicts(points, _bounds(moduli, [2 * r for r in self.radii]))
+    def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool]:
+        """`contains_difference` at the orbit points p(1), ..., p(count),
+        from one kernel phase stream."""
+        moduli, blocks = fixed_phases(polys, self.freq, count, DIGITS)
+        phases = chain.from_iterable(zip(*block) for block in blocks)
+        return _verdicts(phases, _bounds(moduli, self.freq, self.radii),
+                         lambda i: polys.eval_int({"n": i + 1}))
 
     def describe(self) -> str:
         rows = "; ".join(
@@ -213,7 +213,6 @@ SetModel = WindowSet | BohrSet
 class Status(Enum):
     FOUND = "found"
     EXHAUSTED = "exhausted"
-    INDETERMINATE = "indeterminate"
 
     def __str__(self) -> str:
         return self.value
@@ -221,16 +220,11 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of `twisted_search`.  `n` and `point` are set when FOUND.
-    `indeterminate` counts the candidates before `n` (or in the whole range)
-    whose verdict fell in the guard band.  FOUND with `indeterminate > 0` is
-    the first certified hit, which may not be the smallest n: one of the
-    indeterminate candidates before it may lie in B - B."""
+    """Outcome of `twisted_search`.  `n` and `point` are set when FOUND."""
 
     status: Status
     n: int | None
     point: tuple[int, ...] | None
-    indeterminate: int = 0
 
     def found(self) -> bool:
         return self.status is Status.FOUND
@@ -247,27 +241,18 @@ def twisted_search(
     oracle: SetModel,
     n_max: int,
 ) -> SearchResult:
-    """First n in [1, n_max] whose orbit point polys(n) is certified to
-    land in B - B.
+    """The least n in [1, n_max] whose orbit point polys(n) lands in B - B.
 
     The scan reads the oracle's `difference_verdicts` along the symbolic
     orbit polynomials in `n` (the search path), and evaluates the point
     once, at the hit.  Experiment validation re-applies the walk directly
     and asks the per-query oracle, keeping the two routes independent.
-    The scan stops at the first hit.  When candidates before it were indeterminate
-    (`indeterminate > 0`), the hit is the first certified one and may not
-    be the smallest n.  Indeterminate is reported only when every
-    candidate was indeterminate.
     """
     check_n_max(n_max)
-    indeterminate = 0
     for n, verdict in enumerate(oracle.difference_verdicts(polys, n_max), start=1):
         if verdict:
-            return SearchResult(Status.FOUND, n, polys.eval_int({"n": n}), indeterminate)
-        if verdict is None:
-            indeterminate += 1
-    status = Status.INDETERMINATE if indeterminate == n_max else Status.EXHAUSTED
-    return SearchResult(status, None, None, indeterminate)
+            return SearchResult(Status.FOUND, n, polys.eval_int({"n": n}))
+    return SearchResult(Status.EXHAUSTED, None, None)
 
 
 # -- experiments ---------------------------------------------------------------
@@ -462,12 +447,11 @@ def weyl_sums(
     polys: PolyVector,
     rows: Sequence[Sequence[Real | Fraction | int | str]],
     n_count: int,
-    precision: int = 40,
 ) -> list[complex]:
     """(1/N) sum_{n=1}^{N} e(<row, p(n)>) for every row, in double precision.
 
     All rows are read from one `kernel.phases` stream, each phase within
-    10^-precision of the true one before rounding to a float.  Per row the
+    10^-DIGITS of the true one before rounding to a float.  Per row the
     terms t_n (cos, then sin, of 2 pi x_n) of a block are summed by
     `math.fsum`, and the block totals by one more, so one block is held.
 
@@ -481,7 +465,7 @@ def weyl_sums(
     worse and does not grow with N.  Both then divide by N, one rounding."""
     check_sample_count(n_count)
     totals = [([], []) for _ in rows]
-    for block in phases(polys, rows, n_count, precision):
+    for block in phases(polys, rows, n_count, DIGITS):
         for (re, im), run in zip(totals, block):
             angles = [2.0 * math.pi * x for x in run]
             re.append(math.fsum(map(math.cos, angles)))

@@ -26,10 +26,9 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Mapping, Sequence
 
-DEFAULT_PRECISION = 60
-
-# Decisions closer to an arc boundary than this are refused, never guessed.
-GUARD_BAND = Fraction(1, 10 ** 18)
+# Decimal digits of every float read of an exact real, of every torus phase
+# stream and of the first read of a Bohr-set verdict.
+DIGITS = 40
 
 
 def _sqrt_digits(k: int, prec: int) -> int:
@@ -76,12 +75,6 @@ _ENGINES = {
 CONSTANT_NAMES = tuple(sorted(_ENGINES))
 
 _digit_cache: dict[tuple[str, int], int] = {}
-
-
-def check_precision(precision: int) -> None:
-    """Raise ValueError unless a precision asks for at least one digit."""
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
 
 
 def constant_digits(name: str, prec: int) -> int:
@@ -189,17 +182,32 @@ class Real:
 
     __rmul__ = __mul__
 
-    def approx(self, prec: int = DEFAULT_PRECISION) -> Fraction:
+    def approx(self, prec: int = DIGITS) -> Fraction:
         """Fraction within 10^-prec of the true value: fix((1,)) / M for
         the row FixedRow([self], prec), as 1/M <= 10^-prec.  A rational
         value is returned exactly."""
         fixed = FixedRow([self], prec)
         return Fraction(fixed((1,)), fixed.modulus)
 
-    def frac(self, prec: int = DEFAULT_PRECISION) -> Fraction:
+    def frac(self, prec: int = DIGITS) -> Fraction:
         """Fractional part, as a Fraction within 10^-prec of the true one on
         the circle."""
         return self.approx(prec) % 1
+
+    def circle_distance_below(self, t: Fraction) -> bool:
+        """Whether the distance of the value to the nearest integer is below
+        the rational t, decided exactly (proof in `lab.BohrSet`): the
+        distance d of `frac(p)`, exact for a rational value and otherwise
+        within error = 10^-p, is read at p = DIGITS, 2 DIGITS, ... until
+        d + error <= t (True) or d - error >= t (False); so a tie is False."""
+        prec = DIGITS
+        while True:
+            x = self.frac(prec)
+            d = min(x, 1 - x)
+            error = 0 if self.is_rational() else Fraction(1, 10 ** prec)
+            if d + error <= t or d - error >= t:
+                return d < t
+            prec *= 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Real, int, Fraction)):

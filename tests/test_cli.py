@@ -474,8 +474,10 @@ def _configs(tmp_path):
     files["side_0"] = files["window"].replace("side = 30", "side = 0")
     files["sample_grid"] = files["trig"] + "grid = 64\n"
     files["trig_seed"] = files["trig"] + "seed = 5\n"
-    files["box_precision_0"] = files["box"] + "precision = 0\n"
-    files["box_precision_negative"] = files["box"] + "precision = -3\n"
+    files["magyar_precision"] = files["magyar"] + "precision = 60\n"
+    files["trig_comp_01"] = files["trig"] + "comp_01 = 1 0 : 0.5 : 0\n"
+    files["bohr_radius_gap"] = files["bohr"] + "freq_2 = sqrt5, sqrt2\nradius_7 = 1/7\n"
+    files["correlate_k_and_eps"] = files["correlate"] + "eps = -5\n"
     files["extra_arc"] = files["correlate"] + "center_3 = 0\nradius_3 = 1/10\n"
     files["box_extra_arc"] = (files["box"].replace("N = 300", "N = 2000")
                               .replace("center_1 = 3/10\n", "") + "radius_2 = 1/8\n")
@@ -577,17 +579,10 @@ VALIDATE_GAPS = {
     "ergodic-avg-N": ["ergodic-avg", "--config", "{empty_average}"],
     "ergodic-avg-grid": ["ergodic-avg", "--config", "{sample_grid}"],
     "ergodic-avg-seed": ["ergodic-avg", "--config", "{trig_seed}"],
-    "ergodic-avg-precision-0": ["ergodic-avg", "--config", "{box_precision_0}"],
-    "ergodic-avg-precision-negative": ["ergodic-avg", "--config",
-                                       "{box_precision_negative}"],
-    "ergodic-avg-precision-flag": ["ergodic-avg", "--config", "{box}", "--precision", "0"],
-    "weyl-precision-0": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "5",
-                         "--precision", "0"],
-    "weyl-precision-negative": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "5",
-                                "--precision", "-5"],
-    "correlate-precision": ["correlate", "--config", "{correlate}", "--precision", "0"],
-    "magyar-precision": ["magyar", "--config", "{magyar}", "--precision", "-1"],
-    "bogolubov-precision": ["bogolubov", "--config", "{bohr}", "--precision", "0"],
+    "magyar-precision-key": ["magyar", "--config", "{magyar_precision}"],
+    "ergodic-avg-comp-leading-zero": ["ergodic-avg", "--config", "{trig_comp_01}"],
+    "bogolubov-radius-gap": ["bogolubov", "--config", "{bohr_radius_gap}"],
+    "correlate-k-and-eps": ["correlate", "--config", "{correlate_k_and_eps}"],
     "weyl-N": ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "0"],
     "correlate-no-orbit": ["correlate", "--config", "{no_orbit}"],
     "correlate-extra-arc": ["correlate", "--config", "{extra_arc}"],
@@ -626,6 +621,12 @@ GAP_MESSAGES = {
     "correlate-k-0": "k must be positive, got 0",
     "correlate-k-negative": "k must be positive, got -2",
     "correlate-N-not-integer": "key 'N_1' is not an integer: '2e2'",
+    "magyar-precision-key": "unknown config key 'precision'",
+    "ergodic-avg-comp-leading-zero":
+        "config key 'comp_01' should be 'comp_1': indexed keys are numbered 1, 2, 3, ...",
+    "bogolubov-radius-gap":
+        "config key 'radius_7' should be 'radius_2': indexed keys are numbered 1, 2, 3, ...",
+    "correlate-k-and-eps": "set k or eps, not both",
 }
 
 
@@ -639,11 +640,10 @@ def test_config_value_errors_name_the_value(tmp_path, capsys, name):
 
 SHARED_FLAG_VALUES = {"--csv": "{out}", "--jobs": "2", "--seed": "4", "--precision": "20",
                       "--N-max": "9"}
-SEARCH_FLAGS = {"--csv", "--jobs", "--seed", "--precision", "--N-max"}
+SEARCH_FLAGS = {"--csv", "--jobs", "--seed", "--N-max"}
 READS_SHARED = {"construct-walk": {"--N-max"}, "magyar": SEARCH_FLAGS,
-                "bogolubov": SEARCH_FLAGS, "weyl": {"--precision"},
-                "ergodic-avg": {"--csv", "--precision"},
-                "correlate": {"--csv", "--seed", "--precision"}}
+                "bogolubov": SEARCH_FLAGS, "ergodic-avg": {"--csv"},
+                "correlate": {"--csv", "--seed"}}
 SUBCOMMANDS = ["check-fleeing", "preserves", "walk-apply", "construct-walk", "gen",
                "magyar", "bogolubov", "weyl", "ergodic-avg", "correlate"]
 UNREAD_FLAGS = [(name, flag) for name in SUBCOMMANDS for flag in SHARED_FLAG_VALUES
@@ -702,7 +702,7 @@ def _parser_flag_table() -> dict[str, set[str]]:
 
 def test_readme_flag_table_matches_the_parser():
     assert _readme_flag_table() == _parser_flag_table()
-    assert sum(map(len, _parser_flag_table().values())) == 65
+    assert sum(map(len, _parser_flag_table().values())) == 60
 
 
 # the shapes of the benchmark's operations
@@ -756,15 +756,6 @@ def test_magyar_rejects_empty_search_range(tmp_path, capsys, n_max):
     cfg = _configs(tmp_path)["magyar"]
     code, out, err = run(capsys, "magyar", "--config", str(cfg), "--N-max", n_max)
     assert (code, out, err) == (1, "", f"error: N_max must be >= 1, got {n_max}\n")
-
-
-@pytest.mark.parametrize("argv, value", [
-    (["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "5", "--precision", "-5"], "-5"),
-    (["ergodic-avg", "--config", "{box_precision_negative}"], "-3"),
-], ids=["weyl-flag", "ergodic-avg-key"])
-def test_precision_below_one_digit_is_rejected(tmp_path, capsys, argv, value):
-    code, out, err = run(capsys, *_argv(tmp_path, argv))
-    assert (code, out, err) == (1, "", f"error: precision must be >= 1, got {value}\n")
 
 
 def test_ergodic_avg_rejects_the_seed_flag(tmp_path, capsys):

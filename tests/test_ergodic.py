@@ -276,7 +276,7 @@ def test_empirical_average_cancelling_rational_case():
     f = TrigPoly.of([((1,), 1.0)])
     result = empirical_average(sys1, f, _pv("n"), 300)
     assert abs(result.value) < 1e-9
-    assert result.prediction.components == ()
+    assert result.predicted == 0
 
 
 def test_empirical_average_irrational_decay():
@@ -305,10 +305,10 @@ def test_trig_average_reads_one_phase_stream(monkeypatch):
     result = empirical_average(system, f, _pv("n^2"), 3000)
     assert len(calls) == 1
     assert len(calls[0][1]) == 4
-    assert result.prediction.components == ()
+    assert result.predicted == 0
     # the same value as one single-row stream per character
     monkeypatch.undo()
-    weyl = [weyl_sums(_pv("n^2"), [system.transposed_row(freq)], 3000, system.precision)[0]
+    weyl = [weyl_sums(_pv("n^2"), [system.transposed_row(freq)], 3000)[0]
             for freq, _ in f.components]
     assert result.value == TrigPoly.of(
         (freq, c * w) for (freq, c), w in zip(f.components, weyl)).value_at([0.125, 0.375])
@@ -320,7 +320,7 @@ def test_empirical_average_box_indicator():
     result = empirical_average(sys1, box, _pv("n"), 4000)
     # equidistribution: visit frequency approaches the measure 1/2
     assert result.value.real == pytest.approx(0.5, abs=0.02)
-    assert result.prediction is None
+    assert result.predicted is None
 
 
 _QMC_ALPHAS = (0.41421356237309515, 0.7320508075688772)   # frac(sqrt 2), frac(sqrt 3)
@@ -352,14 +352,16 @@ def test_l2_to_prediction_is_parseval(rows, x0, orbit, n_count, components):
     squares = []
     for info, mean in q_p_multipliers(system, f, polys):
         limit = 0 if mean is None or mean.is_exactly_zero else mean.value()
-        (weyl,) = weyl_sums(polys, [info.row], n_count, system.precision)
+        (weyl,) = weyl_sums(polys, [info.row], n_count)
         squares.append(abs(coeffs[info.freq]) ** 2 * abs(weyl - limit) ** 2)
     exact = math.sqrt(math.fsum(squares))
     assert exact > 1e-6
     assert math.isclose(result.l2_to_prediction, exact, rel_tol=1e-12)
+    prediction = q_p_closed_form(system, f, polys)
+    assert result.predicted == prediction.value_at([float(F(x)) for x in x0])
     difference = TrigPoly.of(
-        (freq, c * weyl_sums(polys, [system.transposed_row(freq)], n_count, system.precision)[0])
-        for freq, c in f.components) - result.prediction
+        (freq, c * weyl_sums(polys, [system.transposed_row(freq)], n_count)[0])
+        for freq, c in f.components) - prediction
     assert math.isclose(result.l2_to_prediction, _qmc_l2(difference, len(rows)), rel_tol=1e-3)
 
 

@@ -24,7 +24,7 @@ from polywalk import kernel, reals
 from polywalk.kernel import orbit_points, phases, residues
 from polywalk.lab import weyl_sums
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import DEFAULT_PRECISION, FixedRow, Real, constant_digits
+from polywalk.reals import FixedRow, Real, constant_digits
 
 F = Fraction
 UNIVERSE = ("n",)
@@ -48,7 +48,7 @@ def _reference_points(polys, count):
     return [_reference_point(polys, n) for n in range(1, count + 1)]
 
 
-def _reference_dot_frac(thetas, values, prec=DEFAULT_PRECISION):
+def _reference_dot_frac(thetas, values, prec):
     """frac(sum(theta_i * v_i)) within 10^-prec, by its own digit loop."""
     rational = Fraction(0)
     irr: dict[str, Fraction] = {}
@@ -242,11 +242,11 @@ def test_weyl_sum_matches_fraction_route(exprs, thetas, n_count):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys_and_rows(), st.integers(1, 600), st.integers(1, 30))
-def test_weyl_sums_of_many_rows_equal_single_row_calls(data, count, precision):
+@given(polys_and_rows(), st.integers(1, 600))
+def test_weyl_sums_of_many_rows_equal_single_row_calls(data, count):
     polys, rows = data
-    together = weyl_sums(polys, rows, count, precision)
-    alone = [weyl_sums(polys, [row], count, precision)[0] for row in rows]
+    together = weyl_sums(polys, rows, count)
+    alone = [weyl_sums(polys, [row], count)[0] for row in rows]
     assert [(w.real.hex(), w.imag.hex()) for w in together] == \
         [(w.real.hex(), w.imag.hex()) for w in alone]
 

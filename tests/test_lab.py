@@ -15,7 +15,7 @@ from polywalk.lab import (
     BOGOLUBOV,
     MAGYAR,
     BohrSet,
-    IndeterminateError,
+    SearchResult,
     Status,
     WindowSet,
     corollary_experiment,
@@ -24,7 +24,7 @@ from polywalk.lab import (
     weyl_sums,
 )
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import GUARD_BAND, Real, constant_digits
+from polywalk.reals import Real, constant_digits
 
 F = Fraction
 
@@ -157,24 +157,24 @@ def test_bohr_validation():
         BohrSet(2, [[Real.named("sqrt2")]], [F(1, 10)])
 
 
-def test_bohr_indeterminate_on_boundary():
-    # rational frequency puts frac(A*w) exactly on the overlap boundary
+def test_bohr_tie_on_boundary_is_outside():
+    # rational frequency puts frac(A*w) exactly on the overlap boundary; the
+    # open box's B - B has distances below 2*eps only
     b = BohrSet(1, [[F(1, 4)]], [F(1, 8)])
-    with pytest.raises(IndeterminateError):
-        b.contains_difference((1,))   # dist = 1/4 = 2*eps exactly
+    assert b.contains_difference((1,)) is False   # dist = 1/4 = 2*eps exactly
 
 
 def test_bohr_single_query_verdicts_and_messages():
-    # one row exactly on its threshold, one far outside: outside wins
+    # one row exactly on its threshold, one far outside: outside either way
     tie, outside = [F(1, 4)], [F(1, 2)]
     for rows in ([tie, outside], [outside, tie]):
         b = BohrSet(1, rows, [F(1, 8) if row is tie else F(1, 10) for row in rows])
         assert b.contains_difference((1,)) is False
-    b = BohrSet(1, [tie], [F(1, 8)])
-    with pytest.raises(IndeterminateError) as raised:
-        b.contains_difference([1])
-    assert str(raised.value) == "difference membership of (1,) is within the guard band"
+    assert BohrSet(1, [tie], [F(1, 8)]).contains_difference([1]) is False
     assert BohrSet(1, [tie], [F(1, 6)]).contains_difference((1,)) is True
+    with pytest.raises(ValueError) as raised:
+        BohrSet(1, [tie], [F(1, 8)]).contains_difference((1, 2))
+    assert str(raised.value) == "vector [1, 2] has wrong dimension"
 
 
 def test_twisted_search_density_one():
@@ -204,7 +204,7 @@ def test_twisted_search_exhausted_on_empty_oracle():
 
 @pytest.mark.parametrize("n_max", [0, -3])
 def test_twisted_search_rejects_empty_range(n_max):
-    # an empty range is an input error, not an exhausted or indeterminate search
+    # an empty range is an input error, not an exhausted search
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     window = WindowSet(2, 20, [(a, b) for a in range(0, 20, 2) for b in range(20)])
     with pytest.raises(ValueError, match=f"N_max must be >= 1, got {n_max}"):
@@ -219,17 +219,15 @@ def test_twisted_search_monotone_in_range():
     assert small.n == large.n == 2
 
 
-def test_twisted_search_indeterminate_propagation():
-    # every orbit point lands exactly on the boundary: all candidates indeterminate
+def test_twisted_search_exhausts_on_boundary_ties():
+    # orbit from (1, 0): (1 + n^2, n); frac((1 + n^2)/4) is 1/2 for odd n and
+    # exactly on the boundary 1/4 for even n, so no candidate is inside
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     boundary = BohrSet(2, [[F(1, 4), F(0)]], [F(1, 8)])
-    # orbit from (1, 0): (1 + n^2, n); frac((1 + n^2)/4) hits 1/4 when n odd
-    result = twisted_search(walk.orbit_poly((1, 0)), boundary, 2)
-    assert result.indeterminate >= 1
-    assert result.status in (Status.EXHAUSTED, Status.INDETERMINATE)
+    result = twisted_search(walk.orbit_poly((1, 0)), boundary, 12)
+    assert result == SearchResult(Status.EXHAUSTED, None, None)
     all_boundary = BohrSet(1, [[F(1, 2)]], [F(1, 4)])
-    with pytest.raises(IndeterminateError):
-        all_boundary.contains_difference((1,))
+    assert all_boundary.contains_difference((1,)) is False
 
 
 # -- the Bohr scan against the per-query oracle ----------------------------------
@@ -245,19 +243,23 @@ def _reference_dot_frac(row, v, prec):
 
 
 def _reference_verdict(oracle, v):
-    """The Fraction route: circle distances to 0 from `_reference_dot_frac`
-    at the set's precision against the Fraction thresholds t - G and t + G,
-    t = 2r.  True, False, or None."""
-    prec = oracle.precision
-    verdict = True
+    """Exact membership of v in B - B: per row, the circle distance of
+    <row, v> to 0 against t = 2r, strictly below.  A rational <row, v> is
+    compared exactly; otherwise `_reference_dot_frac` is read at rising
+    precision until its distance is more than its error away from t."""
     for row, r in zip(oracle.freq, oracle.radii):
-        delta = _reference_dot_frac(row, v, prec)
-        dist = min(delta, 1 - delta)
-        if dist > 2 * r + GUARD_BAND:
+        x = sum((c * value for c, value in zip(row, v)), Real(0))
+        if x.is_rational():
+            delta = x.as_fraction() % 1
+        else:
+            prec = 8
+            delta = _reference_dot_frac(row, v, prec)
+            while abs(min(delta, 1 - delta) - 2 * r) <= F(1, 10 ** prec):
+                prec += 8
+                delta = _reference_dot_frac(row, v, prec)
+        if min(delta, 1 - delta) >= 2 * r:
             return False
-        if dist >= 2 * r - GUARD_BAND:
-            verdict = None
-    return verdict
+    return True
 
 
 def _reference_verdicts(oracle, polys, count):
@@ -268,25 +270,14 @@ def _reference_verdicts(oracle, polys, count):
 
 def _reference_twisted_search(walk, v, oracle, n_max):
     # the per-point loop the scan replaced
-    indeterminate = 0
     for n, point in enumerate(orbit_points(walk.orbit_poly(v), n_max), start=1):
         if isinstance(oracle, BohrSet):
             verdict = _reference_verdict(oracle, point)
         else:
             verdict = oracle.contains_difference(point)
         if verdict:
-            return Status.FOUND, n, point, indeterminate
-        if verdict is None:
-            indeterminate += 1
-    status = Status.INDETERMINATE if indeterminate == n_max else Status.EXHAUSTED
-    return status, None, None, indeterminate
-
-
-def _single_query(query, v):
-    try:
-        return query(v)
-    except IndeterminateError:
-        return None
+            return SearchResult(Status.FOUND, n, point)
+    return SearchResult(Status.EXHAUSTED, None, None)
 
 
 @st.composite
@@ -311,7 +302,6 @@ _radius = st.one_of(
     st.integers(1, 7).map(lambda k: F(k, 16)),   # ties with eighths
     st.integers(50, 5000).map(lambda k: F(1, k)),
 )
-_precision = st.integers(0, 80)
 
 
 @st.composite
@@ -322,7 +312,7 @@ def _bohr_set(draw, dim):
     rows = draw(st.lists(row, min_size=1, max_size=3))
     torus_dim = len(rows)
     radii = [draw(_radius) for _ in range(torus_dim)]
-    return BohrSet(dim, rows, radii, precision=draw(_precision))
+    return BohrSet(dim, rows, radii)
 
 
 @st.composite
@@ -339,10 +329,8 @@ def _bohr_query(draw):
 @settings(max_examples=200, deadline=None)
 @given(_bohr_query())
 def test_bohr_single_queries_match_fraction_route(data):
-    # contains_difference reads the same fix(w) mod M as the Fraction route
-    # did and is equal to it
     oracle, v = data
-    assert _single_query(oracle.contains_difference, v) == _reference_verdict(oracle, v)
+    assert oracle.contains_difference(v) is _reference_verdict(oracle, v)
 
 
 def test_bohr_single_queries_on_exact_ties():
@@ -350,10 +338,10 @@ def test_bohr_single_queries_on_exact_ties():
     oracle = BohrSet(2, [[F(1, 4), F(1, 6)], [F(1, 3), F(0)]], [F(1, 12), F(1, 6)])
     seen = set()
     for v in product(range(-6, 7), repeat=2):
-        verdict = _single_query(oracle.contains_difference, v)
-        assert verdict == _reference_verdict(oracle, v)
+        verdict = oracle.contains_difference(v)
+        assert verdict is _reference_verdict(oracle, v)
         seen.add(verdict)
-    assert seen == {True, False, None}
+    assert seen == {True, False}
 
 
 @st.composite
@@ -372,20 +360,20 @@ def test_bohr_scan_matches_per_point_oracle(data, count):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_integer_valued_poly(max_degree=3), min_size=2, max_size=2),
-       st.lists(_radius, min_size=1, max_size=1), _precision)
-def test_bohr_scan_on_rational_rows_is_exact(pair, radii, precision):
+       st.lists(_radius, min_size=1, max_size=1))
+def test_bohr_scan_on_rational_rows_is_exact(pair, radii):
     # W = 0: the scan sees the exact distance, ties included
     polys = PolyVector(pair)
-    oracle = BohrSet(2, [[F(1, 4), F(1, 6)]], radii, precision=precision)
+    oracle = BohrSet(2, [[F(1, 4), F(1, 6)]], radii)
     assert list(oracle.difference_verdicts(polys, 48)) == \
         _reference_verdicts(oracle, polys, 48)
 
 
-def test_bohr_scan_exact_ties_are_indeterminate():
+def test_bohr_scan_exact_ties_are_outside():
     # frac(n/4) lies at distance exactly 1/4 = 2r from 0 for odd n
     orbit = PolyVector([poly_parse("n", ["n"])])
     rational = BohrSet(1, [[F(1, 4)]], [F(1, 8)])
-    expected = [None, False, None, True] * 3
+    expected = [False, False, False, True] * 3
     assert list(rational.difference_verdicts(orbit, 12)) == expected
     assert _reference_verdicts(rational, orbit, 12) == expected
     # the same tie on a row that also has an irrational entry (W > 0)
@@ -396,33 +384,36 @@ def test_bohr_scan_exact_ties_are_indeterminate():
 
 
 def test_bohr_scan_guard_band_on_both_sides():
-    # distances 1/4 +- delta against 2r = 1/4 with G = 10^-18
+    # distances 1/4 +- delta against 2r = 1/4: inside the band e = 10^-40,
+    # settled exactly (rational) or at more digits (sqrt2), and outside it
     orbit = PolyVector([poly_parse("n", ["n"])])
     cases = [
-        (F(1, 4) + F(1, 10 ** 20), None), (F(1, 4) - F(1, 10 ** 20), None),
-        (Real(F(1, 4)) + Real.named("sqrt2", F(1, 10 ** 25)), None),
+        (F(1, 4) + F(1, 10 ** 50), False), (F(1, 4) - F(1, 10 ** 50), True),
+        (Real(F(1, 4)) + Real.named("sqrt2", F(1, 10 ** 45)), False),
+        (Real(F(1, 4)) - Real.named("sqrt2", F(1, 10 ** 45)), True),
         (F(1, 4) + F(1, 10 ** 17), False), (F(1, 4) - F(1, 10 ** 17), True),
         (Real(F(1, 4)) - Real.named("pifrac", F(1, 10 ** 16)), True),
     ]
     for theta, verdict in cases:
         oracle = BohrSet(1, [[theta]], [F(1, 8)])
         assert next(oracle.difference_verdicts(orbit, 1)) is verdict
+        assert oracle.contains_difference((1,)) is verdict
         assert _reference_verdicts(oracle, orbit, 1) == [verdict]
 
 
-def test_bohr_low_precision_is_raised_to_the_scan_digits():
-    # the true distance of w * sqrt2 lies five guard bands above 2r; at one
-    # digit dot_frac would read it inside
+def test_bohr_band_is_settled_at_more_digits():
+    # 2r lies 10^-45 above or below the true distance of w * sqrt2, inside
+    # the band e = 10^-40: only a read at more digits decides it
     w = 10 ** 17 + 3
-    scale = 10 ** 60
+    scale = 10 ** 100
     frac = w * isqrt(2 * scale * scale) % scale
-    dist = F(min(frac, scale - frac), scale)   # within 10^-42 of the truth
-    radius = (dist - 5 * GUARD_BAND) / 2
-    oracle = BohrSet(1, [[Real.named("sqrt2")]], [radius], precision=1)
-    assert oracle.contains_difference((w,)) is False
+    dist = F(min(frac, scale - frac), scale)   # within 10^-82 of the truth
     orbit = PolyVector([poly_parse(f"{w}*n", ["n"])])
-    assert list(oracle.difference_verdicts(orbit, 1)) == [False]
-    assert oracle.precision == 19
+    for offset, verdict in [(F(1, 10 ** 45), True), (F(-1, 10 ** 45), False)]:
+        oracle = BohrSet(1, [[Real.named("sqrt2")]], [(dist + offset) / 2])
+        assert oracle.contains_difference((w,)) is verdict
+        assert list(oracle.difference_verdicts(orbit, 1)) == [verdict]
+        assert _reference_verdict(oracle, (w,)) is verdict
 
 
 @st.composite
@@ -441,8 +432,7 @@ def _walk_start_oracle(draw):
 def test_twisted_search_matches_per_point_loop(data, n_max):
     walk, v, oracle = data
     result = twisted_search(walk.orbit_poly(v), oracle, n_max)
-    expected = _reference_twisted_search(walk, v, oracle, n_max)
-    assert (result.status, result.n, result.point, result.indeterminate) == expected
+    assert result == _reference_twisted_search(walk, v, oracle, n_max)
 
 
 def test_twisted_search_window_matches_per_point_loop():
@@ -452,17 +442,15 @@ def test_twisted_search_window_matches_per_point_loop():
         window = WindowSet(2, 30, [(rng.randrange(30), rng.randrange(30)) for _ in range(25)])
         v = (rng.randrange(-10, 10), rng.randrange(-3, 3))
         result = twisted_search(walk.orbit_poly(v), window, 40)
-        expected = _reference_twisted_search(walk, v, window, 40)
-        assert (result.status, result.n, result.point, result.indeterminate) == expected
+        assert result == _reference_twisted_search(walk, v, window, 40)
 
 
-def test_twisted_search_found_after_indeterminate_candidates():
-    # n = 1 is a tie (indeterminate), n = 2 the first certified hit
+def test_twisted_search_passes_over_a_tie():
+    # n = 1 is a tie (outside), n = 2 the first hit
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
     oracle = BohrSet(2, [[F(1, 4), F(0)]], [F(1, 8)])
     result = twisted_search(walk.orbit_poly((0, 0)), oracle, 10)   # orbit (n^2, n)
-    assert (result.status, result.n, result.point, result.indeterminate) == \
-        (Status.FOUND, 2, (4, 2), 1)
+    assert result == SearchResult(Status.FOUND, 2, (4, 2))
 
 
 def test_bohr_scan_dimension_mismatch():
