@@ -475,6 +475,8 @@ def _configs(tmp_path):
     files["sample_grid"] = files["trig"] + "grid = 64\n"
     files["trig_seed"] = files["trig"] + "seed = 5\n"
     files["magyar_precision"] = files["magyar"] + "precision = 60\n"
+    files["box_precision_0"] = files["box"] + "precision = 0\n"
+    files["box_precision_negative"] = files["box"] + "precision = -3\n"
     files["trig_comp_01"] = files["trig"] + "comp_01 = 1 0 : 0.5 : 0\n"
     files["bohr_radius_gap"] = files["bohr"] + "freq_2 = sqrt5, sqrt2\nradius_7 = 1/7\n"
     files["correlate_k_and_eps"] = files["correlate"] + "eps = -5\n"
@@ -580,6 +582,9 @@ VALIDATE_GAPS = {
     "ergodic-avg-grid": ["ergodic-avg", "--config", "{sample_grid}"],
     "ergodic-avg-seed": ["ergodic-avg", "--config", "{trig_seed}"],
     "magyar-precision-key": ["magyar", "--config", "{magyar_precision}"],
+    "ergodic-avg-precision-0": ["ergodic-avg", "--config", "{box_precision_0}"],
+    "ergodic-avg-precision-negative": ["ergodic-avg", "--config",
+                                       "{box_precision_negative}"],
     "ergodic-avg-comp-leading-zero": ["ergodic-avg", "--config", "{trig_comp_01}"],
     "bogolubov-radius-gap": ["bogolubov", "--config", "{bohr_radius_gap}"],
     "correlate-k-and-eps": ["correlate", "--config", "{correlate_k_and_eps}"],
@@ -660,6 +665,15 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, 
         assert (code, out) == (1, "")
         assert f"unrecognized arguments: {flag} {value}" in err
     assert not (tmp_path / "unread.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"], ids=["precision-0", "precision-negative"])
+def test_weyl_rejects_precision_whatever_its_value(capsys, value):
+    argv = ["weyl", "--p", "n^2", "--theta", "sqrt2", "--N", "5", "--precision", value]
+    for extra in ([], ["--validate-only"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: --precision {value}" in err
 
 
 @pytest.mark.parametrize("argv, flag, family", [
