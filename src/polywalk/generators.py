@@ -111,12 +111,51 @@ def mat_inverse_sl(a: IntMatrix) -> IntMatrix:
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[list[Fraction]]:
     """Basis of {x : M x = 0} for rational M, one vector per free column;
     each vector is a primitive integer vector with positive first non-zero
-    entry."""
-    scaled = []
+    entry.
+
+    The rows are scaled to integers and reduced one at a time against at
+    most `width` kept rows: each kept row has a pivot, its first non-zero
+    column, and is zero at the pivots of the rows kept before it.  A new
+    row r becomes p * r - r[c] * k, fraction-free, for each kept row k
+    with pivot c and p = k[c], in the order they were kept, then is divided
+    by the gcd of its entries.  A row that reduces to zero is dropped,
+    otherwise it is kept; once `width` rows are kept the kernel is {0}.
+    `_bareiss` then runs on the kept rows alone.
+
+    Proof.  Each step multiplies r by a non-zero integer and adds a
+    multiple of a kept row, so the kept rows together with r span the
+    same space before and after it: the kept rows always span the row
+    space of the rows read so far.  After the step for the kept row with
+    pivot c, r is zero at c, and later steps keep it zero there, since
+    every later kept row is zero at c.  So a reduced non-zero r has its
+    first non-zero entry at a column that is no pivot yet, and it is zero
+    at every earlier pivot.  Kept rows with distinct pivots, each zero at
+    the earlier pivots, are linearly independent; so `width` of them span
+    Q^width, and M has the kernel {0}.  Otherwise the kept rows span the
+    row space of M, whose reduced row echelon form R is unique.  `_bareiss`
+    returns d * R with d != 0, and the vector built for a free column is
+    d times the kernel vector read off R, made primitive with a positive
+    leading entry, which does not depend on d.  So the basis is the one
+    that elimination of all the rows of M gives.
+    """
+    kept: list[list[int]] = []
+    leads: list[int] = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
-    reduced, pivots, _, last = _bareiss(scaled, width)
+        r = [x.numerator * (den // x.denominator) for x in row]
+        for k, c in zip(kept, leads):
+            f = r[c]
+            if f:
+                p = k[c]
+                r = [p * x - f * y for x, y in zip(r, k)]
+        g = gcd(*r)
+        if not g:
+            continue
+        kept.append([x // g for x in r])
+        leads.append(next(c for c, x in enumerate(r) if x))
+        if len(kept) == width:
+            return []
+    reduced, pivots, _, last = _bareiss(kept, width)
     basis = []
     for fc in range(width):
         if fc in pivots:

@@ -34,7 +34,6 @@ Values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -347,39 +346,44 @@ class MPoly:
     def integer_valued(self) -> IntegralityCertificate:
         """Decide whether the polynomial is integer at every integer point.
 
-        A polynomial with integer coefficients is integral.  Otherwise it is
-        integer-valued exactly when it is an integer at every point b of its
+        A polynomial with integer coefficients is integral.  Otherwise the
+        verdict is read from the Mahler coordinates m_a of p, its
+        coefficients in the binomial basis C(v, a) = prod C(v_i, a_i).  When
+        p is not integer-valued, the witness is the first point b of the
         degree grid 0 <= b_i <= deg_i (deg_i the degree in the i-th
-        variable), and the witness is the first grid point, in lexicographic
-        order, with a non-integer value.
+        variable), in lexicographic order, with a non-integer value: it is
+        the lexicographically least a with m_a not an integer.
 
-        Proof.  The products C(v, a) = prod C(v_i, a_i) over the grid points
-        a span every polynomial of these partial degrees (Polya's binomial
-        basis), and iterated forward differences at the origin give the
-        Mahler coordinates of p in that basis:
-
-            c_a = sum_{b <= a} (-1)^{|a-b|} prod C(a_i, b_i) p(b).
-
-        Each c_a is an integer combination of grid values, so integers on the
-        grid make every c_a an integer; each C(v, a) is an integer at every
-        integer point, hence so is p = sum c_a C(v, a).  Conversely an
-        integer-valued p is an integer on the grid.
+        Proof.  x^e = sum_k k! S(e, k) C(x, k), S the Stirling numbers of
+        the second kind: both sides count the maps from an e-set into an
+        x-set, grouped on the right by their image.  Rewriting one variable
+        after another, each term c * v^e becomes sum_a c * prod_i
+        a_i! S(e_i, a_i) C(v, a), over a <= e, and m_a is the sum of these
+        over the terms.  Each C(v, a) is an integer at every integer point,
+        so integer m_a make p integer-valued.  Otherwise let a* be the
+        lexicographically least a with m_a not an integer; a* lies on the
+        grid, since m_a = 0 unless a <= deg.  At a grid point b,
+        p(b) = sum_{a <= b} m_a C(b, a), where a <= b holds entrywise and
+        implies a <= b lexicographically.  For b before a*, every such m_a
+        is an integer, and so is p(b).  At b = a*, every a <= a* other than
+        a* comes before it, and C(a*, a*) = 1, so p(a*) is an integer plus
+        m_a*: not an integer.  So p is integer-valued iff it is an integer
+        on its degree grid.  With L the lcm of the coefficient
+        denominators, L * m_a is an integer, and m_a is one exactly when L
+        divides it.  The rewrite takes, per variable, at most sum over the
+        terms of prod (e_i + 1) products and deg_i^2 / 2 steps of one
+        Stirling row, against the prod (deg_i + 1) evaluations of every
+        term that scanning the grid takes.
         """
         if self.has_integer_coefficients():
             return IntegralityCertificate(True, None)
-        # Scaled by the lcm L of the denominators the coefficients are
-        # integers, and p(b) is an integer exactly when L divides L*p(b).
         L, scaled = _numerators(self.terms)
-        degs = [self.degree_in(v) for v in self.vars]
-        for b in _grid(degs):
-            total = 0
-            for exps, c in scaled.items():
-                for x, e in zip(b, exps):
-                    if e:
-                        c *= x ** e
-                total += c
-            if total % L:
-                return IntegralityCertificate(False, dict(zip(self.vars, b)))
+        coords = scaled
+        for i in range(len(self.vars)):
+            coords = _to_binomial_basis(coords, i)
+        bad = [a for a, x in coords.items() if x % L]
+        if bad:
+            return IntegralityCertificate(False, dict(zip(self.vars, min(bad))))
         return IntegralityCertificate(True, None)
 
     # -- printing ----------------------------------------------------------
@@ -394,28 +398,26 @@ class MPoly:
         if not self.terms:
             return "0"
         pieces: list[str] = []
-        for index, (exps, coeff) in enumerate(self.sorted_terms()):
-            monomial = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, exps)
-                if e
-            )
-            mag = abs(coeff)
-            if monomial and mag == 1:
+        for exps, coeff in self.sorted_terms():
+            monomial = "*".join([v if e == 1 else f"{v}^{e}"
+                                 for v, e in zip(self.vars, exps) if e])
+            num, den = coeff.numerator, coeff.denominator
+            negative = num < 0
+            if negative:
+                num = -num
+            mag = str(num) if den == 1 else f"{num}/{den}"
+            if not monomial:
+                body = mag
+            elif num == den == 1 and (pieces or not negative):
+                # A leading "-x^2" would re-parse as (-x)^2 under the
+                # grammar, so a leading sign stays fused to an explicit 1.
                 body = monomial
-            elif monomial:
-                body = f"{_fmt_fraction(mag)}*{monomial}"
             else:
-                body = _fmt_fraction(mag)
-            if index == 0:
-                if coeff < 0:
-                    # A leading "-x^2" would re-parse as (-x)^2 under the
-                    # grammar, so keep the sign fused to an explicit number.
-                    pieces.append(f"-{_fmt_fraction(mag)}*{monomial}" if monomial else f"-{_fmt_fraction(mag)}")
-                else:
-                    pieces.append(body)
+                body = f"{mag}*{monomial}"
+            if not pieces:
+                pieces.append("-" + body if negative else body)
             else:
-                pieces.append(f" {'-' if coeff < 0 else '+'} {body}")
+                pieces.append(f" - {body}" if negative else f" + {body}")
         return "".join(pieces)
 
     def __repr__(self) -> str:
@@ -480,9 +482,25 @@ def _int_pow(a: dict, n: int) -> dict:
         a = _mul_into({}, a, a)
 
 
-def _grid(limits: Iterable[int]):
-    """All integer tuples 0 <= b_i <= limits_i, in lexicographic order."""
-    return itertools.product(*(range(m + 1) for m in limits))
+def _to_binomial_basis(coords: dict, i: int) -> dict:
+    """Rewrite the i-th variable of a map from exponent tuples to ints from
+    the power basis to the binomial basis, x^e = sum_k k! S(e, k) C(x, k).
+    The terms go by ascending e_i, and one row k! S(e, k), k = 0..e, is
+    stepped up to each e_i by k! S(e+1, k) = k (k! S(e, k) + (k-1)!
+    S(e, k-1)): O(deg^2) steps and one row held at a time."""
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    row, at = (1,), 0
+    for exps, c in sorted(coords.items(), key=lambda item: item[0][i]):
+        while at < exps[i]:
+            row = (0,) + tuple(k * (a + b) for k, (a, b) in enumerate(zip(row[1:] + (0,), row), 1))
+            at += 1
+        head, tail = exps[:i], exps[i + 1:]
+        for k, s in enumerate(row):
+            if s:
+                key = head + (k,) + tail
+                out[key] = get(key, 0) + c * s
+    return out
 
 
 def binomial_poly(vars: Iterable[str], name: str, k: int) -> MPoly:
@@ -493,10 +511,6 @@ def binomial_poly(vars: Iterable[str], name: str, k: int) -> MPoly:
     for s in range(k):
         result = result * (v - s)
     return result
-
-
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # -- parsing ---------------------------------------------------------------

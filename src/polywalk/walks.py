@@ -12,9 +12,11 @@ underlying objects are semigroups of maps, not groups).
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Sequence
 
-from .poly import MPoly, PolyVector, is_reserved_time_name, poly_parse
+from .poly import (MPoly, PolyVector, _from_numerators, _numerators,
+                   is_reserved_time_name, poly_parse)
 
 TIME = "t"
 
@@ -136,13 +138,23 @@ class Walk:
                     check=False)
 
     def orbit_poly(self, v: Sequence[int], var: str = "n") -> PolyVector:
-        """Symbolic orbit n -> self(n) v as univariate polynomials."""
+        """Symbolic orbit n -> self(n) v as univariate polynomials.
+
+        Binding t -> n and every coordinate to its integer entry of v is a
+        monomial map: a term c * t^a * prod x_i^e_i goes to
+        c * prod v_i^e_i at n^a.  So each entry's integer numerators are
+        summed by their exponent of t and divided by the entry's common
+        denominator once."""
         self.check_vector(v)
-        universe = (var,)
-        bindings = {TIME: MPoly.var(universe, var)}
-        for name, value in zip(self.coords, v):
-            bindings[name] = MPoly.const(universe, value)
-        return self.entries.substitute(bindings)
+        entries = []
+        for p in self.entries:
+            denominator, numerators = _numerators(p.terms)
+            sums: dict[tuple[int], int] = {}
+            for exps, c in numerators.items():
+                key = exps[:1]
+                sums[key] = sums.get(key, 0) + c * prod(map(pow, v, exps[1:]))
+            entries.append(_from_numerators((var,), sums, denominator))
+        return PolyVector(entries)
 
     # -- serialization ----------------------------------------------------
 
@@ -230,10 +242,12 @@ def walk_scaling_certificate(walk: Walk) -> ScalingCertificate:
     x, and that holds exactly when R(k'+1, t, x) is integer-valued.
 
     Proof.  Integer-valued gives the claim at k' = k - 1 >= 0.  Conversely,
-    `MPoly.integer_valued` decides on the degree grid, whose points have
-    k' >= 0, t >= 0 and x >= 0, all inside the claim's range; so the claim
-    makes R(k'+1, t, x) an integer on the grid, hence integer-valued.  The
-    first non-integral grid point (k', t, x) is the witness
+    a polynomial that is an integer on its degree grid is integer-valued
+    (`MPoly.integer_valued`), and the grid's points have k' >= 0, t >= 0
+    and x >= 0, all inside the claim's range; so the claim makes
+    R(k'+1, t, x) an integer on the grid, hence integer-valued.  The
+    first non-integral grid point (k', t, x), the witness that
+    `MPoly.integer_valued` returns, gives the witness
     (k'+1, t, (k'+1)*x).  A constant term c != 0 (only a walk built with
     check=False has one) is that entry of S(0) 0, as every other term
     vanishes there, and c is no integer multiple of |numerator(c)| + 1:

@@ -104,11 +104,23 @@ CONSTRUCT_GOLDEN = [
      "713885602d53bc7e10fa5641220af84c48d148976f7962eafcb20454dc0ae226"),
     ([f"signature:2,3:{i}" for i in range(1, 7)], "1,0,0,0,0",
      "5241795450de84372ebf777566cce81ee80fcb7b80d8dbd86a9b0b3baa6ff715"),
+    ([f"signature:3,3:{i}" for i in range(1, 9)], "1,0,0,0,0,0",
+     "1e8863eedbd11af70376ed6b1c2ffaf62c76e10e5ddcfeb2434ac524d728fc2f"),
+    ([f"signature:2,4:{i}" for i in range(1, 9)], "1,0,0,0,0,0",
+     "651aa36cd6063edafe137474c733d0eeda7f19be255aab2d48118ea7dd182817"),
+    ([f"signature:1,4:{i}" for i in range(1, 7)], "1,0,0,0,0",
+     "e689d59f53b6cca179ff88a5edc9dbb1d85dbac8846545c88d69ccd0e46ba592"),
+    (["xyP:z^7:1", "xyP:z^7:2"], "1,0,0",
+     "e164f17d3f0f1803ccbb7b592d8cea4dd4b1cba334e846a51c2a92616531dfa0"),
+    (["adjoint:1,1,0,1", "adjoint:1,0,1,1"], "1,2,-1",
+     "f69ed45f559c4b63ba562e5f97157869f3b32de8905a33194112fb914d532683"),
 ]
 
 
 @pytest.mark.parametrize("gens,v,digest", CONSTRUCT_GOLDEN,
-                         ids=["xyP-z^5", "bogolubov-y^3", "sl3-adjoint", "signature-2,3"])
+                         ids=["xyP-z^5", "bogolubov-y^3", "sl3-adjoint", "signature-2,3",
+                              "signature-3,3", "signature-2,4", "signature-1,4", "xyP-z^7",
+                              "sl2-adjoint"])
 def test_construct_walk_stdout_golden(capsys, gens, v, digest):
     argv = ["construct-walk"] + [a for g in gens for a in ("--gen", g)] + [f"--v={v}"]
     code, out, _ = run(capsys, *argv)

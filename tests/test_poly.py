@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -509,6 +509,67 @@ def test_integer_valued_matches_mahler_oracle(p):
     assert cert.witness == first_bad
 
 
+def _reference_integer_valued(p: MPoly):
+    """The grid scan `MPoly.integer_valued` used before it read the Mahler
+    coordinates: (verdict, first non-integral degree-grid point or None)."""
+    if p.has_integer_coefficients():
+        return True, None
+    L = lcm(*(c.denominator for c in p.terms.values()))
+    scaled = {e: c.numerator * (L // c.denominator) for e, c in p.terms.items()}
+    for b in _grid_points(p):
+        total = 0
+        for exps, c in scaled.items():
+            for x, e in zip(b, exps):
+                if e:
+                    c *= x ** e
+            total += c
+        if total % L:
+            return False, dict(zip(p.vars, b))
+    return True, None
+
+
+@st.composite
+def _rational_poly(draw, names=("a", "b", "c"), max_degree=6):
+    """Binomial-basis terms with small denominators, often integer-valued,
+    plus power-basis terms with rational coefficients; degree <= 6 in each
+    of 1-3 variables."""
+    vars_n = names[: draw(st.integers(1, len(names)))]
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    exps = st.tuples(*(st.integers(0, max_degree) for _ in vars_n))
+    p = MPoly.zero(vars_n)
+    for ks in draw(st.lists(exps, max_size=3)):
+        term = MPoly.const(vars_n, draw(st.integers(-4, 4)) * F(1, draw(st.sampled_from([1, 1, 2, 3]))))
+        for v, k in zip(vars_n, ks):
+            term = term * binomial_poly(vars_n, v, k)
+        p = p + term
+    return p + MPoly(vars_n, draw(st.dictionaries(exps, coeff, max_size=2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_poly())
+def test_integer_valued_matches_the_grid_scan(p):
+    cert = p.integer_valued()
+    assert (cert.integral, cert.witness) == _reference_integer_valued(p)
+
+
+def test_integer_valued_degree_189():
+    c = binomial_poly(("n",), "n", 189)
+    assert c.integer_valued().integral
+    half = c * F(1, 2)
+    cert = half.integer_valued()
+    assert not cert.integral and cert.witness == {"n": 189}
+    assert _reference_integer_valued(half) == (False, {"n": 189})
+
+
+def test_integer_valued_reads_the_constant_coordinate():
+    # only the constant term has a constant Mahler coordinate
+    ab = ("a", "b")
+    for p in (MPoly.const(("n",), F(1, 2)),
+              binomial_poly(ab, "a", 2) * binomial_poly(ab, "b", 1) + F(1, 3)):
+        cert = p.integer_valued()
+        assert not cert.integral and cert.witness == dict.fromkeys(p.vars, 0)
+
+
 def _random_poly(rng: random.Random, vars, degree=3, terms=4, rational=False) -> MPoly:
     out = {}
     for _ in range(terms):
@@ -581,6 +642,71 @@ def test_print_parse_roundtrip_random():
         p = _random_poly(rng, vars_n, degree=4, terms=5, rational=True)
         assert poly_parse(str(p), vars_n) == p
         assert str(poly_parse(str(p), vars_n)) == str(p)
+
+
+def _reference_str(p: MPoly) -> str:
+    """`MPoly.__str__` as it was before it formatted integer numerators:
+    through abs(Fraction) and Fraction comparisons."""
+    if not p.terms:
+        return "0"
+
+    def fmt(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    pieces = []
+    for index, (exps, coeff) in enumerate(p.sorted_terms()):
+        monomial = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exps) if e)
+        mag = abs(coeff)
+        if monomial and mag == 1:
+            body = monomial
+        elif monomial:
+            body = f"{fmt(mag)}*{monomial}"
+        else:
+            body = fmt(mag)
+        if index == 0:
+            if coeff < 0:
+                pieces.append(f"-{fmt(mag)}*{monomial}" if monomial else f"-{fmt(mag)}")
+            else:
+                pieces.append(body)
+        else:
+            pieces.append(f" {'-' if coeff < 0 else '+'} {body}")
+    return "".join(pieces)
+
+
+_print_coeff = st.one_of(
+    st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(7, 3), F(-12, 5)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+)
+
+
+@st.composite
+def _printable_poly(draw):
+    vars_n = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    exps = st.tuples(*(st.integers(0, 4) for _ in vars_n))
+    return MPoly(vars_n, draw(st.dictionaries(exps, _print_coeff, max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_printable_poly())
+def test_str_matches_the_fraction_printer_and_round_trips(p):
+    text = str(p)
+    assert text == _reference_str(p)
+    assert poly_parse(text, p.vars) == p
+
+
+@pytest.mark.parametrize("terms,printed", [
+    ({(2, 0): F(-1), (1, 0): F(1)}, "-1*x^2 + x"),
+    ({(2, 0): F(1), (1, 0): F(-1)}, "x^2 - x"),
+    ({(1, 1): F(-1, 2), (0, 0): F(-1)}, "-1/2*x*y - 1"),
+    ({(0, 0): F(-3)}, "-3"),
+    ({(0, 0): F(1, 3)}, "1/3"),
+    ({(0, 1): F(1), (0, 0): F(-2, 3)}, "y - 2/3"),
+])
+def test_str_corners(terms, printed):
+    # a leading -1 stays explicit: "-x^2" would re-parse as (-x)^2
+    p = MPoly(("x", "y"), terms)
+    assert str(p) == printed == _reference_str(p)
+    assert poly_parse(printed, ("x", "y")) == p
 
 
 def test_zero_polynomial_conventions():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polywalk.fleeing import affine_annihilator, kernel_basis
+from polywalk.cli import parse_walk_spec
+from polywalk.fleeing import _orbit_stream, affine_annihilator, kernel_basis
 from polywalk.generators import (
     adjoint_action_matrix,
     mat,
@@ -267,6 +268,76 @@ def test_kernel_basis_matches_fraction_route(case):
     for vec in expected:
         for row in rows:
             assert sum(r * x for r, x in zip(row, vec)) == 0
+
+
+@st.composite
+def _tall_matrices(draw):
+    """Up to 200 rational rows of width at most 9, spanning a known space:
+    full rank reached at the first `width` rows, only at the last row, or
+    never.  Rows are integer combinations of the rows of an invertible
+    matrix, each scaled by a random rational, with zero and duplicate rows."""
+    width = draw(st.integers(1, 9))
+    when = draw(st.sampled_from(("first", "last", "never")))
+    rng = draw(st.randoms(use_true_random=False))
+    # an invertible integer matrix: unit lower triangular, columns shuffled
+    basis = [[1 if i == j else rng.randint(-3, 3) if j < i else 0
+              for j in range(width)] for i in range(width)]
+    order = draw(st.permutations(range(width)))
+    basis = [[row[c] for c in order] for row in basis]
+    span = width - 1 if when == "last" else width
+    if when == "never":
+        span = draw(st.integers(0, width - 1))
+
+    def combination():
+        weights = [rng.randint(-3, 3) for _ in range(span)]
+        return [sum(w * row[c] for w, row in zip(weights, basis)) for c in range(width)]
+
+    rows = [combination() for _ in range(draw(st.integers(1, 200)))]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(rng.randint(0, len(rows)), rng.choice(rows)[:])
+        rows.insert(rng.randint(0, len(rows)), [0] * width)
+    if when == "first":
+        rows[:0] = [row[:] for row in basis]
+    elif when == "last":
+        for row in basis[:-1]:
+            rows.insert(rng.randint(0, len(rows)), row[:])
+        rows.append([x + y for x, y in zip(basis[-1], combination())])
+    scales = [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in rows]
+    return [[F(x) * scale for x in row] for row, scale in zip(rows, scales)], width, when
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tall_matrices())
+def test_kernel_basis_matches_fraction_route_on_tall_matrices(case):
+    rows, width, when = case
+    basis = kernel_basis(rows, width)
+    assert basis == _reference_kernel_basis(rows, width)
+    if when != "never":
+        assert basis == []
+
+
+@pytest.mark.parametrize("gens,v", [
+    (("xyP:z^5:1", "xyP:z^5:2"), (1, 0, 0)),
+    (("bogolubov:y^3",), (3, 0)),
+    (("adjoint:1,1,0,1", "adjoint:1,0,1,1"), (1, 2, -1)),
+    (("adjoint:1,1,0,0,1,1,0,0,1", "adjoint:1,0,0,1,1,0,0,1,1"), (1,) + (0,) * 7),
+    (tuple(f"signature:1,3:{i}" for i in range(1, 5)), (1, 0, 0, 0)),
+], ids=["xyP-z^5", "bogolubov-y^3", "sl2-adjoint", "sl3-adjoint", "signature-1,3"])
+def test_affine_annihilator_matches_all_rows_at_every_depth(gens, v):
+    """The annihilator at every depth of the orbit stream, up to the first
+    trivial one, equals the Fraction elimination of every monomial row."""
+    walks = [parse_walk_spec(g) for g in gens]
+    for orbit in _orbit_stream(walks, v):
+        d = len(orbit)
+        rows = {(0,) * len(orbit.vars): [F(0)] * d + [F(1)]}
+        for j, p in enumerate(orbit):
+            for exps, coeff in p.terms.items():
+                rows.setdefault(exps, [F(0)] * (d + 1))[j] = coeff
+        expected = _reference_kernel_basis([rows[e] for e in sorted(rows)], d + 1)
+        basis = affine_annihilator(orbit)
+        assert [list(f.linear) + [f.constant] for f in basis] == expected
+        if not basis:
+            break
 
 
 @settings(max_examples=200, deadline=None)

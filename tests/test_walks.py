@@ -269,6 +269,29 @@ def test_identity_check_matches_the_substitute_route_on_random_entries(perturbat
     _assert_identity_check_matches_reference(entries, coords)
 
 
+def _reference_orbit_poly(walk, v, var="n"):
+    """The substitute route that `Walk.orbit_poly` replaced."""
+    universe = (var,)
+    bindings = {"t": MPoly.var(universe, var)}
+    bindings.update((name, MPoly.const(universe, value)) for name, value in zip(walk.coords, v))
+    return walk.entries.substitute(bindings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                                max_size=5), min_size=1, max_size=2),
+       st.lists(st.integers(-4, 4), min_size=2, max_size=2))
+def test_orbit_poly_matches_the_substitute_route(entries, v):
+    coords = ("x", "y")[:len(entries)]
+    universe = ("t",) + coords
+    walk = Walk([MPoly(universe, {e[:len(universe)]: c for e, c in terms.items()})
+                 for terms in entries], coords, check=False)
+    v = v[:len(coords)]
+    assert walk.orbit_poly(v) == _reference_orbit_poly(walk, v)
+    assert walk.orbit_poly(v, "m") == _reference_orbit_poly(walk, v, "m")
+
+
 def test_constructor_rejects_non_integral_entries():
     universe = ("t", "x")
     with pytest.raises(ValueError, match="integer-valued"):
