@@ -358,7 +358,7 @@ def cmd_ergodic_avg(args):
     return run
 
 
-_CORRELATE_KEYS = {"samples", "replicates", "seed", "eps", "k"}
+_CORRELATE_KEYS = {"samples", "replicates", "seed", "k"}
 _CORRELATE_PREFIXES = ("row_", "center_", "radius_", "orbit_", "N_")
 
 
@@ -371,16 +371,12 @@ def cmd_correlate(args):
     seed = cfg.get_int("seed", 0)
     samples = cfg.get_int("samples", 512)
     replicates = cfg.get_int("replicates", 8)
-    if cfg.has("k") and cfg.has("eps"):
-        raise ConfigError("set k or eps, not both")
-    if cfg.has("k"):
-        k = cfg.get_int("k")
+    if cfg.get_str("k", "1") == "auto":
+        k = choose_k(system)
+    else:
+        k = cfg.get_int("k", 1)
         if k < 1:
             raise ConfigError(f"k must be positive, got {k}")
-    elif cfg.has("eps"):
-        k = choose_k(system, box, cfg.get_float("eps"))
-    else:
-        k = 1
     check_correlation(system, box, orbits, n_counts, samples, replicates)
 
     def run():

@@ -1,15 +1,17 @@
 """Torus translation systems with explicit character spectrum.
 
-A TorusSystem is the action of Z^d on T^D by v -> x + A v mod 1, with A a
-matrix of exact reals (rationals plus named irrational constants).  The
-spectrum of a trigonometric-polynomial observable is the finite set of
-induced characters v -> e(<A^T m, v>), whose rationality is decided
+A TorusSystem is the action of Z^d on T^D by v -> x + A v mod 1: a
+`lab.Torus` (A, of exact reals) plus the base point x.  The spectrum of a
+trigonometric-polynomial observable is the finite set of induced
+characters v -> e(<A^T m, v>), whose rationality is decided
 symbolically from the matrix entries, never numerically.
 
-This gives exact closed forms for polynomial-orbit averages (each rational
-component picks up a root-of-unity mean over one period, irrational
-components average to zero) next to the empirical double-precision route,
-so the two can be compared at any sample size.
+This gives exact closed forms for polynomial-orbit averages next to the
+empirical double-precision route, so the two can be compared at any
+sample size.  Along an orbit p(n) a component's limit is decided on its
+phase polynomial <A^T m, p(n)>, by Weyl: zero when a non-constant
+coefficient is irrational, and otherwise the constant irrational phase
+times a root-of-unity mean over one period (`q_p_multipliers`).
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .generators import kernel_basis
 from .kernel import check_orbit, phases, residues
-from .lab import check_sample_count, weyl_sums
+from .lab import Torus, check_radii, check_sample_count, weyl_sums
 from .poly import PolyVector
 from .reals import DIGITS, Real, RootOfUnityMean
 
@@ -38,51 +39,18 @@ _QMC_ALPHAS = (
 )
 
 
-class TorusSystem:
-    """Translation action of Z^d on T^D: T^v x = x + A v mod 1."""
+class TorusSystem(Torus):
+    """Translation action of Z^d on T^D: T^v x = x + A v mod 1, a `Torus`
+    plus the base point x (default 0)."""
 
-    def __init__(
-        self,
-        rows: Sequence[Sequence[Real | Fraction | int | str]],
-        base_point: Sequence[Real | Fraction | int | str] | None = None,
-    ):
-        self.rows = tuple(tuple(Real.of(x) for x in row) for row in rows)
-        self.torus_dim = len(self.rows)
-        if self.torus_dim == 0:
-            raise ValueError("need at least one torus coordinate")
-        self.dim = len(self.rows[0])
-        for row in self.rows:
-            if len(row) != self.dim:
-                raise ValueError("ragged action matrix")
+    def __init__(self, rows: Sequence[Sequence[Real | Fraction | int | str]],
+                 base_point: Sequence[Real | Fraction | int | str] | None = None):
+        super().__init__(rows)
         if base_point is None:
             base_point = [0] * self.torus_dim
         self.base_point = tuple(Real.of(x) for x in base_point)
         if len(self.base_point) != self.torus_dim:
             raise ValueError("base point dimension mismatch")
-
-    def image(self, v: Sequence[int]) -> tuple[Real, ...]:
-        """A v as exact reals (no mod), for symbolic identities."""
-        v = [int(x) for x in v]
-        out = []
-        for row in self.rows:
-            acc = Real(0)
-            for entry, value in zip(row, v):
-                acc = acc + entry.scale(value)
-            out.append(acc)
-        return tuple(out)
-
-    def transposed_row(self, freq: Sequence[int]) -> tuple[Real, ...]:
-        """A^T m: the frequency vector of the induced character on Z^d."""
-        if len(freq) != self.torus_dim:
-            raise ValueError(f"frequency {freq} has wrong dimension")
-        out = []
-        for i in range(self.dim):
-            acc = Real(0)
-            for j, m in enumerate(freq):
-                if m:
-                    acc = acc + self.rows[j][i].scale(m)
-            out.append(acc)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -101,10 +69,6 @@ class TrigPoly:
             (freq, coeff) for freq, coeff in sorted(merged.items()) if coeff != 0
         )
         return cls(clean)
-
-    @property
-    def torus_dim(self) -> int:
-        return len(self.components[0][0]) if self.components else 0
 
     def value_at(self, point: Sequence[float]) -> complex:
         total = 0j
@@ -171,9 +135,7 @@ class BoxIndicator:
         radii = tuple(Fraction(r) for r in radii)
         if len(centers) != len(radii):
             raise ValueError("need one radius per center")
-        for r in radii:
-            if not (0 < r < Fraction(1, 2)):
-                raise ValueError(f"radius {r} outside (0, 1/2)")
+        check_radii(radii)
         return cls(centers, radii)
 
     @property
@@ -220,29 +182,40 @@ def classify_characters(sys: TorusSystem, f: TrigPoly) -> list[CharacterInfo]:
 def q_p_multipliers(
     sys: TorusSystem, f: TrigPoly, polys: PolyVector
 ) -> list[tuple[CharacterInfo, RootOfUnityMean | None]]:
-    """Limit multiplier of each component along the orbit p(n).
+    """Limit multiplier of each component along the orbit p(n), the limit of
+    (1/N) sum e(s(n)) for its phase polynomial s(n) = <A^T m, p(n)>.
 
-    Irrational characters get None (their multiplier is exactly zero);
-    rational ones get the exact root-of-unity mean of chi(p(n)) over one
-    period of n -> chi(p(n)), which exposes exact-one / exact-zero answers
-    via the counts."""
+    Write A^T m = r + u, with r the rational and u the irrational parts of
+    its entries.  Then s(n) = <r, p(n)> + <u, p(n)>, and every coefficient
+    of <u, p(n)> is irrational or 0.  If one of degree >= 1 is not 0, s has
+    an irrational non-constant coefficient, and by Weyl's theorem the
+    limit is 0: the component gets None.  Otherwise <u, p(n)> is the
+    constant c = <u, p(0)>, and the limit is e(c) times the exact
+    root-of-unity mean of e(<r, p(n)>) over one period of `residues`.  The
+    mean carries c as its phase, so exact-one / exact-zero answers still
+    come from the counts (and c = 0)."""
     check_orbit(polys, sys.rows)
     out = []
     for info in classify_characters(sys, f):
-        if not info.rational:
+        rational = [x.basis()[0] for x in info.row]
+        drift: dict[int, Real] = {}   # coefficients of <u, p(n)> by degree
+        for x, r, p in zip(info.row, rational, polys):
+            for exps, c in p.terms.items():
+                drift[sum(exps)] = drift.get(sum(exps), Real(0)) + (x - r).scale(c)
+        if any(c != 0 for e, c in drift.items() if e):
             out.append((info, None))
             continue
-        k, stream = residues(polys, info.row)
+        k, stream = residues(polys, rational)
         counts = [0] * k
         for residue in stream:
             counts[residue] += 1
-        out.append((info, RootOfUnityMean(k, tuple(counts), sum(counts))))
+        out.append((info, RootOfUnityMean(k, tuple(counts), sum(counts), drift.get(0, 0))))
     return out
 
 
 def q_p_closed_form(sys: TorusSystem, f: TrigPoly, polys: PolyVector) -> TrigPoly:
-    """The limit of (1/N) sum T^{p(n)} f: rational components scaled by
-    their periodic character mean, irrational components killed."""
+    """The limit of (1/N) sum T^{p(n)} f: each component scaled by its
+    `q_p_multipliers` limit, and those with limit 0 dropped."""
     coeffs = dict(f.components)
     items = []
     for info, mean in q_p_multipliers(sys, f, polys):
@@ -253,54 +226,19 @@ def q_p_closed_form(sys: TorusSystem, f: TrigPoly, polys: PolyVector) -> TrigPol
     return TrigPoly.of(items)
 
 
-def choose_k(sys: TorusSystem, f: Observable, eps: float) -> int:
-    """Smallest-effort modulus k making polynomial averages eps-close to the
-    rational projection: include rational characters by decreasing weight
-    until the excluded tail satisfies 2*sqrt(sum |c|^2) < eps.
-
-    For a BoxIndicator the Fourier spectrum is infinite, so only the two
-    decidable cases are handled: a fully rational action matrix (k is the
-    lcm of all entry denominators) and an action with no non-trivial
-    rational character at all (k = 1)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if isinstance(f, BoxIndicator):
-        return _choose_k_box(sys)
-    rational = [
-        (abs(coeff), info.freq, info.period)
-        for (freq, coeff), info in zip(f.components, classify_characters(sys, f))
-        if info.rational
-    ]
-    rational.sort(key=lambda item: (-item[0], item[1]))
-    k = 1
-    excluded = [w for w, _, _ in rational]
-    while excluded and 2.0 * math.sqrt(sum(w * w for w in excluded)) >= eps:
-        weight, freq, period = rational[len(rational) - len(excluded)]
-        excluded.pop(0)
-        k = math.lcm(k, period)
-    return k
-
-
-def _choose_k_box(sys: TorusSystem) -> int:
-    entries = [entry for row in sys.rows for entry in row]
-    if all(entry.is_rational() for entry in entries):
-        return math.lcm(*(entry.as_fraction().denominator for entry in entries))
-    # Is there a non-zero integer frequency m with A^T m rational?  That
-    # happens iff the irrational coefficient matrix has non-trivial kernel.
-    names = sorted({name for entry in entries for name in entry.basis()[1]})
-    rows = []
-    for name in names:
-        for i in range(sys.dim):
-            rows.append([
-                sys.rows[j][i].basis()[1].get(name, Fraction(0))
-                for j in range(sys.torus_dim)
-            ])
-    if not kernel_basis(rows, sys.torus_dim):
+def choose_k(torus: Torus) -> int:
+    """The modulus k of the box rule, read off `Torus.relations`: 1 when no
+    non-zero m makes A^T m rational, the lcm of the entry denominators when
+    every m does (A rational).  A mixed action has an infinite rational
+    spectrum, and no k is chosen for it."""
+    relations = torus.relations()
+    if not relations:
         return 1
+    if len(relations) == torus.torus_dim:
+        return math.lcm(*(x.as_fraction().denominator for row in torus.rows for x in row))
     raise ValueError(
         "box indicator on a mixed rational/irrational action: the rational "
-        "spectrum is infinite, choose k from a trigonometric approximation"
-    )
+        "spectrum is infinite")
 
 
 def check_average(sys: TorusSystem, f: Observable, polys: PolyVector, n_count: int) -> None:

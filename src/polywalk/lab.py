@@ -1,6 +1,10 @@
 """Desk-scale search experiments: set models with difference-set oracles,
 orbit searches along walks, and Weyl-sum diagnostics.
 
+One `Torus`, the map v -> A v mod 1 for rows of exact reals, checks the
+rows and finds the integer m with A^T m rational (`Torus.relations`); a
+BohrSet adds radii to it, and `ergodic.TorusSystem` a base point.
+
 Two set models are supported, and each is an oracle for its difference
 set B - B, the one question the experiments ask of a set.  A WindowSet is
 an explicit finite subset of a box [0, side)^d, and answers a query by
@@ -31,19 +35,19 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .fleeing import construct_fleeing_walk
-from .generators import bogolubov_walk, xy_minus_P_walks
+from .generators import bogolubov_walk, kernel_basis, xy_minus_P_walks
 from .kernel import fixed_phases, orbit_points, phases, residues
 from .poly import MPoly, PolyVector, poly_parse
 from .reals import DIGITS, FixedRow, Real, RootOfUnityMean
 from .walks import Walk
 
 
-def _bounds(moduli: Iterable[int], freq, radii) -> list[tuple]:
+def _bounds(moduli: Iterable[int], rows, radii) -> list[tuple]:
     """(M, floor((t + e) M), ceil((t - e) M), t, row) per row, with t = 2r
     and e = 10^-DIGITS (BohrSet docstring)."""
     e = Fraction(1, 10 ** DIGITS)
     return [(m, math.floor((2 * r + e) * m), math.ceil((2 * r - e) * m), 2 * r, row)
-            for m, row, r in zip(moduli, freq, radii)]
+            for m, row, r in zip(moduli, rows, radii)]
 
 
 def _verdicts(phases: Iterable[Sequence[int]], bounds,
@@ -118,13 +122,53 @@ class WindowSet:
         return f"window dim={self.dim} side={self.side} points={len(self.points)}"
 
 
-class BohrSet:
+def check_radii(radii: Iterable[Fraction]) -> None:
+    """Raise ValueError unless every arc radius r has 0 < r < 1/2."""
+    for r in radii:
+        if not (0 < r < Fraction(1, 2)):
+            raise ValueError(f"radius {r} outside (0, 1/2)")
+
+
+class Torus:
+    """The map v -> A v mod 1 from Z^dim to T^torus_dim: `rows` holds the
+    torus_dim >= 1 rows of A, each of dim exact reals (dim defaults to the
+    length of the first row)."""
+
+    def __init__(self, rows: Sequence[Sequence[Real | Fraction | int | str]], dim=None):
+        self.rows = tuple(tuple(Real.of(x) for x in row) for row in rows)
+        self.torus_dim = len(self.rows)
+        if self.torus_dim == 0:
+            raise ValueError("need at least one torus coordinate")
+        self.dim = len(self.rows[0]) if dim is None else dim
+        for row in self.rows:
+            if len(row) != self.dim:
+                raise ValueError(f"frequency row {row} does not have {self.dim} entries")
+
+    def transposed_row(self, freq: Sequence[int]) -> tuple[Real, ...]:
+        """A^T m: the frequency vector of the character v -> e(<m, A v>) of Z^dim."""
+        if len(freq) != self.torus_dim:
+            raise ValueError(f"frequency {freq} has wrong dimension")
+        return tuple(sum((row[i].scale(m) for row, m in zip(self.rows, freq) if m), Real(0))
+                     for i in range(self.dim))
+
+    def relations(self) -> list[tuple[int, ...]]:
+        """A basis of the integer m with A^T m rational (empty iff the image
+        of Z^dim is dense, torus_dim vectors iff A is rational): the kernel
+        of one equation per named constant c and column i, that the
+        c-coordinate of sum_j m_j A_ji is 0, from one `kernel_basis` call."""
+        names = sorted({name for row in self.rows for x in row for name in x.basis()[1]})
+        equations = [[row[i].basis()[1].get(name, Fraction(0)) for row in self.rows]
+                     for name in names for i in range(self.dim)]
+        return [tuple(map(int, m)) for m in kernel_basis(equations, self.torus_dim)]
+
+
+class BohrSet(Torus):
     """Preimage of a torus box under v -> A v mod 1, as an oracle for B - B.
 
-    `freq` holds the rows of A (torus_dim rows of dim exact reals), and the
-    box is the open B = {v : dist(<row_j, v>) < r_j for every j}, with dist
+    A `Torus` (the rows of A) plus one radius per row: the box is the
+    open B = {v : dist(<row_j, v>) < r_j for every j}, with dist
     the distance to the nearest integer.  Aperiodicity (dense image of the
-    torus map) is declared by the configuration, not verified; the
+    torus map, that is no `relations()`) is not verified; the
     difference oracle relies on it.  The box is centred at 0: other arc
     centres only translate the box on the torus, which leaves box - box
     and so every answer unchanged.
@@ -155,28 +199,15 @@ class BohrSet:
     within 10^-p of it stops as soon as 2 10^-p is below their gap.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        freq: Sequence[Sequence[Real | Fraction | int | str]],
-        radii: Sequence[Fraction | str],
-    ):
-        self.dim = dim
-        self.freq = tuple(tuple(Real.of(x) for x in row) for row in freq)
-        self.torus_dim = len(self.freq)
-        if self.torus_dim == 0:
-            raise ValueError("need at least one torus coordinate")
-        for row in self.freq:
-            if len(row) != dim:
-                raise ValueError(f"frequency row {row} does not have {dim} entries")
+    def __init__(self, dim: int, rows: Sequence[Sequence[Real | Fraction | int | str]],
+                 radii: Sequence[Fraction | str]):
+        super().__init__(rows, dim)
         self.radii = tuple(Fraction(r) for r in radii)
         if len(self.radii) != self.torus_dim:
             raise ValueError("one radius per torus coordinate required")
-        for r in self.radii:
-            if not (0 < r < Fraction(1, 2)):
-                raise ValueError(f"radius {r} outside (0, 1/2)")
-        self._rows = [FixedRow(row, DIGITS) for row in self.freq]
-        self._bounds = _bounds((f.modulus for f in self._rows), self.freq, self.radii)
+        check_radii(self.radii)
+        self._fixed = [FixedRow(row, DIGITS) for row in self.rows]
+        self._bounds = _bounds((f.modulus for f in self._fixed), self.rows, self.radii)
 
     def contains_difference(self, w: Sequence[int]) -> bool:
         """True iff the box and its translate by frac(A w) overlap in every
@@ -185,21 +216,21 @@ class BohrSet:
         w = [int(x) for x in w]
         if len(w) != self.dim:
             raise ValueError(f"vector {w} has wrong dimension")
-        (verdict,) = _verdicts([[f(w) % f.modulus for f in self._rows]], self._bounds,
+        (verdict,) = _verdicts([[f(w) % f.modulus for f in self._fixed]], self._bounds,
                                lambda i: w)
         return verdict
 
     def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool]:
         """`contains_difference` at the orbit points p(1), ..., p(count),
         from one kernel phase stream."""
-        moduli, blocks = fixed_phases(polys, self.freq, count, DIGITS)
+        moduli, blocks = fixed_phases(polys, self.rows, count, DIGITS)
         phases = chain.from_iterable(zip(*block) for block in blocks)
-        return _verdicts(phases, _bounds(moduli, self.freq, self.radii),
+        return _verdicts(phases, _bounds(moduli, self.rows, self.radii),
                          lambda i: polys.eval_int({"n": i + 1}))
 
     def describe(self) -> str:
         rows = "; ".join(
-            "(" + ", ".join(repr(x) for x in row) + ")" for row in self.freq
+            "(" + ", ".join(repr(x) for x in row) + ")" for row in self.rows
         )
         radii = ", ".join(str(r) for r in self.radii)
         return f"bohr dim={self.dim} torus_dim={self.torus_dim} freq=[{rows}] radii=[{radii}]"

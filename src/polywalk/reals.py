@@ -304,18 +304,20 @@ def cyclotomic(q: int) -> tuple[int, ...]:
 
 
 class RootOfUnityMean:
-    """Exact average of q-th root-of-unity terms, stored as residue counts.
+    """Exact average of q-th root-of-unity terms, stored as residue counts,
+    times e(phase) for an exact constant phase (0 by default).
 
     Exactness queries (is the mean exactly 0, exactly 1, or a single root)
-    come from the counts alone; the complex value is only materialized on
-    demand."""
+    come from the counts and the phase alone; the complex value is only
+    materialized on demand."""
 
-    __slots__ = ("q", "counts", "n_count", "is_exactly_zero", "is_exactly_one")
+    __slots__ = ("q", "counts", "n_count", "phase", "is_exactly_zero", "is_exactly_one")
 
-    def __init__(self, q: int, counts: tuple[int, ...], n_count: int):
+    def __init__(self, q: int, counts: tuple[int, ...], n_count: int, phase=0):
         self.q = q
         self.counts = tuple(counts)
         self.n_count = n_count
+        self.phase = Real.of(phase)
         # exactly 0 iff the minimal polynomial of e(1/q), the monic Phi_q,
         # divides sum counts[j] z^j: divide, over the non-zero terms of Phi_q
         rem, phi = list(self.counts), cyclotomic(q)
@@ -326,7 +328,7 @@ class RootOfUnityMean:
                 for j, c in terms:
                     rem[i + j] -= rem[i + k] * c
         self.is_exactly_zero = not any(rem[:k])
-        self.is_exactly_one = self.counts[0] == n_count
+        self.is_exactly_one = self.counts[0] == n_count and self.phase == 0
 
     def value(self) -> complex:
         if self.is_exactly_zero:
@@ -335,10 +337,15 @@ class RootOfUnityMean:
                  for j, count in enumerate(self.counts) if count]
         re = math.fsum(count * math.cos(angle) for count, angle in terms)
         im = math.fsum(count * math.sin(angle) for count, angle in terms)
-        return complex(re / self.n_count, im / self.n_count)
+        mean = complex(re / self.n_count, im / self.n_count)
+        if self.phase != 0:
+            angle = 2.0 * math.pi * float(self.phase.frac())
+            mean *= complex(math.cos(angle), math.sin(angle))
+        return mean
 
     def __repr__(self) -> str:
-        return f"RootOfUnityMean(q={self.q}, counts={self.counts}, N={self.n_count})"
+        return (f"RootOfUnityMean(q={self.q}, counts={self.counts}, N={self.n_count}, "
+                f"phase={self.phase!r})")
 
 
 def parse_real(text: str) -> Real:

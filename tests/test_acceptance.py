@@ -255,7 +255,7 @@ def test_criterion_07_closed_form_identity(capsys):
 def test_criterion_08_correlation_bound(capsys):
     system = TorusSystem([[Real.named("sqrt2"), Real.named("sqrt3")]])
     box = BoxIndicator.of([0], [F(3, 20)])   # arc of measure 0.3
-    k = choose_k(system, box, 0.02)
+    k = choose_k(system)
     bog = bogolubov_walk(poly_parse("y^2", ["y"]))
     cert = construct_fleeing_walk([bog], (0, 0))
     orbit = cert.orbit_poly

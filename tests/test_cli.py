@@ -12,7 +12,17 @@ from pathlib import Path
 import pytest
 
 from polywalk import generators
-from polywalk.cli import build_parser, main, parse_walk_spec
+from polywalk.cli import (
+    _CORRELATE_KEYS,
+    _CORRELATE_PREFIXES,
+    _ERGODIC_KEYS,
+    _ERGODIC_PREFIXES,
+    _EXPERIMENT_KEYS,
+    _ORACLE_PREFIXES,
+    build_parser,
+    main,
+    parse_walk_spec,
+)
 from polywalk.poly import poly_parse_auto
 from polywalk.walks import Walk
 
@@ -368,7 +378,7 @@ def test_correlate_cli(tmp_path, capsys):
     cfg.write_text(
         "row_1 = sqrt2, sqrt3\ncenter_1 = 0\nradius_1 = 3/20\n"
         "orbit_1 = n^6, n^3\nN_1 = 150\norbit_2 = n^6, n^3\nN_2 = 150\n"
-        "samples = 128\nreplicates = 3\nseed = 2\neps = 0.02\n",
+        "samples = 128\nreplicates = 3\nseed = 2\nk = auto\n",
         encoding="utf-8",
     )
     code, out, _ = run(capsys, "correlate", "--config", str(cfg))
@@ -376,6 +386,47 @@ def test_correlate_cli(tmp_path, capsys):
     assert "k = 1" in out
     estimate = float(next(l for l in out.splitlines() if l.startswith("estimate")).split("=")[1])
     assert estimate > 0.027 - 0.02
+
+
+_CORRELATE_AUTO = ("center_1 = 0\nradius_1 = 3/20\norbit_1 = n^6, n^3\nN_1 = 60\n"
+                   "samples = 16\nreplicates = 2\nseed = 2\nk = auto\n")
+
+
+def test_correlate_k_auto_is_the_lcm_on_rational_rows(tmp_path, capsys):
+    cfg = tmp_path / "corr.cfg"
+    cfg.write_text("row_1 = 1/2, 1/3\n" + _CORRELATE_AUTO, encoding="utf-8")
+    assert run(capsys, "correlate", "--config", str(cfg), "--validate-only") == (0, "ok\n", "")
+    code, out, _ = run(capsys, "correlate", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[0] == "k = 6"
+
+
+def test_correlate_k_auto_rejects_mixed_rows(tmp_path, capsys):
+    # m = (1, -1) makes A^T m = (1/3) rational, m = (1, 0) does not
+    cfg = tmp_path / "corr.cfg"
+    cfg.write_text("row_1 = sqrt2, 0\nrow_2 = sqrt2 + 1/3, 0\n" + _CORRELATE_AUTO
+                   + "center_2 = 0\nradius_2 = 3/20\n", encoding="utf-8")
+    message = ("error: box indicator on a mixed rational/irrational action: "
+               "the rational spectrum is infinite\n")
+    for extra in ([], ["--validate-only"]):
+        assert run(capsys, "correlate", "--config", str(cfg), *extra) == (1, "", message)
+
+
+@pytest.mark.parametrize("row, p, predicted", [
+    ("sqrt2, 0", "0, n", "1 + 0i"),
+    ("sqrt2, -sqrt2", "n, n", "1 + 0i"),
+    ("sqrt2, 1/3", "1, 3*n", "-0.858216185669 + 0.513288397157i"),
+], ids=["irrational-row-on-zero", "cancelling-row", "constant-irrational-phase"])
+def test_ergodic_avg_predicts_from_the_phase_polynomial(tmp_path, capsys, row, p, predicted):
+    # <A^T m, p(n)> has rational non-constant coefficients although A^T m
+    # is irrational: the limit is e(constant phase), not 0
+    cfg = tmp_path / "trig.cfg"
+    cfg.write_text(f"row_1 = {row}\nobservable = trig\ncomp_1 = 1 : 1.0 : 0.0\n"
+                   f"p = {p}\nN = 1000\n", encoding="utf-8")
+    code, out, _ = run(capsys, "ergodic-avg", "--config", str(cfg))
+    assert code == 0
+    assert out == (f"N = 1000\nestimate = {predicted}\npredicted = {predicted}\n"
+                   "abs_error = 0\nl2_to_prediction = 0\n")
 
 
 def test_ergodic_avg_box_output_pinned(tmp_path, capsys):
@@ -643,7 +694,7 @@ GAP_MESSAGES = {
         "config key 'comp_01' should be 'comp_1': indexed keys are numbered 1, 2, 3, ...",
     "bogolubov-radius-gap":
         "config key 'radius_7' should be 'radius_2': indexed keys are numbered 1, 2, 3, ...",
-    "correlate-k-and-eps": "set k or eps, not both",
+    "correlate-k-and-eps": "unknown config key 'eps'",
 }
 
 
@@ -729,6 +780,23 @@ def _parser_flag_table() -> dict[str, set[str]]:
 def test_readme_flag_table_matches_the_parser():
     assert _readme_flag_table() == _parser_flag_table()
     assert sum(map(len, _parser_flag_table().values())) == 60
+
+
+def test_readme_config_key_table_matches_the_subcommands():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| Subcommand | Keys | Indexed keys |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, keys, indexed = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.strip("`")] = (set(re.findall(r"`(\w+)`", keys)),
+                                  set(re.findall(r"`(\w+_)[ij]`", indexed)))
+    search = (_EXPERIMENT_KEYS, set(_ORACLE_PREFIXES))
+    assert table == {"magyar": search, "bogolubov": search,
+                     "ergodic-avg": (_ERGODIC_KEYS, set(_ERGODIC_PREFIXES)),
+                     "correlate": (_CORRELATE_KEYS, set(_CORRELATE_PREFIXES))}
 
 
 # the shapes of the benchmark's operations

@@ -2,7 +2,6 @@
 empirical averages, modulus selection, correlation estimates."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -95,6 +94,59 @@ def test_multiplier_battery_exact_identity():
         (info, mean), = q_p_multipliers(sysk, f, _pv(f"{k}*n + {k}*n^3"))
         assert info.period == k
         assert mean.is_exactly_one
+
+
+def _float(x: Real) -> float:
+    rational, irrational = x.basis()
+    return float(rational) + sum(float(c) * math.sqrt(int(name[4:]))
+                                 for name, c in irrational.items())
+
+
+_PARTS = [F(0), F(1, 2), F(1, 3), F(-1, 4)]
+_IRRATIONAL_PARTS = [Real(0), Real(0), Real.named("sqrt2"), Real.named("sqrt2", -1),
+                     Real.named("sqrt3"), Real.named("golden")]
+_ORBIT_ENTRIES = ["0", "1", "n", "2*n", "3*n + 1", "n^2", "n^2 + n", "1/2*n^2 + 1/2*n",
+                  "n^3 - n"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_multiplier_is_the_limit_of_the_exact_phase_polynomial(dim, torus_dim, data):
+    """Reference: the exact phases s(n) = <A^T m, p(n)> at n = 0, ..., D and
+    their forward differences.  s is "rational non-constant" iff every
+    difference of order >= 1 is rational; otherwise the limit is 0 (Weyl).
+    Then s(n) = c + R(n), c the irrational part of s(0) and
+    R(n) = sum_k r_k C(n, k) rational, of period dividing Q D! (Q the lcm of
+    the denominators of the r_k), and the limit is e(c) times the mean of
+    e(R(n)) over two such periods, by brute force."""
+    draw = data.draw
+    rows = [[draw(st.sampled_from(_PARTS)) + draw(st.sampled_from(_IRRATIONAL_PARTS))
+             for _ in range(dim)] for _ in range(torus_dim)]
+    polys = _pv(", ".join(draw(st.sampled_from(_ORBIT_ENTRIES)) for _ in range(dim)))
+    freq = tuple(draw(st.integers(-2, 2)) for _ in range(torus_dim))
+    (info, mean), = q_p_multipliers(TorusSystem(rows), TrigPoly.of([(freq, 1.0)]), polys)
+
+    row = [sum((rows[j][i].scale(m) for j, m in enumerate(freq)), Real(0)) for i in range(dim)]
+    degree = max(1, polys.max_degree())
+    level = [sum((x.scale(v) for x, v in zip(row, polys.eval_int({"n": n}))), Real(0))
+             for n in range(degree + 1)]
+    differences = [level[0]]
+    while len(level) > 1:
+        level = [b - a for a, b in zip(level, level[1:])]
+        differences.append(level[0])
+    if not all(d.is_rational() for d in differences[1:]):
+        assert mean is None
+        return
+    shift = differences[0] - differences[0].basis()[0]
+    coefficients = [differences[0].basis()[0]] + [d.as_fraction() for d in differences[1:]]
+    period = math.lcm(*(c.denominator for c in coefficients)) * math.factorial(degree)
+    phases = [sum(c * math.comb(n, k) for k, c in enumerate(coefficients)) % 1
+              for n in range(1, 2 * period + 1)]
+    angles = [2 * math.pi * (float(x) + _float(shift)) for x in phases]
+    expected = complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
+    assert mean is not None
+    assert abs(mean.value() - expected / len(phases)) < 1e-9
+    assert mean.is_exactly_one == (shift == 0 and not any(phases))
 
 
 def test_golden_is_half_plus_half_sqrt5():
@@ -547,48 +599,14 @@ def test_empirical_average_rejects_more_arcs_than_torus_coordinates():
         empirical_average(sys1, box, _pv("n^2"), 2000)
 
 
-def test_choose_k_lcm_of_periods():
-    sys2 = TorusSystem([[F(1, 2)], [F(1, 3)]])
-    f = TrigPoly.of([((1, 0), 1.0), ((0, 1), 1.0)])
-    assert choose_k(sys2, f, 1e-9) == 6
-
-
-def test_choose_k_large_eps_allows_one():
-    sys1 = TorusSystem([[F(1, 5)]])
-    f = TrigPoly.of([((1,), 0.001)])
-    assert choose_k(sys1, f, 1.0) == 1
-    assert choose_k(sys1, f, 1e-6) == 5
-
-
-def test_choose_k_all_irrational():
-    sys1 = TorusSystem([[Real.named("sqrt3")]])
-    f = TrigPoly.of([((1,), 1.0)])
-    assert choose_k(sys1, f, 1e-9) == 1
-
-
 def test_choose_k_box_cases():
     irrational = TorusSystem([[Real.named("sqrt2"), Real.named("sqrt3")]])
-    box = BoxIndicator.of([0], [F(3, 20)])
-    assert choose_k(irrational, box, 0.02) == 1
+    assert choose_k(irrational) == 1
     rational = TorusSystem([[F(1, 2), F(1, 3)]])
-    assert choose_k(rational, box, 0.02) == 6
+    assert choose_k(rational) == 6
     degenerate = TorusSystem([[Real.named("sqrt2")], [Real.named("sqrt2")]])
-    box2 = BoxIndicator.of([0, 0], [F(3, 20), F(3, 20)])
     with pytest.raises(ValueError, match="rational spectrum"):
-        choose_k(degenerate, box2, 0.02)
-
-
-def test_torus_translation_additivity():
-    sys2 = TorusSystem([[Real.named("sqrt2"), F(1, 3)],
-                        [F(2), Real.named("golden")]])
-    rng = random.Random(3)
-    for _ in range(20):
-        v = [rng.randint(-9, 9) for _ in range(2)]
-        w = [rng.randint(-9, 9) for _ in range(2)]
-        vw = [a + b for a, b in zip(v, w)]
-        lhs = sys2.image(vw)
-        rhs = tuple(a + b for a, b in zip(sys2.image(v), sys2.image(w)))
-        assert lhs == rhs
+        choose_k(degenerate)
 
 
 def test_correlation_zero_orbit_gives_measure():

@@ -17,6 +17,7 @@ from polywalk.lab import (
     BohrSet,
     SearchResult,
     Status,
+    Torus,
     WindowSet,
     corollary_experiment,
     twisted_search,
@@ -157,6 +158,44 @@ def test_bohr_validation():
         BohrSet(2, [[Real.named("sqrt2")]], [F(1, 10)])
 
 
+def _rank(vectors, width):
+    """Rank of rational vectors by plain Fraction elimination."""
+    rows = [[F(x) for x in v] for v in vectors]
+    rank = 0
+    for c in range(width):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                factor = rows[i][c] / rows[rank][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+_BASIS = [Real(1), Real.named("sqrt2"), Real.named("sqrt3"), Real.named("sqrt5"),
+          Real.named("golden")]
+# sparse coefficients, so that rows often share irrational parts
+_COEFFICIENTS = [F(0), F(0), F(0), F(1), F(-1), F(1, 2), F(2, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_torus_relations_are_exactly_the_rational_characters(torus_dim, dim, data):
+    rows = [[sum((b.scale(data.draw(st.sampled_from(_COEFFICIENTS))) for b in _BASIS),
+                 Real(0)) for _ in range(dim)] for _ in range(torus_dim)]
+    torus = Torus(rows)
+    basis = torus.relations()
+    for m in basis:
+        assert all(x.is_rational() for x in torus.transposed_row(m))
+    assert _rank(basis, torus_dim) == len(basis)
+    for m in product(range(-2, 3), repeat=torus_dim):
+        if all(x.is_rational() for x in torus.transposed_row(m)):
+            assert _rank(basis + [m], torus_dim) == len(basis), m
+
+
 def test_bohr_tie_on_boundary_is_outside():
     # rational frequency puts frac(A*w) exactly on the overlap boundary; the
     # open box's B - B has distances below 2*eps only
@@ -247,7 +286,7 @@ def _reference_verdict(oracle, v):
     <row, v> to 0 against t = 2r, strictly below.  A rational <row, v> is
     compared exactly; otherwise `_reference_dot_frac` is read at rising
     precision until its distance is more than its error away from t."""
-    for row, r in zip(oracle.freq, oracle.radii):
+    for row, r in zip(oracle.rows, oracle.radii):
         x = sum((c * value for c, value in zip(row, v)), Real(0))
         if x.is_rational():
             delta = x.as_fraction() % 1
