@@ -386,20 +386,15 @@ def cmd_correlate(args):
             for orbit in orbits:
                 var = orbit.vars[0] if orbit.vars else "n"
                 scaled.append(orbit.substitute({var: MPoly.var((var,), var) * k}))
-
-        def estimate(counts):
-            return correlation_average(system, box, scaled, counts, samples=samples,
-                                       replicates=replicates, seed=seed)
-        est = estimate(n_counts)
-        # convergence diagnostic: the same estimate at halved orbit lengths
-        halved = estimate([max(1, n // 2) for n in n_counts])
+        est = correlation_average(system, box, scaled, n_counts, samples=samples,
+                                  replicates=replicates, seed=seed)
         bound = float(box.measure) ** (len(orbits) + 1)
         lines = [
             f"k = {k}",
             f"measure = {float(box.measure):.12g}",
             f"estimate = {est.value:.12g}",
             f"std_error = {est.std_error:.12g}",
-            f"half_N_estimate = {halved.value:.12g}",
+            f"half_N_estimate = {est.half_value:.12g}",
             f"power_bound = {bound:.12g}",
             f"seed = {seed}",
         ]

@@ -22,6 +22,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .kernel import check_orbit, phases, residues
@@ -77,29 +78,8 @@ class TrigPoly:
             total += coeff * complex(math.cos(phase), math.sin(phase))
         return total
 
-    def integral(self) -> complex:
-        for freq, coeff in self.components:
-            if all(m == 0 for m in freq):
-                return coeff
-        return 0j
-
-    def inner(self, other: TrigPoly) -> complex:
-        other_map = dict(other.components)
-        return sum(
-            coeff * other_map[freq].conjugate()
-            for freq, coeff in self.components
-            if freq in other_map
-        )
-
     def l2_norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for _, c in self.components))
-
-    def __mul__(self, other: TrigPoly) -> TrigPoly:
-        items = []
-        for fa, ca in self.components:
-            for fb, cb in other.components:
-                items.append((tuple(a + b for a, b in zip(fa, fb)), ca * cb))
-        return TrigPoly.of(items)
 
     def __sub__(self, other: TrigPoly) -> TrigPoly:
         return TrigPoly.of(
@@ -162,25 +142,16 @@ class CharacterInfo:
 
     freq: tuple[int, ...]
     row: tuple[Real, ...]
-    rational: bool
-    period: int | None
 
 
 def classify_characters(sys: TorusSystem, f: TrigPoly) -> list[CharacterInfo]:
     """Induced character data for every frequency of the observable."""
-    out = []
-    for freq, _ in f.components:
-        row = sys.transposed_row(freq)
-        rational = all(entry.is_rational() for entry in row)
-        period = None
-        if rational:
-            period = math.lcm(*(entry.as_fraction().denominator for entry in row))
-        out.append(CharacterInfo(freq, row, rational, period))
-    return out
+    return [CharacterInfo(freq, sys.transposed_row(freq)) for freq, _ in f.components]
 
 
 def q_p_multipliers(
-    sys: TorusSystem, f: TrigPoly, polys: PolyVector
+    sys: TorusSystem, f: TrigPoly, polys: PolyVector,
+    infos: Sequence[CharacterInfo] | None = None,
 ) -> list[tuple[CharacterInfo, RootOfUnityMean | None]]:
     """Limit multiplier of each component along the orbit p(n), the limit of
     (1/N) sum e(s(n)) for its phase polynomial s(n) = <A^T m, p(n)>.
@@ -193,10 +164,11 @@ def q_p_multipliers(
     constant c = <u, p(0)>, and the limit is e(c) times the exact
     root-of-unity mean of e(<r, p(n)>) over one period of `residues`.  The
     mean carries c as its phase, so exact-one / exact-zero answers still
-    come from the counts (and c = 0)."""
+    come from the counts (and c = 0).  `infos`, when given, is
+    `classify_characters(sys, f)`."""
     check_orbit(polys, sys.rows)
     out = []
-    for info in classify_characters(sys, f):
+    for info in classify_characters(sys, f) if infos is None else infos:
         rational = [x.basis()[0] for x in info.row]
         drift: dict[int, Real] = {}   # coefficients of <u, p(n)> by degree
         for x, r, p in zip(info.row, rational, polys):
@@ -213,12 +185,13 @@ def q_p_multipliers(
     return out
 
 
-def q_p_closed_form(sys: TorusSystem, f: TrigPoly, polys: PolyVector) -> TrigPoly:
+def q_p_closed_form(sys: TorusSystem, f: TrigPoly, polys: PolyVector,
+                    infos: Sequence[CharacterInfo] | None = None) -> TrigPoly:
     """The limit of (1/N) sum T^{p(n)} f: each component scaled by its
     `q_p_multipliers` limit, and those with limit 0 dropped."""
     coeffs = dict(f.components)
     items = []
-    for info, mean in q_p_multipliers(sys, f, polys):
+    for info, mean in q_p_multipliers(sys, f, polys, infos):
         if mean is None or mean.is_exactly_zero:
             continue
         multiplier = 1 if mean.is_exactly_one else mean.value()
@@ -290,7 +263,7 @@ def empirical_average(
     sums = weyl_sums(polys, [info.row for info in infos], n_count)
     empirical_fn = TrigPoly.of(
         (freq, coeff * w) for (freq, coeff), w in zip(f.components, sums))
-    prediction = q_p_closed_form(sys, f, polys)
+    prediction = q_p_closed_form(sys, f, polys, infos)
     return EmpiricalAverage(empirical_fn.value_at(base),
                             (empirical_fn - prediction).l2_norm(), prediction.value_at(base))
 
@@ -307,10 +280,11 @@ def _frac(v: float) -> float:
 class _StripIndex:
     """How many offsets `off` of one orbit put x + off in a box, for any x:
     the count of those that `BoxIndicator.contains_float` accepts at the
-    float sums x_j + off_j, bit for bit.  The layout, the query and the
-    proof that the counts are exact are in `correlation_average`."""
+    float sums x_j + off_j, bit for bit, over all offsets and over the
+    first `cut` of them.  The layout, the query and the proof that the
+    counts are exact are in `correlation_average`."""
 
-    def __init__(self, box: BoxIndicator, offsets: Sequence[Sequence[float]]):
+    def __init__(self, box: BoxIndicator, offsets: Sequence[Sequence[float]], cut: int):
         self.centers, self.ceilings = box.float_centers, box.radius_ceilings
         d = len(self.centers)
         for off in offsets:
@@ -321,22 +295,26 @@ class _StripIndex:
         self.use_bisect = self.ceilings[key] + 2 * EPS < 0.5
         n_strips = math.isqrt(len(offsets)) if d > 1 else 1
         buckets = [[] for _ in range(n_strips)]
-        for off in offsets:
-            buckets[min(int(_frac(off[0]) * n_strips), n_strips - 1)].append(off)
+        for i, off in enumerate(offsets):
+            buckets[min(int(_frac(off[0]) * n_strips), n_strips - 1)].append(i)
         self.strips = []
         for bucket in buckets:
             if not bucket:
                 continue
-            lows = [_frac(off[0]) for off in bucket]
-            bucket.sort(key=lambda off: _frac(off[key]))
-            keys = array("d", (_frac(off[key]) for off in bucket))
+            lows = [_frac(offsets[i][0]) for i in bucket]
+            bucket.sort(key=lambda i: _frac(offsets[i][key]))
+            members = [offsets[i] for i in bucket]
+            keys = array("d", (_frac(off[key]) for off in members))
             keys.extend([u + 1.0 for u in keys])
-            self.strips.append((min(lows), max(lows) - min(lows), keys, bucket))
+            tags = bytes(i < cut for i in bucket) * 2
+            self.strips.append((min(lows), max(lows) - min(lows), keys, members * 2, tags,
+                                list(accumulate(tags, initial=0))))
 
-    def count(self, x: Sequence[float]) -> int:
+    def count(self, x: Sequence[float]) -> tuple[int, int]:
         centers, ceilings, key = self.centers, self.ceilings, self.key
         dims = range(len(centers))
         rest = range(2, len(centers))
+        crossing = (0, *rest)
 
         def inside(off, coords) -> bool:
             # the rule of BoxIndicator.contains_float at the point x + off
@@ -352,34 +330,34 @@ class _StripIndex:
         core_lo = start + 2 * EPS
         core_hi = start + 2.0 * ceilings[key]
         wide_hi = start + (2.0 * ceilings[key] + 2 * EPS)
-        total = 0
-        for lo, span, keys, members in self.strips:
-            # key k < 2 * size belongs to members[k - size]: k - size < 0
-            # counts from the end of the list, so both copies map back
-            size = len(members)
+        total = half = 0
+        for lo, span, keys, members, tags, prefix in self.strips:
+            inner = rest
             if key:
                 p = (lo - start0) % 1.0
                 if p > wide0 and p + span < 1.0:
                     continue
-            # a strip crossing a coordinate-0 arc end, or a full-turn key arc
-            if not self.use_bisect or key and not (2 * EPS <= p and p + span <= core0):
-                total += sum(inside(off, dims) for off in members)
-                continue
-            i = bisect_left(keys, core_lo)
-            j = bisect_right(keys, core_hi, i)
-            if rest:
-                total += sum(inside(members[k - size], rest) for k in range(i, j))
+                if not (2 * EPS <= p and p + span <= core0):
+                    inner = crossing   # the strip crosses a coordinate-0 arc end
+            if self.use_bisect:
+                i = bisect_left(keys, core_lo)
+                j = bisect_right(keys, core_hi, i)
+                runs = [(range(bisect_left(keys, start, 0, i), i), dims),
+                        (range(j, bisect_right(keys, wide_hi, j)), dims)]
+            else:   # a full-turn key arc: every member runs the exact test
+                i = j = 0
+                runs = [(range(len(members) // 2), dims)]
+            if inner:
+                runs.append((range(i, j), inner))
             else:
                 total += j - i
-            k = i - 1
-            while k >= 0 and keys[k] >= start:
-                total += inside(members[k - size], dims)
-                k -= 1
-            k = j
-            while k < 2 * size and keys[k] <= wide_hi:
-                total += inside(members[k - size], dims)
-                k += 1
-        return total
+                half += prefix[j] - prefix[i]
+            for run, coords in runs:
+                for k in run:
+                    if inside(members[k], coords):
+                        total += 1
+                        half += tags[k]
+        return total, half
 
 
 def check_correlation(
@@ -411,6 +389,7 @@ def check_correlation(
 class CorrelationEstimate:
     value: float
     std_error: float
+    half_value: float   # the same estimate with every N_i replaced by max(1, N_i // 2)
 
 
 def correlation_average(
@@ -429,13 +408,18 @@ def correlation_average(
     computed as the integral of 1_B(x) * prod_i g_i(x) with g_i the visit
     frequency of the i-th orbit to B - x.  Each replicate uses a randomly
     shifted Kronecker sequence; the standard error is across replicates.
+    `half_value` is the estimate at the halved counts max(1, N_i // 2),
+    a convergence check, from the same samples and the same pass.
 
     Each visit count is the number of offsets `off` of an orbit that
     `BoxIndicator.contains_float` accepts at the float sums x_j + off_j,
     that is, whose `(x_j + off_j - c_j) % 1.0` lies within the radius
     ceiling R_j of 0 on every coordinate j.  A strip index, built once per
-    orbit, gives the same counts bit for bit as a scan of all N offsets
-    per sample, testing a few offsets near the arc ends instead.
+    distinct pair (orbit, N_i), gives the same counts bit for bit as a
+    scan of all N offsets per sample, testing a few offsets near the arc
+    ends instead.  Each member of the index carries a tag, 1 when its n is
+    at most the cut max(1, N // 2), so one query gives the count over all
+    N offsets and the count over the first cut of them.
 
     Layout.  With d box coordinates, the key coordinate is K = 1 (K = 0
     when d = 1).  The fractional parts of coordinate 0 are cut into
@@ -443,20 +427,23 @@ def correlation_average(
     fractional part `lo` and the width `span` of its members.  Inside a
     strip the members are sorted by the fractional part u of coordinate K,
     and the keys are doubled (all u, then all u + 1), so any arc of the
-    circle shorter than a full turn is one run of keys.
+    circle shorter than a full turn is one run of keys.  The strip keeps
+    the running sums of its doubled tags.
 
     Query.  On coordinate j the offset's fractional part u lies in the box
     when it is within R_j of c_j - x_j on the circle.  Positions are taken
     from the start of the widened arc, c_j - x_j - R_j - EPS: the widened
     arc is [0, 2R_j + 2EPS] and the shrunk arc [2EPS, 2R_j].  A strip
-    wholly outside the widened coordinate-0 arc is skipped; one that
-    crosses an edge of it runs the exact test on every member; one wholly
-    inside the shrunk arc needs no coordinate-0 test.  There (and in the
-    single strip when d = 1) bisection on coordinate K splits the keys
-    into the shrunk arc, counted without a test when d <= 2 and tested on
-    coordinates 2, ..., d-1 otherwise; the two thin bands between the
-    shrunk and the widened arc, which run the exact test; and the rest,
-    skipped.
+    wholly outside the widened coordinate-0 arc is skipped; one wholly
+    inside the shrunk arc needs no coordinate-0 test, and one that crosses
+    an edge of it tests coordinate 0 on every member it reaches.  In every
+    strip not skipped (and in the single strip when d = 1) bisection on
+    coordinate K splits the keys into the shrunk arc, whose members are
+    tested on coordinates 0 (in a crossing strip) and 2, ..., d-1, and
+    counted without a test when there are none, the halved count then
+    being a difference of two running sums of tags; the two thin bands
+    between the shrunk and the widened arc, which run the exact test; and
+    the rest, skipped.  A tested member that passes adds 1 and its tag.
 
     Why it is exact.  Take |x_j| <= 1, centres in [0, 1] (both hold here)
     and |off_j| <= 2^10 (checked when the index is built; kernel phases
@@ -479,28 +466,45 @@ def correlation_average(
     test reads more than R_j: it rejects.  Every other offset runs the
     exact test.  The exact test is a conjunction over coordinates, so
     testing only the coordinates not yet proved inside gives its answer.
+    This holds in a strip that crosses a coordinate-0 arc end as in one
+    inside: there only coordinate K is proved inside, so the shrunk key
+    arc tests coordinate 0 as well, and a member outside the widened key
+    arc is rejected on K whatever its coordinate 0.
     (4) The run [start, start + 2R_K + 2EPS] of doubled keys holds at
     most one copy of each member while the widened arc falls short of a
-    full turn by more than the rounding.  When R_K + 2EPS >= 1/2 (a radius
-    ceiling of 0.5, or within 2EPS of it), the strip runs the exact test
-    instead, so nothing is counted twice.  On coordinate 0 each strip is placed once, so a
-    ceiling of 0.5 there needs nothing more: no strip is then outside the
-    widened arc.
+    full turn by more than the rounding, in every strip, crossing ones
+    included, since the run depends on x and not on the strip.  When
+    R_K + 2EPS >= 1/2 (a radius ceiling of 0.5, or within 2EPS of it),
+    every strip runs the exact test on each member once instead, so
+    nothing is counted twice.  On coordinate 0 each strip is placed once,
+    so a ceiling of 0.5 there needs nothing more: no strip is then outside
+    the widened arc.  The tag does not enter any test, so the halved count
+    is the count over the members with n <= cut.
     With EPS = 2^-30 every margin above holds many times over.
+
+    The halved estimate reads the first cut phases of the N stream.  Each
+    is within 10^-DIGITS of the true phase, as in a fresh stream of cut
+    points, so `half_value` equals the estimate of a separate call at the
+    halved counts unless a true phase lies within 10^-DIGITS of a point
+    where its float rounding changes.
     """
     check_correlation(sys, box, orbits, n_counts, samples, replicates)
     d_torus = sys.torus_dim
-    indexes = [
-        _StripIndex(box, [point for block in phases(polys, sys.rows, n_count, DIGITS)
-                          for point in zip(*block)])
-        for polys, n_count in zip(orbits, n_counts)
-    ]
+    built: dict[tuple[PolyVector, int], _StripIndex] = {}
+    factors = []   # per orbit: its index, N_i and the halved count
+    for polys, n_count in zip(orbits, n_counts):
+        half_count = max(1, n_count // 2)
+        if (polys, n_count) not in built:
+            built[polys, n_count] = _StripIndex(
+                box, [point for block in phases(polys, sys.rows, n_count, DIGITS)
+                      for point in zip(*block)], half_count)
+        factors.append((built[polys, n_count], n_count, half_count))
 
     rng = random.Random(seed)
-    replicate_values = []
+    replicate_values, half_values = [], []
     for _ in range(replicates):
         shifts = [rng.random() for _ in range(d_torus)]
-        products = []
+        products, half_products = [], []
         for s in range(samples):
             x = [
                 (shifts[j] + (s + 1) * _QMC_ALPHAS[j % len(_QMC_ALPHAS)]) % 1.0
@@ -508,13 +512,20 @@ def correlation_average(
             ]
             if not box.contains_float(x):
                 continue
-            product = 1.0
-            for index, n_count in zip(indexes, n_counts):
-                product *= index.count(x) / n_count
-                if product == 0.0:
+            counts = {}
+            product = half_product = 1.0
+            for index, n_count, half_count in factors:
+                if index not in counts:
+                    counts[index] = index.count(x)
+                hits, half_hits = counts[index]
+                product *= hits / n_count
+                half_product *= half_hits / half_count
+                if product == 0.0 and half_product == 0.0:
                     break
             products.append(product)
+            half_products.append(half_product)
         replicate_values.append(math.fsum(products) / samples)
+        half_values.append(math.fsum(half_products) / samples)
 
     mean = math.fsum(replicate_values) / replicates
     if replicates > 1:
@@ -522,4 +533,4 @@ def correlation_average(
         std_error = math.sqrt(variance / replicates)
     else:
         std_error = float("nan")
-    return CorrelationEstimate(mean, std_error)
+    return CorrelationEstimate(mean, std_error, math.fsum(half_values) / replicates)

@@ -30,8 +30,8 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product
-from operator import add
+from itertools import chain, product, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .fleeing import construct_fleeing_walk
@@ -498,7 +498,7 @@ def weyl_sums(
     totals = [([], []) for _ in rows]
     for block in phases(polys, rows, n_count, DIGITS):
         for (re, im), run in zip(totals, block):
-            angles = [2.0 * math.pi * x for x in run]
+            angles = list(map(mul, run, repeat(2.0 * math.pi)))
             re.append(math.fsum(map(math.cos, angles)))
             im.append(math.fsum(map(math.sin, angles)))
     return [complex(math.fsum(re) / n_count, math.fsum(im) / n_count) for re, im in totals]

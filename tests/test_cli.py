@@ -833,6 +833,19 @@ def test_validate_only_prints_ok_and_computes_nothing(tmp_path, capsys, monkeypa
     assert not out_path.exists()
 
 
+def test_benchmark_shaped_correlate_report_and_csv_are_pinned(tmp_path, capsys):
+    # estimate, std_error and half_N_estimate byte for byte, with the CSV row
+    csv_path = tmp_path / "report.csv"
+    code, out, err = run(capsys, *_argv(tmp_path, BENCHMARK_SHAPED["correlate"]),
+                         "--csv", str(csv_path))
+    assert (code, err) == (0, "")
+    assert out == ("k = 1\nmeasure = 0.36\nestimate = 0.0525125\nstd_error = 0.00433125\n"
+                   "half_N_estimate = 0.0574125\npower_bound = 0.046656\nseed = 7\n")
+    assert csv_path.read_bytes() == (
+        b"experiment,N,estimate,predicted,abs_error,std_error\n"
+        b"correlate,100 100,0.0525125,0.046656,0.0058565,0.00433125\n")
+
+
 @pytest.mark.parametrize("key", ["N_1", "samples", "replicates"])
 def test_correlate_rejects_zero_counts(tmp_path, capsys, key):
     cfg = _configs(tmp_path)["correlate"]

@@ -28,14 +28,39 @@ from polywalk.reals import Real, RootOfUnityMean, cyclotomic
 F = Fraction
 
 
+def _period(info) -> int | None:
+    """The period of an induced character: the lcm of the denominators of
+    its row when every entry is rational, None otherwise."""
+    if not all(entry.is_rational() for entry in info.row):
+        return None
+    return math.lcm(*(entry.as_fraction().denominator for entry in info.row))
+
+
 def rational_projection(sys: TorusSystem, f: TrigPoly) -> TrigPoly:
     """Keep exactly the components with rational induced character: the
     projection the Jensen-inequality tests below take, built on
     `classify_characters`."""
     infos = {info.freq: info for info in classify_characters(sys, f)}
     return TrigPoly.of(
-        (freq, coeff) for freq, coeff in f.components if infos[freq].rational
+        (freq, coeff) for freq, coeff in f.components if _period(infos[freq])
     )
+
+
+# TrigPoly algebra for the Jensen tests: the constant term, the L2 inner
+# product and the product of two trigonometric polynomials
+
+def _integral(f: TrigPoly) -> complex:
+    return next((c for freq, c in f.components if not any(freq)), 0j)
+
+
+def _inner(f: TrigPoly, g: TrigPoly) -> complex:
+    other = dict(g.components)
+    return sum(c * other[freq].conjugate() for freq, c in f.components if freq in other)
+
+
+def _mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
+    return TrigPoly.of((tuple(a + b for a, b in zip(fa, fb)), ca * cb)
+                       for fa, ca in f.components for fb, cb in g.components)
 
 
 def _constant_residue(mean):
@@ -51,15 +76,15 @@ def _pv(expr: str) -> PolyVector:
 def test_classify_rational_denominator():
     sys1 = TorusSystem([[F(1, 3)]])
     infos = classify_characters(sys1, TrigPoly.of([((1,), 1.0)]))
-    assert infos[0].rational and infos[0].period == 3
+    assert _period(infos[0]) == 3
 
 
 def test_classify_irrational_and_trivial():
     sys1 = TorusSystem([[Real.named("sqrt2")]])
     f = TrigPoly.of([((1,), 1.0), ((0,), 0.5)])
     infos = {info.freq: info for info in classify_characters(sys1, f)}
-    assert not infos[(1,)].rational
-    assert infos[(0,)].rational and infos[(0,)].period == 1
+    assert _period(infos[(1,)]) is None
+    assert _period(infos[(0,)]) == 1
 
 
 def test_classify_combination_cancels_to_rational():
@@ -68,7 +93,7 @@ def test_classify_combination_cancels_to_rational():
     sys2 = TorusSystem([[Real.named("sqrt2")], [Real.named("sqrt2") + F(1, 2)]])
     f = TrigPoly.of([((1, -1), 1.0)])
     info = classify_characters(sys2, f)[0]
-    assert info.rational and info.period == 2
+    assert _period(info) == 2
 
 
 def test_multiplier_exactly_one_for_divisible_orbit():
@@ -92,7 +117,7 @@ def test_multiplier_battery_exact_identity():
         sysk = TorusSystem([[F(1, k)]])
         f = TrigPoly.of([((1,), 1.0)])
         (info, mean), = q_p_multipliers(sysk, f, _pv(f"{k}*n + {k}*n^3"))
-        assert info.period == k
+        assert _period(info) == k
         assert mean.is_exactly_one
 
 
@@ -366,6 +391,21 @@ def test_trig_average_reads_one_phase_stream(monkeypatch):
         (freq, c * w) for (freq, c), w in zip(f.components, weyl)).value_at([0.125, 0.375])
 
 
+def test_empirical_average_classifies_its_characters_once(monkeypatch):
+    import polywalk.ergodic as ergodic
+    calls = []
+
+    def counted(sys, f):
+        calls.append(f)
+        return classify_characters(sys, f)
+
+    monkeypatch.setattr(ergodic, "classify_characters", counted)
+    system = TorusSystem([[F(1, 3)], ["sqrt2"]])
+    f = TrigPoly.of([((1, 0), 0.5), ((0, 1), 0.25)])
+    result = empirical_average(system, f, _pv("3*n"), 300)
+    assert len(calls) == 1
+    assert result.predicted == 0.5
+
 def test_empirical_average_box_indicator():
     sys1 = TorusSystem([[Real.named("golden")]])
     box = BoxIndicator.of([0], [F(1, 4)])
@@ -535,33 +575,74 @@ def test_strip_index_matches_the_scan(arcs, data):
     offsets = data.draw(st.lists(
         st.tuples(*(arc_end_or(j) for j in range(d))), min_size=1, max_size=60))
     offsets += data.draw(st.lists(st.sampled_from(offsets), max_size=5))  # duplicates
-    index = _StripIndex(box, offsets)
+    cut = data.draw(st.integers(0, len(offsets)))
+    index = _StripIndex(box, offsets, cut)
     for x in xs:
-        assert index.count(x) == _shifted_box_hits(box, x, offsets)
+        assert index.count(x) == (_shifted_box_hits(box, x, offsets),
+                                  _shifted_box_hits(box, x, offsets[:cut]))
 
 
-@pytest.mark.parametrize("rows,centers,orbit", [
-    ([["sqrt2", "sqrt3"], ["sqrt5", "sqrt2"]], ["1/10", "7/10"], "n^6, n^3"),
-    ([["sqrt2"], ["sqrt3"], ["sqrt5"]], ["0", "1/2", "9/10"], "n^2"),
-])
-def test_correlation_average_matches_the_reference_scan(monkeypatch, rows, centers, orbit):
+def _check_against_the_scan(monkeypatch, rows, centers, orbits, counts):
+    # correlation_average equals itself with every strip index replaced by
+    # the reference scan, and builds one index per distinct (orbit, N_i),
+    # cut at max(1, N_i // 2)
     import polywalk.ergodic as ergodic
+    built = []
 
     class Scan:
-        def __init__(self, box, offsets):
-            self.box, self.offsets = box, offsets
+        def __init__(self, box, offsets, cut):
+            self.box, self.offsets, self.cut = box, offsets, cut
+            built.append((len(offsets), cut))
 
         def count(self, x):
-            return _shifted_box_hits(self.box, x, self.offsets)
+            return (_shifted_box_hits(self.box, x, self.offsets),
+                    _shifted_box_hits(self.box, x, self.offsets[:self.cut]))
 
     system = TorusSystem(rows)
     box = BoxIndicator.of(centers, [F(3, 10)] * len(centers))
-    orbits = [_pv(orbit)] * 2
-    indexed = correlation_average(system, box, orbits, [300, 200], samples=64,
+    polys = [_pv(orbit) for orbit in orbits]
+    indexed = correlation_average(system, box, polys, counts, samples=64,
                                   replicates=2, seed=3)
     monkeypatch.setattr(ergodic, "_StripIndex", Scan)
-    assert indexed == correlation_average(system, box, orbits, [300, 200], samples=64,
+    assert indexed == correlation_average(system, box, polys, counts, samples=64,
                                           replicates=2, seed=3)
+    assert sorted(built) == sorted((n, max(1, n // 2)) for _, n in set(zip(orbits, counts)))
+
+
+_PLANE = [["sqrt2", "sqrt3"], ["sqrt5", "sqrt2"]]
+
+
+@pytest.mark.parametrize("rows,centers,orbit", [
+    (_PLANE, ["1/10", "7/10"], "n^6, n^3"),
+    ([["sqrt2"], ["sqrt3"], ["sqrt5"]], ["0", "1/2", "9/10"], "n^2"),
+])
+def test_correlation_average_matches_the_reference_scan(monkeypatch, rows, centers, orbit):
+    _check_against_the_scan(monkeypatch, rows, centers, [orbit, orbit], [300, 200])
+
+
+@pytest.mark.parametrize("orbits,counts", [
+    (["n^6, n^3", "n^2, n"], [300, 200]),
+    (["n^6, n^3", "n^6, n^3"], [300, 300]),
+])
+def test_correlation_average_indexes_each_distinct_orbit_and_count_once(monkeypatch, orbits,
+                                                                        counts):
+    _check_against_the_scan(monkeypatch, _PLANE, ["1/10", "7/10"], orbits, counts)
+
+
+@pytest.mark.parametrize("orbits,counts", [
+    (["n^6, n^3", "n^6, n^3"], [300, 300]),
+    (["n^6, n^3", "n^6, n^3"], [301, 1]),
+    (["n^6, n^3", "n^2, n"], [300, 201]),
+    (["n^6, n^3", "n^2, n", "n^6, n^3"], [41, 97, 40]),
+])
+def test_half_value_is_the_estimate_at_halved_counts(orbits, counts):
+    system = TorusSystem(_PLANE)
+    box = BoxIndicator.of(["1/10", "7/10"], [F(3, 10), F(3, 10)])
+    polys = [_pv(orbit) for orbit in orbits]
+    both = correlation_average(system, box, polys, counts, samples=64, replicates=3, seed=5)
+    halved = correlation_average(system, box, polys, [max(1, n // 2) for n in counts],
+                                 samples=64, replicates=3, seed=5)
+    assert both.half_value == halved.value
 
 
 def test_strip_index_counts_a_one_dimensional_arc_end_inside():
@@ -569,13 +650,13 @@ def test_strip_index_counts_a_one_dimensional_arc_end_inside():
     # 3/10 about 0, in exact arithmetic and for contains_float alike
     box = BoxIndicator.of([0], [F(3, 10)])
     assert F(0.3) < F(3, 10) and box.contains_float([0.3])
-    assert _StripIndex(box, [(0.0,)]).count([0.3]) == 1
+    assert _StripIndex(box, [(0.0,)], 1).count([0.3]) == (1, 1)
 
 
 def test_strip_index_rejects_a_far_offset():
     box = BoxIndicator.of([0, 0], [F(1, 5), F(1, 5)])
     with pytest.raises(ValueError, match="outside"):
-        _StripIndex(box, [(0.5, 2.0 ** 11)])
+        _StripIndex(box, [(0.5, 2.0 ** 11)], 1)
 
 
 @pytest.mark.parametrize("counts,kwargs,message", [
@@ -661,8 +742,8 @@ def test_jensen_inequality_for_nonnegative_trig():
     for m in (1, 2, 3):
         power = f
         for _ in range(m - 1):
-            power = power * f
-        inner = f.inner(power).real
+            power = _mul(power, f)
+        inner = _inner(f, power).real
         assert inner >= 0.5 ** (m + 1) - 1e-12
 
 
@@ -678,16 +759,16 @@ def test_jensen_inequality_with_irrational_tail():
     for m in (1, 2):
         power = projected
         for _ in range(m - 1):
-            power = power * projected
-        inner = f.inner(power).real
-        assert inner >= abs(f.integral()) ** (m + 1) - 1e-12
+            power = _mul(power, projected)
+        inner = _inner(f, power).real
+        assert inner >= abs(_integral(f)) ** (m + 1) - 1e-12
 
 
 def test_trigpoly_algebra():
     f = TrigPoly.of([((1,), 1.0), ((-1,), 1.0)])
-    square = f * f
+    square = _mul(f, f)
     assert dict(square.components)[(0,)] == pytest.approx(2.0)
-    assert f.integral() == 0j
+    assert _integral(f) == 0j
     assert f.l2_norm() == pytest.approx(math.sqrt(2.0))
     g = f - f
     assert g.components == ()
