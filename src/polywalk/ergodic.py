@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .kernel import check_orbit, phases, residues
-from .lab import Torus, check_radii, check_sample_count, weyl_sums
+from .kernel import check_orbit, phases
+from .lab import Torus, check_radii, check_sample_count, weyl_sum_rational, weyl_sums
 from .poly import PolyVector
 from .reals import DIGITS, Real, RootOfUnityMean
 
@@ -162,10 +162,10 @@ def q_p_multipliers(
     an irrational non-constant coefficient, and by Weyl's theorem the
     limit is 0: the component gets None.  Otherwise <u, p(n)> is the
     constant c = <u, p(0)>, and the limit is e(c) times the exact
-    root-of-unity mean of e(<r, p(n)>) over one period of `residues`.  The
-    mean carries c as its phase, so exact-one / exact-zero answers still
-    come from the counts (and c = 0).  `infos`, when given, is
-    `classify_characters(sys, f)`."""
+    root-of-unity mean of e(<r, p(n)>) over one period
+    (`weyl_sum_rational`).  The mean carries c as its phase, so exact-one
+    / exact-zero answers still come from the counts (and c = 0).  `infos`,
+    when given, is `classify_characters(sys, f)`."""
     check_orbit(polys, sys.rows)
     out = []
     for info in classify_characters(sys, f) if infos is None else infos:
@@ -177,11 +177,7 @@ def q_p_multipliers(
         if any(c != 0 for e, c in drift.items() if e):
             out.append((info, None))
             continue
-        k, stream = residues(polys, rational)
-        counts = [0] * k
-        for residue in stream:
-            counts[residue] += 1
-        out.append((info, RootOfUnityMean(k, tuple(counts), sum(counts), drift.get(0, 0))))
+        out.append((info, weyl_sum_rational(polys, rational, phase=drift.get(0, 0))))
     return out
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
 
 from .generators import kernel_basis
-from .poly import MPoly, PolyVector, _from_numerators, _numerators
+from .poly import MPoly, PolyVector, _lowest_terms
 from .walks import TIME, Walk
 
 
@@ -53,27 +54,26 @@ def affine_annihilator(polys: PolyVector) -> list[AffineFunctional]:
     """Basis of the affine maps L with L(p_1, ..., p_d) identically zero.
 
     Unknowns are (a_1, ..., a_d, c); each monomial occurring in any entry
-    (or the constant monomial) contributes one linear condition.  The
-    rank is at most d + 1, and `kernel_basis` reduces the conditions one
-    at a time against at most that many rows, stopping as soon as d + 1
-    of them are independent.  Its basis does not depend on the order of
-    the conditions; in ascending exponent order the reduction measured
-    twice as fast as in the order the monomials are met.
+    (or the constant monomial) contributes one linear condition, written
+    as an integer row: the coefficients times D, the lcm of the entries'
+    denominators, read off their numerators.  The rank is at most d + 1,
+    and `kernel_basis` reduces the conditions one at a time against at
+    most that many rows, stopping as soon as d + 1 of them are
+    independent.  Its basis depends only on the row space, so neither the
+    scaling by D nor the order of the conditions changes it; in ascending
+    exponent order the reduction measured twice as fast as in the order
+    the monomials are met.
     """
     d = len(polys)
-    monomials: dict[tuple[int, ...], list[Fraction]] = {}
-    zero_exps = (0,) * len(polys.vars)
-
-    def row_for(exps):
-        if exps not in monomials:
-            monomials[exps] = [Fraction(0)] * (d + 1)
-        return monomials[exps]
-
+    scale = lcm(*(p.denominator for p in polys))
+    monomials = {(0,) * len(polys.vars): [0] * d + [scale]}
     for j, p in enumerate(polys):
-        for exps, coeff in p.terms.items():
-            row_for(exps)[j] = coeff
-    row_for(zero_exps)[d] = Fraction(1)
-
+        f = scale // p.denominator
+        for exps, c in p.numerators.items():
+            row = monomials.get(exps)
+            if row is None:
+                row = monomials[exps] = [0] * (d + 1)
+            row[j] = c * f
     rows = [monomials[e] for e in sorted(monomials)]
     basis = kernel_basis(rows, d + 1)
     return [AffineFunctional(tuple(vec[:d]), vec[d]) for vec in basis]
@@ -192,7 +192,7 @@ def construct_fleeing_walk(
     if depth is None:
         raise DepthExhausted(depth_cap, dims)
 
-    base = 1 + max((e for p in orbit for exps in p.terms for e in exps), default=0)
+    base = 1 + max((e for p in orbit for exps in p.numerators for e in exps), default=0)
     exponents = tuple(base ** k for k in range(1, depth + 1))
     collapsed = _collapse(orbit, exponents)
     if not is_fleeing(collapsed):
@@ -212,18 +212,17 @@ def construct_fleeing_walk(
 
 def _collapse(orbit: PolyVector, exponents: tuple[int, ...]) -> PolyVector:
     """Substitute t_k -> n^(e_k): a monomial map, t^a -> n^<a, e>, so each
-    entry's integer numerators are summed by their new exponent and each
-    coefficient is divided by the common denominator once."""
+    entry's integer numerators are summed by their new exponent over the
+    entry's denominator, and the sums are put in lowest terms once."""
     by_name = {time_var(k): e for k, e in enumerate(exponents, start=1)}
     weights = [by_name[name] for name in orbit.vars]
     entries = []
     for p in orbit:
-        denominator, numerators = _numerators(p.terms)
         sums: dict[tuple[int], int] = {}
-        for exps, c in numerators.items():
+        for exps, c in p.numerators.items():
             key = (sum(map(mul, exps, weights)),)
             sums[key] = sums.get(key, 0) + c
-        entries.append(_from_numerators(("n",), sums, denominator))
+        entries.append(_lowest_terms(("n",), sums, p.denominator))
     return PolyVector(entries)
 
 

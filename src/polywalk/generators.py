@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Sequence
 
 from .poly import MPoly, binomial_poly
@@ -108,12 +109,13 @@ def mat_inverse_sl(a: IntMatrix) -> IntMatrix:
     return tuple(tuple(x // last for x in row[n:]) for row in rows)
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[list[Fraction]]:
+def kernel_basis(rows: Sequence[Sequence[Fraction | int]], width: int) -> list[list[Fraction]]:
     """Basis of {x : M x = 0} for rational M, one vector per free column;
     each vector is a primitive integer vector with positive first non-zero
     entry.
 
-    The rows are scaled to integers and reduced one at a time against at
+    Each row is scaled by the lcm of its entries' denominators, so a row
+    of integers is taken as it is, and reduced one at a time against at
     most `width` kept rows: each kept row has a pivot, its first non-zero
     column, and is zero at the pivots of the rows kept before it.  A new
     row r becomes p * r - r[c] * k, fraction-free, for each kept row k
@@ -136,13 +138,15 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[list[Fr
     returns d * R with d != 0, and the vector built for a free column is
     d times the kernel vector read off R, made primitive with a positive
     leading entry, which does not depend on d.  So the basis is the one
-    that elimination of all the rows of M gives.
+    that elimination of all the rows of M gives.  It depends only on the
+    row space, so scaling a row by a non-zero rational does not change it.
     """
     kept: list[list[int]] = []
     leads: list[int] = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        r = [x.numerator * (den // x.denominator) for x in row]
+        den = lcm(*map(attrgetter("denominator"), row))
+        r = (list(map(attrgetter("numerator"), row)) if den == 1 else
+             [x.numerator * (den // x.denominator) for x in row])
         for k, c in zip(kept, leads):
             f = r[c]
             if f:
@@ -289,21 +293,22 @@ def secant_quotient(p: MPoly, var: str, shift: MPoly, denominator: str) -> MPoly
     numerator = p.substitute(subs) - p.extend(shift.vars)
     idx = numerator.vars.index(denominator)
     out = {}
-    for exps, coeff in numerator.terms.items():
+    for exps, c in numerator.numerators.items():
         if exps[idx] == 0:
             raise ArithmeticError(
                 f"monomial {exps} lacks '{denominator}'; division is not exact"
             )
         key = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]
-        out[key] = coeff
-    return MPoly(numerator.vars, out)
+        out[key] = c
+    return MPoly._trusted(numerator.vars, numerator.denominator, out)
 
 
 def _to_single_var(p: MPoly, var: str) -> MPoly:
     if p.vars == (var,):
         return p
     idx = p.vars.index(var)
-    return MPoly((var,), {(exps[idx],): c for exps, c in p.terms.items()})
+    return MPoly._trusted((var,), p.denominator,
+                          {(exps[idx],): c for exps, c in p.numerators.items()})
 
 
 @cache

@@ -214,6 +214,6 @@ def residues(
     if not all(x.is_rational() for x in row):
         raise ValueError("residues need a row of rationals")
     q = lcm(*(x.as_fraction().denominator for x in row))
-    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    d = lcm(*(p.denominator for p in polys))
     (modulus,), blocks = fixed_phases(polys, [row], q * d, 0)
     return modulus, (residue for (run,) in blocks for residue in run)

@@ -507,15 +507,18 @@ def weyl_sums(
 def weyl_sum_rational(
     polys: PolyVector,
     thetas: Sequence[Real | Fraction | int | str],
-    n_count: int,
+    n_count: int | None = None,
+    phase=0,
 ) -> RootOfUnityMean:
     """Exact root-of-unity evaluation of the Weyl average for rational
-    frequencies: phases lie in (1/q) Z / Z and repeat with a period that
+    frequencies, over n = 1, ..., n_count or one full period, times
+    e(phase): phases lie in (1/q) Z / Z and repeat with a period that
     `residues` works out from q and the coefficient denominators."""
     q, stream = residues(polys, thetas)
     period = list(stream)
+    n_count = len(period) if n_count is None else n_count
     cycles, remainder = divmod(n_count, len(period))
     counts = [0] * q
     for i, j in enumerate(period):
         counts[j] += cycles + (i < remainder)
-    return RootOfUnityMean(q, tuple(counts), n_count)
+    return RootOfUnityMean(q, tuple(counts), n_count, phase)

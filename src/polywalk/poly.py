@@ -1,29 +1,26 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite map from exponent tuples to non-zero Fraction
-coefficients, together with an ordered tuple of variable names.  The
-representation is canonical: no zero coefficients are stored, coefficients
-are Fractions (always in lowest terms with positive denominator), and two
-values compare equal exactly when they denote the same polynomial, even if
-their variable universes differ by unused names.
+A polynomial is an ordered tuple of variable names and a pair: a
+denominator D and a map from exponent tuples to non-zero integer
+numerators, the coefficient of x^e being numerators[e] / D.  The pair is
+in lowest terms: D > 0 and gcd(D, every numerator) = 1, so D is the lcm
+of the coefficients' denominators (1 for zero) and the pair is unique.
+Two values compare equal exactly when they denote the same polynomial,
+even if their variable universes differ by unused names.  `terms`, the
+coefficients as Fractions, is a read-only view built only when read.
 
-Products, powers and substitution run on integer numerators, as in
-Monagan and Pearce, "Sparse polynomial multiplication and division in
-Maple 14" (2010).  Each operand is scaled by the lcm L of its coefficient
-denominators, the sums of products are taken over plain ints, and every
-result coefficient is built once, as Fraction(c, D) with D the product of
-the scales (for a substitution, D = L * prod L_i^m_i, m_i the degree in
+Products, powers and substitution run on the numerators, as in Monagan
+and Pearce, "Sparse polynomial multiplication and division in Maple 14"
+(2010): sums of products of ints over the product of the operands'
+denominators (for a substitution, D = L * prod L_i^m_i, L and L_i the
+denominators of the polynomial and of the bindings, m_i its degree in
 the i-th bound variable).  A one-term power is {e*n: c**n} at once.
 Monomials stay exponent tuples; packing them into one int measured no
-faster here.
-
-These results skip the checks of the public constructor, through
-MPoly._trusted.  Its invariant: the operands are canonical, so the
-variables are distinct and every exponent tuple has the right length and
-non-negative entries; zero numerators are dropped, and Fraction(c, D)
-reduces c/D to lowest terms with a positive denominator, so the result
-is canonical too.  Sums, negation and `extend` rely on the same
-invariant.  The coefficients a caller sees are always exact Fractions.
+faster here.  `_lowest_terms` then drops zero numerators and divides the
+pair by its gcd, signed as D, which makes D > 0 (negation passes -D).
+It trusts the operands to be canonical: distinct variables, and exponent
+tuples of the right length with non-negative entries.  Results that stay
+in lowest terms, such as `extend`, skip it through `MPoly._trusted`.
 
 Terms print in graded lexicographic order (total degree descending, then
 lexicographic by the declared variable order), which keeps printing and
@@ -36,8 +33,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -65,17 +63,9 @@ class UnknownIdentifierError(PolySyntaxError):
         self.name = name
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
 def _ratio(value) -> tuple[int, int]:
-    """Numerator and denominator of an int or Fraction, with the TypeError
-    of `_as_fraction`."""
+    """Numerator and denominator of an int or Fraction (a TypeError for
+    anything else)."""
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, int):
@@ -84,43 +74,56 @@ def _ratio(value) -> tuple[int, int]:
 
 
 class MPoly:
-    """Immutable sparse multivariate polynomial with Fraction coefficients."""
+    """Immutable sparse multivariate polynomial over the rationals, stored
+    as the pair (`denominator`, `numerators`) in lowest terms (module
+    docstring).  `terms` reads the coefficients as Fractions."""
 
-    __slots__ = ("vars", "terms", "_canon", "_hash")
+    __slots__ = ("vars", "denominator", "numerators", "_terms")
 
-    def __init__(self, vars: Iterable[str], terms: Mapping[tuple[int, ...], Fraction]):
+    def __new__(cls, vars: Iterable[str], terms: Mapping[tuple[int, ...], Fraction]):
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise ValueError(f"duplicate variable names in {vars}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], tuple[int, int]] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != len(vars):
                 raise ValueError(f"exponent tuple {exps} does not match variables {vars}")
             if exps and min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            coeff = _as_fraction(coeff)
-            if coeff:
-                clean[exps] = coeff
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_hash", None)
+            num, den = _ratio(coeff)
+            if num:
+                clean[exps] = num, den
+        # Lowest terms over L: a prime power exactly dividing L exactly
+        # divides some den, so the prime divides neither num nor L // den.
+        L = lcm(*(den for _, den in clean.values()))
+        return cls._trusted(vars, L, {e: num * (L // den) for e, (num, den) in clean.items()})
 
     @classmethod
-    def _trusted(cls, vars: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> MPoly:
-        """A result computed from canonical inputs (module docstring):
-        `vars` distinct, `terms` non-zero Fractions keyed by exponent
-        tuples of len(vars) non-negative ints.  Skips the checks."""
+    def _trusted(cls, vars: tuple[str, ...], denominator: int, numerators: dict) -> MPoly:
+        """A pair already in lowest terms over canonical `vars` and exponent
+        tuples (module docstring).  Skips every check."""
         self = object.__new__(cls)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_hash", None)
+        set_ = object.__setattr__
+        set_(self, "vars", vars)
+        set_(self, "denominator", denominator)
+        set_(self, "numerators", numerators)
+        set_(self, "_terms", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """The non-zero coefficients as Fractions, keyed by exponent tuple:
+        a read-only view, built on the first read and kept."""
+        view = self._terms
+        if view is None:
+            d = self.denominator
+            view = MappingProxyType({e: Fraction(c, d) for e, c in self.numerators.items()})
+            object.__setattr__(self, "_terms", view)
+        return view
 
     # -- constructors -------------------------------------------------
 
@@ -131,7 +134,7 @@ class MPoly:
     @classmethod
     def const(cls, vars: Iterable[str], value) -> MPoly:
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): _as_fraction(value)})
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
     def var(cls, vars: Iterable[str], name: str) -> MPoly:
@@ -143,91 +146,84 @@ class MPoly:
 
     # -- canonical view (universe independent) ------------------------
 
-    def _canonical(self) -> frozenset:
-        # Monomials keyed by (name, exponent) pairs with zero exponents
-        # dropped, so unused universe variables do not affect equality.
-        cached = object.__getattribute__(self, "_canon")
-        if cached is None:
-            cached = frozenset(
-                (frozenset((v, e) for v, e in zip(self.vars, exps) if e), coeff)
-                for exps, coeff in self.terms.items()
-            )
-            object.__setattr__(self, "_canon", cached)
-        return cached
+    def _canonical(self) -> tuple:
+        # The denominator, and the numerators keyed by (name, exponent)
+        # pairs with zero exponents dropped, so unused universe variables
+        # do not affect equality.
+        return (self.denominator, frozenset(
+            (frozenset((v, e) for v, e in zip(self.vars, exps) if e), c)
+            for exps, c in self.numerators.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
+        if self.vars == other.vars:   # one universe: the stored pairs decide
+            return (self.denominator, self.numerators) == (other.denominator, other.numerators)
         return self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        cached = object.__getattribute__(self, "_hash")
-        if cached is None:
-            cached = hash(self._canonical())
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return hash(self._canonical())
 
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def support(self) -> tuple[str, ...]:
         """Variables that actually occur, in universe order."""
-        used = [False] * len(self.vars)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
+        used = {i for exps in self.numerators for i, e in enumerate(exps) if e}
+        return tuple(v for i, v in enumerate(self.vars) if i in used)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.numerators), default=0)
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.numerators), default=0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.numerators.get((0,) * len(self.vars), 0), self.denominator)
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.denominator == 1
 
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other) -> MPoly:
         if isinstance(other, MPoly):
             if other.vars != self.vars:
-                raise ValueError(
-                    f"variable universes differ: {self.vars} vs {other.vars}"
-                )
+                raise ValueError(f"variable universes differ: {self.vars} vs {other.vars}")
             return other
         return MPoly.const(self.vars, other)
 
+    def _combine(self, other: MPoly, sign: int) -> MPoly:
+        """self + sign * other, over the lcm of the two denominators."""
+        den = lcm(self.denominator, other.denominator)
+        f, g = den // self.denominator, sign * (den // other.denominator)
+        out = {e: c * f for e, c in self.numerators.items()}
+        get = out.get
+        for e, c in other.numerators.items():
+            out[e] = get(e, 0) + c * g
+        return _lowest_terms(self.vars, out, den)
+
     def __add__(self, other) -> MPoly:
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return MPoly._trusted(self.vars, {e: c for e, c in out.items() if c})
+        return self._combine(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return _lowest_terms(self.vars, self.numerators, -self.denominator)
 
     def __sub__(self, other) -> MPoly:
-        return self + (-self._coerce(other))
+        return self._combine(self._coerce(other), -1)
 
     def __rsub__(self, other) -> MPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> MPoly:
         other = self._coerce(other)
-        la, a = _numerators(self.terms)
-        lb, b = _numerators(other.terms)
-        return _from_numerators(self.vars, _mul_into({}, a, b), la * lb)
+        return _lowest_terms(self.vars, _mul_into({}, self.numerators, other.numerators),
+                             self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -236,8 +232,7 @@ class MPoly:
             raise ValueError(f"exponent must be a non-negative integer, got {n!r}")
         if n == 0:
             return MPoly.const(self.vars, 1)
-        scale, a = _numerators(self.terms)
-        return _from_numerators(self.vars, _int_pow(a, n), scale ** n)
+        return _lowest_terms(self.vars, _int_pow(self.numerators, n), self.denominator ** n)
 
     # -- universe management ---------------------------------------------
 
@@ -252,12 +247,12 @@ class MPoly:
                 raise ValueError(f"extension {vars} drops variable '{v}'")
             positions.append(vars.index(v))
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, c in self.numerators.items():
             key = [0] * len(vars)
             for pos, e in zip(positions, exps):
                 key[pos] = e
-            out[tuple(key)] = coeff
-        return MPoly._trusted(vars, out)
+            out[tuple(key)] = c
+        return MPoly._trusted(vars, self.denominator, out)
 
     # -- substitution and evaluation --------------------------------------
 
@@ -286,29 +281,30 @@ class MPoly:
                         target.append(w)
         target_t = tuple(target)
 
-        # Over D = L * prod L_i^m_i (L, L_i the scales of self and of the
+        # Over D = L * prod L_i^m_i (L, L_i the denominators of self and of the
         # bindings, m_i the degree of self in its i-th variable) a term
         # c * prod x_i^e_i adds (L c) * prod L_i^(m_i - e_i) * prod F_i^e_i,
         # F_i = L_i * binding_i, all in integers.
         width = len(target_t)
-        degrees = [max((e[i] for e in self.terms), default=0) for i in range(len(self.vars))]
+        degrees = [max((e[i] for e in self.numerators), default=0) for i in range(len(self.vars))]
         factors: list[tuple[int, dict] | None] = []
         for v, m in zip(self.vars, degrees):
             if not m:
                 factors.append(None)
             elif v in bindings:
-                factors.append(_numerators(bindings[v].extend(target_t).terms))
+                binding = bindings[v].extend(target_t)
+                factors.append((binding.denominator, binding.numerators))
             else:
                 factors.append((1, {tuple(int(w == v) for w in target_t): 1}))
         lifted = [(i, f[0], m) for i, (f, m) in enumerate(zip(factors, degrees))
                   if f is not None and f[0] != 1]
-        denominator, numerators = _numerators(self.terms)
+        denominator = self.denominator
         for _, scale, m in lifted:
             denominator *= scale ** m
         powers: dict[tuple[int, int], dict] = {}
         one = {(0,) * width: 1}
         out: dict[tuple[int, ...], int] = {}
-        for exps, c in numerators.items():
+        for exps, c in self.numerators.items():
             for i, scale, m in lifted:
                 c *= scale ** (m - exps[i])
             product = last = one
@@ -320,16 +316,16 @@ class MPoly:
                     if last is None:
                         last = powers[i, e] = _int_pow(factors[i][1], e)
             _mul_into(out, product, last, c)
-        return _from_numerators(target_t, out, denominator)
+        return _lowest_terms(target_t, out, denominator)
 
     def eval(self, point: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at a rational point; every occurring variable must be bound."""
         values = []
         for i, v in enumerate(self.vars):
             if v in point:
-                values.append(_as_fraction(point[v]))
+                values.append(Fraction(*_ratio(point[v])))
             else:
-                if any(e[i] for e in self.terms):
+                if any(e[i] for e in self.numerators):
                     raise ValueError(f"unbound variable '{v}'")
                 values.append(Fraction(0))
         total = Fraction(0)
@@ -368,8 +364,8 @@ class MPoly:
         is an integer, and so is p(b).  At b = a*, every a <= a* other than
         a* comes before it, and C(a*, a*) = 1, so p(a*) is an integer plus
         m_a*: not an integer.  So p is integer-valued iff it is an integer
-        on its degree grid.  With L the lcm of the coefficient
-        denominators, L * m_a is an integer, and m_a is one exactly when L
+        on its degree grid.  With L the denominator of the stored
+        pair, L * m_a is an integer, and m_a is one exactly when L
         divides it.  The rewrite takes, per variable, at most sum over the
         terms of prod (e_i + 1) products and deg_i^2 / 2 steps of one
         Stirling row, against the prod (deg_i + 1) evaluations of every
@@ -377,8 +373,7 @@ class MPoly:
         """
         if self.has_integer_coefficients():
             return IntegralityCertificate(True, None)
-        L, scaled = _numerators(self.terms)
-        coords = scaled
+        L, coords = self.denominator, self.numerators
         for i in range(len(self.vars)):
             coords = _to_binomial_basis(coords, i)
         bad = [a for a, x in coords.items() if x % L]
@@ -388,20 +383,19 @@ class MPoly:
 
     # -- printing ----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        # Graded lex: total degree descending, then exponent vector descending
-        # in the declared variable order (exponent tuples are distinct, so
-        # reversing the ascending order gives exactly that).
-        return sorted(self.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True)
-
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.numerators:
             return "0"
         pieces: list[str] = []
-        for exps, coeff in self.sorted_terms():
+        # Graded lex: total degree descending, then exponent vector
+        # descending in the declared variable order (exponent tuples are
+        # distinct, so reversing the ascending order gives exactly that).
+        for exps, c in sorted(self.numerators.items(), key=lambda it: (sum(it[0]), it[0]),
+                              reverse=True):
             monomial = "*".join([v if e == 1 else f"{v}^{e}"
                                  for v, e in zip(self.vars, exps) if e])
-            num, den = coeff.numerator, coeff.denominator
+            g = gcd(c, self.denominator)
+            num, den = c // g, self.denominator // g
             negative = num < 0
             if negative:
                 num = -num
@@ -442,17 +436,19 @@ class IntegralityCertificate:
         return f"IntegralityCertificate({status})"
 
 
-def _numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, dict]:
-    """The lcm L of the coefficient denominators, and the coefficients
-    times L as ints."""
-    L = lcm(*(c.denominator for c in terms.values()))
-    return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
-
-
-def _from_numerators(vars: tuple[str, ...], numerators: dict, denominator: int) -> MPoly:
-    """The polynomial with coefficients numerator / denominator."""
-    return MPoly._trusted(
-        vars, {e: Fraction(c, denominator) for e, c in numerators.items() if c})
+def _lowest_terms(vars: tuple[str, ...], numerators: dict, denominator: int) -> MPoly:
+    """The polynomial with coefficients numerators[e] / denominator, for a
+    non-zero denominator: zero numerators dropped, then the pair divided by
+    its gcd, signed as the denominator, so the denominator is positive."""
+    if 0 in numerators.values():
+        numerators = {e: c for e, c in numerators.items() if c}
+    g = gcd(denominator, *numerators.values())
+    if denominator < 0:
+        g = -g
+    if g != 1:
+        denominator //= g
+        numerators = {e: c // g for e, c in numerators.items()}
+    return MPoly._trusted(vars, denominator, numerators)
 
 
 def _mul_into(out: dict, a: dict, b: dict, scale: int = 1) -> dict:
@@ -677,17 +673,17 @@ class PolyVector:
         return tuple(p.eval(point) for p in self.entries)
 
     def _numerator_form(self) -> tuple[list, list[int], list[list[int]]]:
-        """Per entry its scale L, its (exponents, numerator) pairs and the
+        """Per entry its denominator L, its (exponents, numerator) pairs and the
         indices of its variables; per variable its largest exponent M_i and
         its exponents in use.  Computed once per vector."""
         form = object.__getattribute__(self, "_form")
         if form is None:
             entries = []
             for p in self.entries:
-                L, terms = _numerators(p.terms)
-                entries.append((L, tuple(terms.items()), tuple(
+                terms = p.numerators
+                entries.append((p.denominator, tuple(terms.items()), tuple(
                     i for i in range(len(self.vars)) if any(e[i] for e in terms))))
-            exponents = [sorted({e[i] for p in self.entries for e in p.terms})
+            exponents = [sorted({e[i] for p in self.entries for e in p.numerators})
                          for i in range(len(self.vars))]
             form = entries, [max(used, default=0) for used in exponents], exponents
             object.__setattr__(self, "_form", form)
@@ -696,8 +692,8 @@ class PolyVector:
     def eval_int(self, point: Mapping[str, Fraction | int]) -> tuple[int, ...]:
         """The values of `eval` as ints, in integer arithmetic only.
 
-        Entry k is read on its integer numerators c_e over the lcm L_k of
-        its denominators (`_numerator_form`).  At x_i = a_i / b_i, with M_i
+        Entry k is read on its stored pair, integer numerators c_e over
+        the denominator L_k (`_numerator_form`).  At x_i = a_i / b_i, with M_i
         the largest exponent of x_i in the vector, its value is
         N_k / (L_k prod_i b_i^M_i), where
             N_k = sum_e c_e prod_i a_i^e_i b_i^(M_i - e_i),

@@ -15,8 +15,7 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, Sequence
 
-from .poly import (MPoly, PolyVector, _from_numerators, _numerators,
-                   is_reserved_time_name, poly_parse)
+from .poly import MPoly, PolyVector, _lowest_terms, is_reserved_time_name, poly_parse
 
 TIME = "t"
 
@@ -70,7 +69,8 @@ class Walk:
     def _check_identity_at_zero(self):
         # an entry at t = 0 is its terms free of t, over the coordinates
         for name, entry in zip(self.coords, self.entries):
-            at0 = MPoly(self.coords, {e[1:]: c for e, c in entry.terms.items() if not e[0]})
+            at0 = _lowest_terms(self.coords, {e[1:]: c for e, c in entry.numerators.items()
+                                              if not e[0]}, entry.denominator)
             expected = MPoly.var(self.coords, name)
             if at0 != expected:
                 raise ValueError(
@@ -143,17 +143,16 @@ class Walk:
         Binding t -> n and every coordinate to its integer entry of v is a
         monomial map: a term c * t^a * prod x_i^e_i goes to
         c * prod v_i^e_i at n^a.  So each entry's integer numerators are
-        summed by their exponent of t and divided by the entry's common
-        denominator once."""
+        summed by their exponent of t over the entry's denominator, and
+        the sums are put in lowest terms once."""
         self.check_vector(v)
         entries = []
         for p in self.entries:
-            denominator, numerators = _numerators(p.terms)
             sums: dict[tuple[int], int] = {}
-            for exps, c in numerators.items():
+            for exps, c in p.numerators.items():
                 key = exps[:1]
                 sums[key] = sums.get(key, 0) + c * prod(map(pow, v, exps[1:]))
-            entries.append(_from_numerators((var,), sums, denominator))
+            entries.append(_lowest_terms((var,), sums, p.denominator))
         return PolyVector(entries)
 
     # -- serialization ----------------------------------------------------
@@ -259,7 +258,8 @@ def walk_scaling_certificate(walk: Walk) -> ScalingCertificate:
         c = entry.constant_term()
         if c:
             return ScalingCertificate(False, (abs(c.numerator) + 1, 0, (0,) * walk.dim))
-        scaled = MPoly(universe, {(sum(e) - 1, *e): coeff for e, coeff in entry.terms.items()})
+        scaled = MPoly._trusted(universe, entry.denominator,
+                                {(sum(e) - 1, *e): c for e, c in entry.numerators.items()})
         cert = scaled.substitute(shift).integer_valued()
         if not cert:
             point = cert.witness

@@ -23,7 +23,7 @@ from polywalk.cli import (
     main,
     parse_walk_spec,
 )
-from polywalk.poly import poly_parse_auto
+from polywalk.poly import MPoly, poly_parse_auto
 from polywalk.walks import Walk
 
 
@@ -135,6 +135,22 @@ def test_construct_walk_stdout_golden(capsys, gens, v, digest):
     argv = ["construct-walk"] + [a for g in gens for a in ("--gen", g)] + [f"--v={v}"]
     code, out, _ = run(capsys, *argv)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_construct_walk_never_reads_the_fraction_view(capsys, monkeypatch):
+    # signature (2,3), generator walks included, runs on the stored integer
+    # pairs: reading MPoly.terms fails the run, and the certificate is the
+    # golden one
+    def refuse(p):
+        raise AssertionError(f"MPoly.terms read on {p}")
+
+    generators.signature_form_walks.cache_clear()
+    monkeypatch.setattr(MPoly, "terms", property(refuse))
+    gens, v, digest = CONSTRUCT_GOLDEN[3]
+    code, out, err = run(capsys, "construct-walk", *(a for g in gens for a in ("--gen", g)),
+                         f"--v={v}")
+    assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -653,6 +653,19 @@ def test_strip_index_counts_a_one_dimensional_arc_end_inside():
     assert _StripIndex(box, [(0.0,)], 1).count([0.3]) == (1, 1)
 
 
+def test_strip_index_tests_every_other_coordinate_on_a_crossing_strip():
+    # One strip, x = 0: its coordinate-0 values 0.35..0.45 cross the arc
+    # end 0.4, so its members are tested on coordinate 0 and on 2..d-1.
+    # The second member lies in the shrunk key arc and inside on coordinate
+    # 0, but outside on coordinate 2; only the third one is in the box.
+    box = BoxIndicator.of([F(1, 2)] * 3, [F(1, 10)] * 3)
+    offsets = [(0.35, 0.5, 0.5), (0.45, 0.5, 0.9), (0.45, 0.5, 0.5)]
+    index = _StripIndex(box, offsets, 2)
+    assert len(index.strips) == 1
+    assert index.count([0.0] * 3) == (1, 0) == (
+        _shifted_box_hits(box, [0.0] * 3, offsets), _shifted_box_hits(box, [0.0] * 3, offsets[:2]))
+
+
 def test_strip_index_rejects_a_far_offset():
     box = BoxIndicator.of([0, 0], [F(1, 5), F(1, 5)])
     with pytest.raises(ValueError, match="outside"):

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polywalk.fleeing import _collapse
 from polywalk.poly import (
     MPoly,
     PolySyntaxError,
@@ -18,6 +19,7 @@ from polywalk.poly import (
     poly_parse,
     poly_parse_auto,
 )
+from polywalk.walks import Walk
 
 F = Fraction
 
@@ -389,6 +391,35 @@ def test_substitute_matches_fraction_oracle(case):
     _assert_canonical_equal(p.substitute(bindings), expected)
 
 
+def _assert_lowest_terms(p: MPoly):
+    # the stored pair: a positive int denominator coprime to the non-zero
+    # int numerators as a whole (the zero polynomial is 1 over no terms)
+    assert type(p.denominator) is int and p.denominator > 0
+    assert all(type(c) is int and c for c in p.numerators.values())
+    assert gcd(p.denominator, *p.numerators.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_case(), st.integers(0, 5), _kernel_substitution_case(), st.data())
+def test_every_result_is_stored_in_lowest_terms(case, n, substitution, data):
+    p, q = case
+    results = [p * q, p * F(-3, 4), p ** n, p + q, p - q, 2 - p, -p, p.extend(p.vars + ("w",))]
+    s, bindings = substitution
+    try:
+        results.append(s.substitute(bindings))
+    except ValueError:
+        pass   # a binding that collides with a retained variable
+    coords = ("x", "y")
+    entries = [data.draw(_kernel_poly(("t",) + coords)) for _ in coords]
+    v = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    results += Walk(entries, coords, check=False).orbit_poly(v)
+    # exponents may coincide, so collapsing can merge and cancel terms
+    orbit = PolyVector([data.draw(_kernel_poly(("t1", "t2"))) for _ in range(2)])
+    results += _collapse(orbit, data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    for result in results:
+        _assert_lowest_terms(result)
+
+
 def test_constructor_rejects_duplicate_variables():
     with pytest.raises(ValueError, match=r"duplicate variable names in \('x', 'x'\)"):
         MPoly(("x", "x"), {})
@@ -654,7 +685,8 @@ def _reference_str(p: MPoly) -> str:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
     pieces = []
-    for index, (exps, coeff) in enumerate(p.sorted_terms()):
+    graded = sorted(p.terms.items(), key=lambda it: (sum(it[0]), it[0]), reverse=True)
+    for index, (exps, coeff) in enumerate(graded):
         monomial = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exps) if e)
         mag = abs(coeff)
         if monomial and mag == 1:
