@@ -47,7 +47,7 @@ from .generators import (
     unipotent_walk,
     xy_minus_P_walks,
 )
-from .kernel import check_orbit
+from .kernel import check_orbit, orbit_var
 from .lab import (
     COROLLARIES,
     BohrSet,
@@ -384,7 +384,7 @@ def cmd_correlate(args):
         if k != 1:
             scaled = []
             for orbit in orbits:
-                var = orbit.vars[0] if orbit.vars else "n"
+                var = orbit_var(orbit)
                 scaled.append(orbit.substitute({var: MPoly.var((var,), var) * k}))
         est = correlation_average(system, box, scaled, n_counts, samples=samples,
                                   replicates=replicates, seed=seed)

@@ -20,7 +20,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .generators import kernel_basis
-from .poly import MPoly, PolyVector, _lowest_terms
+from .poly import MPoly, PolyVector
 from .walks import TIME, Walk
 
 
@@ -211,19 +211,12 @@ def construct_fleeing_walk(
 
 
 def _collapse(orbit: PolyVector, exponents: tuple[int, ...]) -> PolyVector:
-    """Substitute t_k -> n^(e_k): a monomial map, t^a -> n^<a, e>, so each
-    entry's integer numerators are summed by their new exponent over the
-    entry's denominator, and the sums are put in lowest terms once."""
+    """Substitute t_k -> n^(e_k): the monomial map t^a -> n^<a, e>
+    (`MPoly.map_monomials`), which sums the terms landing on one power."""
     by_name = {time_var(k): e for k, e in enumerate(exponents, start=1)}
     weights = [by_name[name] for name in orbit.vars]
-    entries = []
-    for p in orbit:
-        sums: dict[tuple[int], int] = {}
-        for exps, c in p.numerators.items():
-            key = (sum(map(mul, exps, weights)),)
-            sums[key] = sums.get(key, 0) + c
-        entries.append(_lowest_terms(("n",), sums, p.denominator))
-    return PolyVector(entries)
+    return PolyVector([p.map_monomials(("n",), lambda e: (sum(map(mul, e, weights)),))
+                       for p in orbit])
 
 
 def _build_final_walk(gens: Sequence[Walk], exponents: tuple[int, ...]) -> Walk:

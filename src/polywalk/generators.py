@@ -292,23 +292,14 @@ def secant_quotient(p: MPoly, var: str, shift: MPoly, denominator: str) -> MPoly
     subs[var] = MPoly.var(shift.vars, var) + shift
     numerator = p.substitute(subs) - p.extend(shift.vars)
     idx = numerator.vars.index(denominator)
-    out = {}
-    for exps, c in numerator.numerators.items():
+
+    def divided(exps):
         if exps[idx] == 0:
-            raise ArithmeticError(
-                f"monomial {exps} lacks '{denominator}'; division is not exact"
-            )
-        key = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]
-        out[key] = c
-    return MPoly._trusted(numerator.vars, numerator.denominator, out)
+            raise ArithmeticError(f"monomial {exps} lacks '{denominator}'; "
+                                  "division is not exact")
+        return exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]
 
-
-def _to_single_var(p: MPoly, var: str) -> MPoly:
-    if p.vars == (var,):
-        return p
-    idx = p.vars.index(var)
-    return MPoly._trusted((var,), p.denominator,
-                          {(exps[idx],): c for exps, c in p.numerators.items()})
+    return numerator.map_monomials(numerator.vars, divided)
 
 
 @cache
@@ -322,7 +313,7 @@ def xy_minus_P_walks(p: MPoly) -> tuple[Walk, Walk]:
     process, as `signature_form_walks` is."""
     var = p.support()[0] if p.support() else "z"
     _require_admissible(p, var)
-    p = _to_single_var(p, var)
+    i = p.vars.index(var)
 
     coords = ("x", "y", "z")
     universe = (TIME,) + coords
@@ -331,15 +322,15 @@ def xy_minus_P_walks(p: MPoly) -> tuple[Walk, Walk]:
     z = MPoly.var(universe, "z")
     t = MPoly.var(universe, TIME)
 
-    h_x = secant_quotient(p.substitute({var: z}), "z", t * x, "x")
-    h_y = secant_quotient(p.substitute({var: z}), "z", t * y, "y")
+    p_of_z = p.map_monomials(universe, lambda e: (0, 0, 0, e[i]))   # var^a -> z^a
+    h_x = secant_quotient(p_of_z, "z", t * x, "x")
+    h_y = secant_quotient(p_of_z, "z", t * y, "y")
 
     s1 = Walk([x, y + h_x, z + t * x], coords)
     s2 = Walk([x + h_y, y, z + t * y], coords)
 
-    form = MPoly.var(coords, "x") * MPoly.var(coords, "y") - p.substitute(
-        {var: MPoly.var(coords, "z")}
-    ).extend(coords)
+    form = (MPoly.var(coords, "x") * MPoly.var(coords, "y")
+            - p.map_monomials(coords, lambda e: (0, 0, e[i])))
     for walk in (s1, s2):
         if not preserves(form, walk):
             raise AssertionError("constructed walk fails to preserve x*y - P(z)")

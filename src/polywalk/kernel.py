@@ -123,6 +123,11 @@ def _blocks(columns: list[list[int]], count: int, moduli=None) -> Iterator[list[
         yield block
 
 
+def orbit_var(polys: PolyVector) -> str:
+    """The variable an orbit runs in: its first, or "n" if it has none."""
+    return polys.vars[0] if polys.vars else "n"
+
+
 def orbit_points(polys: PolyVector, count: int) -> Iterator[tuple[int, ...]]:
     """The exact integer points p(1), ..., p(count).
 
@@ -130,7 +135,7 @@ def orbit_points(polys: PolyVector, count: int) -> Iterator[tuple[int, ...]]:
     ValueError if p is not integer-valued: a polynomial of degree D that
     is integral at D + 1 consecutive integers is integral everywhere).
     Later points cost D big-integer additions per coordinate."""
-    var = polys.vars[0] if polys.vars else "n"
+    var = orbit_var(polys)
     head = []
     for n in range(1, 1 + min(count, polys.max_degree() + 1)):
         head.append(polys.eval_int({var: n}))

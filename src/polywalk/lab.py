@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .fleeing import construct_fleeing_walk
 from .generators import bogolubov_walk, kernel_basis, xy_minus_P_walks
-from .kernel import fixed_phases, orbit_points, phases, residues
+from .kernel import fixed_phases, orbit_points, orbit_var, phases, residues
 from .poly import MPoly, PolyVector, poly_parse
 from .reals import DIGITS, FixedRow, Real, RootOfUnityMean
 from .walks import Walk
@@ -226,7 +226,7 @@ class BohrSet(Torus):
         moduli, blocks = fixed_phases(polys, self.rows, count, DIGITS)
         phases = chain.from_iterable(zip(*block) for block in blocks)
         return _verdicts(phases, _bounds(moduli, self.rows, self.radii),
-                         lambda i: polys.eval_int({"n": i + 1}))
+                         lambda i: polys.eval_int({orbit_var(polys): i + 1}))
 
     def describe(self) -> str:
         rows = "; ".join(
@@ -282,7 +282,7 @@ def twisted_search(
     check_n_max(n_max)
     for n, verdict in enumerate(oracle.difference_verdicts(polys, n_max), start=1):
         if verdict:
-            return SearchResult(Status.FOUND, n, polys.eval_int({"n": n}))
+            return SearchResult(Status.FOUND, n, polys.eval_int({orbit_var(polys): n}))
     return SearchResult(Status.EXHAUSTED, None, None)
 
 

@@ -19,8 +19,8 @@ Monomials stay exponent tuples; packing them into one int measured no
 faster here.  `_lowest_terms` then drops zero numerators and divides the
 pair by its gcd, signed as D, which makes D > 0 (negation passes -D).
 It trusts the operands to be canonical: distinct variables, and exponent
-tuples of the right length with non-negative entries.  Results that stay
-in lowest terms, such as `extend`, skip it through `MPoly._trusted`.
+tuples of the right length with non-negative entries.  Every monomial
+map (t -> n^a, x -> v, a new universe) goes through `MPoly.map_monomials`.
 
 Terms print in graded lexicographic order (total degree descending, then
 lexicographic by the declared variable order), which keeps printing and
@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from operator import add
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -81,9 +81,7 @@ class MPoly:
     __slots__ = ("vars", "denominator", "numerators", "_terms")
 
     def __new__(cls, vars: Iterable[str], terms: Mapping[tuple[int, ...], Fraction]):
-        vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise ValueError(f"duplicate variable names in {vars}")
+        vars = _universe(vars)
         clean: dict[tuple[int, ...], tuple[int, int]] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
@@ -114,6 +112,9 @@ class MPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
+    def __reduce__(self):
+        return MPoly._trusted, (self.vars, self.denominator, self.numerators)
+
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
         """The non-zero coefficients as Fractions, keyed by exponent tuple:
@@ -129,20 +130,20 @@ class MPoly:
 
     @classmethod
     def zero(cls, vars: Iterable[str]) -> MPoly:
-        return cls(vars, {})
+        return cls._trusted(_universe(vars), 1, {})
 
     @classmethod
     def const(cls, vars: Iterable[str], value) -> MPoly:
-        vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): value})
+        vars = _universe(vars)
+        num, den = _ratio(value)
+        return cls._trusted(vars, den, {(0,) * len(vars): num} if num else {})
 
     @classmethod
     def var(cls, vars: Iterable[str], name: str) -> MPoly:
-        vars = tuple(vars)
+        vars = _universe(vars)
         if name not in vars:
             raise ValueError(f"variable '{name}' not in universe {vars}")
-        exps = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {exps: Fraction(1)})
+        return cls._trusted(vars, 1, {tuple(int(v == name) for v in vars): 1})
 
     # -- canonical view (universe independent) ------------------------
 
@@ -234,25 +235,33 @@ class MPoly:
             return MPoly.const(self.vars, 1)
         return _lowest_terms(self.vars, _int_pow(self.numerators, n), self.denominator ** n)
 
-    # -- universe management ---------------------------------------------
+    # -- universe management and monomial maps ---------------------------
 
     def extend(self, vars: Iterable[str]) -> MPoly:
         """Re-express over a universe that contains every current variable."""
         vars = tuple(vars)
         if vars == self.vars:
             return self
-        positions = []
         for v in self.vars:
             if v not in vars:
                 raise ValueError(f"extension {vars} drops variable '{v}'")
-            positions.append(vars.index(v))
-        out = {}
-        for exps, c in self.numerators.items():
-            key = [0] * len(vars)
-            for pos, e in zip(positions, exps):
-                key[pos] = e
-            out[tuple(key)] = c
-        return MPoly._trusted(vars, self.denominator, out)
+        if not self.vars:   # past this, vars has 2+ names and itemgetter gives tuples
+            return MPoly.const(vars, self.constant_term())
+        # index len(self.vars) reads the 0 appended to each exponent tuple
+        get = itemgetter(*(self.vars.index(v) if v in self.vars else len(self.vars) for v in vars))
+        return self.map_monomials(vars, lambda e: get((*e, 0)))
+
+    def map_monomials(self, vars: Iterable[str], key, weight=None) -> MPoly:
+        """sum_e weight(e) * c_e * x^key(e) over `vars`, c_e x^e the terms
+        of self and weight(e) an int (1 when None): terms with one key are
+        summed, and the pair is reduced once.  `key` returns exponent tuples
+        of len(vars) with entries >= 0, or raises to reject a term."""
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for e, c in self.numerators.items():
+            k = key(e)
+            out[k] = get(k, 0) + (c if weight is None else c * weight(e))
+        return _lowest_terms(_universe(vars), out, self.denominator)
 
     # -- substitution and evaluation --------------------------------------
 
@@ -434,6 +443,14 @@ class IntegralityCertificate:
     def __repr__(self) -> str:
         status = "integral" if self.integral else f"non-integral (witness {self.witness})"
         return f"IntegralityCertificate({status})"
+
+
+def _universe(vars: Iterable[str]) -> tuple[str, ...]:
+    """The variable names as a tuple; a ValueError if any repeats."""
+    vars = tuple(vars)
+    if len(set(vars)) != len(vars):
+        raise ValueError(f"duplicate variable names in {vars}")
+    return vars
 
 
 def _lowest_terms(vars: tuple[str, ...], numerators: dict, denominator: int) -> MPoly:
@@ -648,6 +665,9 @@ class PolyVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyVector is immutable")
+
+    def __reduce__(self):
+        return PolyVector, (self.entries,)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -12,10 +12,11 @@ underlying objects are semigroups of maps, not groups).
 
 from __future__ import annotations
 
+from functools import partial
 from math import prod
 from typing import Iterable, Sequence
 
-from .poly import MPoly, PolyVector, _lowest_terms, is_reserved_time_name, poly_parse
+from .poly import MPoly, PolyVector, is_reserved_time_name, poly_parse
 
 TIME = "t"
 
@@ -66,11 +67,14 @@ class Walk:
     def __setattr__(self, name, value):
         raise AttributeError("Walk is immutable")
 
+    def __reduce__(self):
+        # every Walk passed its checks when it was built
+        return partial(Walk, check=False), (tuple(self.entries), self.coords)
+
     def _check_identity_at_zero(self):
         # an entry at t = 0 is its terms free of t, over the coordinates
         for name, entry in zip(self.coords, self.entries):
-            at0 = _lowest_terms(self.coords, {e[1:]: c for e, c in entry.numerators.items()
-                                              if not e[0]}, entry.denominator)
+            at0 = entry.map_monomials(self.coords, lambda e: e[1:], lambda e: not e[0])
             expected = MPoly.var(self.coords, name)
             if at0 != expected:
                 raise ValueError(
@@ -120,11 +124,8 @@ class Walk:
             raise ValueError(f"reparametrization power must be >= 1, got {power}")
         if power == 1:
             return self
-        universe = (TIME,) + self.coords
-        t = MPoly.var(universe, TIME)
-        bindings = {TIME: t ** power}
-        return Walk([p.substitute(bindings) for p in self.entries], self.coords,
-                    check=False)
+        return Walk([p.map_monomials(p.vars, lambda e: (e[0] * power, *e[1:]))
+                     for p in self.entries], self.coords, check=False)
 
     def time_scale(self, k: int) -> Walk:
         """The walk n -> self(k*n), k >= 1 (keeps orbits of k*Z^d inside k*Z^d)."""
@@ -132,28 +133,18 @@ class Walk:
             raise ValueError(f"time scale must be >= 1, got {k}")
         if k == 1:
             return self
-        universe = (TIME,) + self.coords
-        bindings = {TIME: MPoly.var(universe, TIME) * k}
-        return Walk([p.substitute(bindings) for p in self.entries], self.coords,
-                    check=False)
+        return Walk([p.map_monomials(p.vars, lambda e: e, lambda e: k ** e[0])
+                     for p in self.entries], self.coords, check=False)
 
     def orbit_poly(self, v: Sequence[int], var: str = "n") -> PolyVector:
         """Symbolic orbit n -> self(n) v as univariate polynomials.
 
-        Binding t -> n and every coordinate to its integer entry of v is a
-        monomial map: a term c * t^a * prod x_i^e_i goes to
-        c * prod v_i^e_i at n^a.  So each entry's integer numerators are
-        summed by their exponent of t over the entry's denominator, and
-        the sums are put in lowest terms once."""
+        Binding t -> n and x -> v is the monomial map t^a x^e -> n^a with
+        weight v^e (`MPoly.map_monomials`)."""
         self.check_vector(v)
-        entries = []
-        for p in self.entries:
-            sums: dict[tuple[int], int] = {}
-            for exps, c in p.numerators.items():
-                key = exps[:1]
-                sums[key] = sums.get(key, 0) + c * prod(map(pow, v, exps[1:]))
-            entries.append(_lowest_terms((var,), sums, p.denominator))
-        return PolyVector(entries)
+        return PolyVector([p.map_monomials((var,), lambda e: e[:1],
+                                           lambda e: prod(map(pow, v, e[1:])))
+                           for p in self.entries])
 
     # -- serialization ----------------------------------------------------
 
@@ -258,8 +249,7 @@ def walk_scaling_certificate(walk: Walk) -> ScalingCertificate:
         c = entry.constant_term()
         if c:
             return ScalingCertificate(False, (abs(c.numerator) + 1, 0, (0,) * walk.dim))
-        scaled = MPoly._trusted(universe, entry.denominator,
-                                {(sum(e) - 1, *e): c for e, c in entry.numerators.items()})
+        scaled = entry.map_monomials(universe, lambda e: (sum(e) - 1, *e))
         cert = scaled.substitute(shift).integer_valued()
         if not cert:
             point = cert.witness

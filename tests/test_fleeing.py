@@ -1,5 +1,7 @@
 """Annihilator linear algebra and the fleeing-walk constructor."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import islice
@@ -259,6 +261,16 @@ def test_certificate_serialization_mentions_all_parts():
     assert "exponents 3" in text
     assert "orbit n^6; n^3" in text
     assert "vars t x y" in text
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda c: pickle.loads(pickle.dumps(c))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_certificate_copies_and_pickles(clone):
+    cert = construct_fleeing_walk(list(xy_minus_P_walks(poly_parse("z^2", ["z"]))), (1, 0, 0))
+    twin = clone(cert)
+    assert twin == cert and twin.to_text() == cert.to_text()
+    assert twin.final_walk.orbit_poly((1, 0, 0)) == twin.orbit_poly
 
 
 def test_random_unipotent_orbits_are_certified():

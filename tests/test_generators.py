@@ -13,6 +13,7 @@ from polywalk.generators import (
     mat,
     mat_identity,
     mat_mul,
+    secant_quotient,
     signature_form,
     signature_form_walks,
     sl_basis,
@@ -159,6 +160,22 @@ def test_xyP_preconditions():
         xy_minus_P_walks(poly_parse("z", ["z"]))
     with pytest.raises(ValueError, match="integer"):
         xy_minus_P_walks(MPoly(("z",), {(2,): F(1, 2)}))
+
+
+def test_xyP_reads_P_in_its_own_variable_and_universe():
+    # P in w over a universe with an unused name gives the walks of P(z)
+    assert (xy_minus_P_walks(poly_parse("w^3 - 2*w^2", ["q", "w"]))
+            == xy_minus_P_walks(poly_parse("z^3 - 2*z^2", ["z"])))
+
+
+def test_secant_quotient_rejects_an_inexact_division():
+    universe = ("x", "y", "z")
+    p = poly_parse("z^2", universe)
+    assert (secant_quotient(p, "z", poly_parse("x*y", universe), "x")
+            == poly_parse("2*y*z + x*y^2", universe))
+    with pytest.raises(ArithmeticError,
+                       match=r"^monomial \(0, 1, 1\) lacks 'x'; division is not exact$"):
+        secant_quotient(p, "z", poly_parse("y", universe), "x")
 
 
 def test_xyP_leading_term_of_H():

@@ -492,6 +492,17 @@ def test_twisted_search_passes_over_a_tie():
     assert result == SearchResult(Status.FOUND, 2, (4, 2))
 
 
+@pytest.mark.parametrize("oracle", [
+    WindowSet(1, 10, [(0,), (4,)]),
+    BohrSet(1, [[F(1, 2)]], [F(1, 8)]),
+    BohrSet(1, [[F(1, 2)]], [F(1, 4)]),   # n = 1 is a tie, settled at the point
+], ids=["window", "bohr", "bohr-tie"])
+def test_an_orbit_in_m_searches_like_the_same_orbit_in_n(oracle):
+    for var in ("n", "m"):
+        result = twisted_search(PolyVector([poly_parse(f"{var}^2", [var])]), oracle, 10)
+        assert result == SearchResult(Status.FOUND, 2, (4,))
+
+
 def test_bohr_scan_dimension_mismatch():
     oracle = _bohr3()
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))

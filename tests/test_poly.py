@@ -1,15 +1,18 @@
 """Exact polynomial kernel: parsing, substitution, evaluation, integrality."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywalk.fleeing import _collapse
+from polywalk.generators import secant_quotient
 from polywalk.poly import (
     MPoly,
     PolySyntaxError,
@@ -412,17 +415,93 @@ def test_every_result_is_stored_in_lowest_terms(case, n, substitution, data):
     coords = ("x", "y")
     entries = [data.draw(_kernel_poly(("t",) + coords)) for _ in coords]
     v = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
-    results += Walk(entries, coords, check=False).orbit_poly(v)
+    walk = Walk(entries, coords, check=False)
+    k = data.draw(st.integers(2, 4))
+    results += [*walk.orbit_poly(v), *walk.reparam(k).entries, *walk.time_scale(k).entries]
     # exponents may coincide, so collapsing can merge and cancel terms
     orbit = PolyVector([data.draw(_kernel_poly(("t1", "t2"))) for _ in range(2)])
     results += _collapse(orbit, data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    # (P(z + x q) - P(z)) / x, and a map that merges terms by parity with signs
+    zx = ("z", "x")
+    shift = MPoly.var(zx, "x") * data.draw(_kernel_poly(zx, max_exp=2))
+    results.append(secant_quotient(data.draw(_kernel_poly(("z",))).extend(zx), "z", shift, "x"))
+    results.append(p.map_monomials(("n",), lambda e: (sum(e) % 2,), lambda e: (-1) ** sum(e)))
     for result in results:
         _assert_lowest_terms(result)
+
+
+@st.composite
+def _monomial_map_case(draw):
+    # a polynomial and, per variable, a one-term image w * u^a * v^b with
+    # small exponents and weights (0 included), so keys collide and cancel;
+    # unweighted maps send every variable to a monomial with coefficient 1
+    vars_n = draw(_universe())
+    weighted = draw(st.booleans())
+    images = [(draw(st.integers(-3, 3)) if weighted else 1,
+               draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))) for _ in vars_n]
+    return draw(_kernel_poly(vars_n)), images, weighted
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_map_case())
+def test_map_monomials_matches_substitute_and_the_fraction_sums(case):
+    p, images, weighted = case
+    target = ("u", "v")
+
+    def key(e):
+        return tuple(sum(k * a[j] for k, (_, a) in zip(e, images)) for j in range(2))
+
+    def weight(e):
+        return prod(w ** k for k, (w, _) in zip(e, images))
+
+    mapped = p.map_monomials(target, key, weight if weighted else None)
+    _assert_lowest_terms(mapped)
+    # substitute with one-term bindings is the reference
+    bindings = {x: MPoly(target, {a: w}) for x, (w, a) in zip(p.vars, images)}
+    _assert_canonical_equal(mapped, p.substitute(bindings))
+    sums = {}
+    for e, c in p.terms.items():
+        sums[key(e)] = sums.get(key(e), 0) + c * weight(e)
+    _assert_canonical_equal(mapped, MPoly(target, sums))
+
+
+def test_map_monomials_rejects_repeated_names_and_passes_key_errors():
+    p = poly_parse("x^2 + 1", ["x"])
+    with pytest.raises(ValueError, match=r"duplicate variable names in \('n', 'n'\)"):
+        p.map_monomials(("n", "n"), lambda e: (e[0], 0))
+
+    def odd_only(e):
+        if e[0] % 2 == 0:
+            raise ArithmeticError(f"even exponent {e}")
+        return e
+
+    with pytest.raises(ArithmeticError, match=r"even exponent \(2,\)"):
+        p.map_monomials(("x",), odd_only)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_polynomials_copy_and_pickle_to_their_stored_pair(clone):
+    p = poly_parse("2/3*x^2*y - 5/6*y + 1", ["x", "y", "w"])
+    for value in (p, MPoly.zero(("x",)), MPoly.const((), F(-7, 4)), PolyVector([p, -p])):
+        twin = clone(value)
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+    twin = clone(p)
+    assert (twin.vars, twin.denominator, twin.numerators) == (p.vars, p.denominator, p.numerators)
+    assert twin.terms == p.terms
+    with pytest.raises(AttributeError, match="MPoly is immutable"):
+        twin.vars = ()
 
 
 def test_constructor_rejects_duplicate_variables():
     with pytest.raises(ValueError, match=r"duplicate variable names in \('x', 'x'\)"):
         MPoly(("x", "x"), {})
+    for build in (MPoly.zero, lambda vars: MPoly.const(vars, F(1, 2)),
+                  lambda vars: MPoly.var(vars, "x")):
+        with pytest.raises(ValueError, match=r"duplicate variable names in \('x', 'x'\)"):
+            build(["x", "x"])
 
 
 def test_constructor_rejects_exponent_length():

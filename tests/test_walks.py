@@ -1,5 +1,7 @@
 """Walk algebra: application, composition, reparametrization, scaling, preservation."""
 
+import copy
+import pickle
 import random
 from itertools import product
 from math import factorial, lcm
@@ -356,6 +358,23 @@ def test_serialization_roundtrip():
     rng = random.Random(1012)
     for walk in _zoo(rng):
         assert Walk.from_text(walk.to_text()) == walk
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda w: pickle.loads(pickle.dumps(w))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_walks_copy_and_pickle_without_rechecking(clone, monkeypatch):
+    walks = [*_zoo(random.Random(1013)), xy_minus_P_walks(poly_parse("z^3", ["z"]))[0]]
+
+    def refuse(self):
+        raise AssertionError("a copied walk was checked again")
+
+    monkeypatch.setattr(Walk, "_check_identity_at_zero", refuse)
+    monkeypatch.setattr(Walk, "_certify_integrality", refuse)
+    for walk in walks:
+        twin = clone(walk)
+        assert type(twin) is Walk and twin == walk and twin.to_text() == walk.to_text()
+        assert twin.apply(3, (2,) * walk.dim) == walk.apply(3, (2,) * walk.dim)
 
 
 def test_serialization_text_shape():
