@@ -26,7 +26,8 @@ from itertools import accumulate
 from typing import Sequence
 
 from .kernel import check_orbit, phases
-from .lab import Torus, check_radii, check_sample_count, weyl_sum_rational, weyl_sums
+from .lab import (Torus, check_radii, check_sample_count, orbit_arc_verdicts,
+                  weyl_sum_rational, weyl_sums)
 from .poly import PolyVector
 from .reals import DIGITS, Real, RootOfUnityMean
 
@@ -91,9 +92,11 @@ class TrigPoly:
 class BoxIndicator:
     """Indicator of a product of arcs; measure is the product of lengths.
 
-    `contains_float` reads the centers as floats and each radius r as the
-    least float at or above r, both worked out once: for a float distance
-    x, x >= r exactly when x >= that float."""
+    `contains_float` is the rule for the float sample points of
+    `correlation_average`; `empirical_average` counts orbit visits exactly
+    (`lab.orbit_arc_verdicts`).  It reads the centers as floats and each
+    radius r as the least float at or above r, both worked out once: for
+    a float distance x, x >= r exactly when x >= that float."""
 
     centers: tuple[Real, ...]
     radii: tuple[Fraction, ...]
@@ -239,22 +242,31 @@ def empirical_average(
 ) -> EmpiricalAverage:
     """(1/N) sum f(x0 + A p(n)), after `check_average`.
 
+    A box is counted exactly: the number of n with
+    dist(<row_j, p(n)> + x0_j - c_j) < r_j on each of its arcs j is
+    `lab.orbit_arc_verdicts`, the integer arc test of the Bohr scan with
+    t = r and the shift x0_j - c_j read at the phase modulus, its read
+    error added to the band (`lab.BohrSet`).  A point at distance exactly
+    r is outside the open box.
+
     For a TrigPoly the closed-form prediction is also evaluated at the
     base point (`predicted`).  As a
     function of the base point the empirical average is the trigonometric
     polynomial sum c_m W_m e(<m, x>), W_m the Weyl sums of the induced
-    characters (one `weyl_sums` stream), and the prediction is
-    sum c_m M_m e(<m, x>), M_m their limit multipliers; `l2_to_prediction`
-    is their L2 distance, by Parseval sqrt(sum |c_m|^2 |W_m - M_m|^2)."""
+    characters (`weyl_sums`: one stream for the irrational rows, residue
+    counts for the rows of rationals, whose exact sum of the same float
+    terms is rounded once, within the same error bound), and the
+    prediction is sum c_m M_m e(<m, x>), M_m their limit multipliers;
+    `l2_to_prediction` is their L2 distance, by Parseval
+    sqrt(sum |c_m|^2 |W_m - M_m|^2)."""
     check_average(sys, f, polys, n_count)
-    base = [float(x.frac(DIGITS)) for x in sys.base_point]
     if isinstance(f, BoxIndicator):
-        hits = 0
-        for block in phases(polys, sys.rows, n_count, DIGITS):
-            for shift in zip(*block):
-                hits += f.contains_float([(x + b) % 1.0 for x, b in zip(shift, base)])
+        shifts = [x - c for x, c in zip(sys.base_point, f.centers)]
+        hits = sum(map(sum, orbit_arc_verdicts(polys, sys.rows[:len(f.radii)], f.radii,
+                                               n_count, shifts)))
         return EmpiricalAverage(complex(hits / n_count, 0.0), None, None)
 
+    base = [float(x.frac(DIGITS)) for x in sys.base_point]
     infos = classify_characters(sys, f)
     sums = weyl_sums(polys, [info.row for info in infos], n_count)
     empirical_fn = TrigPoly.of(

@@ -343,6 +343,8 @@ def bogolubov_walk(p: MPoly) -> Walk:
     Built once per P and process."""
     var = p.support()[0] if p.support() else "y"
     _require_admissible(p, var)
+    i = p.vars.index(var)
+    p = p.map_monomials(("y",), lambda e: (e[i],))   # P(var) -> P(y), over y alone
 
     coords = ("x", "y")
     universe = (TIME,) + coords
@@ -350,11 +352,11 @@ def bogolubov_walk(p: MPoly) -> Walk:
     y = MPoly.var(universe, "y")
     t = MPoly.var(universe, TIME)
 
-    p_of_y = p.substitute({var: y})
-    p_shifted = p.substitute({var: y + t})
+    p_of_y = p.substitute({"y": y})
+    p_shifted = p.substitute({"y": y + t})
     walk = Walk([x + p_shifted - p_of_y, y + t], coords)
 
-    form = MPoly.var(coords, "x") - p.substitute({var: MPoly.var(coords, "y")}).extend(coords)
+    form = MPoly.var(coords, "x") - p.extend(coords)
     if not preserves(form, walk):
         raise AssertionError("constructed walk fails to preserve x - P(y)")
     return walk

@@ -33,10 +33,11 @@ Four streams share this table:
   one integer per difference order modulo M = q * 10^W, where q is the lcm
   of the denominators of the row's rational parts.  The rational part is
   exact.  Each irrational part is read once, at the start, through
-  `reals.FixedRow`.  It yields the integers a with a / M the phase; the
-  Bohr-set scan compares them with integer thresholds.
-* `phases` turns them into floats a / M in the same blocks, an exact
-  int/int division that cannot overflow.
+  `reals.FixedRow`.  It yields integers a, not yet reduced mod M, with
+  a / M the phase mod 1; the arc test of `lab` reduces them once, after
+  its own shift, and compares them with integer thresholds.
+* `phases` turns them into floats (a mod M) / M in the same blocks, an
+  exact int/int division that cannot overflow.
 * `residues` is the rational case W = 0: exact residues mod q.
 
 Error bound.  Write s(n) = <row, p(n)>, a real polynomial in n of degree
@@ -73,7 +74,7 @@ rational entries have no error and use W = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import comb, lcm
 from operator import mod, sub, truediv
 from typing import Iterator, Sequence
@@ -170,10 +171,11 @@ def _width(count: int, degree: int, precision: int) -> int:
 def fixed_phases(
     polys: PolyVector, rows: Sequence[Sequence], count: int, precision: int
 ) -> tuple[tuple[int, ...], Iterator[list]]:
-    """The moduli M_j, and blocks of the phases as integers a mod M_j: one
-    sequence per row in every block, after `check_orbit`.  a / M_j is within
-    10^-precision of frac(<row_j, p(n)>) on the circle for n = 1, ..., count
-    (module docstring), and equal to it for a row of rationals (M_j = q_j)."""
+    """The moduli M_j, and blocks of the phases as integers a, congruent
+    mod M_j but not reduced: one sequence per row in every block, after
+    `check_orbit`.  a / M_j is within 10^-precision of <row_j, p(n)> mod 1
+    on the circle for n = 1, ..., count (module docstring), and equal to it
+    for a row of rationals (M_j = q_j)."""
     check_orbit(polys, rows)
     degree = polys.max_degree()
     width = _width(count, degree, precision)
@@ -182,12 +184,11 @@ def fixed_phases(
     head = list(orbit_points(polys, min(count, degree + 1)))
 
     def stream():
-        yield [[f(point) % m for point in head] for f, m in zip(fixed, moduli)]
+        yield [[f(point) for point in head] for f in fixed]
         if count > len(head):
             table = list(zip(*_backward_table(head)))
             columns = [[f(diff) % m for diff in table] for f, m in zip(fixed, moduli)]
-            for block in _blocks(columns, count - len(head), moduli):
-                yield [map(mod, run, repeat(m)) for run, m in zip(block, moduli)]
+            yield from _blocks(columns, count - len(head), moduli)
 
     return moduli, stream()
 
@@ -203,14 +204,16 @@ def phases(
     within 10^-precision of the true one on the circle (module docstring)."""
     moduli, blocks = fixed_phases(polys, rows, count, precision)
     for block in blocks:
-        yield [list(map(truediv, run, repeat(m))) for run, m in zip(block, moduli)]
+        yield [list(map(truediv, map(mod, run, repeat(m)), repeat(m)))
+               for run, m in zip(block, moduli)]
 
 
 def residues(
-    polys: PolyVector, row: Sequence[Real | Fraction | int | str]
+    polys: PolyVector, row: Sequence[Real | Fraction | int | str], count: int | None = None
 ) -> tuple[int, Iterator[int]]:
     """q and the exact residues q <row, p(n)> mod q over one full period
-    n = 1, ..., L, for a row of rationals with lcm denominator q.
+    n = 1, ..., L, or over the first min(count, L) points, for a row of
+    rationals with lcm denominator q.
     L = q d, where d is the lcm of the coefficient denominators of p: d p
     has integer coefficients, so p(n + q d) = p(n) mod q.  For integer
     coefficients L = q; an integer-valued p such as n (n + 1) / 2 can need
@@ -220,5 +223,6 @@ def residues(
         raise ValueError("residues need a row of rationals")
     q = lcm(*(x.as_fraction().denominator for x in row))
     d = lcm(*(p.denominator for p in polys))
-    (modulus,), blocks = fixed_phases(polys, [row], q * d, 0)
-    return modulus, (residue for (run,) in blocks for residue in run)
+    period = q * d if count is None else min(count, q * d)
+    (modulus,), blocks = fixed_phases(polys, [row], period, 0)
+    return modulus, chain.from_iterable(map(mod, run, repeat(q)) for (run,) in blocks)

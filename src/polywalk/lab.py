@@ -10,8 +10,10 @@ set B - B, the one question the experiments ask of a set.  A WindowSet is
 an explicit finite subset of a box [0, side)^d, and answers a query by
 scanning its points.  A BohrSet is the preimage of a box on a torus under
 v -> A v mod 1, given by rows and radii alone; every query of it is
-decided exactly, from fixed-point phases and, within their error of an
-arc end, from the exact value at the point.  Both models answer
+decided exactly by one block-wise integer arc test (`_arc_verdicts`),
+from fixed-point phases and, within their error of an arc end, from the
+exact value at the point.  The box averages of `ergodic` are counted by
+the same test (`orbit_arc_verdicts`).  Both models answer
 difference queries along a whole polynomial orbit through
 `difference_verdicts`, which the orbit search reads.
 
@@ -27,12 +29,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product, repeat
-from operator import add, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, compress, product, repeat
+from operator import add, floordiv, mod, mul, ne, truediv
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fleeing import construct_fleeing_walk
 from .generators import bogolubov_walk, kernel_basis, xy_minus_P_walks
@@ -42,34 +45,83 @@ from .reals import DIGITS, FixedRow, Real, RootOfUnityMean
 from .walks import Walk
 
 
-def _bounds(moduli: Iterable[int], rows, radii) -> list[tuple]:
-    """(M, floor((t + e) M), ceil((t - e) M), t, row) per row, with t = 2r
-    and e = 10^-DIGITS (BohrSet docstring)."""
-    e = Fraction(1, 10 ** DIGITS)
-    return [(m, math.floor((2 * r + e) * m), math.ceil((2 * r - e) * m), 2 * r, row)
-            for m, row, r in zip(moduli, rows, radii)]
+class _Arc(NamedTuple):
+    """One row's arc test dist(x + s) < t on integers a, a / M within
+    10^-DIGITS of x mod 1: y = (g a + lift) mod g M is in `near` unless
+    surely outside, and in `inner` iff surely inside (BohrSet docstring)."""
+
+    scale: int
+    modulus: int
+    lift: int
+    near: range
+    inner: range
+    t: Fraction
+    row: tuple[Real, ...]
+    shift: Real
+
+    @classmethod
+    def of(cls, m: int, t: Fraction, row, shift: Real = Real(0)) -> _Arc:
+        g, c, error = 1, 0, Fraction(0)
+        if shift != 0:
+            exact = shift.is_rational()
+            if m < 10 ** DIGITS:   # a row of rationals: read the shift at lcm(M, v)
+                g = math.lcm(m, shift.as_fraction().denominator if exact else 10 ** DIGITS) // m
+                m *= g
+            read = shift.approx(len(str(m)) + 1)   # within 1 / (10 M), exact if rational
+            c = round(read * m)
+            error = abs(c - read * m) if exact else Fraction(1)
+        e = Fraction(1, 10 ** DIGITS) + error / m
+        out = math.floor((t + e) * m)
+        k = math.ceil((t - e) * m) - 1
+        if 2 * out < m:
+            return cls(g, m, c + out, range(2 * out + 1), range(out - k, out + k + 1),
+                       t, row, shift)
+        inner = range(m) if 2 * k >= m else range(2 * k + 1)
+        return cls(g, m, c + k, range(m), inner, t, row, shift)
 
 
-def _verdicts(phases: Iterable[Sequence[int]], bounds,
-              point: Callable[[int], Sequence[int]]) -> Iterator[bool]:
-    """Membership in B - B per phase tuple, one a mod M per row; point(i)
-    is the i-th point, read only to settle a row in the band (BohrSet
+def _every(flags: list[Iterator[bool]]) -> Iterator[bool]:
+    """Per point, whether every row's flag holds: one iterator per row."""
+    return flags[0] if len(flags) == 1 else map(all, zip(*flags))
+
+
+def _arc_verdicts(blocks: Iterable[Sequence[Iterable[int]]], arcs,
+                  point: Callable[[int], Sequence[int]]) -> Iterator[list[bool]]:
+    """Per block of phases (one run of integers a per row, congruent mod
+    M), the verdicts of every row's arc test, one per point; point(i) is
+    the i-th point, read only to settle a point in the band (BohrSet
     docstring)."""
-    for i, phase in enumerate(phases):
-        verdict = True
-        band = []
-        for a, (m, outside, inside, t, row) in zip(phase, bounds):
-            d = min(a, m - a)
-            if d > outside:
-                verdict = False
-                break
-            if d >= inside:
-                band.append((t, row))
-        if verdict and band:
-            w = point(i)
-            verdict = all(sum(map(Real.scale, row, w), Real(0)).circle_distance_below(t)
-                          for t, row in band)
-        yield verdict
+    start = 0
+    for block in blocks:
+        ys = []
+        for run, arc in zip(block, arcs):
+            if arc.scale != 1:
+                run = map(mul, run, repeat(arc.scale))
+            ys.append(list(map(mod, map(add, run, repeat(arc.lift)), repeat(arc.modulus))))
+        verdicts = list(_every([map(arc.inner.__contains__, y) for y, arc in zip(ys, arcs)]))
+
+        def near():
+            return _every([map(arc.near.__contains__, y) for y, arc in zip(ys, arcs)])
+
+        if sum(near()) != sum(verdicts):
+            for i in compress(range(len(verdicts)), map(ne, near(), verdicts)):
+                w = point(start + i)
+                verdicts[i] = all(
+                    sum(map(Real.scale, arc.row, w), arc.shift).circle_distance_below(arc.t)
+                    for y, arc in zip(ys, arcs) if y[i] not in arc.inner)
+        start += len(verdicts)
+        yield verdicts
+
+
+def orbit_arc_verdicts(polys: PolyVector, rows, thresholds, count: int,
+                       shifts=None) -> Iterator[list[bool]]:
+    """Per block, whether dist(<row_j, p(n)> + shift_j) < t_j on every row j,
+    for n = 1, ..., count: the arc test on one kernel stream, each shift
+    (default 0) read at the row's modulus (BohrSet docstring)."""
+    moduli, blocks = fixed_phases(polys, rows, count, DIGITS)
+    arcs = list(map(_Arc.of, moduli, thresholds, rows, shifts or repeat(Real(0))))
+    var = orbit_var(polys)
+    return _arc_verdicts(blocks, arcs, lambda i: polys.eval_int({var: i + 1}))
 
 
 class WindowSet:
@@ -174,27 +226,45 @@ class BohrSet(Torus):
     and so every answer unchanged.
 
     w is in B - B when dist(<row_j, w>) is below t_j = 2 r_j for every j,
-    and every verdict is decided exactly.  Each row's phase is an integer
-    a mod M with a / M within e = 10^-DIGITS of the true value: a single
-    query reads one `reals.FixedRow` per row built at width DIGITS, and
-    `difference_verdicts` reads the kernel's `fixed_phases` at precision
-    DIGITS.  One loop, `_verdicts`, compares d = min(a, M - a) with the
-    integers floor((t + e) M) and ceil((t - e) M) of `_bounds`: above the
-    first on some row is False, below the second on every row True.  A
-    row in between, in the band [t - e, t + e], is settled at the point w
-    itself: x = <row, w> as an exact Real, and
+    and every verdict is decided exactly, by the arc test below.
+
+    The arc test.  `_arc_verdicts` decides dist(x_j + s_j) < t_j on every
+    row j at each point w of a block, x_j = <row_j, w>, s_j a constant
+    shift: 0 with t = 2r for this set, x0_j - c_j (base point minus arc
+    centre) with t = r for the box counts of `ergodic.empirical_average`.
+    Each phase is an integer a with a / M within 10^-DIGITS of x mod 1: a
+    `reals.FixedRow` per row built at width DIGITS for a single query, the
+    kernel's `fixed_phases` at precision DIGITS for a scan.  The shift is
+    read once, as the integer c nearest M s (`_Arc.of`); a row of
+    rationals, whose M = q is small, first scales a and M by
+    g = lcm(M, v) / M, v the denominator of a rational s and 10^DIGITS
+    otherwise.  |c - M s| is exact for a rational s and below 1/2 + 1/10
+    otherwise, so (a + c) / M is within e = 10^-DIGITS + |c - M s| / M,
+    or 10^-DIGITS + 1/M, of x + s mod 1.  With d the distance of a + c to
+    the nearest multiple of M, O = floor((t + e) M) and
+    K = ceil((t - e) M) - 1, d > O is surely outside, d <= K surely
+    inside, and the rest is the band.  Per block and row one shifted
+    residue y = (a + c + O) mod M and one range test per point run in C
+    (`map`): d <= O iff y <= 2 O, and d <= K iff |y - O| <= K.  If
+    2 O >= M every d is at most O, and y = (a + c + K) mod M gives d <= K
+    iff y <= 2 K (always, if 2 K >= M).  Only a point near on every row
+    but not inside on all reaches Python.  It is settled at w itself:
+    x + s as an exact Real on each row not surely inside, and
     `Real.circle_distance_below(t)` compares its distance with t, exactly
-    for a rational x and at doubling precision otherwise.
+    for a rational value and at doubling precision otherwise.
 
     Proofs.  (1) The fast path is certain.  Circle distance is
-    1-Lipschitz, so d / M is within e of the true distance; and
-    d > floor((t + e) M) iff d / M > t + e, d < ceil((t - e) M) iff
-    d / M < t - e.  So False means a true distance above t, and True one
-    below t.  (2) A tie is never in B - B.  If w = b1 - b2 with b1, b2 in
-    B, the triangle inequality gives
+    1-Lipschitz, so d / M is within e of the true distance, and d > O iff
+    d / M > t + e, d <= K iff d / M < t - e.  For 2 O < M, y runs over
+    [O, 2 O] as a + c runs over [0, O] mod M, over [0, O) for [M - O, M),
+    and over (2 O, M) otherwise; and K <= O, so |y - O| <= K picks exactly
+    the residues within K of 0.  Without the shift's read error e would be
+    too small, and a verdict could fall on the wrong side of t.  (2) A tie
+    is never in B - B.  For w = b1 - b2 with b1, b2 in B,
     dist(<row, w>) <= dist(<row, b1>) + dist(<row, b2>) < 2r = t, with or
-    without density; so a distance of exactly t is False.  (3) Settling
-    ends.  A rational x is compared exactly.  An irrational x has an
+    without density, so a distance of exactly t is False.  A box is open,
+    so a distance of exactly r is outside it too.  (3) Settling ends.  A
+    rational x + s is compared exactly.  An irrational one has an
     irrational distance, which never equals the rational t, and a read
     within 10^-p of it stops as soon as 2 10^-p is below their gap.
     """
@@ -207,7 +277,8 @@ class BohrSet(Torus):
             raise ValueError("one radius per torus coordinate required")
         check_radii(self.radii)
         self._fixed = [FixedRow(row, DIGITS) for row in self.rows]
-        self._bounds = _bounds((f.modulus for f in self._fixed), self.rows, self.radii)
+        self._arcs = [_Arc.of(f.modulus, 2 * r, row)
+                      for f, r, row in zip(self._fixed, self.radii, self.rows)]
 
     def contains_difference(self, w: Sequence[int]) -> bool:
         """True iff the box and its translate by frac(A w) overlap in every
@@ -216,17 +287,15 @@ class BohrSet(Torus):
         w = [int(x) for x in w]
         if len(w) != self.dim:
             raise ValueError(f"vector {w} has wrong dimension")
-        (verdict,) = _verdicts([[f(w) % f.modulus for f in self._fixed]], self._bounds,
-                               lambda i: w)
+        ((verdict,),) = _arc_verdicts([[[f(w)] for f in self._fixed]], self._arcs,
+                                      lambda i: w)
         return verdict
 
     def difference_verdicts(self, polys: PolyVector, count: int) -> Iterator[bool]:
         """`contains_difference` at the orbit points p(1), ..., p(count),
         from one kernel phase stream."""
-        moduli, blocks = fixed_phases(polys, self.rows, count, DIGITS)
-        phases = chain.from_iterable(zip(*block) for block in blocks)
-        return _verdicts(phases, _bounds(moduli, self.rows, self.radii),
-                         lambda i: polys.eval_int({orbit_var(polys): i + 1}))
+        return chain.from_iterable(
+            orbit_arc_verdicts(polys, self.rows, [2 * r for r in self.radii], count))
 
     def describe(self) -> str:
         rows = "; ".join(
@@ -280,10 +349,10 @@ def twisted_search(
     and asks the per-query oracle, keeping the two routes independent.
     """
     check_n_max(n_max)
-    for n, verdict in enumerate(oracle.difference_verdicts(polys, n_max), start=1):
-        if verdict:
-            return SearchResult(Status.FOUND, n, polys.eval_int({orbit_var(polys): n}))
-    return SearchResult(Status.EXHAUSTED, None, None)
+    n = next(compress(range(1, n_max + 1), oracle.difference_verdicts(polys, n_max)), None)
+    if n is None:
+        return SearchResult(Status.EXHAUSTED, None, None)
+    return SearchResult(Status.FOUND, n, polys.eval_int({orbit_var(polys): n}))
 
 
 # -- experiments ---------------------------------------------------------------
@@ -474,6 +543,31 @@ def check_sample_count(n_count: int) -> None:
         raise ValueError("N must be >= 1")
 
 
+def residue_counts(
+    polys: PolyVector, row: Sequence[Real | Fraction | int | str], n_count: int | None = None
+) -> tuple[int, int, dict[int, int]]:
+    """q, N and, for each residue j that occurs, the number of
+    n = 1, ..., N with q <row, p(n)> = j mod q, for a row of rationals;
+    N = n_count, or one full period L of `residues`.  Only the first
+    min(N, L) residues are streamed: they repeat with period L."""
+    q, stream = residues(polys, row, n_count)
+    head = list(stream)
+    n_count = len(head) if n_count is None else n_count
+    cycles, rest = divmod(n_count, len(head))
+    counts = Counter(head[:rest])
+    counts.update({j: c * cycles for j, c in Counter(head).items()})
+    return q, n_count, counts
+
+
+def _weighted_fsum(terms: Iterable[float], weights: Sequence[int]) -> float:
+    """The float nearest sum w_i t_i, exactly: each t_i is an integer over a
+    power of two, so the sum is one integer over the largest of them, and
+    int / int is correctly rounded."""
+    nums, dens = zip(*map(float.as_integer_ratio, terms))
+    top = max(dens)
+    return sum(map(mul, map(mul, nums, weights), map(floordiv, repeat(top), dens))) / top
+
+
 def weyl_sums(
     polys: PolyVector,
     rows: Sequence[Sequence[Real | Fraction | int | str]],
@@ -481,27 +575,47 @@ def weyl_sums(
 ) -> list[complex]:
     """(1/N) sum_{n=1}^{N} e(<row, p(n)>) for every row, in double precision.
 
-    All rows are read from one `kernel.phases` stream, each phase within
-    10^-DIGITS of the true one before rounding to a float.  Per row the
-    terms t_n (cos, then sin, of 2 pi x_n) of a block are summed by
+    The terms are t_n = cos, then sin, of x_n * 2 pi, x_n the float phase
+    of the point n.  Rows with an irrational entry are read from one
+    `kernel.phases` stream, each phase within 10^-DIGITS of the true one
+    before rounding to a float; per row the terms of a block are summed by
     `math.fsum`, and the block totals by one more, so one block is held.
+    A row of rationals is not streamed: x_n = j / q for its residue j
+    (`residue_counts`), so the same terms are sum_j c_j t_j over the counts
+    c_j of each residue, summed exactly and rounded once (`_weighted_fsum`).
 
     Error bound.  Let u = 2^-53, S = sum t_n and S_k the sum over block k.
     `math.fsum` returns the float nearest the exact sum of its inputs, so
     b_k = S_k (1 + d_k) and T = (sum b_k)(1 + d) with |d_k|, |d| <= u:
         |T - S| <= u |sum b_k| + u sum |S_k| <= u |S| + (u + u^2) sum |S_k|
                 <= (2u + u^2) sum |t_n| <= (2u + u^2) N.
-    Kahan summation is within (2u + O(N u^2)) sum |t_n| (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., 4.3); this bound is no
-    worse and does not grow with N.  Both then divide by N, one rounding."""
+    A row of rationals has |T - S| <= u |S|, within the same bound.  Kahan
+    summation is within (2u + O(N u^2)) sum |t_n| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 4.3); this bound is no
+    worse and does not grow with N.  All then divide by N, one rounding."""
     check_sample_count(n_count)
-    totals = [([], []) for _ in rows]
-    for block in phases(polys, rows, n_count, DIGITS):
+    rows = [[Real.of(x) for x in row] for row in rows]
+    exact = [all(x.is_rational() for x in row) for row in rows]
+    streamed = [row for row, rational in zip(rows, exact) if not rational]
+    totals = [([], []) for _ in streamed]
+    for block in phases(polys, streamed, n_count, DIGITS) if streamed else ():
         for (re, im), run in zip(totals, block):
             angles = list(map(mul, run, repeat(2.0 * math.pi)))
             re.append(math.fsum(map(math.cos, angles)))
             im.append(math.fsum(map(math.sin, angles)))
-    return [complex(math.fsum(re) / n_count, math.fsum(im) / n_count) for re, im in totals]
+    sums = iter([complex(math.fsum(re) / n_count, math.fsum(im) / n_count)
+                 for re, im in totals])
+    return [_rational_weyl_sum(polys, row, n_count) if rational else next(sums)
+            for row, rational in zip(rows, exact)]
+
+
+def _rational_weyl_sum(polys: PolyVector, row: Sequence[Real], n_count: int) -> complex:
+    """The `weyl_sums` value of a row of rationals, from its residue counts."""
+    q, _, counts = residue_counts(polys, row, n_count)
+    angles = list(map(mul, map(truediv, counts, repeat(q)), repeat(2.0 * math.pi)))
+    weights = list(counts.values())
+    return complex(_weighted_fsum(map(math.cos, angles), weights) / n_count,
+                   _weighted_fsum(map(math.sin, angles), weights) / n_count)
 
 
 def weyl_sum_rational(
@@ -512,13 +626,9 @@ def weyl_sum_rational(
 ) -> RootOfUnityMean:
     """Exact root-of-unity evaluation of the Weyl average for rational
     frequencies, over n = 1, ..., n_count or one full period, times
-    e(phase): phases lie in (1/q) Z / Z and repeat with a period that
-    `residues` works out from q and the coefficient denominators."""
-    q, stream = residues(polys, thetas)
-    period = list(stream)
-    n_count = len(period) if n_count is None else n_count
-    cycles, remainder = divmod(n_count, len(period))
-    counts = [0] * q
-    for i, j in enumerate(period):
-        counts[j] += cycles + (i < remainder)
-    return RootOfUnityMean(q, tuple(counts), n_count, phase)
+    e(phase), from the counts of `residue_counts`."""
+    q, n_count, counts = residue_counts(polys, thetas, n_count)
+    dense = [0] * q
+    for j, c in counts.items():
+        dense[j] = c
+    return RootOfUnityMean(q, tuple(dense), n_count, phase)

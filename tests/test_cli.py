@@ -459,6 +459,18 @@ def test_ergodic_avg_box_output_pinned(tmp_path, capsys):
     assert out == "N = 4000\nestimate = 0.14225 + 0i\n"
 
 
+@pytest.mark.parametrize("radius, estimate", [("3/10", "0.5"), ("1/10", "0.1"), ("1/5", "0.3")])
+def test_ergodic_avg_box_counts_ties_exactly(tmp_path, capsys, radius, estimate):
+    # n/10 for n = 1..10: the points at distance exactly r from 0 are
+    # outside the open box, so 5, 1 and 3 of 10 are inside
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(f"row_1 = 1/10\nobservable = box\ncenter_1 = 0\nradius_1 = {radius}\n"
+                   "p = n\nN = 10\n", encoding="utf-8")
+    code, out, _ = run(capsys, "ergodic-avg", "--config", str(cfg))
+    assert code == 0
+    assert out == f"N = 10\nestimate = {estimate} + 0i\n"
+
+
 def test_average_subcommands_reject_jobs_and_N_max(tmp_path, capsys):
     avg = tmp_path / "avg.cfg"
     avg.write_text("row_1 = 1/3\nobservable = trig\ncomp_1 = 1 : 1.0 : 0.0\n"

@@ -415,6 +415,77 @@ def test_empirical_average_box_indicator():
     assert result.predicted is None
 
 
+def _circle(x: F) -> F:
+    x %= 1
+    return min(x, 1 - x)
+
+
+def _reference_box_count(rows, x0, centers, radii, polys, n_count):
+    """#{n : dist(<row_j, p(n)> + x0_j - c_j) < r_j on every arc j}, in Fractions."""
+    count = 0
+    for n in range(1, n_count + 1):
+        point = polys.eval({"n": n})
+        count += all(_circle(sum(map(F.__mul__, row, point), F(0)) + x - c) < r
+                     for row, x, c, r in zip(rows, x0, centers, radii))
+    return count
+
+
+_small_fraction = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def _box_on_rational_rows(draw):
+    """Rows of rationals, a base point and a box with at most one arc per
+    torus coordinate.  Each radius is either drawn or the distance of a
+    drawn point n, a tie; base points and centres with denominators that
+    do not divide the rows' make the shift read inexact."""
+    dim = draw(st.integers(1, 2))
+    polys = PolyVector([poly_parse(draw(st.sampled_from(["n", "n^2", "3*n^2 + n", "n^3 - 2*n",
+                                                         "1/2*n^2 + 1/2*n"])), ("n",))
+                        for _ in range(dim)])
+    torus_dim = draw(st.integers(1, 3))
+    rows = [[draw(_small_fraction) for _ in range(dim)] for _ in range(torus_dim)]
+    x0 = [draw(_small_fraction) for _ in range(torus_dim)]
+    arcs = draw(st.integers(1, torus_dim))
+    centers = [draw(_small_fraction) for _ in range(arcs)]
+    n_count = draw(st.integers(1, 40))
+    radii = []
+    for row, x, c in zip(rows, x0, centers):
+        n = draw(st.integers(1, n_count))
+        tie = _circle(sum(map(F.__mul__, row, polys.eval({"n": n})), F(0)) + x - c)
+        drawn = F(draw(st.integers(1, 11)), 24)
+        radii.append(tie if 0 < tie < F(1, 2) and draw(st.booleans()) else drawn)
+    return rows, x0, centers, radii, polys, n_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box_on_rational_rows())
+def test_box_count_equals_the_fraction_count_on_rational_rows(data):
+    rows, x0, centers, radii, polys, n_count = data
+    result = empirical_average(TorusSystem(rows, x0), BoxIndicator.of(centers, radii),
+                               polys, n_count)
+    hits = _reference_box_count(rows, x0, centers, radii, polys, n_count)
+    assert result.value == complex(hits / n_count, 0.0)
+
+
+_TINY = "1/1000000000000000000000000000000000000000000000*sqrt2"   # 10^-45 sqrt2
+
+
+@pytest.mark.parametrize("row, x0, radius, n_count, value", [
+    ("1/4", "0", "1/4", 1, 0.0),               # n = 1 at distance exactly r: outside
+    ("1/4", "-" + _TINY, "1/4", 1, 1.0),       # inside the 10^-40 band, settled
+    ("1/4", _TINY, "1/4", 1, 0.0),
+    ("1/10", "1/3", "1/5", 10, 0.4),           # shifts off the grid 1/M, M = 10:
+    ("1/10", "1/20", "1/4", 10, 0.4),          # read at lcm(M, 3) and lcm(M, 20)
+], ids=["tie", "tie-minus", "tie-plus", "shift-1/3", "shift-1/20"])
+def test_box_count_reads_the_shift_and_its_error(row, x0, radius, n_count, value):
+    # on row 1/10 with shift 1/20, n = 2 and n = 7 are ties (2.5/10 = r);
+    # the shift rounded to 0 at M = 10 would count them
+    result = empirical_average(TorusSystem([[row]], [x0]), BoxIndicator.of([0], [radius]),
+                               _pv("n"), n_count)
+    assert result.value == complex(value, 0.0)
+
+
 _QMC_ALPHAS = (0.41421356237309515, 0.7320508075688772)   # frac(sqrt 2), frac(sqrt 3)
 
 

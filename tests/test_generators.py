@@ -168,6 +168,13 @@ def test_xyP_reads_P_in_its_own_variable_and_universe():
             == xy_minus_P_walks(poly_parse("z^3 - 2*z^2", ["z"])))
 
 
+def test_bogolubov_reads_P_in_its_own_variable_and_universe():
+    # P in w, or in y over a universe with an unused name, gives the walk of P(y)
+    assert (bogolubov_walk(poly_parse("w^3 - 2*w^2", ["q", "w"]))
+            == bogolubov_walk(poly_parse("y^3 - 2*y^2", ["y"])))
+    assert bogolubov_walk(poly_parse("y^2", ["y", "w"])) == bogolubov_walk(poly_parse("y^2", ["y"]))
+
+
 def test_secant_quotient_rejects_an_inexact_division():
     universe = ("x", "y", "z")
     p = poly_parse("z^2", universe)

@@ -1,5 +1,6 @@
 """Set models, difference oracles, searches, experiments, Weyl sums."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywalk.generators import bogolubov_walk, xy_minus_P_walks
+from polywalk import kernel
 from polywalk.kernel import orbit_points
 from polywalk.lab import (
     BOGOLUBOV,
@@ -19,13 +21,16 @@ from polywalk.lab import (
     Status,
     Torus,
     WindowSet,
+    _Arc,
+    _arc_verdicts,
     corollary_experiment,
+    residue_counts,
     twisted_search,
     weyl_sum_rational,
     weyl_sums,
 )
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import Real, constant_digits
+from polywalk.reals import DIGITS, Real, constant_digits
 
 F = Fraction
 
@@ -503,6 +508,87 @@ def test_an_orbit_in_m_searches_like_the_same_orbit_in_n(oracle):
         assert result == SearchResult(Status.FOUND, 2, (4,))
 
 
+def _circle(x):
+    x %= 1
+    return min(x, 1 - x)
+
+
+# points of the last head block and the first points of the next blocks:
+# the head holds n = 1, ..., D + 1, then blocks of 16, 32, 64, ... follow
+_BLOCK_EDGES = [1, 2, 17, 18, 49, 50]
+
+
+@st.composite
+def _orbit_with_ties_at_block_edges(draw):
+    """An orbit and a Bohr set with one row per chosen point n = D + s, s in
+    `_BLOCK_EDGES`, whose radius makes that point a tie (2r equal to its
+    distance), a near tie 10^-50 away, or a tie moved by 10^-45 sqrt2 in
+    the row: each one inside the 10^-40 band of the arc test."""
+    dim = draw(st.integers(1, 2))
+    polys = PolyVector(draw(st.lists(_integer_valued_poly(max_degree=3),
+                                     min_size=dim, max_size=dim)))
+    degree = polys.max_degree()
+    spots = draw(st.lists(st.sampled_from(_BLOCK_EDGES), min_size=1, max_size=3))
+    rows, radii = [], []
+    for spot in spots:
+        q = draw(st.integers(2, 12))
+        row = [F(draw(st.integers(-11, 11)), q) for _ in range(dim)]
+        point = polys.eval_int({"n": degree + spot})
+        dist = _circle(sum(map(F.__mul__, row, point), F(0)))
+        kind = draw(st.sampled_from(["tie", "above", "below", "sqrt2"]))
+        if dist == 0:
+            dist, kind = F(1, 2), "tie"
+        radius = dist / 2 + {"above": F(1, 10 ** 50), "below": F(-1, 10 ** 50)}.get(kind, 0)
+        entries = [Real(x) for x in row]
+        if kind == "sqrt2":
+            entries[0] = entries[0] + Real.named("sqrt2", F(draw(st.sampled_from([1, -1])),
+                                                          10 ** 45))
+        rows.append(entries)
+        radii.append(radius)
+    count = degree + max(spots) + draw(st.integers(0, 3))
+    return polys, BohrSet(dim, rows, radii), count
+
+
+@settings(max_examples=150, deadline=None)
+@given(_orbit_with_ties_at_block_edges())
+def test_arc_scan_settles_ties_on_both_sides_of_block_edges(data):
+    polys, oracle, count = data
+    expected = _reference_verdicts(oracle, polys, count)
+    assert list(oracle.difference_verdicts(polys, count)) == expected
+    hit = next((n for n, verdict in enumerate(expected, start=1) if verdict), None)
+    result = twisted_search(polys, oracle, count)
+    assert result.n == hit
+    assert result.status is (Status.EXHAUSTED if hit is None else Status.FOUND)
+
+
+def test_arc_scan_never_counts_a_band_point_as_inside():
+    # frac(n/4) is at distance exactly 1/4 = 2r for odd n: ties at the
+    # last head point (n = 1) and at the first points of the next blocks
+    orbit = PolyVector([poly_parse("n", ["n"])])
+    oracle = BohrSet(1, [[F(1, 4)]], [F(1, 8)])
+    got = list(oracle.difference_verdicts(orbit, 60))
+    assert got == [n % 4 == 0 for n in range(1, 61)]
+    assert twisted_search(orbit, oracle, 3) == SearchResult(Status.EXHAUSTED, None, None)
+
+
+@pytest.mark.parametrize("shift", [Real.named("sqrt2", F(1, 7)), Real.named("sqrt3", F(-1, 5)),
+                                   Real.named("golden", F(1, 11))], ids=repr)
+def test_arc_test_is_exact_for_every_phase_within_its_error(shift):
+    # every integer a with |a / M - x| < 10^-DIGITS may stand for x; the
+    # shift is read within 0.6 / M and each t lies within 1/M of
+    # dist(x + s), so a band without that read error gives wrong verdicts
+    for q, x in product((1, 7), (F(1, 3), F(2, 7))):
+        m = q * 10 ** DIGITS
+        value = Real(x) + shift
+        dist = _circle(value.approx(2 * DIGITS))
+        phases = list(range(math.floor(m * x) - q + 1, math.ceil(m * x) + q))
+        for j in range(-5, 6):
+            t = F(math.floor(dist * m * 10) + j, m * 10)
+            (got,) = _arc_verdicts([[phases]], [_Arc.of(m, t, (Real(x),), shift)],
+                                   lambda i: (1,))
+            assert got == [value.circle_distance_below(t)] * len(phases)
+
+
 def test_bohr_scan_dimension_mismatch():
     oracle = _bohr3()
     walk = bogolubov_walk(poly_parse("y^2", ["y"]))
@@ -569,6 +655,67 @@ def test_weyl_sum_multidimensional():
     polys = PolyVector([poly_parse("n^2", ["n"]), poly_parse("n^3", ["n"])])
     (value,) = weyl_sums(polys, [[Real.named("sqrt2"), Real.named("sqrt3")]], 5000)
     assert abs(value) < 0.05
+
+
+def _reference_rational_weyl(polys, row, n_count):
+    """float(sum_n t_n) / N over the float terms t_n of the phases j / q,
+    summed as Fractions: the exact sum of the stream's terms, rounded once."""
+    q = math.lcm(*(x.denominator for x in row))
+    parts = [F(0), F(0)]
+    for n in range(1, n_count + 1):
+        value = sum(map(F.__mul__, row, polys.eval_int({"n": n})), F(0))
+        angle = (int(value * q) % q / q) * (2.0 * math.pi)
+        parts[0] += F(math.cos(angle))
+        parts[1] += F(math.sin(angle))
+    return complex(float(parts[0]) / n_count, float(parts[1]) / n_count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_integer_valued_poly(max_degree=3), min_size=1, max_size=2),
+       st.data(), st.integers(1, 200))
+def test_rational_weyl_rows_are_one_rounding_of_the_exact_sum(entries, data, n_count):
+    polys = PolyVector(entries)
+    rows = [[F(data.draw(st.integers(-13, 13)), data.draw(st.integers(1, 13)))
+             for _ in entries] for _ in range(data.draw(st.integers(1, 3)))]
+    got = weyl_sums(polys, rows, n_count)
+    assert [(w.real.hex(), w.imag.hex()) for w in got] == \
+        [(w.real.hex(), w.imag.hex())
+         for w in (_reference_rational_weyl(polys, row, n_count) for row in rows)]
+
+
+@pytest.mark.parametrize("n_count", [1, 4, 7, 1000, 1001])
+def test_residue_counts_cover_every_point_once(n_count):
+    # n(n+1)/2 mod 2 runs 1, 1, 0, 0: four points are streamed at most
+    polys = PolyVector([poly_parse("1/2*n^2 + 1/2*n", ["n"])])
+    q, total, counts = residue_counts(polys, [F(1, 2)], n_count)
+    assert (q, total) == (2, n_count)
+    assert counts == {j: c for j, c in ((0, sum(n % 4 in (3, 0) for n in range(1, n_count + 1))),
+                                        (1, sum(n % 4 in (1, 2) for n in range(1, n_count + 1))))
+                      if c}
+    assert residue_counts(polys, [F(1, 2)]) == (2, 4, {1: 2, 0: 2})
+
+
+def test_a_rational_row_streams_at_most_N_points(monkeypatch):
+    # the period of 1/1000003 is 1000003 points; N = 50 streams 50 of them
+    fixed_phases = kernel.fixed_phases
+    streamed = []
+
+    def counted(polys, rows, count, precision):
+        moduli, blocks = fixed_phases(polys, rows, count, precision)
+
+        def tally():
+            for block in blocks:
+                block = [list(run) for run in block]
+                streamed.append(len(block[0]))
+                yield block
+        return moduli, tally()
+
+    monkeypatch.setattr(kernel, "fixed_phases", counted)
+    polys = PolyVector([poly_parse("n", ["n"])])
+    row = [F(1, 1000003)]
+    (value,) = weyl_sums(polys, [row], 50)
+    assert 0 < sum(streamed) <= 50
+    assert value == _reference_rational_weyl(polys, row, 50)
 
 
 def _bohr3() -> BohrSet:
