@@ -29,7 +29,7 @@ from .kernel import check_orbit, phases
 from .lab import (Torus, check_radii, check_sample_count, orbit_arc_verdicts,
                   weyl_sum_rational, weyl_sums)
 from .poly import PolyVector
-from .reals import DIGITS, Real, RootOfUnityMean
+from .reals import BITS, Real, RootOfUnityMean
 
 _QMC_ALPHAS = (
     0.41421356237309515,   # frac(sqrt 2)
@@ -105,7 +105,7 @@ class BoxIndicator:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "float_centers", tuple(float(c.frac(DIGITS)) for c in self.centers))
+            self, "float_centers", tuple(float(c.frac()) for c in self.centers))
         ceilings = []
         for r in self.radii:
             x = float(r)
@@ -266,7 +266,7 @@ def empirical_average(
                                                n_count, shifts)))
         return EmpiricalAverage(complex(hits / n_count, 0.0), None, None)
 
-    base = [float(x.frac(DIGITS)) for x in sys.base_point]
+    base = [float(x.frac()) for x in sys.base_point]
     infos = classify_characters(sys, f)
     sums = weyl_sums(polys, [info.row for info in infos], n_count)
     empirical_fn = TrigPoly.of(
@@ -491,9 +491,9 @@ def correlation_average(
     With EPS = 2^-30 every margin above holds many times over.
 
     The halved estimate reads the first cut phases of the N stream.  Each
-    is within 10^-DIGITS of the true phase, as in a fresh stream of cut
+    is within 2^-BITS of the true phase, as in a fresh stream of cut
     points, so `half_value` equals the estimate of a separate call at the
-    halved counts unless a true phase lies within 10^-DIGITS of a point
+    halved counts unless a true phase lies within 2^-BITS of a point
     where its float rounding changes.
     """
     check_correlation(sys, box, orbits, n_counts, samples, replicates)
@@ -504,7 +504,7 @@ def correlation_average(
         half_count = max(1, n_count // 2)
         if (polys, n_count) not in built:
             built[polys, n_count] = _StripIndex(
-                box, [point for block in phases(polys, sys.rows, n_count, DIGITS)
+                box, [point for block in phases(polys, sys.rows, n_count, BITS)
                       for point in zip(*block)], half_count)
         factors.append((built[polys, n_count], n_count, half_count))
 

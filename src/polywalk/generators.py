@@ -273,15 +273,19 @@ def adjoint_action_matrix(g: Sequence[Sequence[int]]) -> IntMatrix:
 
 # -- form-preserving families ------------------------------------------------
 
-def _require_admissible(p: MPoly, var: str):
-    if p.support() not in ((), (var,)):
-        raise ValueError(f"polynomial must involve only '{var}', got {p.support()}")
+def _require_admissible(p: MPoly) -> str:
+    """The variable of P; ValueError unless P is admissible for a walk."""
+    support = p.support()
+    if len(support) > 1:
+        raise ValueError(f"polynomial must involve only '{support[0]}', got {support}")
     if not p.has_integer_coefficients():
         raise ValueError("polynomial must have integer coefficients")
     if p.constant_term() != 0:
         raise ValueError(f"P(0) must be 0, got {p.constant_term()}")
-    if p.degree_in(var) < 2:
-        raise ValueError(f"degree must be >= 2, got {p.degree_in(var)}")
+    degree = p.degree_in(support[0]) if support else 0
+    if degree < 2:
+        raise ValueError(f"degree must be >= 2, got {degree}")
+    return support[0]
 
 
 def secant_quotient(p: MPoly, var: str, shift: MPoly, denominator: str) -> MPoly:
@@ -311,9 +315,7 @@ def xy_minus_P_walks(p: MPoly) -> tuple[Walk, Walk]:
 
     with H(n, x, z) = (P(z + n*x) - P(z)) / x.  Built once per P and
     process, as `signature_form_walks` is."""
-    var = p.support()[0] if p.support() else "z"
-    _require_admissible(p, var)
-    i = p.vars.index(var)
+    i = p.vars.index(_require_admissible(p))
 
     coords = ("x", "y", "z")
     universe = (TIME,) + coords
@@ -341,9 +343,7 @@ def xy_minus_P_walks(p: MPoly) -> tuple[Walk, Walk]:
 def bogolubov_walk(p: MPoly) -> Walk:
     """The walk (x, y) -> (x + P(y + n) - P(y), y + n), preserving x - P(y).
     Built once per P and process."""
-    var = p.support()[0] if p.support() else "y"
-    _require_admissible(p, var)
-    i = p.vars.index(var)
+    i = p.vars.index(_require_admissible(p))
     p = p.map_monomials(("y",), lambda e: (e[i],))   # P(var) -> P(y), over y alone
 
     coords = ("x", "y")

@@ -30,15 +30,16 @@ Four streams share this table:
 
 * `orbit_points` yields the exact integer points p(n).
 * `fixed_phases` carries each row's phase <row, p(n)> in fixed point, as
-  one integer per difference order modulo M = q * 10^W, where q is the lcm
-  of the denominators of the row's rational parts.  The rational part is
-  exact.  Each irrational part is read once, at the start, through
-  `reals.FixedRow`.  It yields integers a, not yet reduced mod M, with
-  a / M the phase mod 1; the arc test of `lab` reduces them once, after
-  its own shift, and compares them with integer thresholds.
-* `phases` turns them into floats (a mod M) / M in the same blocks, an
-  exact int/int division that cannot overflow.
-* `residues` is the rational case W = 0: exact residues mod q.
+  one integer per difference order modulo the row's `reals.FixedRow`
+  modulus: M = 2^W for a row with an irrational entry, and the lcm q of
+  the denominators for a row of rationals, whose phases are exact.  The
+  table is read once, at the start, through `reals.FixedRow`.  It yields
+  integers a, not yet reduced mod M, with a / M the phase mod 1; the arc
+  test of `lab` reduces them once, after its own shift, and compares them
+  with integer thresholds.
+* `phases` turns them into the floats nearest (a mod M) / M, each times
+  a scale, in the same blocks (`_floats`).
+* `residues` is the rational case: exact residues mod q.
 
 Error bound.  Write s(n) = <row, p(n)>, a real polynomial in n of degree
 at most D; the streams start at n = 1.  `reals.FixedRow` turns an
@@ -65,19 +66,19 @@ queries rest on the same proof.
 
 Hence the phase of the point n is within max(1, C(n - 1, D)) / M of
 frac(<row, p(n)>) on the circle, and so within
-max(1, C(n - 1, D)) * 10^-W <= sum_{k <= D} C(n - 1, k) * 10^-W.  The
+max(1, C(n - 1, D)) * 2^-W <= sum_{k <= D} C(n - 1, k) * 2^-W.  The
 bound grows with n, so `_width` takes the smallest W that keeps it at
-most 10^-precision at the last of `count` points.  Rows with only
-rational entries have no error and use W = 0.
+most 2^-precision at the last of `count` points.  Rows with only
+rational entries have no error and use M = q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import comb, lcm
-from operator import mod, sub, truediv
-from typing import Iterator, Sequence
+from math import comb, lcm, ldexp
+from operator import and_, mod, mul, sub, truediv
+from typing import Iterable, Iterator, Sequence
 
 from .poly import PolyVector
 from .reals import FixedRow, Real
@@ -160,12 +161,9 @@ def check_orbit(polys: PolyVector, rows: Sequence[Sequence]) -> None:
 
 
 def _width(count: int, degree: int, precision: int) -> int:
-    """Smallest W >= 0 with max(1, C(count - 1, degree)) * 10^-W <= 10^-precision."""
+    """Smallest W >= 0 with max(1, C(count - 1, degree)) * 2^-W <= 2^-precision."""
     bound = comb(count - 1, degree) if count > 0 else 1
-    digits = 0
-    while 10 ** digits < bound:
-        digits += 1
-    return max(0, precision + digits)
+    return max(0, precision + (max(bound, 1) - 1).bit_length())
 
 
 def fixed_phases(
@@ -173,7 +171,7 @@ def fixed_phases(
 ) -> tuple[tuple[int, ...], Iterator[list]]:
     """The moduli M_j, and blocks of the phases as integers a, congruent
     mod M_j but not reduced: one sequence per row in every block, after
-    `check_orbit`.  a / M_j is within 10^-precision of <row_j, p(n)> mod 1
+    `check_orbit`.  a / M_j is within 2^-precision of <row_j, p(n)> mod 1
     on the circle for n = 1, ..., count (module docstring), and equal to it
     for a row of rationals (M_j = q_j)."""
     check_orbit(polys, rows)
@@ -193,19 +191,36 @@ def fixed_phases(
     return moduli, stream()
 
 
+def reduction(m: int) -> tuple:
+    """(op, b) with op(a, b) = a mod m: a mask for a power of two M = 2^W."""
+    return (and_, m - 1) if m & (m - 1) == 0 else (mod, m)
+
+
+def _floats(run: Iterable[int], m: int, scale: float) -> list[float]:
+    """x * scale for the float x nearest (a mod m) / m, one float product.
+    For m = 2^W, W <= 1022, scale >= 1, x = float(a mod m) 2^-W and
+    step = scale 2^-W are exact (0 or normal floats), so float(a mod m) *
+    step is the same product; otherwise x is the correctly rounded int / int."""
+    op, b = reduction(m)
+    if op is and_ and m.bit_length() <= 1023 and scale >= 1:
+        step = ldexp(scale, 1 - m.bit_length())
+        return list(map(mul, map(float, map(and_, run, repeat(b))), repeat(step)))
+    return list(map(mul, map(truediv, map(op, run, repeat(b)), repeat(m)), repeat(scale)))
+
+
 def phases(
     polys: PolyVector,
     rows: Sequence[Sequence[Real | Fraction | int | str]],
     count: int,
     precision: int,
+    scale: float = 1.0,
 ) -> Iterator[list[list[float]]]:
-    """frac(<row_j, p(n)>) for n = 1, ..., count as floats, in the blocks of
-    `fixed_phases`.  Before the final rounding to a float each phase is
-    within 10^-precision of the true one on the circle (module docstring)."""
+    """frac(<row_j, p(n)>) for n = 1, ..., count as floats times `scale`
+    (`_floats`), in the blocks of `fixed_phases`; before rounding, each phase
+    is within 2^-precision of the true one on the circle (module docstring)."""
     moduli, blocks = fixed_phases(polys, rows, count, precision)
     for block in blocks:
-        yield [list(map(truediv, map(mod, run, repeat(m)), repeat(m)))
-               for run, m in zip(block, moduli)]
+        yield [_floats(run, m, scale) for run, m in zip(block, moduli)]
 
 
 def residues(

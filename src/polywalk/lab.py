@@ -34,24 +34,26 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
-from operator import add, floordiv, mod, mul, ne, truediv
+from operator import add, floordiv, mul, ne, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fleeing import construct_fleeing_walk
 from .generators import bogolubov_walk, kernel_basis, xy_minus_P_walks
-from .kernel import fixed_phases, orbit_points, orbit_var, phases, residues
+from .kernel import fixed_phases, orbit_points, orbit_var, phases, reduction, residues
 from .poly import MPoly, PolyVector, poly_parse
-from .reals import DIGITS, FixedRow, Real, RootOfUnityMean
+from .reals import BITS, FixedRow, Real, RootOfUnityMean
 from .walks import Walk
 
 
 class _Arc(NamedTuple):
     """One row's arc test dist(x + s) < t on integers a, a / M within
-    10^-DIGITS of x mod 1: y = (g a + lift) mod g M is in `near` unless
-    surely outside, and in `inner` iff surely inside (BohrSet docstring)."""
+    2^-BITS of x mod 1: y = (g a + lift) mod g M, that is
+    reduce(g a + lift, by), is in `near` unless surely outside, and in
+    `inner` iff surely inside (BohrSet docstring)."""
 
     scale: int
-    modulus: int
+    reduce: Callable[[int, int], int]
+    by: int
     lift: int
     near: range
     inner: range
@@ -64,20 +66,20 @@ class _Arc(NamedTuple):
         g, c, error = 1, 0, Fraction(0)
         if shift != 0:
             exact = shift.is_rational()
-            if m < 10 ** DIGITS:   # a row of rationals: read the shift at lcm(M, v)
-                g = math.lcm(m, shift.as_fraction().denominator if exact else 10 ** DIGITS) // m
+            if all(x.is_rational() for x in row):   # read the shift at lcm(M, v)
+                g = math.lcm(m, shift.as_fraction().denominator if exact else 1 << BITS) // m
                 m *= g
-            read = shift.approx(len(str(m)) + 1)   # within 1 / (10 M), exact if rational
+            read = shift.approx(m.bit_length() + 3)   # within 1 / (8 M), exact if rational
             c = round(read * m)
             error = abs(c - read * m) if exact else Fraction(1)
-        e = Fraction(1, 10 ** DIGITS) + error / m
+        e = Fraction(1, 1 << BITS) + error / m
         out = math.floor((t + e) * m)
         k = math.ceil((t - e) * m) - 1
         if 2 * out < m:
-            return cls(g, m, c + out, range(2 * out + 1), range(out - k, out + k + 1),
-                       t, row, shift)
+            return cls(g, *reduction(m), c + out, range(2 * out + 1),
+                       range(out - k, out + k + 1), t, row, shift)
         inner = range(m) if 2 * k >= m else range(2 * k + 1)
-        return cls(g, m, c + k, range(m), inner, t, row, shift)
+        return cls(g, *reduction(m), c + k, range(m), inner, t, row, shift)
 
 
 def _every(flags: list[Iterator[bool]]) -> Iterator[bool]:
@@ -97,7 +99,7 @@ def _arc_verdicts(blocks: Iterable[Sequence[Iterable[int]]], arcs,
         for run, arc in zip(block, arcs):
             if arc.scale != 1:
                 run = map(mul, run, repeat(arc.scale))
-            ys.append(list(map(mod, map(add, run, repeat(arc.lift)), repeat(arc.modulus))))
+            ys.append(list(map(arc.reduce, map(add, run, repeat(arc.lift)), repeat(arc.by))))
         verdicts = list(_every([map(arc.inner.__contains__, y) for y, arc in zip(ys, arcs)]))
 
         def near():
@@ -118,7 +120,7 @@ def orbit_arc_verdicts(polys: PolyVector, rows, thresholds, count: int,
     """Per block, whether dist(<row_j, p(n)> + shift_j) < t_j on every row j,
     for n = 1, ..., count: the arc test on one kernel stream, each shift
     (default 0) read at the row's modulus (BohrSet docstring)."""
-    moduli, blocks = fixed_phases(polys, rows, count, DIGITS)
+    moduli, blocks = fixed_phases(polys, rows, count, BITS)
     arcs = list(map(_Arc.of, moduli, thresholds, rows, shifts or repeat(Real(0))))
     var = orbit_var(polys)
     return _arc_verdicts(blocks, arcs, lambda i: polys.eval_int({var: i + 1}))
@@ -232,19 +234,21 @@ class BohrSet(Torus):
     row j at each point w of a block, x_j = <row_j, w>, s_j a constant
     shift: 0 with t = 2r for this set, x0_j - c_j (base point minus arc
     centre) with t = r for the box counts of `ergodic.empirical_average`.
-    Each phase is an integer a with a / M within 10^-DIGITS of x mod 1: a
-    `reals.FixedRow` per row built at width DIGITS for a single query, the
-    kernel's `fixed_phases` at precision DIGITS for a scan.  The shift is
+    Each phase is an integer a with a / M within 2^-BITS of x mod 1: a
+    `reals.FixedRow` per row built at width BITS for a single query, the
+    kernel's `fixed_phases` at precision BITS for a scan; M = 2^W on a row
+    with an irrational entry, M = q on a row of rationals.  The shift is
     read once, as the integer c nearest M s (`_Arc.of`); a row of
     rationals, whose M = q is small, first scales a and M by
-    g = lcm(M, v) / M, v the denominator of a rational s and 10^DIGITS
-    otherwise.  |c - M s| is exact for a rational s and below 1/2 + 1/10
-    otherwise, so (a + c) / M is within e = 10^-DIGITS + |c - M s| / M,
-    or 10^-DIGITS + 1/M, of x + s mod 1.  With d the distance of a + c to
+    g = lcm(M, v) / M, v the denominator of a rational s and 2^BITS
+    otherwise.  |c - M s| is exact for a rational s and below 1/2 + 1/8
+    otherwise, so (a + c) / M is within e = 2^-BITS + |c - M s| / M,
+    or 2^-BITS + 1/M, of x + s mod 1.  With d the distance of a + c to
     the nearest multiple of M, O = floor((t + e) M) and
     K = ceil((t - e) M) - 1, d > O is surely outside, d <= K surely
     inside, and the rest is the band.  Per block and row one shifted
-    residue y = (a + c + O) mod M and one range test per point run in C
+    residue y = (a + c + O) mod M, a mask by M - 1 when M is a power of
+    two, and one range test per point run in C
     (`map`): d <= O iff y <= 2 O, and d <= K iff |y - O| <= K.  If
     2 O >= M every d is at most O, and y = (a + c + K) mod M gives d <= K
     iff y <= 2 K (always, if 2 K >= M).  Only a point near on every row
@@ -266,7 +270,7 @@ class BohrSet(Torus):
     so a distance of exactly r is outside it too.  (3) Settling ends.  A
     rational x + s is compared exactly.  An irrational one has an
     irrational distance, which never equals the rational t, and a read
-    within 10^-p of it stops as soon as 2 10^-p is below their gap.
+    within 2^-p of it stops as soon as 2^(1-p) is below their gap.
     """
 
     def __init__(self, dim: int, rows: Sequence[Sequence[Real | Fraction | int | str]],
@@ -276,7 +280,7 @@ class BohrSet(Torus):
         if len(self.radii) != self.torus_dim:
             raise ValueError("one radius per torus coordinate required")
         check_radii(self.radii)
-        self._fixed = [FixedRow(row, DIGITS) for row in self.rows]
+        self._fixed = [FixedRow(row, BITS) for row in self.rows]
         self._arcs = [_Arc.of(f.modulus, 2 * r, row)
                       for f, r, row in zip(self._fixed, self.radii, self.rows)]
 
@@ -577,9 +581,10 @@ def weyl_sums(
 
     The terms are t_n = cos, then sin, of x_n * 2 pi, x_n the float phase
     of the point n.  Rows with an irrational entry are read from one
-    `kernel.phases` stream, each phase within 10^-DIGITS of the true one
-    before rounding to a float; per row the terms of a block are summed by
-    `math.fsum`, and the block totals by one more, so one block is held.
+    `kernel.phases` stream, whose scale 2 pi gives the products x_n * 2 pi,
+    each phase within 2^-BITS of the true one before rounding to a float;
+    per row the terms of a block are summed by `math.fsum`, and the block
+    totals by one more, so one block is held.
     A row of rationals is not streamed: x_n = j / q for its residue j
     (`residue_counts`), so the same terms are sum_j c_j t_j over the counts
     c_j of each residue, summed exactly and rounded once (`_weighted_fsum`).
@@ -598,9 +603,8 @@ def weyl_sums(
     exact = [all(x.is_rational() for x in row) for row in rows]
     streamed = [row for row, rational in zip(rows, exact) if not rational]
     totals = [([], []) for _ in streamed]
-    for block in phases(polys, streamed, n_count, DIGITS) if streamed else ():
-        for (re, im), run in zip(totals, block):
-            angles = list(map(mul, run, repeat(2.0 * math.pi)))
+    for block in phases(polys, streamed, n_count, BITS, 2.0 * math.pi) if streamed else ():
+        for (re, im), angles in zip(totals, block):
             re.append(math.fsum(map(math.cos, angles)))
             im.append(math.fsum(map(math.sin, angles)))
     sums = iter([complex(math.fsum(re) / n_count, math.fsum(im) / n_count)

@@ -9,11 +9,11 @@ decided symbolically on those coordinates: the value is rational exactly
 when every irrational basis coordinate is zero.
 
 Numeric evaluation goes through integer digit engines: constant_digits(name,
-p) returns floor-ish c * 10^p with error below one unit in the last place.
-`FixedRow` is their only reader; `Real.approx`, the Bohr-set queries and
-the orbit kernel all evaluate through it.  It gives <row, v> as an exact
-integer over a modulus M, so every downstream comparison stays in integer
-or rational arithmetic.
+p) returns c * 2^p in binary fixed point, with error below one unit in the
+last place.  `FixedRow` is their only reader; `Real.approx`, the Bohr-set
+queries and the orbit kernel all evaluate through it.  It gives <row, v> as
+an exact integer over a modulus M, so every downstream comparison stays in
+integer or rational arithmetic.
 """
 
 from __future__ import annotations
@@ -22,33 +22,21 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import Mapping, Sequence
 
-# Decimal digits of every float read of an exact real, of every torus phase
-# stream and of the first read of a Bohr-set verdict.
-DIGITS = 40
-
-
-def _sqrt_digits(k: int, prec: int) -> int:
-    return isqrt(k * 10 ** (2 * prec))
-
-
-def _golden_digits(prec: int) -> int:
-    return (10 ** prec + _sqrt_digits(5, prec)) // 2
+# Bits of every float read of an exact real, of every torus phase stream and
+# of the first read of a Bohr-set verdict: 2^-133 < 10^-40.
+BITS = 133
 
 
 def _pi_digits(prec: int) -> int:
     # Machin: pi = 16*atan(1/5) - 4*atan(1/239), in scaled integers.
-    work = prec + 12
+    work = prec + 40
 
     def atan_inv(x: int) -> int:
-        total = 0
-        term = 10 ** work // x
-        x2 = x * x
-        k = 1
-        sign = 1
+        total, term, x2, k, sign = 0, (1 << work) // x, x * x, 1, 1
         while term:
             total += sign * term // k
             term //= x2
@@ -57,19 +45,15 @@ def _pi_digits(prec: int) -> int:
         return total
 
     pi_scaled = 16 * atan_inv(5) - 4 * atan_inv(239)
-    return pi_scaled // 10 ** (work - prec)
-
-
-def _pifrac_digits(prec: int) -> int:
-    return _pi_digits(prec) - 3 * 10 ** prec
+    return pi_scaled >> (work - prec)
 
 
 _ENGINES = {
-    "sqrt2": lambda p: _sqrt_digits(2, p),
-    "sqrt3": lambda p: _sqrt_digits(3, p),
-    "sqrt5": lambda p: _sqrt_digits(5, p),
-    "golden": _golden_digits,
-    "pifrac": _pifrac_digits,
+    "sqrt2": lambda p: isqrt(2 << 2 * p),
+    "sqrt3": lambda p: isqrt(3 << 2 * p),
+    "sqrt5": lambda p: isqrt(5 << 2 * p),
+    "golden": lambda p: ((1 << p) + isqrt(5 << 2 * p)) >> 1,
+    "pifrac": lambda p: _pi_digits(p) - (3 << p),
 }
 
 CONSTANT_NAMES = tuple(sorted(_ENGINES))
@@ -78,7 +62,7 @@ _digit_cache: dict[tuple[str, int], int] = {}
 
 
 def constant_digits(name: str, prec: int) -> int:
-    """Integer approximation of constant * 10^prec, error below 1 ulp."""
+    """Integer approximation of constant * 2^prec, error below 1 ulp."""
     if name not in _ENGINES:
         raise ValueError(f"unknown constant '{name}' (known: {CONSTANT_NAMES})")
     key = (name, prec)
@@ -182,15 +166,15 @@ class Real:
 
     __rmul__ = __mul__
 
-    def approx(self, prec: int = DIGITS) -> Fraction:
-        """Fraction within 10^-prec of the true value: fix((1,)) / M for
-        the row FixedRow([self], prec), as 1/M <= 10^-prec.  A rational
+    def approx(self, prec: int = BITS) -> Fraction:
+        """Fraction within 2^-prec of the true value: fix((1,)) / M for
+        the row FixedRow([self], prec), as 1/M = 2^-prec.  A rational
         value is returned exactly."""
         fixed = FixedRow([self], prec)
         return Fraction(fixed((1,)), fixed.modulus)
 
-    def frac(self, prec: int = DIGITS) -> Fraction:
-        """Fractional part, as a Fraction within 10^-prec of the true one on
+    def frac(self, prec: int = BITS) -> Fraction:
+        """Fractional part, as a Fraction within 2^-prec of the true one on
         the circle."""
         return self.approx(prec) % 1
 
@@ -198,13 +182,13 @@ class Real:
         """Whether the distance of the value to the nearest integer is below
         the rational t, decided exactly (proof in `lab.BohrSet`): the
         distance d of `frac(p)`, exact for a rational value and otherwise
-        within error = 10^-p, is read at p = DIGITS, 2 DIGITS, ... until
+        within error = 2^-p, is read at p = BITS, 2 BITS, ... until
         d + error <= t (True) or d - error >= t (False); so a tie is False."""
-        prec = DIGITS
+        prec = BITS
         while True:
             x = self.frac(prec)
             d = min(x, 1 - x)
-            error = 0 if self.is_rational() else Fraction(1, 10 ** prec)
+            error = 0 if self.is_rational() else Fraction(1, 1 << prec)
             if d + error <= t or d - error >= t:
                 return d < t
             prec *= 2
@@ -229,53 +213,50 @@ class Real:
 
 
 class FixedRow:
-    """One row of exact reals in fixed point modulo M = q * 10^W.
+    """One row of exact reals in fixed point modulo M.
 
-    q is the lcm of the denominators of the row's rational parts, and
-    W = max(width, 0), or W = 0 for a row of rationals.  fix(v) is an
-    integer with |fix(v) - M <row, v>| < 1, so fix(v) / M is within
-    1/M <= 10^-W of <row, v>, and exactly <row, v> for a row of rationals.
+    A row of rationals has M = q, the lcm of the denominators of its
+    entries, and fix(v) = q <row, v> exactly.  A row with an irrational
+    entry has M = 2^W, W = max(width, 0), and an integer fix(v) with
+    |fix(v) - M <row, v>| < 1, so fix(v) / M is within 2^-W of <row, v>.
+    Every coefficient is held as an integer over one denominator den, the
+    lcm of the denominators of all the row's coefficients: den r_c for the
+    rational parts r_c, and per basis constant c the column den a_c.
 
-    Every coefficient is held as an integer: q r_c for the rational parts
-    r_c, and for each basis constant c the column den q a_c of its
-    coefficients a_c, where den is the lcm of the denominators of every
-    q a_c of the row.
-
-    Proof.  The rational part sum (q r_c) v_c 10^W is an exact integer.
-    The coefficient of a basis constant c is K = S / den, with the exact
-    integer S = sum (den q a_c) v_c.  Its digits are read at W + g places,
-    g >= 31 b // 100 + 3 for b the bit length of the numerator of K in
-    lowest terms, S / gcd(S, den), so |K| < 2^b < 10^(g-2).  With
-    d = constant_digits(c, W + g), 0 <= c 10^(W+g) - d < 1, the term
-    K d / 10^g is within |K| / 10^g < 1/100 of K c 10^W.  At most four
-    basis constants add under 1/25, and rounding their sum,
-    (sum S d) / (den 10^g), to an integer adds at most 1/2."""
+    Proof.  With the exact integers R = sum (den r_c) v_c and, per basis
+    constant c, S = sum (den a_c) v_c, M <row, v> = (R + sum S c) 2^W / den.
+    The constants are read at W + g bits, W + g the multiple of 64 at or
+    above W + b + 5, b the bit length of floor(|K|), K = S / den, so
+    |K| < 2^b.  With d = constant_digits(c, W + g), |c 2^(W+g) - d| < 1, so
+    (R 2^(W+g) + sum S d) / (den 2^g) is within sum |K| / 2^g < 4 / 32 of
+    M <row, v> for at most four basis constants.  Rounding it to an
+    integer, rational part included, adds at most 1/2."""
 
     def __init__(self, row: Sequence[Real | Fraction | int | str], width: int):
         coords = [Real.of(entry).basis() for entry in row]
-        q = lcm(*(rational.denominator for rational, _ in coords))
         names = sorted({name for _, irr in coords for name in irr})
+        self.den = lcm(*(a.denominator for rational, irr in coords
+                         for a in (rational, *irr.values())))
         self.width = max(width, 0) if names else 0
-        self.modulus = q * 10 ** self.width
-        self.weights = [int(rational * q) for rational, _ in coords]
-        self.den = lcm(*((a * q).denominator for _, irr in coords for a in irr.values()))
+        self.modulus = 1 << self.width if names else self.den
+        self.weights = [int(rational * self.den) for rational, _ in coords]
         self.irrational = {
-            name: [int(irr.get(name, 0) * q * self.den) for _, irr in coords] for name in names
+            name: [int(irr.get(name, 0) * self.den) for _, irr in coords] for name in names
         }
 
     def __call__(self, v: Sequence[int]) -> int:
-        total = sum(map(mul, self.weights, v)) * 10 ** self.width
+        total = sum(map(mul, self.weights, v))
         if not self.irrational:
             return total
         sums = {name: sum(map(mul, column, v)) for name, column in self.irrational.items()}
-        # 10^(g-2) > |K|: 31/100 > log10(2) bounds the decimal digits
-        widest = max((s // gcd(s, self.den)).bit_length() for s in sums.values())
-        work = self.width + 31 * widest // 100 + 3
-        # quantize the digit precision so the digit cache stays warm
-        work += (-work) % 32
-        scaled = sum(s * constant_digits(name, work) for name, s in sums.items())
-        scale = self.den * 10 ** (work - self.width)
-        return total + (2 * scaled + scale) // (2 * scale)
+        widest = max((abs(s) // self.den).bit_length() for s in sums.values())
+        # quantize the precision so the digit cache stays warm
+        work = self.width + widest + 5
+        work += (-work) % 64
+        shift = work - self.width
+        scaled = (total << work) + sum(s * constant_digits(name, work)
+                                       for name, s in sums.items())
+        return ((scaled + (self.den << (shift - 1))) >> shift) // self.den
 
 
 @lru_cache(maxsize=None)

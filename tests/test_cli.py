@@ -23,7 +23,9 @@ from polywalk.cli import (
     main,
     parse_walk_spec,
 )
-from polywalk.poly import MPoly, poly_parse_auto
+from polywalk.lab import weyl_sums
+from polywalk.poly import MPoly, PolyVector, poly_parse, poly_parse_auto
+from polywalk.reals import Real
 from polywalk.walks import Walk
 
 
@@ -138,6 +140,42 @@ def test_construct_walk_stdout_golden(capsys, gens, v, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the report outside '#' lines of every BENCHMARK_SHAPED command
+# but construct-walk, and float.hex of Weyl sums, both taken while every
+# torus phase was still read in decimal fixed point
+NUMERIC_GOLDEN = {
+    "bogolubov-bohr-jobs2": "73ceed7d9953a69865d36129ec87ace1a00e8c6f9e18feb88edd172aadf4c379",
+    "bogolubov-window": "72e3791ea1fa09a9604604956e828f3f1b7d0291faf2534f36ecb86aa8f7bada",
+    "correlate": "c81d407ffd2bd080a1da0994b1f1a0c449add329883ca5ad3bf297c66fb4b4f0",
+    "ergodic-box": "5a09b8b9efa55163ba954c63fccc51a1333842b775cfaa52f067bb9ae67c701a",
+    "ergodic-trig": "a7e0fb488f021f043e98825a71727efc411ca029c72093e89f610b871715f8ac",
+    "magyar-bohr": "fac4d2e46429d8275e3a5601081f1598ba3bb56640fd0cbf3b994e346215af65",
+    "weyl": "273c30f8a21eed40ff641d91d48aeb2d99b6c0e5ba42b8b9e15c1fa6b826716b",
+    "weyl-exact": "477c4a23c377be3b2a5e081fe8e8235455f43c890b1221fabcf5847288046855",
+}
+WEYL_GOLDEN = [
+    (["n^2", "n^3"], ["sqrt2", "sqrt3"], 30000, ("0x1.c96698b774a04p-8", "0x1.5c095dd30bb74p-15")),
+    (["n"], ["golden"], 5000, ("-0x1.681d3a944867dp-14", "0x1.1b040a741cb5ep-14")),
+    (["n"], ["sqrt5"], 5000, ("-0x1.012bcc8880152p-14", "0x1.084d14e1b507cp-12")),
+]
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_GOLDEN))
+def test_benchmark_shaped_reports_golden(tmp_path, capsys, name):
+    assert set(NUMERIC_GOLDEN) == {n for n in BENCHMARK_SHAPED if not n.startswith("construct")}
+    code, out, err = run(capsys, *_argv(tmp_path, BENCHMARK_SHAPED[name]))
+    assert (code, err) == (2 if name == "bogolubov-window" else 0, "")
+    body = _strip_timing(out)
+    assert hashlib.sha256(body.encode()).hexdigest() == NUMERIC_GOLDEN[name]
+
+
+@pytest.mark.parametrize("exprs, thetas, n_count, pinned", WEYL_GOLDEN)
+def test_weyl_sums_golden(exprs, thetas, n_count, pinned):
+    polys = PolyVector([poly_parse(e, ["n"]) for e in exprs])
+    (value,) = weyl_sums(polys, [[Real.of(t) for t in thetas]], n_count)
+    assert (value.real.hex(), value.imag.hex()) == pinned
+
+
 def test_construct_walk_never_reads_the_fraction_view(capsys, monkeypatch):
     # signature (2,3), generator walks included, runs on the stored integer
     # pairs: reading MPoly.terms fails the run, and the certificate is the
@@ -167,6 +205,12 @@ def test_signature_family_built_once_per_process(monkeypatch):
     assert (first, second) == (family.walks[0], family.walks[3])
     with pytest.raises(FrozenInstanceError):
         family.walks = ()
+
+
+@pytest.mark.parametrize("gen, v", [("xyP:0:1", "1,0,0"), ("bogolubov:0", "1,0")])
+def test_construct_walk_rejects_a_zero_P(capsys, gen, v):
+    assert run(capsys, "construct-walk", "--gen", gen, f"--v={v}") == (
+        1, "", "error: degree must be >= 2, got 0\n")
 
 
 def test_construct_walk_exhausted(capsys):
@@ -319,7 +363,7 @@ def test_corollary_walks_built_once_per_P(tmp_path, capsys, monkeypatch):
     built = []
     require = generators._require_admissible
     monkeypatch.setattr(generators, "_require_admissible",
-                        lambda p, var: built.append(str(p)) or require(p, var))
+                        lambda p: built.append(str(p)) or require(p))
     paths = _configs(tmp_path)
     for argv in (["magyar", "--config", str(paths["magyar"]), "--validate-only"],
                  ["magyar", "--config", str(paths["magyar"])],

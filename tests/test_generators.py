@@ -175,6 +175,19 @@ def test_bogolubov_reads_P_in_its_own_variable_and_universe():
     assert bogolubov_walk(poly_parse("y^2", ["y", "w"])) == bogolubov_walk(poly_parse("y^2", ["y"]))
 
 
+@pytest.mark.parametrize("universe", [["q"], ["y"], ["z"]])
+@pytest.mark.parametrize("family", [bogolubov_walk, xy_minus_P_walks], ids=["bogolubov", "xyP"])
+def test_a_P_without_support_is_rejected_as_inadmissible(family, universe):
+    # P = 0 and P = 3 have no variable to read: the admissibility messages,
+    # whichever name the universe holds
+    with pytest.raises(ValueError, match="^degree must be >= 2, got 0$"):
+        family(poly_parse("0", universe))
+    with pytest.raises(ValueError, match="^P\\(0\\) must be 0, got 3$"):
+        family(poly_parse("3", universe))
+    with pytest.raises(ValueError, match="^polynomial must involve only 'w', got"):
+        family(poly_parse("w^2 + y*w", ["w", "y"]))
+
+
 def test_secant_quotient_rejects_an_inexact_division():
     universe = ("x", "y", "z")
     p = poly_parse("z^2", universe)

@@ -5,10 +5,13 @@ The reference oracle is the per-point route: the Fraction evaluation
 phase and exact Fractions for the residues.  `_reference_dot_frac` is the
 digit loop that `dot_frac` ran before every evaluation went through
 `reals.FixedRow` (and `dot_frac` itself was deleted), so the kernel is
-checked against a route that does not share `FixedRow`.  `FixedRow`
-itself is checked against the constants read at 400 digits, and against
-`_ReferenceFixedRow`, its Fraction form, bit for bit; the difference
-table against `_reference_backward_table`, its tuple loop."""
+checked against a route that does not share `FixedRow`.  Both read the
+constants in decimal (`decimal_reference`), not through the package's
+binary engines.  `FixedRow` itself is checked against the constants read
+at 400 decimal digits, and against `_ReferenceFixedRow`, its Fraction
+form, bit for bit; the float phases against the correctly rounded
+Fractions of the fixed-point ones; the difference table against
+`_reference_backward_table`, its tuple loop."""
 
 import math
 from fractions import Fraction
@@ -20,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decimal_reference import decimal_digits
 from polywalk import kernel, reals
 from polywalk.kernel import orbit_points, phases, residues
 from polywalk.lab import weyl_sums
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import FixedRow, Real, constant_digits
+from polywalk.reals import BITS, FixedRow, Real
 
 F = Fraction
 UNIVERSE = ("n",)
@@ -67,7 +71,7 @@ def _reference_dot_frac(thetas, values, prec):
     scale = 10 ** work
     acc = rational * scale
     for name, c in irr.items():
-        acc += c * constant_digits(name, work)
+        acc += c * decimal_digits(name, work)
     return Fraction(acc.numerator // acc.denominator, scale) % 1
 
 
@@ -150,7 +154,7 @@ def test_orbit_points_reject_non_integer_values():
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys_and_rows(), st.integers(0, 6), st.integers(1, 60))
+@given(polys_and_rows(), st.integers(0, 20), st.integers(1, 60))
 def test_fixed_phases_within_documented_bound(data, precision, count):
     # the docstring bound: max(1, C(n - 1, D)) / M on the circle
     polys, rows = data
@@ -167,11 +171,11 @@ def test_fixed_phases_within_documented_bound(data, precision, count):
                 assert error == 0
             else:
                 assert error < F(max(1, comb(n - 1, degree)), m)
-                assert error < F(1, 10 ** precision)
+                assert error < F(1, 2 ** precision)
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys_and_rows(), st.integers(0, 12), st.integers(1, 60))
+@given(polys_and_rows(), st.integers(0, 40), st.integers(1, 60))
 def test_float_phases_within_precision(data, precision, count):
     polys, rows = data
     points = _reference_points(polys, count)
@@ -181,7 +185,37 @@ def test_float_phases_within_precision(data, precision, count):
         for row, x in zip(rows, fracs):
             assert 0 <= x <= 1
             error = circle_distance(F(x), _reference_phase(row, point))
-            assert error <= F(1, 10 ** precision) + FLOAT_ROUNDING
+            assert error <= F(1, 2 ** precision) + FLOAT_ROUNDING
+
+
+def _correctly_rounded(polys, rows, count, precision, scale=1.0):
+    """The blocks of `phases`: the floats nearest (a mod M) / M of the
+    fixed-point phases a, as float(Fraction) rounds them, times scale."""
+    moduli, blocks = kernel.fixed_phases(polys, rows, count, precision)
+    return [[[float(F(a % m, m)) * scale for a in run] for run, m in zip(block, moduli)]
+            for block in blocks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_and_rows(), st.sampled_from([0, 1, 40, BITS, 1000, 1100]), st.integers(1, 80),
+       st.sampled_from([1.0, 2.0 * math.pi]))
+def test_float_phases_are_the_correctly_rounded_fixed_phases(data, precision, count, scale):
+    # bit for bit, on both sides of W = 1022, where the float conversion
+    # of a power-of-two modulus gives way to an int / int division
+    polys, rows = data
+    assert list(phases(polys, rows, count, precision, scale)) == \
+        _correctly_rounded(polys, rows, count, precision, scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 * math.pi])
+@pytest.mark.parametrize("width", [52, 53, 54, 1021, 1022, 1023, 1100])
+def test_float_phases_round_ties_and_carries_like_fractions(width, scale):
+    # halfway cases, carries into the next power of two and the largest
+    # residues: a truncating conversion misses half of them
+    m = 2 ** width
+    run = [a + k for a in (0, 2 ** 53 - 1, 2 ** 54 + 1, m // 3, m - 2 ** 60, m - 1)
+           for k in range(-3, 4)] + [-1, -m - 1, 5 * m + 7]
+    assert kernel._floats(run, m, scale) == [float(F(a % m, m)) * scale for a in run]
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,10 +253,13 @@ def test_residues_reject_irrational_rows():
 
 
 def test_phases_at_high_precision_on_large_values():
-    # W above 308 digits: the float conversion must not overflow
+    # W above 1022 bits: float(a mod M) would overflow
     cube = PolyVector([poly_parse("n^3", ["n"])])
-    got = [point for block in phases(cube, [[Real.named("sqrt3")]], 200, 400)
+    assert kernel._width(200, 3, 1400) > 1022
+    got = [point for block in phases(cube, [[Real.named("sqrt3")]], 200, 1400)
            for point in zip(*block)]
+    assert got == [point for block in _correctly_rounded(cube, [[Real.named("sqrt3")]], 200,
+                                                         1400) for point in zip(*block)]
     for n, (x,) in enumerate(got, start=1):
         error = circle_distance(F(x), _reference_phase([Real.named("sqrt3")], (n ** 3,)))
         assert error <= FLOAT_ROUNDING
@@ -261,7 +298,7 @@ def test_weyl_sums_within_the_summation_bound(data, count):
     # blocks; the reference sums them exactly, and per point with Kahan
     # summation
     polys, rows = data
-    blocks = [list(zip(*block)) for block in phases(polys, rows, count, 40)]
+    blocks = [list(zip(*block)) for block in phases(polys, rows, count, BITS)]
     for j, value in enumerate(weyl_sums(polys, rows, count)):
         for part, fn in ((value.real, math.cos), (value.imag, math.sin)):
             terms = [[fn(2.0 * math.pi * point[j]) for point in block] for block in blocks]
@@ -286,12 +323,12 @@ REFERENCE_DIGITS = 400
 
 def _reference_value(row, v):
     """<row, v> with every constant as written (golden too) read at 400
-    digits: off by less than sum |c v| * 10^-400."""
+    decimal digits: off by less than sum |c v| * 10^-400."""
     total = F(0)
     for x, value in zip(row, v):
         total += x.rational * value
         for name, c in x.irr.items():
-            total += c * value * F(constant_digits(name, REFERENCE_DIGITS),
+            total += c * value * F(decimal_digits(name, REFERENCE_DIGITS),
                                    10 ** REFERENCE_DIGITS)
     return total
 
@@ -303,54 +340,56 @@ def test_fixed_row_is_within_one_unit(row, data):
                            min_size=len(row), max_size=len(row)))
     exact = _reference_value(row, v)
     rational = all(x.is_rational() for x in row)
-    # 32 consecutive widths meet every residue of the digit quantization
-    for width in range(32):
+    # 64 consecutive widths meet every residue of the bit quantization
+    for width in range(64):
         fixed = FixedRow(row, width)
         error = abs(fixed(v) - fixed.modulus * exact)
         assert error == 0 if rational else error < 1
-    precision = data.draw(st.integers(0, 60))
-    bound = F(1, 10 ** precision)
+    precision = data.draw(st.integers(0, 200))
+    bound = F(1, 2 ** precision)
+    # the decimal reference at as many digits as there are bits is
+    # within 10^-precision
+    reference_bound = bound + F(1, 10 ** precision)
     fixed = FixedRow(row, precision)
     got = F(fixed(v) % fixed.modulus, fixed.modulus)
     assert circle_distance(got, exact) < bound
-    assert circle_distance(got, _reference_dot_frac(row, v, precision)) < bound
+    assert circle_distance(got, _reference_dot_frac(row, v, precision)) < reference_bound
     for x in row:
         value = x.approx(precision)
         assert abs(value - _reference_value([x], [1])) < bound
-        assert circle_distance(value, _reference_dot_frac([x], [1], precision)) < bound
+        assert circle_distance(value, _reference_dot_frac([x], [1], precision)) < reference_bound
         if x.is_rational():
             assert value == x.as_fraction()
 
 
 class _ReferenceFixedRow:
-    """`FixedRow` as it was before it held its columns as integers: the
-    coefficients K of the constants are Fractions, and so is their sum."""
+    """`FixedRow` in Fraction form: the rational part and the coefficients
+    K of the constants are Fractions, and so is the sum that is rounded."""
 
     def __init__(self, row, width):
         coords = [Real.of(entry).basis() for entry in row]
-        q = math.lcm(*(rational.denominator for rational, _ in coords))
-        names = sorted({name for _, irr in coords for name in irr})
-        self.width = max(width, 0) if names else 0
-        self.modulus = q * 10 ** self.width
-        self.weights = [int(rational * q) for rational, _ in coords]
-        self.irrational = {
-            name: [irr.get(name, 0) * q for _, irr in coords] for name in names
-        }
+        self.names = sorted({name for _, irr in coords for name in irr})
+        self.width = max(width, 0) if self.names else 0
+        self.modulus = 2 ** self.width if self.names else math.lcm(
+            *(rational.denominator for rational, _ in coords))
+        self.rational = [rational for rational, _ in coords]
+        self.irrational = {name: [irr.get(name, 0) for _, irr in coords] for name in self.names}
 
     def __call__(self, v):
-        total = sum(w * x for w, x in zip(self.weights, v)) * 10 ** self.width
-        if not self.irrational:
-            return total
+        rational = sum((r * x for r, x in zip(self.rational, v)), Fraction(0))
+        if not self.names:
+            assert (rational * self.modulus).denominator == 1
+            return int(rational * self.modulus)
         coeffs = {
             name: sum((a * x for a, x in zip(column, v)), Fraction(0))
             for name, column in self.irrational.items()
         }
-        widest = max(k.numerator.bit_length() for k in coeffs.values())
-        work = self.width + 31 * widest // 100 + 3
-        work += (-work) % 32
-        scaled = sum(k * reals.constant_digits(name, work) for name, k in coeffs.items())
-        scale = scaled.denominator * 10 ** (work - self.width)
-        return total + (2 * scaled.numerator + scale) // (2 * scale)
+        widest = max(math.floor(abs(k)).bit_length() for k in coeffs.values())
+        work = self.width + widest + 5
+        work += (-work) % 64
+        scaled = rational * 2 ** work + sum(k * reals.constant_digits(name, work)
+                                            for name, k in coeffs.items())
+        return math.floor(scaled / 2 ** (work - self.width) + Fraction(1, 2))
 
 
 # coefficients with coprime, shared and large denominators, as in 3/7*sqrt2
@@ -381,7 +420,7 @@ def _same_digits_and_value(row, width, v):
 @given(st.lists(row_entry, min_size=1, max_size=4), st.data())
 def test_fixed_row_matches_fraction_formula(row, data):
     v = data.draw(st.lists(huge, min_size=len(row), max_size=len(row)))
-    width = data.draw(st.one_of(st.integers(0, 40), st.integers(301, 340)))
+    width = data.draw(st.one_of(st.integers(0, 140), st.integers(1000, 1140)))
     _same_digits_and_value(row, width, v)
     _same_digits_and_value(row, width, [-x for x in v])
 
@@ -392,7 +431,7 @@ def test_fixed_row_matches_fraction_formula(row, data):
     ["1/6*sqrt3 - 5/4*sqrt5", "2/1009*golden", "sqrt2 + 1/10"],
     ["1/2", "2/3"],
 ])
-@pytest.mark.parametrize("width", [0, 1, 19, 301, 333])
+@pytest.mark.parametrize("width", [0, 1, 19, 59, BITS, 301, 333, 1000, 1107])
 def test_fixed_row_matches_fraction_formula_at_the_edges(row, width):
     for sign in (1, -1):
         for v in ([sign * 10 ** 200] * 3, [sign, -sign * (10 ** 200 - 1), 7],
@@ -401,9 +440,9 @@ def test_fixed_row_matches_fraction_formula_at_the_edges(row, width):
 
 
 def test_fixed_row_reads_digits_from_lowest_terms():
-    # den = 7 divides S = 21 * 2^j, so K = 3 * 2^j: a digit count taken
-    # from S itself is larger and, past a multiple of 32, reads more digits
-    for width in (0, 301):
+    # den = 7 divides S = 21 * 2^j, so K = 3 * 2^j: a bit count taken
+    # from S itself is larger and, past a multiple of 64, reads more bits
+    for width in (0, 1000):
         for j in range(200):
             _same_digits_and_value(["3/7*sqrt2"], width, [7 * 2 ** j])
 
@@ -447,13 +486,13 @@ def test_streams_never_call_fraction_eval(monkeypatch):
     monkeypatch.setattr(MPoly, "eval", refuse)
     fresh = PolyVector(list(polys))
     assert list(orbit_points(fresh, count)) == points
-    moduli, blocks = kernel.fixed_phases(fresh, rows, count, 12)
+    moduli, blocks = kernel.fixed_phases(fresh, rows, count, 40)
     got = [point for block in blocks for point in zip(*block)]
     assert len(got) == count
     for accs, want in zip(got, expected):
         for acc, m, phase in zip(accs, moduli, want):
-            assert circle_distance(F(acc, m), phase) < F(1, 10 ** 12)
-    floats = [point for block in phases(fresh, rows, count, 12) for point in zip(*block)]
+            assert circle_distance(F(acc, m), phase) < F(1, 2 ** 40)
+    floats = [point for block in phases(fresh, rows, count, 40) for point in zip(*block)]
     assert len(floats) == count
     q, stream = residues(fresh, rows[1])
     for residue, want in zip(stream, expected):

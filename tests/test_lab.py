@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decimal_reference import decimal_digits
 from polywalk.generators import bogolubov_walk, xy_minus_P_walks
 from polywalk import kernel
 from polywalk.kernel import orbit_points
@@ -30,7 +31,7 @@ from polywalk.lab import (
     weyl_sums,
 )
 from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
-from polywalk.reals import DIGITS, Real, constant_digits
+from polywalk.reals import BITS, Real
 
 F = Fraction
 
@@ -282,7 +283,7 @@ def _reference_dot_frac(row, v, prec):
     rational, irr = sum((x * c for x, c in zip(row, v)), Real(0)).basis()
     widest = max((len(str(abs(c.numerator))) for c in irr.values()), default=0)
     work = prec + widest + 10
-    digits = sum(c * constant_digits(name, work) for name, c in irr.items())
+    digits = sum(c * decimal_digits(name, work) for name, c in irr.items())
     return (rational + F(digits, 10 ** work)) % 1
 
 
@@ -447,7 +448,7 @@ def test_bohr_scan_guard_band_on_both_sides():
 
 def test_bohr_band_is_settled_at_more_digits():
     # 2r lies 10^-45 above or below the true distance of w * sqrt2, inside
-    # the band e = 10^-40: only a read at more digits decides it
+    # the band e > 2^-133 > 10^-41: only a read at more bits decides it
     w = 10 ** 17 + 3
     scale = 10 ** 100
     frac = w * isqrt(2 * scale * scale) % scale
@@ -523,7 +524,7 @@ def _orbit_with_ties_at_block_edges(draw):
     """An orbit and a Bohr set with one row per chosen point n = D + s, s in
     `_BLOCK_EDGES`, whose radius makes that point a tie (2r equal to its
     distance), a near tie 10^-50 away, or a tie moved by 10^-45 sqrt2 in
-    the row: each one inside the 10^-40 band of the arc test."""
+    the row: each one inside the 2^-133 band of the arc test."""
     dim = draw(st.integers(1, 2))
     polys = PolyVector(draw(st.lists(_integer_valued_poly(max_degree=3),
                                      min_size=dim, max_size=dim)))
@@ -574,16 +575,24 @@ def test_arc_scan_never_counts_a_band_point_as_inside():
 @pytest.mark.parametrize("shift", [Real.named("sqrt2", F(1, 7)), Real.named("sqrt3", F(-1, 5)),
                                    Real.named("golden", F(1, 11))], ids=repr)
 def test_arc_test_is_exact_for_every_phase_within_its_error(shift):
-    # every integer a with |a / M - x| < 10^-DIGITS may stand for x; the
-    # shift is read within 0.6 / M and each t lies within 1/M of
-    # dist(x + s), so a band without that read error gives wrong verdicts
-    for q, x in product((1, 7), (F(1, 3), F(2, 7))):
-        m = q * 10 ** DIGITS
+    # M = 2^BITS, a row with an irrational entry: every integer a with
+    # |a / M - x| < 2^-BITS may stand for x.  M = q, a row of rationals:
+    # a = q x exactly, up to multiples of q, and the test runs at
+    # lcm(q, 2^BITS).  The shift is read within 0.625 units of that
+    # modulus and each t lies within one unit of dist(x + s), so a band
+    # without that read error gives wrong verdicts
+    for m, x in product((2 ** BITS, 3, 7), (F(1, 3), F(2, 7))):
+        if m < 2 ** BITS:
+            if (m * x).denominator != 1:
+                continue
+            phases = [int(m * x) + k * m for k in (-2, 0, 1)]
+        else:
+            phases = list(range(math.floor(m * x), math.ceil(m * x) + 1))
         value = Real(x) + shift
-        dist = _circle(value.approx(2 * DIGITS))
-        phases = list(range(math.floor(m * x) - q + 1, math.ceil(m * x) + q))
+        dist = _circle(value.approx(2 * BITS))
+        grid = 10 * math.lcm(m, 2 ** BITS)
         for j in range(-5, 6):
-            t = F(math.floor(dist * m * 10) + j, m * 10)
+            t = F(math.floor(dist * grid) + j, grid)
             (got,) = _arc_verdicts([[phases]], [_Arc.of(m, t, (Real(x),), shift)],
                                    lambda i: (1,))
             assert got == [value.circle_distance_below(t)] * len(phases)

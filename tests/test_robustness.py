@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decimal_reference import decimal_digits
 from polywalk.cli import parse_walk_spec
 from polywalk.fleeing import _orbit_stream, affine_annihilator, kernel_basis
 from polywalk.generators import (
@@ -423,10 +424,10 @@ def test_dot_frac_against_reference_precision():
         name = rng.choice(names)
         value = rng.randint(-10 ** 12, 10 ** 12)
         theta = Real.named(name, F(rng.randint(1, 9), rng.randint(1, 9)))
-        fixed = FixedRow([theta], 50)
+        fixed = FixedRow([theta], 160)   # 2^-160 < 10^-48
         got = F(fixed([value]) % fixed.modulus, fixed.modulus)
         ref_scale = 10 ** 200
-        ref = (theta.irr[name] * value * constant_digits(name, 200)) / ref_scale
+        ref = (theta.irr[name] * value * decimal_digits(name, 200)) / ref_scale
         ref_frac = ref % 1
         delta = abs(got - ref_frac)
         assert min(delta, 1 - delta) < F(1, 10 ** 45)
@@ -434,14 +435,25 @@ def test_dot_frac_against_reference_precision():
 
 def test_constant_digit_engines_agree_with_isqrt():
     for name, k in (("sqrt2", 2), ("sqrt3", 3), ("sqrt5", 5)):
-        assert constant_digits(name, 80) == isqrt(k * 10 ** 160)
-    golden = constant_digits("golden", 80)
+        assert constant_digits(name, 266) == isqrt(k << 532)
+    golden = constant_digits("golden", 266)
     # golden ratio satisfies x^2 = x + 1
     approx_sq = golden * golden
-    target = (golden + 10 ** 80) * 10 ** 80
-    assert abs(approx_sq - target) < 3 * 10 ** 80
-    pifrac = constant_digits("pifrac", 40)
-    assert str(pifrac).startswith("1415926535897932384626433832795")
+    target = (golden + 2 ** 266) * 2 ** 266
+    assert abs(approx_sq - target) < 3 * 2 ** 266
+    pifrac = constant_digits("pifrac", 133)
+    assert str(pifrac * 10 ** 40 >> 133).startswith("1415926535897932384626433832795")
+
+
+@pytest.mark.parametrize("bits", [0, 1, 53, 133, 1000, 4000])
+def test_binary_engines_are_the_floor_of_the_decimal_reference(bits):
+    # floor(c 2^p) from the decimal digits at p / 3 + 20 places, whose
+    # error 10^-(p/3 + 20) < 2^-(p + 60) only matters within 2^-60 of an
+    # integer
+    places = bits // 3 + 20
+    for name in ("sqrt2", "sqrt3", "sqrt5", "golden", "pifrac"):
+        reference = decimal_digits(name, places)
+        assert constant_digits(name, bits) == (reference << bits) // 10 ** places
 
 
 def test_parse_real_forms():
