@@ -7,8 +7,9 @@ characters v -> e(<A^T m, v>), whose rationality is decided
 symbolically from the matrix entries, never numerically.
 
 This gives exact closed forms for polynomial-orbit averages next to the
-empirical double-precision route, so the two can be compared at any
-sample size.  Along an orbit p(n) a component's limit is decided on its
+empirical ones, whose box counts are exact (the arc test of `lab`) and
+whose Weyl sums are in double precision, so the two can be compared at
+any sample size.  Along an orbit p(n) a component's limit is decided on its
 phase polynomial <A^T m, p(n)>, by Weyl: zero when a non-constant
 coefficient is irrational, and otherwise the constant irrational phase
 times a root-of-unity mean over one period (`q_p_multipliers`).
@@ -18,19 +19,21 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
+from operator import mod, ne, sub
 from typing import Sequence
 
-from .kernel import check_orbit, phases
-from .lab import (Torus, check_radii, check_sample_count, orbit_arc_verdicts,
-                  weyl_sum_rational, weyl_sums)
-from .poly import PolyVector
+from .kernel import check_orbit, fixed_phases, orbit_var
+from .lab import (Torus, _Arc, _arc_verdicts, _every, check_radii, check_sample_count,
+                  orbit_arc_verdicts, weyl_sum_rational, weyl_sums)
+from .poly import MPoly, PolyVector
 from .reals import BITS, Real, RootOfUnityMean
 
+# the Kronecker steps of correlate's samples, each above 1/8, so that every
+# sample is a multiple of 2^-_GRID (correlation_average)
 _QMC_ALPHAS = (
     0.41421356237309515,   # frac(sqrt 2)
     0.7320508075688772,    # frac(sqrt 3)
@@ -39,6 +42,7 @@ _QMC_ALPHAS = (
     0.3166247903553998,    # frac(sqrt 11)
     0.60555127546399,      # frac(sqrt 13)
 )
+_GRID = 55
 
 
 class TorusSystem(Torus):
@@ -90,27 +94,13 @@ class TrigPoly:
 
 @dataclass(frozen=True)
 class BoxIndicator:
-    """Indicator of a product of arcs; measure is the product of lengths.
-
-    `contains_float` is the rule for the float sample points of
-    `correlation_average`; `empirical_average` counts orbit visits exactly
-    (`lab.orbit_arc_verdicts`).  It reads the centers as floats and each
-    radius r as the least float at or above r, both worked out once: for
-    a float distance x, x >= r exactly when x >= that float."""
+    """Indicator of the open product of arcs dist(x_j - c_j) < r_j; the
+    measure is the product of the lengths 2 r_j.  Both of its averages
+    count true points exactly, through the arc test of `lab`
+    (`empirical_average`, `correlation_average`)."""
 
     centers: tuple[Real, ...]
     radii: tuple[Fraction, ...]
-    float_centers: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    radius_ceilings: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "float_centers", tuple(float(c.frac()) for c in self.centers))
-        ceilings = []
-        for r in self.radii:
-            x = float(r)
-            ceilings.append(x if x >= r else math.nextafter(x, math.inf))
-        object.__setattr__(self, "radius_ceilings", tuple(ceilings))
 
     @classmethod
     def of(cls, centers, radii) -> BoxIndicator:
@@ -127,13 +117,6 @@ class BoxIndicator:
         for r in self.radii:
             out *= 2 * r
         return out
-
-    def contains_float(self, point: Sequence[float]) -> bool:
-        for x, center, radius in zip(point, self.float_centers, self.radius_ceilings):
-            delta = (x - center) % 1.0
-            if min(delta, 1.0 - delta) >= radius:
-                return False
-        return True
 
 
 Observable = TrigPoly | BoxIndicator
@@ -175,8 +158,11 @@ def q_p_multipliers(
         rational = [x.basis()[0] for x in info.row]
         drift: dict[int, Real] = {}   # coefficients of <u, p(n)> by degree
         for x, r, p in zip(info.row, rational, polys):
-            for exps, c in p.terms.items():
-                drift[sum(exps)] = drift.get(sum(exps), Real(0)) + (x - r).scale(c)
+            numerators: dict[int, int] = {}   # of p's coefficients by degree
+            for exps, c in p.numerators.items():
+                numerators[sum(exps)] = numerators.get(sum(exps), 0) + c
+            for e, c in numerators.items():
+                drift[e] = drift.get(e, Real(0)) + (x - r).scale(Fraction(c, p.denominator))
         if any(c != 0 for e, c in drift.items() if e):
             out.append((info, None))
             continue
@@ -276,95 +262,96 @@ def empirical_average(
                             (empirical_fn - prediction).l2_norm(), prediction.value_at(base))
 
 
-EPS = 2.0 ** -30
-_OFFSET_BOUND = 2.0 ** 10
+class _BoxIndex:
+    """How many n <= N, and n <= cut, put the true point x + A p(n) in the
+    box for a sample x on the grid 2^-_GRID (`correlation_average`)."""
 
-
-def _frac(v: float) -> float:
-    # v % 1.0 is 1.0 when v is a tiny negative number; the second % makes it 0.0
-    return v % 1.0 % 1.0
-
-
-class _StripIndex:
-    """How many offsets `off` of one orbit put x + off in a box, for any x:
-    the count of those that `BoxIndicator.contains_float` accepts at the
-    float sums x_j + off_j, bit for bit, over all offsets and over the
-    first `cut` of them.  The layout, the query and the proof that the
-    counts are exact are in `correlation_average`."""
-
-    def __init__(self, box: BoxIndicator, offsets: Sequence[Sequence[float]], cut: int):
-        self.centers, self.ceilings = box.float_centers, box.radius_ceilings
-        d = len(self.centers)
-        for off in offsets:
-            if not all(abs(off[j]) <= _OFFSET_BOUND for j in range(d)):
-                raise ValueError(f"offset {off} outside [-{_OFFSET_BOUND}, {_OFFSET_BOUND}]")
-        self.key = key = min(1, d - 1)
-        self.arc_starts = tuple(c - (r + EPS) for c, r in zip(self.centers, self.ceilings))
-        self.use_bisect = self.ceilings[key] + 2 * EPS < 0.5
-        n_strips = math.isqrt(len(offsets)) if d > 1 else 1
+    def __init__(self, box: BoxIndicator, rows, polys: PolyVector, n_count: int, cut: int):
+        self.box, self.rows, self.polys, self.cut = box, rows, polys, cut
+        self.moduli, blocks = fixed_phases(polys, rows, n_count, BITS)
+        self.phases = [list(chain.from_iterable(runs)) for runs in zip(*blocks)]
+        grids = [math.lcm(m, 1 << _GRID) for m in self.moduli]
+        self.arcs = list(map(_Arc.of, grids, box.radii, rows, [-c for c in box.centers]))
+        self.full = [g * arc.scale for g, arc in zip(grids, self.arcs)]
+        self.keys = [[a * (full // m) % full for a in run]
+                     for run, m, full in zip(self.phases, self.moduli, self.full)]
+        self.reads = [(full >> _GRID, arc.lift, full) for arc, full in zip(self.arcs, self.full)]
+        self.key = key = min(1, len(rows) - 1)
+        rest = range(2, len(rows))
+        self.windows = (self.arcs[0].near, self.arcs[0].inner, self.full[0], rest, (0, *rest),
+                        self.arcs[key].near, self.arcs[key].inner)
+        keys0, keys, turn = self.keys[0], self.keys[key], self.full[key]
+        n_strips = math.isqrt(n_count) if key else 1
         buckets = [[] for _ in range(n_strips)]
-        for i, off in enumerate(offsets):
-            buckets[min(int(_frac(off[0]) * n_strips), n_strips - 1)].append(i)
+        for i, k in enumerate(keys0):
+            buckets[k * n_strips // self.full[0]].append(i)
         self.strips = []
-        for bucket in buckets:
-            if not bucket:
-                continue
-            lows = [_frac(offsets[i][0]) for i in bucket]
-            bucket.sort(key=lambda i: _frac(offsets[i][key]))
-            members = [offsets[i] for i in bucket]
-            keys = array("d", (_frac(off[key]) for off in members))
-            keys.extend([u + 1.0 for u in keys])
+        for bucket in filter(None, buckets):
+            lows = [keys0[i] for i in bucket]
+            bucket.sort(key=keys.__getitem__)
+            sorted_keys = [keys[i] for i in bucket]
             tags = bytes(i < cut for i in bucket) * 2
-            self.strips.append((min(lows), max(lows) - min(lows), keys, members * 2, tags,
+            self.strips.append((min(lows), max(lows) - min(lows),
+                                sorted_keys + [k + turn for k in sorted_keys], bucket * 2,
                                 list(accumulate(tags, initial=0))))
 
+    def _starts(self, x: Sequence[float]) -> list[int]:
+        # per row, (-X - lift) mod M' for the exact read X = x M' of the sample
+        return [-(int(v * 2.0 ** _GRID) * step + lift) % full
+                for v, (step, lift, full) in zip(x, self.reads)]
+
+    def _test(self, run, coords, starts) -> tuple[list[bool], list[bool]]:
+        # the window test of the members `run` on the rows coords: per
+        # member, surely inside on every row, and near on every row
+        ys = [(list(map(mod, map(sub, map(self.keys[j].__getitem__, run), repeat(starts[j])),
+                        repeat(self.full[j]))), self.arcs[j]) for j in coords]
+        return (list(_every([map(arc.inner.__contains__, y) for y, arc in ys])),
+                list(_every([map(arc.near.__contains__, y) for y, arc in ys])))
+
+    def _settle(self, x, runs, point) -> list[bool]:
+        # the exact verdicts of `lab._arc_verdicts` on the phases `runs`,
+        # with the shift x - c
+        arcs = [_Arc.of(m, r, row, Real(Fraction(v)) - c) for m, r, row, v, c
+                in zip(self.moduli, self.box.radii, self.rows, x, self.box.centers)]
+        (verdicts,) = _arc_verdicts([runs], arcs, point)
+        return verdicts
+
     def count(self, x: Sequence[float]) -> tuple[int, int]:
-        centers, ceilings, key = self.centers, self.ceilings, self.key
-        dims = range(len(centers))
-        rest = range(2, len(centers))
-        crossing = (0, *rest)
-
-        def inside(off, coords) -> bool:
-            # the rule of BoxIndicator.contains_float at the point x + off
-            for j in coords:
-                delta = (x[j] + off[j] - centers[j]) % 1.0
-                if min(delta, 1.0 - delta) >= ceilings[j]:
-                    return False
-            return True
-
-        start0 = (self.arc_starts[0] - x[0]) % 1.0
-        core0, wide0 = 2.0 * ceilings[0], 2.0 * ceilings[0] + 2 * EPS
-        start = (self.arc_starts[key] - x[key]) % 1.0
-        core_lo = start + 2 * EPS
-        core_hi = start + 2.0 * ceilings[key]
-        wide_hi = start + (2.0 * ceilings[key] + 2 * EPS)
+        starts, key, cut = self._starts(x), self.key, self.cut
+        near0, inner0, full0, rest, crossing, near, inner = self.windows
+        start0, lo = starts[0], starts[key]
+        lo_in, hi_in, hi = lo + inner.start, lo + inner.stop, lo + near.stop
         total = half = 0
-        for lo, span, keys, members, tags, prefix in self.strips:
-            inner = rest
+        pending = []
+        for low, span, keys, members, prefix in self.strips:
+            coords = rest
             if key:
-                p = (lo - start0) % 1.0
-                if p > wide0 and p + span < 1.0:
-                    continue
-                if not (2 * EPS <= p and p + span <= core0):
-                    inner = crossing   # the strip crosses a coordinate-0 arc end
-            if self.use_bisect:
-                i = bisect_left(keys, core_lo)
-                j = bisect_right(keys, core_hi, i)
-                runs = [(range(bisect_left(keys, start, 0, i), i), dims),
-                        (range(j, bisect_right(keys, wide_hi, j)), dims)]
-            else:   # a full-turn key arc: every member runs the exact test
-                i = j = 0
-                runs = [(range(len(members) // 2), dims)]
-            if inner:
-                runs.append((range(i, j), inner))
-            else:
+                p = (low - start0) % full0
+                if p >= near0.stop and p + span < full0:
+                    continue   # wholly outside the row-0 near window
+                if not (p in inner0 and p + span in inner0):
+                    coords = crossing
+            i = bisect_left(keys, lo_in)
+            j = bisect_left(keys, hi_in, i)
+            if (i and keys[i - 1] >= lo) or (j < len(keys) and keys[j] < hi):
+                band = members[bisect_left(keys, lo, 0, i):i] + members[j:bisect_left(keys, hi, j)]
+                pending += compress(band, self._test(band, coords, starts)[1]) if coords else band
+            if not coords:
                 total += j - i
                 half += prefix[j] - prefix[i]
-            for run, coords in runs:
-                for k in run:
-                    if inside(members[k], coords):
-                        total += 1
-                        half += tags[k]
+                continue
+            run = members[i:j]
+            inside, near_all = self._test(run, coords, starts)
+            total += sum(inside)
+            half += sum(map(cut.__gt__, compress(run, inside)))
+            pending += compress(run, map(ne, near_all, inside))
+        if pending:
+            var = orbit_var(self.polys)
+            verdicts = self._settle(x, [[phases[k] for k in pending] for phases in self.phases],
+                                    lambda i: self.polys.eval_int({var: pending[i] + 1}))
+            for k, inside in zip(pending, verdicts):
+                total += inside
+                half += inside and k < cut
         return total, half
 
 
@@ -377,8 +364,9 @@ def check_correlation(
     replicates: int,
 ) -> None:
     """Raise ValueError unless there is at least one orbit, each with a
-    count N_i >= 1 and passing `check_average` with the box, and samples
-    and replicates are >= 1."""
+    count N_i >= 1 and passing `check_average` with the box, samples and
+    replicates are >= 1, and the box has at most one arc per Kronecker
+    step of `_QMC_ALPHAS`."""
     if len(orbits) != len(n_counts):
         raise ValueError("need one sample count per orbit")
     if not orbits:
@@ -391,13 +379,16 @@ def check_correlation(
         raise ValueError("replicates must be >= 1")
     for polys, n_count in zip(orbits, n_counts):
         check_average(sys, box, polys, n_count)
+    if len(box.radii) > len(_QMC_ALPHAS):
+        raise ValueError(f"box has {len(box.radii)} arcs; correlate samples at most "
+                         f"{len(_QMC_ALPHAS)} coordinates")
 
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
     value: float
     std_error: float
-    half_value: float   # the same estimate with every N_i replaced by max(1, N_i // 2)
+    half_value: float   # equals .value of a call with every N_i replaced by max(1, N_i // 2)
 
 
 def correlation_average(
@@ -419,106 +410,65 @@ def correlation_average(
     `half_value` is the estimate at the halved counts max(1, N_i // 2),
     a convergence check, from the same samples and the same pass.
 
-    Each visit count is the number of offsets `off` of an orbit that
-    `BoxIndicator.contains_float` accepts at the float sums x_j + off_j,
-    that is, whose `(x_j + off_j - c_j) % 1.0` lies within the radius
-    ceiling R_j of 0 on every coordinate j.  A strip index, built once per
-    distinct pair (orbit, N_i), gives the same counts bit for bit as a
-    scan of all N offsets per sample, testing a few offsets near the arc
-    ends instead.  Each member of the index carries a tag, 1 when its n is
-    at most the cut max(1, N // 2), so one query gives the count over all
-    N offsets and the count over the first cut of them.
+    Every count is of true points, the n <= N_i with
+    dist(x_j + <row_j, p(n)> - c_j) < r_j on every arc j, from one index per
+    distinct (orbit, N_i), whose tags (1 for n <= max(1, N // 2)) count the
+    first half too.  1_B(x) is the count of the zero orbit at N = 1.
 
-    Layout.  With d box coordinates, the key coordinate is K = 1 (K = 0
-    when d = 1).  The fractional parts of coordinate 0 are cut into
-    isqrt(N) strips (a single strip when d = 1), each with the least
-    fractional part `lo` and the width `span` of its members.  Inside a
-    strip the members are sorted by the fractional part u of coordinate K,
-    and the keys are doubled (all u, then all u + 1), so any arc of the
-    circle shorter than a full turn is one run of keys.  The strip keeps
-    the running sums of its doubled tags.
+    Layout.  A sample x_j = (shift + (s + 1) alpha_j) % 1.0, alpha_j > 1/8,
+    is a multiple of 2^-55: the sum is a float of at least 1/8, and % 1.0
+    is exact.  Row j's phases are the integers a of `kernel.fixed_phases` at
+    precision BITS, modulo M_j.  `lab._Arc.of` at lcm(M_j, 2^55) with the
+    shift -c_j reads the centre once and scales that modulus by g to M'_j.
+    The key of n is a M'_j / M_j mod M'_j; as 2^55 divides M'_j, a sample
+    reads exactly as the integer X_j = x_j M'_j.  The key row is K = 1
+    (K = 0 for one arc).  The keys of row 0 are cut into isqrt(N) strips
+    (one for one arc), each with its least key and the span of its keys.
+    In a strip the members are sorted by key K, the keys are doubled (all
+    k, then all k + M'_K), and the tags are kept as running sums.
 
-    Query.  On coordinate j the offset's fractional part u lies in the box
-    when it is within R_j of c_j - x_j on the circle.  Positions are taken
-    from the start of the widened arc, c_j - x_j - R_j - EPS: the widened
-    arc is [0, 2R_j + 2EPS] and the shrunk arc [2EPS, 2R_j].  A strip
-    wholly outside the widened coordinate-0 arc is skipped; one wholly
-    inside the shrunk arc needs no coordinate-0 test, and one that crosses
-    an edge of it tests coordinate 0 on every member it reaches.  In every
-    strip not skipped (and in the single strip when d = 1) bisection on
-    coordinate K splits the keys into the shrunk arc, whose members are
-    tested on coordinates 0 (in a crossing strip) and 2, ..., d-1, and
-    counted without a test when there are none, the halved count then
-    being a difference of two running sums of tags; the two thin bands
-    between the shrunk and the widened arc, which run the exact test; and
-    the rest, skipped.  A tested member that passes adds 1 and its tag.
+    Query.  On row j, (key + X_j + lift) mod M'_j is the residue of the
+    arc test with the shift x_j - c_j: near if in `near`, surely inside if
+    in `inner`.  Each range is a window of keys from (-X_j - lift) mod
+    M'_j, at most a full turn, so one run of doubled keys holds each
+    member at most once.  Strips wholly outside the row-0 near window are
+    skipped, and strips wholly inside its inner window skip row 0.
+    Bisection on row K splits the near window into the inner one and the
+    band around it.  Inner members are counted by the running sums when no
+    row is left to test (row 0 in a strip crossing a row-0 window end,
+    rows 2, ..., d-1), and otherwise tested on those rows in integers, as
+    are band members.  Members outside a near window are skipped, those in
+    every inner window counted, and the rest settled by `lab._arc_verdicts`
+    at p(n) with the exact shift x - c.
 
-    Why it is exact.  Take |x_j| <= 1, centres in [0, 1] (both hold here)
-    and |off_j| <= 2^10 (checked when the index is built; kernel phases
-    lie in [0, 1]).  Let dist_j be the true circle distance of
-    x_j + off_j - c_j from 0.
-    (1) The exact test reads dist_j to within 2^-40.  Its two sums are
-    below 2^11 in size, so each rounds by at most 2^-42; float % is exact
-    but for a final + 1.0, which rounds by at most 2^-53; and
-    min(delta, 1 - delta) adds no error, since 1 - delta is exact for
-    delta >= 1/2 and the min is delta below that.
-    (2) The index's positions, fractional parts, strip bounds and band
-    thresholds are sums of floats below 2 in size, a few roundings of at
-    most 2^-53 each, so each is within 2^-48 of its true value.
-    (3) A position p in [2EPS, 2R_j] is within R_j - EPS of the arc's
-    centre R_j + EPS, so an offset the index puts there has
-    dist_j <= R_j - EPS + 2^-48, and the exact test reads less than
-    R_j - EPS + 2^-39 < R_j: it accepts.  A position in
-    (2R_j + 2EPS, 1) is more than R_j + EPS from the centre, so an offset
-    the index puts there has dist_j >= R_j + EPS - 2^-48, and the exact
-    test reads more than R_j: it rejects.  Every other offset runs the
-    exact test.  The exact test is a conjunction over coordinates, so
-    testing only the coordinates not yet proved inside gives its answer.
-    This holds in a strip that crosses a coordinate-0 arc end as in one
-    inside: there only coordinate K is proved inside, so the shrunk key
-    arc tests coordinate 0 as well, and a member outside the widened key
-    arc is rejected on K whatever its coordinate 0.
-    (4) The run [start, start + 2R_K + 2EPS] of doubled keys holds at
-    most one copy of each member while the widened arc falls short of a
-    full turn by more than the rounding, in every strip, crossing ones
-    included, since the run depends on x and not on the strip.  When
-    R_K + 2EPS >= 1/2 (a radius ceiling of 0.5, or within 2EPS of it),
-    every strip runs the exact test on each member once instead, so
-    nothing is counted twice.  On coordinate 0 each strip is placed once,
-    so a ceiling of 0.5 there needs nothing more: no strip is then outside
-    the widened arc.  The tag does not enter any test, so the halved count
-    is the count over the members with n <= cut.
-    With EPS = 2^-30 every margin above holds many times over.
-
-    The halved estimate reads the first cut phases of the N stream.  Each
-    is within 2^-BITS of the true phase, as in a fresh stream of cut
-    points, so `half_value` equals the estimate of a separate call at the
-    halved counts unless a true phase lies within 2^-BITS of a point
-    where its float rounding changes.
+    Why it is exact.  key / M'_j is a / M_j, within 2^-BITS of
+    <row_j, p(n)> mod 1, and X_j + c is the read of M'_j (x_j - c_j) with
+    the centre's read error alone.  So the `BohrSet` arc-test proofs hold
+    with s = x - c and t = r: (1) `near` and `inner` are certain, (2) a
+    distance of exactly r is outside, and (3) settling is exact.  The tag
+    enters no test, so the halved counts are of true points too, and
+    `half_value` equals the estimate of a separate call at those counts.
     """
     check_correlation(sys, box, orbits, n_counts, samples, replicates)
-    d_torus = sys.torus_dim
-    built: dict[tuple[PolyVector, int], _StripIndex] = {}
+    rows = sys.rows[:len(box.radii)]
+    in_box = _BoxIndex(box, rows, PolyVector([MPoly.zero(("n",))] * sys.dim), 1, 1)
+    built: dict[tuple[PolyVector, int], _BoxIndex] = {}
     factors = []   # per orbit: its index, N_i and the halved count
     for polys, n_count in zip(orbits, n_counts):
         half_count = max(1, n_count // 2)
         if (polys, n_count) not in built:
-            built[polys, n_count] = _StripIndex(
-                box, [point for block in phases(polys, sys.rows, n_count, BITS)
-                      for point in zip(*block)], half_count)
+            built[polys, n_count] = _BoxIndex(box, rows, polys, n_count, half_count)
         factors.append((built[polys, n_count], n_count, half_count))
 
     rng = random.Random(seed)
     replicate_values, half_values = [], []
     for _ in range(replicates):
-        shifts = [rng.random() for _ in range(d_torus)]
+        shifts = [rng.random() for _ in range(sys.torus_dim)]
         products, half_products = [], []
         for s in range(samples):
-            x = [
-                (shifts[j] + (s + 1) * _QMC_ALPHAS[j % len(_QMC_ALPHAS)]) % 1.0
-                for j in range(d_torus)
-            ]
-            if not box.contains_float(x):
+            x = [(shift + (s + 1) * alpha) % 1.0
+                 for shift, alpha in zip(shifts[:len(rows)], _QMC_ALPHAS)]
+            if not in_box.count(x)[0]:
                 continue
             counts = {}
             product = half_product = 1.0

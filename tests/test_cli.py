@@ -461,6 +461,18 @@ def test_correlate_k_auto_is_the_lcm_on_rational_rows(tmp_path, capsys):
     assert out.splitlines()[0] == "k = 6"
 
 
+def test_correlate_rejects_more_arcs_than_kronecker_steps(tmp_path, capsys):
+    # a seventh arc would step like the first, so its samples would lie
+    # on a 6-torus
+    cfg = tmp_path / "corr.cfg"
+    cfg.write_text("".join(f"row_{j} = {j}/11\nradius_{j} = 1/4\n" for j in range(1, 8))
+                   + "orbit_1 = n\nN_1 = 10\nsamples = 16\nreplicates = 2\n",
+                   encoding="utf-8")
+    message = "error: box has 7 arcs; correlate samples at most 6 coordinates\n"
+    for extra in ([], ["--validate-only"]):
+        assert run(capsys, "correlate", "--config", str(cfg), *extra) == (1, "", message)
+
+
 def test_correlate_k_auto_rejects_mixed_rows(tmp_path, capsys):
     # m = (1, -1) makes A^T m = (1/3) rational, m = (1, 0) does not
     cfg = tmp_path / "corr.cfg"

@@ -1,19 +1,22 @@
 """Torus systems: character classification, closed-form orbit averages,
 empirical averages, modulus selection, correlation estimates."""
 
+import functools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decimal_reference import decimal_digits
+
 from polywalk.ergodic import (
-    EPS,
     BoxIndicator,
     TorusSystem,
-    _StripIndex,
     TrigPoly,
+    _BoxIndex,
     choose_k,
     classify_characters,
     correlation_average,
@@ -23,7 +26,7 @@ from polywalk.ergodic import (
 )
 from polywalk.lab import weyl_sums
 from polywalk.poly import MPoly, PolyVector, poly_parse
-from polywalk.reals import Real, RootOfUnityMean, cyclotomic
+from polywalk.reals import Real, RootOfUnityMean, cyclotomic, parse_real
 
 F = Fraction
 
@@ -528,13 +531,73 @@ def test_l2_to_prediction_is_parseval(rows, x0, orbit, n_count, components):
     assert math.isclose(result.l2_to_prediction, _qmc_l2(difference, len(rows)), rel_tol=1e-3)
 
 
-def _reference_contains_float(box, point):
-    # the per-call route: float center each time, exact float/Fraction compare
-    for x, center, radius in zip(point, box.centers, box.radii):
-        delta = (x - float(center.frac(100))) % 1.0
-        if min(delta, 1.0 - delta) >= radius:
-            return False
-    return True
+@functools.cache
+def _digits(name, prec):
+    return decimal_digits(name, prec)
+
+
+def _reference_below(value: Real, r: F) -> bool:
+    """dist(value) < r, by a route that shares no code with the arc test:
+    Fractions for a rational value, otherwise the decimal digits of its
+    constants (`decimal_reference`) at rising precision, until the read is
+    more than its error away from r.  A tie is False: the box is open."""
+    rational, irr = value.basis()
+    prec = 20
+    while True:
+        read = rational + sum(c * F(_digits(name, prec), 10 ** prec) for name, c in irr.items())
+        error = sum(map(abs, irr.values())) / F(10 ** prec)   # floor errs by < 10^-prec
+        if abs(_circle(read) - r) > error or not irr:
+            return _circle(read) < r
+        prec *= 2
+
+
+def _grid(v: F) -> float:
+    # a float on correlate's sample grid 2^-55 near v mod 1: every float of
+    # at least 1/8 is on it, and u 2^-55 for u < 2^52 is a float
+    return float(F(round((v % 1) * 2 ** 55) % 2 ** 55, 2 ** 55))
+
+
+def _around(v: F, steps: int) -> float:
+    # the grid float nearest v, moved by `steps` ulps (at least 2^-55 each)
+    x = _grid(v)
+    return _grid(F(x) + steps * max(F(math.ulp(x)), F(1, 2 ** 55)))
+
+
+_S = 2 ** 55 * 10 ** 40   # the reference's fixed point: x _S is an integer for every sample
+
+
+def _fixed(value: Real) -> int:
+    # an integer within 2 of value _S: the floor of a read of each constant
+    # (at most five) at 60 digits past its widest coefficient, off by < 1
+    rational, irr = value.basis()
+    prec = 60 + max((len(str(abs(c.numerator))) for c in irr.values()), default=0)
+    return math.floor((rational + sum(c * F(_digits(name, prec), 10 ** prec)
+                                      for name, c in irr.items())) * _S)
+
+
+class _ReferenceIndex:
+    """`_BoxIndex` by brute force: every point n <= N on every row, read at
+    the fixed point _S, within 4 units of the true distance, and by
+    `_reference_below` when that read is within 4 units of r _S."""
+
+    def __init__(self, box, rows, polys, n_count, cut):
+        self.box, self.cut = box, cut
+        self.values = [[sum(map(Real.scale, row, polys.eval({"n": n})), Real(0)) for row in rows]
+                       for n in range(1, n_count + 1)]
+        self.fixed = [list(map(_fixed, values)) for values in self.values]
+
+    def _inside(self, values, fixed, x):
+        for v, a, xj, c, r in zip(values, fixed, x, self.box.centers, self.box.radii):
+            y = (a + int(F(xj) * _S) - _fixed(c)) % _S
+            d = min(y, _S - y)
+            if d + 4 > r * _S and (d - 4 >= r * _S
+                                   or not _reference_below(v + Real(F(xj)) - c, r)):
+                return False
+        return True
+
+    def count(self, x):
+        inside = [self._inside(values, fixed, x) for values, fixed in zip(self.values, self.fixed)]
+        return sum(inside), sum(inside[:self.cut])
 
 
 _center = st.one_of(
@@ -545,139 +608,149 @@ _center = st.one_of(
 )
 _radius = st.fractions(min_value=F(1, 10 ** 6), max_value=F(1, 2), max_denominator=10 ** 6
                        ).filter(lambda r: r < F(1, 2))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_center, _radius), min_size=1, max_size=3),
-       st.data())
-def test_box_contains_float_matches_per_call_route(arcs, data):
-    box = BoxIndicator.of([c for c, _ in arcs], [r for _, r in arcs])
-    # points at, one ulp inside and one ulp outside each arc end, and anywhere
-    for _ in range(6):
-        point = []
-        for (center, radius) in arcs:
-            c, r = float(center.frac(100)), float(radius)
-            near = (c + data.draw(st.sampled_from([r, -r]))) % 1.0
-            step = data.draw(st.sampled_from([0, 1, -1, 2, -2]))
-            for _ in range(abs(step)):
-                near = math.nextafter(near, math.inf if step > 0 else -math.inf)
-            point.append(data.draw(st.one_of(st.just(near),
-                                              st.floats(0, 1, exclude_max=True))))
-        assert box.contains_float(point) == _reference_contains_float(box, point)
-
-
-def _shifted_box_hits(box, x, offsets):
-    # the reference scan: every offset, by the rule of contains_float
-    centers, ceilings = box.float_centers, box.radius_ceilings
-    dims = range(len(centers))
-    count = 0
-    for off in offsets:
-        for j in dims:
-            delta = (x[j] + off[j] - centers[j]) % 1.0
-            if min(delta, 1.0 - delta) >= ceilings[j]:
-                break
-        else:
-            count += 1
-    return count
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_center, _radius), min_size=2, max_size=3), st.data())
-def test_shifted_box_scan_matches_contains_float(arcs, data):
-    box = BoxIndicator.of([c for c, _ in arcs], [r for _, r in arcs])
-    x = [data.draw(st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True)))
-         for _ in arcs]
-    # offsets that put x + off at, a few ulps inside or outside each arc end,
-    # or anywhere
-    offsets = []
-    for _ in range(8):
-        off = []
-        for j, (_, radius) in enumerate(arcs):
-            end = box.float_centers[j] + data.draw(st.sampled_from([1, -1])) * float(radius)
-            end -= x[j]
-            step = data.draw(st.sampled_from([0, 1, -1, 2, -2]))
-            for _ in range(abs(step)):
-                end = math.nextafter(end, math.inf if step > 0 else -math.inf)
-            off.append(data.draw(st.one_of(st.just(end), st.floats(-2, 2))))
-        offsets.append(off)
-    expected = sum(box.contains_float([a + b for a, b in zip(x, off)]) for off in offsets)
-    assert _shifted_box_hits(box, x, offsets) == expected
-
-
-def test_shifted_box_scan_reads_radius_ceilings():
-    # float(3/10) < 3/10, so a distance of exactly float(3/10) is inside
-    box = BoxIndicator.of([0, 0], [F(3, 10), F(3, 10)])
-    assert _shifted_box_hits(box, [0.0, 0.0], [(float(F(3, 10)), 0.0)]) == 1
-
-
-def _ulps(v, steps):
-    for _ in range(abs(steps)):
-        v = math.nextafter(v, math.inf if steps > 0 else -math.inf)
-    return v
-
-
-# radii up to just below 1/2: the ceiling of 1/2 - 10^-20 is 0.5, and
-# 1/2 - EPS and 1/2 - 3 EPS lie on either side of the full-turn fallback
+# radii up to just below 1/2, where a near window is a full turn
 _index_radius = st.one_of(_radius, st.sampled_from(
-    [F(1, 2) - F(1, 10 ** 20), F(1, 2) - F(EPS), F(1, 2) - 3 * F(EPS), F(3, 10)]))
+    [F(1, 2) - F(1, 10 ** 20), F(1, 2) - F(1, 2 ** 30), F(3, 10), F(1, 4), F(1, 8)]))
+# a row of rationals (1/1000 packs 60 phases into one strip), or irrational
+_row_entry = st.one_of(_small_fraction.map(Real), st.sampled_from([F(1, 1000), F(1, 4)]).map(Real),
+                       st.builds(Real.named, st.sampled_from(["sqrt2", "sqrt3", "golden"]),
+                                 st.sampled_from([1, -1, F(1, 3)])))
+_orbit_entry = st.sampled_from(["n", "n^2", "3*n^2 + n", "n^3 - 2*n", "1/2*n^2 + 1/2*n", "2"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_center, _index_radius), min_size=1, max_size=3), st.data())
-def test_strip_index_matches_the_scan(arcs, data):
+@st.composite
+def _indexed_box(draw, max_count=60):
+    """A box of 1 to 3 arcs on rows of rationals or irrational rows, an
+    orbit and a count, and samples that put a point of the orbit (or 0) at,
+    or a few ulps around, an arc end, or anywhere on the sample grid."""
+    arcs = draw(st.lists(st.tuples(_center, _index_radius), min_size=1, max_size=3))
     box = BoxIndicator.of([c for c, _ in arcs], [r for _, r in arcs])
-    d = len(arcs)
-    xs = [[data.draw(st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True)))
-           for _ in arcs] for _ in range(3)]
-    # each coordinate: at or a few ulps around an arc end of one of the
-    # queries (by the radius ceiling or by float(r)) or near one, exactly 1.0,
-    # negative, anywhere, or in a narrow range, which leaves most strips empty
+    dim = draw(st.integers(1, 2))
+    rows = [tuple(draw(_row_entry) for _ in range(dim)) for _ in arcs]
+    polys = PolyVector([poly_parse(draw(_orbit_entry), ("n",)) for _ in range(dim)])
+    n_count = draw(st.integers(1, max_count))
 
-    def arc_end_or(j):
-        def end(x, sign, ceiling, steps, shift):
-            r = box.radius_ceilings[j] if ceiling else float(box.radii[j])
-            return _ulps(box.float_centers[j] + sign * r - x[j], steps) + shift
-        ends = st.builds(end, st.sampled_from(xs), st.sampled_from([1.0, -1.0]),
-                         st.booleans(), st.integers(-3, 3),
-                         st.one_of(st.just(0.0), st.floats(-0.1, 0.1)))
-        return st.one_of(ends, st.just(1.0), st.floats(-2, 0), st.floats(-2, 2),
-                         st.floats(0.25, 0.25 + 1e-3))
+    def coordinate(j):
+        n = draw(st.integers(0, n_count))
+        phase = sum(map(Real.scale, rows[j], polys.eval({"n": n})), Real(0)) if n else Real(0)
+        end = box.centers[j] + Real(draw(st.sampled_from([1, -1])) * box.radii[j]) - phase
+        return draw(st.one_of(st.builds(_around, st.just(end.frac(200)), st.integers(-2, 2)),
+                              st.just(0.0), st.integers(0, 2 ** 55 - 1).map(
+                                  lambda u: _grid(F(u, 2 ** 55)))))
 
-    offsets = data.draw(st.lists(
-        st.tuples(*(arc_end_or(j) for j in range(d))), min_size=1, max_size=60))
-    offsets += data.draw(st.lists(st.sampled_from(offsets), max_size=5))  # duplicates
-    cut = data.draw(st.integers(0, len(offsets)))
-    index = _StripIndex(box, offsets, cut)
-    for x in xs:
-        assert index.count(x) == (_shifted_box_hits(box, x, offsets),
-                                  _shifted_box_hits(box, x, offsets[:cut]))
+    samples = [[coordinate(j) for j in range(len(arcs))] for _ in range(3)]
+    return box, rows, polys, n_count, samples
+
+
+def _zero_orbit(dim: int) -> PolyVector:
+    return PolyVector([MPoly.zero(("n",))] * dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_indexed_box(max_count=1))
+def test_box_contains_matches_the_exact_reference(data):
+    # 1_B(x) in correlation_average is the count of the zero orbit at N = 1
+    box, rows, _, _, samples = data
+    index = _BoxIndex(box, rows, _zero_orbit(len(rows[0])), 1, 1)
+    reference = _ReferenceIndex(box, rows, _zero_orbit(len(rows[0])), 1, 1)
+    for x in samples:
+        assert index.count(x) == reference.count(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_indexed_box(), st.data())
+def test_strip_index_matches_the_scan(data, more):
+    box, rows, polys, n_count, samples = data
+    cut = more.draw(st.integers(0, n_count))
+    index = _BoxIndex(box, rows, polys, n_count, cut)
+    reference = _ReferenceIndex(box, rows, polys, n_count, cut)
+    for x in samples:
+        assert index.count(x) == reference.count(x)
+
+
+_O = 2 ** 56 // 7   # 2/7 of the modulus 2^55, rounded down: the inner window's end
+
+
+@pytest.mark.parametrize("row, center, radius, x, expected, ties", [
+    ("1/2", "0", "1/4", 0.25, (0, 0), 4),     # every point at distance exactly r
+    ("1/2", "0", "1/4", 0.75, (0, 0), 4),
+    ("1/4", "1/8", "1/8", 0.0, (0, 0), 2),    # ties at n = 1 and n = 4
+    ("1/4", "1/8", "1/8", 2.0 ** -55, (1, 0), 0),        # one grid unit inside at n = 4
+    ("1/4", "1/8", "1/8", 1 - 2.0 ** -53, (1, 1), 0),    # one ulp inside at n = 1
+    ("1/4", "1/8", "1/8", 0.125, (1, 0), 0),
+    ("1/2", "0", "2/7", _O / 2 ** 55, (4, 2), 0),        # n = 2, 4 at either end of the
+    ("1/2", "0", "2/7", 1 - _O / 2 ** 55, (4, 2), 0),    # inner window, no tie
+    ("sqrt2", "sqrt2 + 1/4", "1/4", 0.0, (2, 1), 1),     # a rational tie at n = 1
+])
+def test_strip_index_settles_only_the_ties(monkeypatch, row, center, radius, x, expected, ties):
+    # exact reads on rows of rationals leave only the ties to `_arc_verdicts`
+    settled = []
+    settle = _BoxIndex._settle
+
+    def spy(self, x, runs, point):
+        settled.extend(runs[0])
+        return settle(self, x, runs, point)
+
+    monkeypatch.setattr(_BoxIndex, "_settle", spy)
+    box = BoxIndicator.of([parse_real(center)], [F(radius)])
+    rows = [(parse_real(row),)]
+    assert _BoxIndex(box, rows, _pv("n"), 4, 2).count([x]) == expected
+    assert _ReferenceIndex(box, rows, _pv("n"), 4, 2).count([x]) == expected
+    assert len(settled) == ties
+
+
+# samples near an arc end, where the float rule (x - float(c)) % 1.0 < r,
+# rounded, gives the other verdict
+@pytest.mark.parametrize("center, radius, x, inside", [
+    ("1/10", F(49, 100), 0.61, False),
+    ("1/3", F(1, 5), 0.5333333333333333, True),
+    ("sqrt3", F(3, 10), 0.4320508075688773, True),
+    ("sqrt2", F(49, 100), 0.924213562373095, False),
+    ("2/7", F(49, 100), 0.7957142857142857, False),
+])
+def test_box_contains_is_exact_where_float_rounding_is_not(monkeypatch, center, radius, x,
+                                                           inside):
+    import polywalk.ergodic as ergodic
+    box = BoxIndicator.of([parse_real(center)], [radius])
+    for rows in ([(Real.named("sqrt2"),)], [(Real(0),)]):
+        assert _BoxIndex(box, rows, _zero_orbit(1), 1, 1).count([x]) == (inside, inside)
+        assert _ReferenceIndex(box, rows, _zero_orbit(1), 1, 1).count([x]) == (inside, inside)
+    # a replicate shift that puts the first sample at x: the estimate over
+    # that sample is positive exactly when x is in the box, as some phase
+    # k/20 lies within 1/40 of c - x
+    alpha = ergodic._QMC_ALPHAS[0]
+    shift = float((F(x) - F(alpha)) % 1)
+    while (shift + alpha) % 1.0 != x:
+        shift = math.nextafter(shift, math.inf if (shift + alpha) % 1.0 < x else -math.inf)
+    monkeypatch.setattr(ergodic, "random", SimpleNamespace(
+        Random=lambda seed: SimpleNamespace(random=lambda: shift)))
+    estimate = correlation_average(TorusSystem([["1/20"]]), box, [_pv("n")], [20],
+                                   samples=1, replicates=1)
+    assert (estimate.value > 0) is inside
 
 
 def _check_against_the_scan(monkeypatch, rows, centers, orbits, counts):
-    # correlation_average equals itself with every strip index replaced by
-    # the reference scan, and builds one index per distinct (orbit, N_i),
-    # cut at max(1, N_i // 2)
+    # correlation_average equals itself with every index replaced by the
+    # exact reference scan, and builds one index per distinct (orbit, N_i),
+    # cut at max(1, N_i // 2), and one for the zero orbit at N = 1
     import polywalk.ergodic as ergodic
     built = []
 
-    class Scan:
-        def __init__(self, box, offsets, cut):
-            self.box, self.offsets, self.cut = box, offsets, cut
-            built.append((len(offsets), cut))
-
-        def count(self, x):
-            return (_shifted_box_hits(self.box, x, self.offsets),
-                    _shifted_box_hits(self.box, x, self.offsets[:self.cut]))
+    class Scan(_ReferenceIndex):
+        def __init__(self, box, rows, polys, n_count, cut):
+            super().__init__(box, rows, polys, n_count, cut)
+            built.append((n_count, cut))
 
     system = TorusSystem(rows)
     box = BoxIndicator.of(centers, [F(3, 10)] * len(centers))
     polys = [_pv(orbit) for orbit in orbits]
     indexed = correlation_average(system, box, polys, counts, samples=64,
                                   replicates=2, seed=3)
-    monkeypatch.setattr(ergodic, "_StripIndex", Scan)
+    monkeypatch.setattr(ergodic, "_BoxIndex", Scan)
     assert indexed == correlation_average(system, box, polys, counts, samples=64,
                                           replicates=2, seed=3)
-    assert sorted(built) == sorted((n, max(1, n // 2)) for _, n in set(zip(orbits, counts)))
+    assert sorted(built) == sorted([(1, 1)] + [(n, max(1, n // 2))   # (1, 1): 1_B(x)
+                                               for _, n in set(zip(orbits, counts))])
 
 
 _PLANE = [["sqrt2", "sqrt3"], ["sqrt5", "sqrt2"]]
@@ -716,31 +789,54 @@ def test_half_value_is_the_estimate_at_halved_counts(orbits, counts):
     assert both.half_value == halved.value
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_half_value_is_a_separate_call_at_halved_counts(data):
+    # rational, irrational and mixed rows, rational and irrational centres,
+    # repeated and distinct orbits and counts
+    dim = data.draw(st.integers(1, 2))
+    arcs = data.draw(st.integers(1, 2))
+    rows = [[data.draw(_row_entry) for _ in range(dim)] for _ in range(arcs)]
+    box = BoxIndicator.of([data.draw(_center) for _ in range(arcs)],
+                          [data.draw(st.sampled_from([F(1, 8), F(1, 4), F(3, 10), F(2, 5)]))
+                           for _ in range(arcs)])
+    pool = [PolyVector([poly_parse(data.draw(_orbit_entry), ("n",)) for _ in range(dim)])
+            for _ in range(2)]
+    orbits = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    counts = [data.draw(st.integers(1, 80)) for _ in orbits]
+    seed = data.draw(st.integers(0, 99))
+    both = correlation_average(TorusSystem(rows), box, orbits, counts, samples=16,
+                               replicates=2, seed=seed)
+    halved = correlation_average(TorusSystem(rows), box, orbits,
+                                 [max(1, n // 2) for n in counts], samples=16,
+                                 replicates=2, seed=seed)
+    assert both.half_value == halved.value
+
+
 def test_strip_index_counts_a_one_dimensional_arc_end_inside():
-    # float(3/10) < 3/10, so x = 0.3 at offset 0 is inside the arc of radius
-    # 3/10 about 0, in exact arithmetic and for contains_float alike
+    # F(0.3) < 3/10 < F(0.30000000000000004), so x = 0.3 at phase 0 is
+    # inside the arc of radius 3/10 about 0, and the next float is not
     box = BoxIndicator.of([0], [F(3, 10)])
-    assert F(0.3) < F(3, 10) and box.contains_float([0.3])
-    assert _StripIndex(box, [(0.0,)], 1).count([0.3]) == (1, 1)
+    assert F(0.3) < F(3, 10) < F(math.nextafter(0.3, 1))
+    index = _BoxIndex(box, [(Real(0),)], _pv("n"), 1, 1)
+    assert index.count([0.3]) == (1, 1)
+    assert index.count([math.nextafter(0.3, 1)]) == (0, 0)
 
 
 def test_strip_index_tests_every_other_coordinate_on_a_crossing_strip():
-    # One strip, x = 0: its coordinate-0 values 0.35..0.45 cross the arc
-    # end 0.4, so its members are tested on coordinate 0 and on 2..d-1.
-    # The second member lies in the shrunk key arc and inside on coordinate
-    # 0, but outside on coordinate 2; only the third one is in the box.
+    # One strip (N = 3), x = 0, phases (7/20, 1/2, 1/2), (9/20, 1/2, 9/10)
+    # and (9/20, 1/2, 1/2): the row-0 phases cross the arc end 2/5, so the
+    # members are tested on rows 0 and 2.  The second one lies in the key
+    # arc and inside on row 0, but outside on row 2; only the third one is
+    # in the box, and it is past the cut 2.
     box = BoxIndicator.of([F(1, 2)] * 3, [F(1, 10)] * 3)
-    offsets = [(0.35, 0.5, 0.5), (0.45, 0.5, 0.9), (0.45, 0.5, 0.5)]
-    index = _StripIndex(box, offsets, 2)
+    rows = [(F(1, 20), 0, 0), (0, F(1, 2), 0), (0, 0, F(1, 10))]
+    rows = [tuple(map(Real.of, row)) for row in rows]
+    polys = _pv("5*n + 3 - n^2, 1, 16*n - 7 - 4*n^2")
+    index = _BoxIndex(box, rows, polys, 3, 2)
     assert len(index.strips) == 1
-    assert index.count([0.0] * 3) == (1, 0) == (
-        _shifted_box_hits(box, [0.0] * 3, offsets), _shifted_box_hits(box, [0.0] * 3, offsets[:2]))
-
-
-def test_strip_index_rejects_a_far_offset():
-    box = BoxIndicator.of([0, 0], [F(1, 5), F(1, 5)])
-    with pytest.raises(ValueError, match="outside"):
-        _StripIndex(box, [(0.5, 2.0 ** 11)], 1)
+    assert index.count([0.0] * 3) == (1, 0) == _ReferenceIndex(box, rows, polys, 3, 2).count(
+        [0.0] * 3)
 
 
 @pytest.mark.parametrize("counts,kwargs,message", [
