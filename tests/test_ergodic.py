@@ -668,6 +668,24 @@ def test_strip_index_matches_the_scan(data, more):
         assert index.count(x) == reference.count(x)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_indexed_box(max_count=12), st.data())
+def test_shifted_box_scan_matches_contains_float(data, more):
+    # the orbit's count at x is the number of n with x in the box shifted
+    # by -A p(n), each read as 1_B(x) of the zero orbit at N = 1
+    box, rows, polys, n_count, samples = data
+    cut = more.draw(st.integers(0, n_count))
+    index = _BoxIndex(box, rows, polys, n_count, cut)
+    contains = []
+    for n in range(1, n_count + 1):
+        phases = [sum(map(Real.scale, row, polys.eval({"n": n})), Real(0)) for row in rows]
+        shifted = BoxIndicator.of([c - p for c, p in zip(box.centers, phases)], box.radii)
+        contains.append(_BoxIndex(shifted, rows, _zero_orbit(len(rows[0])), 1, 1))
+    for x in samples:
+        inside = [c.count(x)[0] for c in contains]
+        assert index.count(x) == (sum(inside), sum(inside[:cut]))
+
+
 _O = 2 ** 56 // 7   # 2/7 of the modulus 2^55, rounded down: the inner window's end
 
 
