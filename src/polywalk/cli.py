@@ -502,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 _GRAMMAR = """expression grammar:
   expr   := term (("+"|"-") term)*
   term   := factor ("*" factor)*
-  factor := base ("^" nonneg-int)?
-  base   := number | identifier | "(" expr ")" | "-" base
+  factor := "-" factor | base ("^" nonneg-int)?
+  base   := number | identifier | "(" expr ")"
   number := nonneg-int ("/" nonneg-int)?"""
 
 

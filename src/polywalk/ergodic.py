@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import mod, ne, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kernel import check_orbit, fixed_phases, orbit_var
 from .lab import (Torus, _Arc, _arc_verdicts, _every, check_radii, check_sample_count,
@@ -59,8 +58,7 @@ class TorusSystem(Torus):
             raise ValueError("base point dimension mismatch")
 
 
-@dataclass(frozen=True)
-class TrigPoly:
+class TrigPoly(NamedTuple):
     """Finite trigonometric polynomial sum(c_m * e(<m, x>)) on T^D."""
 
     components: tuple[tuple[tuple[int, ...], complex], ...]
@@ -92,8 +90,7 @@ class TrigPoly:
         )
 
 
-@dataclass(frozen=True)
-class BoxIndicator:
+class BoxIndicator(NamedTuple):
     """Indicator of the open product of arcs dist(x_j - c_j) < r_j; the
     measure is the product of the lengths 2 r_j.  Both of its averages
     count true points exactly, through the arc test of `lab`
@@ -122,8 +119,7 @@ class BoxIndicator:
 Observable = TrigPoly | BoxIndicator
 
 
-@dataclass(frozen=True)
-class CharacterInfo:
+class CharacterInfo(NamedTuple):
     """The character of Z^d induced by a torus frequency."""
 
     freq: tuple[int, ...]
@@ -213,8 +209,7 @@ def check_average(sys: TorusSystem, f: Observable, polys: PolyVector, n_count: i
     check_orbit(polys, sys.rows)
 
 
-@dataclass(frozen=True)
-class EmpiricalAverage:
+class EmpiricalAverage(NamedTuple):
     value: complex
     l2_to_prediction: float | None
     predicted: complex | None
@@ -384,8 +379,7 @@ def check_correlation(
                          f"{len(_QMC_ALPHAS)} coordinates")
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
+class CorrelationEstimate(NamedTuple):
     value: float
     std_error: float
     half_value: float   # equals .value of a call with every N_i replaced by max(1, N_i // 2)

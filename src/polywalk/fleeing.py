@@ -12,12 +12,11 @@ computation, never by numeric rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .generators import kernel_basis
 from .poly import MPoly, PolyVector
@@ -37,8 +36,7 @@ class DepthExhausted(RuntimeError):
         self.dims = dims
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
+class AffineFunctional(NamedTuple):
     """L(y) = <linear, y> + constant, stored as a primitive integer vector
     with positive leading entry (deterministic basis representative)."""
 
@@ -125,8 +123,7 @@ def _orbit_stream(gens: Sequence[Walk], v: Sequence[int]) -> Iterator[PolyVector
         yield current
 
 
-@dataclass(frozen=True)
-class FleeingCertificate:
+class FleeingCertificate(NamedTuple):
     """Self-certifying output of the fleeing-walk construction."""
 
     depth: int

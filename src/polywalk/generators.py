@@ -10,14 +10,13 @@ walks are trustworthy values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
-from operator import attrgetter
-from typing import Sequence
+from math import factorial, gcd, lcm, prod
+from operator import attrgetter, mul
+from typing import NamedTuple, Sequence
 
-from .poly import MPoly, binomial_poly
+from .poly import MPoly
 from .walks import TIME, Walk, default_coords, preserves
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -42,11 +41,8 @@ def mat_identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -175,43 +171,51 @@ def kernel_basis(rows: Sequence[Sequence[Fraction | int]], width: int) -> list[l
     return basis
 
 
-def nilpotency_index(a: IntMatrix) -> int | None:
-    """Least j with a^j = 0, or None if a is not nilpotent (j <= size suffices)."""
-    n = len(a)
-    power = mat_identity(n)
-    for j in range(n + 1):
-        if mat_is_zero(power):
-            return j
+def nilpotent_powers(a: IntMatrix) -> list[IntMatrix] | None:
+    """a^0, ..., a^(m-1) for the least m with a^m = 0, or None if a is not
+    nilpotent (m <= size suffices)."""
+    powers: list[IntMatrix] = []
+    power = mat_identity(len(a))
+    while not mat_is_zero(power):
+        if len(powers) == len(a):
+            return None
+        powers.append(power)
         power = mat_mul(power, a)
-    return None
+    return powers
 
 
 def unipotent_walk(gamma: Sequence[Sequence[int]], coords: Sequence[str] | None = None) -> Walk:
     """The walk n -> gamma^n, written through the binomial expansion
-    gamma^n = sum_j C(n, j) (gamma - I)^j (finite because gamma - I is
-    nilpotent).  Entries have rational coefficients but certify integral."""
+    gamma^n = sum_j C(n, j) N^j, N = gamma - I, which is finite because N
+    is nilpotent: N^m = 0.  C(n, j) = (1/j!) sum_k s(j, k) n^k, s(j, k) the
+    coefficients of the falling factorial n (n-1) ... (n-j+1), so over
+    D = (m-1)! entry i has the integer numerator sum_j (D/j!) s(j, k) N^j[i][l]
+    at t^k x_l.  Entries have rational coefficients but certify integral."""
     gamma = mat(gamma)
     n = len(gamma)
-    nil = mat_sub(gamma, mat_identity(n))
-    index = nilpotency_index(nil)
-    if index is None:
+    powers = nilpotent_powers(mat_sub(gamma, mat_identity(n)))
+    if powers is None:
         raise NotUnipotent(n)
 
     coords = tuple(coords) if coords is not None else default_coords(n)
-    universe = (TIME,) + coords
-    xs = [MPoly.var(universe, c) for c in coords]
-    entries = [MPoly.zero(universe) for _ in range(n)]
-    power = mat_identity(n)
-    for j in range(index):
-        cnj = binomial_poly(universe, TIME, j)
-        for i in range(n):
-            acc = MPoly.zero(universe)
-            for l in range(n):
-                if power[i][l]:
-                    acc = acc + xs[l] * power[i][l]
-            if not acc.is_zero():
-                entries[i] = entries[i] + cnj * acc
-        power = mat_mul(power, nil)
+    den = prod(range(1, len(powers)))
+    weights, falling = [], [1]   # D/j! * s(j, k) for k = 0..j, D = den
+    for j in range(len(powers)):
+        weights.append([den // factorial(j) * s for s in falling])
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+    units = [(0,) * l + (1,) + (0,) * (n - 1 - l) for l in range(n)]
+    entries = []
+    for i in range(n):
+        numerators: dict[tuple[int, ...], int] = {}
+        get = numerators.get
+        for power, row in zip(powers, weights):
+            for unit, a in zip(units, power[i]):
+                if a:
+                    for k, w in enumerate(row):
+                        key = (k,) + unit
+                        numerators[key] = get(key, 0) + w * a
+        entries.append(MPoly((TIME,) + coords,
+                             {e: Fraction(c, den) for e, c in numerators.items()}))
     return Walk(entries, coords)
 
 
@@ -409,8 +413,7 @@ def signature_form(p: int, q: int) -> MPoly:
     return form
 
 
-@dataclass(frozen=True)
-class SignatureGenerators:
+class SignatureGenerators(NamedTuple):
     """Generator matrices and walks for x_1^2+..+x_p^2 - y_1^2-..-y_q^2."""
 
     p: int

@@ -30,7 +30,6 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
@@ -322,8 +321,7 @@ class Status(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of `twisted_search`.  `n` and `point` are set when FOUND."""
 
     status: Status
@@ -361,8 +359,7 @@ def twisted_search(
 
 # -- experiments ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TargetRecord:
+class TargetRecord(NamedTuple):
     target: int
     status: Status
     n: int | None
@@ -371,8 +368,7 @@ class TargetRecord:
     millis: float
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     kind: str
     records: tuple[TargetRecord, ...]
     config: dict
@@ -429,8 +425,7 @@ def _single_var_name(p: MPoly) -> str:
     return support[0]
 
 
-@dataclass(frozen=True)
-class Corollary:
+class Corollary(NamedTuple):
     """One Bogolubov-type corollary of the twisted recurrence, as a search.
 
     Each row fixes a form F = `form_part` - P(last coordinate) on

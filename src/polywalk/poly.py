@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -412,8 +412,8 @@ class MPoly:
             if not monomial:
                 body = mag
             elif num == den == 1 and (pieces or not negative):
-                # A leading "-x^2" would re-parse as (-x)^2 under the
-                # grammar, so a leading sign stays fused to an explicit 1.
+                # A leading sign stays fused to an explicit 1 ("-1*x^2"),
+                # which keeps printed walks and certificates as they were.
                 body = monomial
             else:
                 body = f"{mag}*{monomial}"
@@ -516,22 +516,12 @@ def _to_binomial_basis(coords: dict, i: int) -> dict:
     return out
 
 
-def binomial_poly(vars: Iterable[str], name: str, k: int) -> MPoly:
-    """The binomial coefficient C(name, k) as a polynomial: name*(name-1)*.../k!."""
-    vars = tuple(vars)
-    result = MPoly.const(vars, Fraction(1, factorial(k)))
-    v = MPoly.var(vars, name)
-    for s in range(k):
-        result = result * (v - s)
-    return result
-
-
 # -- parsing ---------------------------------------------------------------
 #
 # expr   := term (("+"|"-") term)*
 # term   := factor ("*" factor)*
-# factor := base ("^" nonneg-int)?
-# base   := number | identifier | "(" expr ")" | "-" base
+# factor := "-" factor | base ("^" nonneg-int)?
+# base   := number | identifier | "(" expr ")"
 # number := nonneg-int ("/" nonneg-int)?
 #
 # The "/" extension over plain integers lets rational coefficients
@@ -579,6 +569,9 @@ class _Parser:
         return result
 
     def factor(self) -> MPoly:
+        if self.peek() == "-":
+            self.pos += 1
+            return -self.factor()
         base = self.base()
         if self.peek() == "^":
             self.pos += 1
@@ -597,9 +590,6 @@ class _Parser:
                 self.error("expected ')'")
             self.pos += 1
             return inner
-        if ch == "-":
-            self.pos += 1
-            return -self.base()
         if ch.isdigit():
             num = self.integer()
             if self.peek() == "/":

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -203,7 +202,7 @@ def test_signature_family_built_once_per_process(monkeypatch):
     family = generators.signature_form_walks(1, 3)
     assert len(built) == len(family.walks) == 4
     assert (first, second) == (family.walks[0], family.walks[3])
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         family.walks = ()
 
 
@@ -247,6 +246,14 @@ def test_gen_walk_record_parses_back(capsys):
     assert code == 0
     walk = Walk.from_text(out)
     assert walk.dim == 2
+
+
+@pytest.mark.parametrize("P, shift", [("-y^2", "-1*t^2 - 2*t*y"), ("0 - y^2", "-1*t^2 - 2*t*y"),
+                                      ("(-y)^2", "t^2 + 2*t*y")])
+def test_gen_reads_unary_minus_outside_the_power(capsys, P, shift):
+    # -y^2 is -(y^2): the walk preserves x + y^2, not x - y^2
+    assert run(capsys, "gen", "--family", "bogolubov", f"--P={P}") == (
+        0, f"dim 2\nvars t x y\nentry {shift} + x\nentry t + y\n", "")
 
 
 def test_gen_signature_lists_matrices(capsys):

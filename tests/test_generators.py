@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binomial_reference import reference_unipotent_walk
 from polywalk.fleeing import construct_fleeing_walk, is_fleeing
 from polywalk.generators import (
     NotUnipotent,
@@ -82,6 +85,45 @@ def test_unipotent_rejects_non_unipotent():
     with pytest.raises(NotUnipotent) as err:
         unipotent_walk([[0, 1], [1, 0]])
     assert err.value.size == 2
+
+
+@st.composite
+def conjugated_triangular(draw):
+    """G T G^-1 for an upper triangular T and a unimodular G, a product of
+    elementary matrices I + c E_ij.  T is unitriangular unless `unipotent`
+    came out false, when one diagonal entry is 0, 2 or -1 instead."""
+    n = draw(st.integers(1, 5))
+    t = [[1 if i == j else draw(st.integers(-3, 3)) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    unipotent = draw(st.booleans())
+    if not unipotent:
+        i = draw(st.integers(0, n - 1))
+        t[i][i] = draw(st.sampled_from([0, 2, -1]))
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    g_inv = [row[:] for row in g]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        e = [[c if (r, k) == (i, j) else 0 for k in range(n)] for r in range(n)]
+        g = [[a + b for a, b in zip(x, y)] for x, y in zip(g, _mul(g, e))]
+        g_inv = [[a - b for a, b in zip(x, y)] for x, y in zip(g_inv, _mul(e, g_inv))]
+    return _mul(_mul(g, t), g_inv), unipotent, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugated_triangular())
+def test_unipotent_walk_matches_the_binomial_route(case):
+    gamma, unipotent, named = case
+    coords = tuple(f"c{i}" for i in range(len(gamma))) if named else None
+    if not unipotent:
+        for build in (unipotent_walk, reference_unipotent_walk):
+            with pytest.raises(NotUnipotent):
+                build(gamma, coords)
+        return
+    walk = unipotent_walk(gamma, coords)
+    reference = reference_unipotent_walk(gamma, coords)
+    assert walk == reference
+    assert walk.to_text() == reference.to_text()
 
 
 def test_unipotent_semigroup_law():

@@ -23,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_reference import binomial_poly
 from decimal_reference import decimal_digits
 from polywalk import kernel, reals
 from polywalk.kernel import orbit_points, phases, residues
 from polywalk.lab import weyl_sums
-from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
+from polywalk.poly import MPoly, PolyVector, poly_parse
 from polywalk.reals import BITS, FixedRow, Real
 
 F = Fraction

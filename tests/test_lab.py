@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_reference import binomial_poly
 from decimal_reference import decimal_digits
 from polywalk.generators import bogolubov_walk, xy_minus_P_walks
 from polywalk import kernel
@@ -30,7 +31,7 @@ from polywalk.lab import (
     weyl_sum_rational,
     weyl_sums,
 )
-from polywalk.poly import MPoly, PolyVector, binomial_poly, poly_parse
+from polywalk.poly import MPoly, PolyVector, poly_parse
 from polywalk.reals import BITS, Real
 
 F = Fraction

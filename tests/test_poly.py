@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_reference import binomial_poly
 from polywalk.fleeing import _collapse
 from polywalk.generators import secant_quotient
 from polywalk.poly import (
@@ -18,7 +19,6 @@ from polywalk.poly import (
     PolySyntaxError,
     PolyVector,
     UnknownIdentifierError,
-    binomial_poly,
     poly_parse,
     poly_parse_auto,
 )
@@ -60,8 +60,12 @@ def test_parse_reports_position():
 
 
 def test_parse_grammar_corners():
-    # unary minus binds to the base, so -x^2 is (-x)^2 under this grammar
-    assert poly_parse("-x^2", ["x"]) == poly_parse("x^2", ["x"])
+    # unary minus applies to the whole factor, power included: -x^2 is -(x^2)
+    assert poly_parse("-x^2", ["x"]) == poly_parse("0 - x^2", ["x"])
+    assert poly_parse("(-x)^2", ["x"]) == poly_parse("x^2", ["x"])
+    assert poly_parse("-2^2", ["x"]) == MPoly.const(("x",), -4)
+    assert poly_parse("x*-x^3", ["x"]) == poly_parse("0 - x^4", ["x"])
+    assert poly_parse("--x", ["x"]) == poly_parse("x", ["x"])
     assert poly_parse("2^3", ["x"]) == MPoly.const(("x",), 8)
     assert poly_parse("1/2*x", ["x"]) == MPoly(("x",), {(1,): F(1, 2)})
     assert poly_parse("-(x + 1)", ["x"]) == MPoly(("x",), {(1,): F(-1), (0,): F(-1)})
@@ -814,7 +818,7 @@ def test_str_matches_the_fraction_printer_and_round_trips(p):
     ({(0, 1): F(1), (0, 0): F(-2, 3)}, "y - 2/3"),
 ])
 def test_str_corners(terms, printed):
-    # a leading -1 stays explicit: "-x^2" would re-parse as (-x)^2
+    # a leading -1 stays explicit, so printed walks keep their bytes
     p = MPoly(("x", "y"), terms)
     assert str(p) == printed == _reference_str(p)
     assert poly_parse(printed, ("x", "y")) == p

@@ -1,8 +1,10 @@
 """Cross-checks on the less-travelled paths: non-triangular unipotents,
 higher-rank adjoints, kernel properties, the fraction-free elimination
-against the Fraction routines it replaced, serializer error handling, and
-precision plumbing."""
+against the Fraction routines it replaced, serializer error handling,
+precision plumbing, and the record types' value contract."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -13,7 +15,10 @@ from hypothesis import strategies as st
 
 from decimal_reference import decimal_digits
 from polywalk.cli import parse_walk_spec
-from polywalk.fleeing import _orbit_stream, affine_annihilator, kernel_basis
+from polywalk.ergodic import (BoxIndicator, CharacterInfo, CorrelationEstimate,
+                              EmpiricalAverage, TrigPoly)
+from polywalk.fleeing import (AffineFunctional, _orbit_stream, affine_annihilator,
+                              construct_fleeing_walk, kernel_basis)
 from polywalk.generators import (
     adjoint_action_matrix,
     mat,
@@ -21,10 +26,12 @@ from polywalk.generators import (
     mat_identity,
     mat_inverse_sl,
     mat_mul,
-    nilpotency_index,
+    nilpotent_powers,
+    signature_form_walks,
     unipotent_walk,
 )
-from polywalk.lab import BohrSet
+from polywalk.lab import (MAGYAR, BohrSet, ExperimentReport, SearchResult, Status,
+                          TargetRecord)
 from polywalk.poly import MPoly, PolyVector, poly_parse
 from polywalk.reals import FixedRow, Real, constant_digits, parse_real
 from polywalk.walks import Walk
@@ -57,7 +64,7 @@ def test_unipotent_walk_nilpotency_three():
         tuple(x - (1 if i == j else 0) for j, x in enumerate(row))
         for i, row in enumerate(gamma)
     )
-    assert nilpotency_index(nil) == 3
+    assert len(nilpotent_powers(nil)) == 3
     walk = unipotent_walk(gamma)
     assert walk.apply(0, (5, 6, 7)) == (5, 6, 7)
 
@@ -73,7 +80,7 @@ def test_adjoint_sl3_is_unipotent_and_multiplicative():
             tuple(x - (1 if i == j else 0) for j, x in enumerate(row))
             for i, row in enumerate(ad)
         )
-        assert nilpotency_index(nil) is not None
+        assert nilpotent_powers(nil) is not None
     assert adjoint_action_matrix(mat_mul(e12, e23)) == mat_mul(ad12, ad23)
     # and the induced walk is a genuine polynomial walk on Z^8
     walk = unipotent_walk(ad12)
@@ -494,3 +501,36 @@ def test_substitution_universe_order_is_deterministic():
     assert out.vars == ("c", "u", "v", "w")
     again = p.substitute(bindings)
     assert again.vars == out.vars and again == out
+
+
+def _records():
+    cert = construct_fleeing_walk([parse_walk_spec("bogolubov:y^2")], (1, 0))
+    found = TargetRecord(4, Status.FOUND, 3, (12, 0), 4, 1.5)
+    report = ExperimentReport("magyar", (found, TargetRecord(8, Status.EXHAUSTED, None,
+                                                             None, None, 2.0)),
+                              {"k": 2, "P": "z^2"}, 7)
+    return [TrigPoly.of([((1, 0), 0.5), ((0, 1), -1)]), BoxIndicator.of(["sqrt2"], ["1/4"]),
+            CharacterInfo((1,), (Real.of("sqrt2"),)), EmpiricalAverage(0.5 + 1j, 0.25, None),
+            CorrelationEstimate(0.5, 0.01, 0.45), AffineFunctional((F(1), F(-2)), F(3)),
+            cert, signature_form_walks(1, 2), SearchResult(Status.FOUND, 3, (12, 0)),
+            found, report, MAGYAR]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_values(record):
+    # every field is read-only and no attribute can be added
+    for name in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    # equal by fields: a copy is equal, a record with one field changed is not
+    assert record == copy.copy(record)
+    assert record != record._replace(**{record._fields[0]: object()})
+
+
+def test_certificates_and_reports_survive_pickle_and_deepcopy():
+    records = _records()
+    for record in (records[6], records[10]):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(clone) is type(record)
+            assert clone == record
+            assert clone.to_text() == record.to_text()

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomial_reference import binomial_poly
 from polywalk.generators import bogolubov_walk, unipotent_walk, xy_minus_P_walks
-from polywalk.poly import MPoly, binomial_poly, poly_parse
+from polywalk.poly import MPoly, poly_parse
 from polywalk.walks import (
     Walk,
     default_coords,
