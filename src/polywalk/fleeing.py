@@ -3,10 +3,11 @@
 Given generator walks s_1..s_r and a start vector v, the orbit polynomials
 at depth N are the entries of s_N(t_N) ... s_1(t_1) v in fresh time
 variables t_1..t_N (generators cycle when N exceeds r).  The affine maps
-annihilating that orbit form a vector space; once it is trivial, collapsing
-the time variables to n^(e_1), ..., n^(e_N) with rapidly growing exponents
-produces a single-parameter walk whose orbit stays out of every proper
-affine subspace.  Independence is always decided by exact rational kernel
+annihilating that orbit form a vector space (for affine generators its
+dimension comes from a recursion on (d+1)-vectors, with no orbit built);
+once it is trivial, collapsing the time variables to n^(e_1), ..., n^(e_N)
+with rapidly growing exponents produces a single-parameter walk whose
+orbit stays out of every proper affine subspace.  Independence is always decided by exact rational kernel
 computation, never by numeric rank.
 """
 
@@ -18,7 +19,7 @@ from math import lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .generators import kernel_basis
+from .generators import kernel_basis, reduce_into
 from .poly import MPoly, PolyVector
 from .walks import TIME, Walk
 
@@ -153,10 +154,34 @@ def construct_fleeing_walk(
 ) -> FleeingCertificate:
     """Search the orbit tree for a hyperplane-fleeing single-parameter walk.
 
-    Deepens until the affine annihilator of the orbit polynomials is
-    trivial, at depth N, then collapses the time variables via
-    t_k -> n^(base^k) with base = 1 + (largest exponent of any time
-    variable in the orbit).
+    Deepens until the affine annihilator of the depth-N orbit
+    w_N = s_N(t_N) ... s_1(t_1) v is trivial, then collapses the time
+    variables via t_k -> n^(base^k) with base = 1 + (largest exponent of
+    any time variable in w_N).  The trace lists the annihilator's
+    dimension at depths 1..N.
+
+    Affine generators (every term of degree <= 1 in the coordinates,
+    `_affine_parts`) build no orbit: the annihilator recursion.  Such a
+    walk g(s)x = A(s)x + b(s) acts on (x, 1) as G(s) = sum_j s^j H_j, with
+    H_j = [[A_j, b_j], [0, 0]] for j >= 1 and H_0 = I, as g(0) = id.  The
+    t_k being distinct, (w_N, 1) = sum_a t^a H^N_{a_N} ... H^1_{a_1} (v, 1),
+    H^k the k-th generator's: one word per monomial, none summed.  So
+    <c, y> + c_0 vanishes on w_N iff (c, c_0) is orthogonal to the span
+    V_N of the words, and the trace entry is d + 1 - dim V_k.  A word of
+    length k is H^k_j u, u one of length k - 1 (j = 0 gives u), so
+    V_0 = span{(v, 1)} and V_k = V_{k-1} + sum_{j >= 1} H^k_j V_{k-1}, kept
+    as integer rows by `reduce_into` (scaling H_j moves no span); N is the
+    first k with dim V_k = d + 1.  Base rule: t_k has exponent j >= 1 in
+    w_N iff H^k_j V_{k-1} != 0.  A word is zero once its prefix H^k_j u
+    is; and if H^k_j u != 0, extending it by a_{k+1..N} = 0 gives H^k_j u
+    itself (H_0 = I), whose last entry is 0, so it shows in w_N.  Later
+    maps cannot cancel it: det G(0) = 1, so each G(s) is invertible over
+    Q(s).  Hence base = 1 + max_k max{j : H^k_j V_{k-1} != 0} (max {} = 0).
+    This route keeps one AssertionError: `is_fleeing` on
+    `final.orbit_poly(v)`.  Other walks take the tower (`_orbit_stream`,
+    `affine_annihilator` per depth, `_collapse`) and keep three: the
+    annihilator grew, the collapse differs from `final.orbit_poly(v)`, or
+    it is not fleeing.
 
     Proof that the collapsed orbit is fleeing.  Every exponent a_k of a
     monomial t^a = t_1^a_1 ... t_N^a_N of the orbit lies in [0, base), so
@@ -167,15 +192,85 @@ def construct_fleeing_walk(
     An affine map L = <a, y> + c vanishes on the orbit iff each monomial's
     coefficient of L(p) is zero, and these conditions are the same before
     and after relabelling; so the collapsed orbit has the same, trivial,
-    annihilator.  Both that and `final.orbit_poly(v) == collapsed` are
-    still checked, as AssertionErrors: the certificate checks itself.
+    annihilator.  The composed walk at time n is s_N(n^(e_N)) ... s_1(n^(e_1)),
+    so its orbit is that collapse: the certificate checks itself.
     """
     check_start(gens, v, depth_cap)
     if depth_cap is None:
         depth_cap = 8 * len(gens) * gens[0].dim
 
+    parts = [_affine_parts(g) for g in gens]
+    if any(p is None for p in parts):
+        depth, base, dims, collapsed = _tower(gens, v, depth_cap)
+    else:
+        depth, base, dims = _span_recursion(parts, v, depth_cap)
+        collapsed = None
+    exponents = tuple(base ** k for k in range(1, depth + 1))
+    final = _build_final_walk(gens, exponents)
+    orbit = final.orbit_poly(v)
+    if collapsed is not None and orbit != collapsed:
+        raise AssertionError("collapsed orbit does not match the composed walk applied to v")
+    if not is_fleeing(orbit):
+        raise AssertionError(f"collapsing with base {base} lost independence")
+    return FleeingCertificate(
+        depth=depth,
+        exponents=exponents,
+        final_walk=final,
+        orbit_poly=orbit,
+        annihilator_dims=tuple(dims),
+        base=base,
+    )
+
+
+def _affine_parts(walk: Walk) -> list[tuple[int, list[list[int]]]] | None:
+    """The pairs (j, rows of D * [A_j, b_j]) for j >= 1 with a non-zero
+    part, D the lcm of the entries' denominators, when every term has
+    degree <= 1 in the coordinates; else None.  Terms free of t are the
+    identity and are skipped."""
+    d = walk.dim
+    scale = lcm(*(p.denominator for p in walk.entries))
+    parts: dict[int, list[list[int]]] = {}
+    for i, p in enumerate(walk.entries):
+        f = scale // p.denominator
+        for e, c in p.numerators.items():
+            x = e[1:]
+            degree = sum(x)
+            if degree > 1:
+                return None
+            if e[0]:
+                if e[0] not in parts:
+                    parts[e[0]] = [[0] * (d + 1) for _ in range(d)]
+                parts[e[0]][i][x.index(1) if degree else d] = c * f
+    return sorted(parts.items())
+
+
+def _span_recursion(parts: list, v: Sequence[int], depth_cap: int) -> tuple[int, int, list[int]]:
+    """Depth, base and trace by V_k = V_{k-1} + sum_j H_j V_{k-1}
+    (`construct_fleeing_walk`), or DepthExhausted."""
+    width = len(v) + 1
+    kept: list[list[int]] = []
+    leads: list[int] = []
+    reduce_into(kept, leads, [*v, 1])
     dims: list[int] = []
-    depth = None
+    top = 0
+    for k in range(depth_cap):
+        previous = kept[:]
+        for j, rows in parts[k % len(parts)]:
+            for u in previous:
+                image = [sum(map(mul, row, u)) for row in rows]
+                if any(image):
+                    top = max(top, j)
+                    reduce_into(kept, leads, image + [0])
+        dims.append(width - len(kept))
+        if len(kept) == width:
+            return k + 1, 1 + top, dims
+    raise DepthExhausted(depth_cap, dims)
+
+
+def _tower(gens: Sequence[Walk], v: Sequence[int], depth_cap: int) -> tuple:
+    """Depth, base, trace and collapsed orbit from the orbit tower and one
+    annihilator per depth, or DepthExhausted."""
+    dims: list[int] = []
     for n, orbit in zip(range(1, depth_cap + 1), _orbit_stream(gens, v)):
         basis = affine_annihilator(orbit)
         if dims and len(basis) > dims[-1]:
@@ -184,27 +279,11 @@ def construct_fleeing_walk(
             )
         dims.append(len(basis))
         if not basis:
-            depth = n
             break
-    if depth is None:
+    else:
         raise DepthExhausted(depth_cap, dims)
-
     base = 1 + max((e for p in orbit for exps in p.numerators for e in exps), default=0)
-    exponents = tuple(base ** k for k in range(1, depth + 1))
-    collapsed = _collapse(orbit, exponents)
-    if not is_fleeing(collapsed):
-        raise AssertionError(f"collapsing with base {base} lost independence")
-    final = _build_final_walk(gens, exponents)
-    if final.orbit_poly(v) != collapsed:
-        raise AssertionError("collapsed orbit does not match the composed walk applied to v")
-    return FleeingCertificate(
-        depth=depth,
-        exponents=exponents,
-        final_walk=final,
-        orbit_poly=collapsed,
-        annihilator_dims=tuple(dims),
-        base=base,
-    )
+    return n, base, dims, _collapse(orbit, tuple(base ** k for k in range(1, n + 1)))
 
 
 def _collapse(orbit: PolyVector, exponents: tuple[int, ...]) -> PolyVector:

@@ -105,15 +105,34 @@ def mat_inverse_sl(a: IntMatrix) -> IntMatrix:
     return tuple(tuple(x // last for x in row[n:]) for row in rows)
 
 
+def reduce_into(kept: list[list[int]], leads: list[int], r: list[int]) -> bool:
+    """Reduce the integer row r against the kept rows, whose pivots are
+    `leads`, and keep it, divided by the gcd of its entries, unless it
+    reduces to zero; True iff it was kept.  The kept rows then span the
+    rows read so far (`kernel_basis` gives the proof)."""
+    for k, c in zip(kept, leads):
+        f = r[c]
+        if f:
+            p = k[c]
+            r = [p * x - f * y for x, y in zip(r, k)]
+    g = gcd(*r)
+    if not g:
+        return False
+    kept.append([x // g for x in r])
+    leads.append(next(c for c, x in enumerate(r) if x))
+    return True
+
+
 def kernel_basis(rows: Sequence[Sequence[Fraction | int]], width: int) -> list[list[Fraction]]:
     """Basis of {x : M x = 0} for rational M, one vector per free column;
     each vector is a primitive integer vector with positive first non-zero
     entry.
 
     Each row is scaled by the lcm of its entries' denominators, so a row
-    of integers is taken as it is, and reduced one at a time against at
-    most `width` kept rows: each kept row has a pivot, its first non-zero
-    column, and is zero at the pivots of the rows kept before it.  A new
+    of integers is taken as it is, and reduced one at a time by
+    `reduce_into` against at most `width` kept rows: each kept row has a
+    pivot, its first non-zero column, and is zero at the pivots of the
+    rows kept before it.  A new
     row r becomes p * r - r[c] * k, fraction-free, for each kept row k
     with pivot c and p = k[c], in the order they were kept, then is divided
     by the gcd of its entries.  A row that reduces to zero is dropped,
@@ -143,17 +162,7 @@ def kernel_basis(rows: Sequence[Sequence[Fraction | int]], width: int) -> list[l
         den = lcm(*map(attrgetter("denominator"), row))
         r = (list(map(attrgetter("numerator"), row)) if den == 1 else
              [x.numerator * (den // x.denominator) for x in row])
-        for k, c in zip(kept, leads):
-            f = r[c]
-            if f:
-                p = k[c]
-                r = [p * x - f * y for x, y in zip(r, k)]
-        g = gcd(*r)
-        if not g:
-            continue
-        kept.append([x // g for x in r])
-        leads.append(next(c for c, x in enumerate(r) if x))
-        if len(kept) == width:
+        if reduce_into(kept, leads, r) and len(kept) == width:
             return []
     reduced, pivots, _, last = _bareiss(kept, width)
     basis = []

@@ -140,10 +140,18 @@ class Walk:
         """Symbolic orbit n -> self(n) v as univariate polynomials.
 
         Binding t -> n and x -> v is the monomial map t^a x^e -> n^a with
-        weight v^e (`MPoly.map_monomials`)."""
+        weight v^e (`MPoly.map_monomials`), computed once per pattern e."""
         self.check_vector(v)
-        return PolyVector([p.map_monomials((var,), lambda e: e[:1],
-                                           lambda e: prod(map(pow, v, e[1:])))
+        weights: dict[tuple[int, ...], int] = {}
+
+        def weight(e):
+            x = e[1:]
+            w = weights.get(x)
+            if w is None:
+                w = weights[x] = prod(map(pow, v, x))
+            return w
+
+        return PolyVector([p.map_monomials((var,), lambda e: e[:1], weight)
                            for p in self.entries])
 
     # -- serialization ----------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polywalk import generators
+from polywalk import fleeing, generators
 from polywalk.cli import (
     _CORRELATE_KEYS,
     _CORRELATE_PREFIXES,
@@ -176,19 +176,89 @@ def test_weyl_sums_golden(exprs, thetas, n_count, pinned):
 
 
 def test_construct_walk_never_reads_the_fraction_view(capsys, monkeypatch):
-    # signature (2,3), generator walks included, runs on the stored integer
-    # pairs: reading MPoly.terms fails the run, and the certificate is the
-    # golden one
+    # signature (2,3) and the sl3 adjoint pair, generator walks included,
+    # run on the stored integer pairs: reading MPoly.terms fails the run,
+    # and the certificates are the golden ones
     def refuse(p):
         raise AssertionError(f"MPoly.terms read on {p}")
 
     generators.signature_form_walks.cache_clear()
     monkeypatch.setattr(MPoly, "terms", property(refuse))
-    gens, v, digest = CONSTRUCT_GOLDEN[3]
-    code, out, err = run(capsys, "construct-walk", *(a for g in gens for a in ("--gen", g)),
-                         f"--v={v}")
+    for gens, v, digest in (CONSTRUCT_GOLDEN[3], CONSTRUCT_GOLDEN[2]):
+        code, out, err = _construct(capsys, gens, v)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of construct-walk stdout for affine generators outside
+# CONSTRUCT_GOLDEN, taken while every certificate came from the orbit tower
+AFFINE_GOLDEN = [
+    (["xyP:z^2:1", "xyP:z^2:2"], "1,0,0",
+     "505b2e8b519f93b8edfabc5c5a7481a62f4792cb5a426c750d557caa42d89887"),
+    (["bogolubov:y^2"], "-3,0",
+     "18151e8d376860ec54ea73ac4d8795d05ebbd61922d74b0046e6da38b2aeb126"),
+]
+# an affine walk with det A(t) = 1 + t and a translation over 2, and a
+# walk of degree 2 in the coordinates
+AFFINE_FILE_WALK = "dim 2\nvars t x1 x2\nentry x1 + t*x2 + t*x1\nentry x2 + 1/2*t^2 - 1/2*t\n"
+AFFINE_FILE_DIGEST = "2c7495cee7036d0c1e4835b3e4241f4d09ddad8dd7aa1df9886df0b7fd49acab"
+QUADRATIC_FILE_WALK = "dim 2\nvars t x y\nentry x + t*y^2\nentry y + t\n"
+
+
+class TowerBuilt(Exception):
+    """Raised by the patched `fleeing._orbit_stream`; escapes `main`."""
+
+
+@pytest.fixture
+def no_tower(monkeypatch):
+    def refuse(gens, v):
+        raise TowerBuilt
+
+    monkeypatch.setattr(fleeing, "_orbit_stream", refuse)
+
+
+def _construct(capsys, gens, v):
+    return run(capsys, "construct-walk", *(a for g in gens for a in ("--gen", g)), f"--v={v}")
+
+
+@pytest.mark.parametrize("gens,v,digest", [CONSTRUCT_GOLDEN[i] for i in (2, 3, 4, 5, 6, 8)]
+                         + AFFINE_GOLDEN,
+                         ids=["sl3-adjoint", "signature-2,3", "signature-3,3", "signature-2,4",
+                              "signature-1,4", "sl2-adjoint", "xyP-z^2", "bogolubov-y^2"])
+def test_affine_generators_build_no_orbit_tower(capsys, no_tower, gens, v, digest):
+    code, out, err = _construct(capsys, gens, v)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_an_affine_file_walk_builds_no_orbit_tower(capsys, no_tower, tmp_path):
+    path = tmp_path / "affine.walk"
+    path.write_text(AFFINE_FILE_WALK)
+    code, out, err = _construct(capsys, [f"file:{path}"], "0,0")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == AFFINE_FILE_DIGEST
+
+
+@pytest.mark.parametrize("gens,v", [(["xyP:z^3:1", "xyP:z^3:2"], "1,0,0"),
+                                    (["bogolubov:y^3"], "3,0"),
+                                    (["file:{tmp}/quadratic.walk"], "1,0")],
+                         ids=["xyP-z^3", "bogolubov-y^3", "file-degree-2"])
+def test_non_affine_generators_take_the_orbit_tower(capsys, no_tower, tmp_path, gens, v):
+    (tmp_path / "quadratic.walk").write_text(QUADRATIC_FILE_WALK)
+    with pytest.raises(TowerBuilt):
+        _construct(capsys, [g.format(tmp=tmp_path) for g in gens], v)
+
+
+def test_reducible_pair_exhausts_its_depth_without_an_orbit_tower(capsys, no_tower):
+    # R^4 is the sum of two invariant planes: the annihilator keeps
+    # dimension 2 from depth 3 to the default cap 8 * 2 * 4 = 64
+    code, out, err = _construct(capsys, ["unipotent:1,1,0,0,0,1,0,0,0,0,1,1,0,0,0,1",
+                                         "unipotent:1,0,0,0,1,1,0,0,0,0,1,0,0,0,1,1"],
+                                "1,0,1,0")
+    assert (code, err) == (2, "")
+    trace = re.fullmatch(r"construction failed: annihilator still non-trivial at depth 64 "
+                         r"\(dimension trace \[(.*)\]\)\n", out).group(1)
+    assert [int(x) for x in trace.split(", ")] == [4, 3] + [2] * 62
 
 
 def test_signature_family_built_once_per_process(monkeypatch):

@@ -5,11 +5,14 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import islice
+from math import factorial
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polywalk import fleeing
 from polywalk.fleeing import (
     DepthExhausted,
     _collapse,
@@ -27,7 +30,7 @@ from polywalk.generators import (
     xy_minus_P_walks,
 )
 from polywalk.poly import MPoly, PolyVector, poly_parse
-from polywalk.walks import TIME, identity_walk, walk_scaling_certificate
+from polywalk.walks import TIME, Walk, default_coords, identity_walk, walk_scaling_certificate
 
 F = Fraction
 
@@ -378,3 +381,115 @@ def test_collapse_matches_the_fraction_sums(case):
     assert [p.terms for p in collapsed] == [p.terms for p in reference]
     assert [str(p) for p in collapsed] == [str(p) for p in reference]
     assert collapsed.vars == reference.vars == ("n",)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _affine_walk(draw, d):
+    """An affine walk on Z^d, g(t)x = A(t)x + b(t), drawn one of three
+    ways: a unipotent conjugate G T G^-1 (T unitriangular, G a product of
+    elementary matrices), a unipotent triangular part plus a translation
+    b(t) = c * C(t, j), or A(t) = I + sum_j t^j M_j and b(t) = sum_j t^j b_j
+    with sparse integer M_j and b_j, whose det A(t) is in general not
+    constant."""
+    universe = (TIME,) + default_coords(d)
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    kind = draw(st.sampled_from(["conjugate", "translation", "det"]))
+    if kind == "det":
+        # the entry of t^j x_k in row i, k = d for the translation
+        cells = st.tuples(st.integers(1, 3), st.integers(0, d - 1), st.integers(0, d))
+        terms = [{(0,) + tuple(int(c == i) for c in range(d)): F(1)} for i in range(d)]
+        for (j, i, k), coeff in draw(st.dictionaries(cells, st.sampled_from([1, -1, 2]),
+                                                     min_size=d, max_size=2 * d)).items():
+            terms[i][(j,) + tuple(int(c == k) for c in range(d))] = F(coeff)
+        return Walk([MPoly(universe, t) for t in terms])
+    upper = [[int(i == j) or (draw(entry) if j > i else 0) for j in range(d)] for i in range(d)]
+    if kind == "translation":
+        walk = unipotent_walk(upper)
+        shifts = []
+        for _ in range(d):
+            c, j = draw(entry), draw(st.integers(1, 3))
+            # c * C(t, j) = c / j! * t (t - 1) ... (t - j + 1)
+            falling = MPoly.const(universe, F(c, factorial(j)))
+            for r in range(j):
+                falling = falling * (MPoly.var(universe, TIME) - r)
+            shifts.append(falling)
+        return Walk([p + s for p, s in zip(walk.entries, shifts)])
+    g = [[int(i == j) for j in range(d)] for i in range(d)]
+    g_inv = [row[:] for row in g]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        e = [[draw(st.integers(-2, 2)) if (r, k) == (i, j) else 0 for k in range(d)]
+             for r in range(d)]
+        g = [[a + b for a, b in zip(x, y)] for x, y in zip(g, _matmul(g, e))]
+        g_inv = [[a - b for a, b in zip(x, y)] for x, y in zip(g_inv, _matmul(e, g_inv))]
+    return unipotent_walk(_matmul(_matmul(g, upper), g_inv))
+
+
+@st.composite
+def _affine_generators_and_start(draw):
+    d = draw(st.integers(2, 4))
+    gens = draw(st.lists(_affine_walk(d), min_size=1, max_size=3))
+    # mostly zeros in v: the coordinates then fill one step at a time
+    v = draw(st.lists(st.sampled_from([0, 0, 1, -2]), min_size=d, max_size=d))
+    return gens, tuple(v)
+
+
+TOWER_CAP = 5
+
+
+def _tower_reference(gens, v, depth_cap):
+    """The trace by the orbit tower and `affine_annihilator`, up to the
+    first trivial annihilator or the cap, and the orbit at that depth
+    (None at the cap)."""
+    dims = []
+    for orbit in islice(_orbit_stream(gens, v), depth_cap):
+        dims.append(len(affine_annihilator(orbit)))
+        if not dims[-1]:
+            return dims, orbit
+    return dims, None
+
+
+def _walk3(*entries):
+    return Walk([poly_parse(e, (TIME,) + default_coords(3)) for e in entries])
+
+
+# From v = 0 the first walk adds e2 and the second e1 and e3, at t^1: the
+# t^2 part of the first walk never acts, so the base is 2, not 3.
+UNUSED_TOP_PART = ([_walk3("x1", "x2 + t", "x3 + t^2*x2"), _walk3("x1 + t", "x2", "x3 + t*x2")],
+                   (0, 0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@example(UNUSED_TOP_PART)
+@given(_affine_generators_and_start())
+def test_span_recursion_matches_the_orbit_tower(case):
+    # affine generators take the recursion (no tower is built), and give
+    # the tower's depth, trace, base, exponents, walk and orbit, and its
+    # DepthExhausted trace at every smaller cap
+    gens, v = case
+    dims, orbit = _tower_reference(gens, v, TOWER_CAP)
+    with patch.object(fleeing, "_orbit_stream", side_effect=AssertionError("tower built")):
+        if orbit is None:
+            with pytest.raises(DepthExhausted) as err:
+                construct_fleeing_walk(gens, v, depth_cap=TOWER_CAP)
+            assert err.value.dims == dims
+            return
+        cert = construct_fleeing_walk(gens, v, depth_cap=TOWER_CAP)
+        for cap in range(1, cert.depth):
+            with pytest.raises(DepthExhausted) as err:
+                construct_fleeing_walk(gens, v, depth_cap=cap)
+            assert err.value.dims == dims[:cap]
+    base = 1 + max((e for p in orbit for exps in p.numerators for e in exps), default=0)
+    exponents = tuple(base ** k for k in range(1, len(dims) + 1))
+    walk = gens[0].reparam(exponents[0])
+    for k in range(1, len(exponents)):
+        walk = gens[k % len(gens)].reparam(exponents[k]).compose(walk)
+    assert (cert.depth, cert.annihilator_dims, cert.base, cert.exponents) == (
+        len(dims), tuple(dims), base, exponents)
+    assert cert.final_walk == walk
+    assert cert.orbit_poly == _collapse(orbit, exponents)
+    assert [str(p) for p in cert.orbit_poly] == [str(p) for p in _collapse(orbit, exponents)]
